@@ -10,7 +10,7 @@
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: all build test check sim-check sim-matrix fuzz fleet bench bench-json bench-guard socket-smoke clean
+.PHONY: all build test check sim-check sim-matrix fuzz fleet bench bench-json bench-guard perfbench-check socket-smoke clean
 
 all: build
 
@@ -72,6 +72,13 @@ bench-json: build
 # increase — against the checked-in baseline.
 bench-guard: build
 	dune exec bench/main.exe -- --quick --only tables2-5 --baseline BENCH_10.json $(JOBS_FLAG)
+
+# Host-cost benchmark self-test: every perfbench workload briefly, end
+# to end and traced; fails unless each metric BENCHMARK.json names is
+# printed with its unit, no call fails, and the simulated-output digest
+# repeats across runs of a seed.
+perfbench-check: build
+	python3 perfbench/run.py --self-test
 
 clean:
 	dune clean

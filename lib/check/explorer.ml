@@ -57,9 +57,10 @@ let call_options bug =
 
 let workload_limit = Time.sec 120
 
-(* The retained-result GC window is 5 s and an abandoned server send
-   loop persists for max_retries * retransmit_after; 8 s covers both. *)
-let settle_window = Time.sec 8
+(* An abandoned server send gives up after max_retries *
+   retransmit_after (11 x 600 ms) and still retains its result, which
+   the retained-result GC frees 5 s later; 12 s covers both. *)
+let settle_window = Time.sec 12
 
 (* The shared key for secured-cell runs; distribution is out of band in
    the real system, a constant here.  A plain value, not [lazy]:

@@ -42,6 +42,8 @@ let rec wire_size_bound = function
   | T_record fields -> List.fold_left (fun acc f -> acc + wire_size_bound f) 0 fields
   | T_seq (elt, max) -> 2 + (max * wire_size_bound elt)
 
+let args_size_bound p = List.fold_left (fun acc a -> acc + wire_size_bound a.ty) 0 p.args
+
 let interface ~name ~version procs =
   if String.length name = 0 then invalid_arg "Idl.interface: empty name";
   let seen = Hashtbl.create 8 in
@@ -50,10 +52,7 @@ let interface ~name ~version procs =
       if Hashtbl.mem seen p.proc_name then
         invalid_arg ("Idl.interface: duplicate procedure " ^ p.proc_name);
       Hashtbl.add seen p.proc_name ();
-      let bound =
-        List.fold_left (fun acc a -> acc + wire_size_bound a.ty) 0 p.args
-      in
-      if bound > 0xffff then
+      if args_size_bound p > 0xffff then
         invalid_arg ("Idl.interface: arguments of " ^ p.proc_name ^ " too large"))
     procs;
   { intf_name = name; intf_version = version; procs = Array.of_list procs }

@@ -126,6 +126,19 @@ let demux t ctx (p : Frames.parsed) =
 
 let traditional t = (Timing.config t.tmg).Hw.Config.traditional_demux
 
+(* Header interpretation and demultiplexing ([label]: the Table VI
+   "Handle interrupt for received pkt" step, or its datalink-thread
+   twin), then the software checksum. *)
+let charge_receive t ctx ~label frame =
+  let bytes = Bytes.length frame in
+  Cpu_set.charge ctx ~cat ~label (Timing.rx_demux t.tmg);
+  Cpu_set.charge ctx ~cat ~label:"Calculate UDP checksum" (Timing.udp_checksum t.tmg ~bytes);
+  Cpu_set.charge ctx ~cat ~label:"Uniprocessor receive path" (Timing.uniproc_rx_extra t.tmg ~bytes)
+
+let count_reject t = function
+  | "udp: bad checksum" | "rpc: bad end-to-end checksum" -> Sim.Stats.Counter.incr t.c_cks_reject
+  | _ -> ()
+
 let fast_handler_rpc t ~ctx ~frame =
   if traditional t then begin
     (* §3.2's "traditional approach" ablation: the interrupt routine
@@ -135,20 +148,11 @@ let fast_handler_rpc t ~ctx ~frame =
     Driver.To_datalink
   end
   else begin
-    (* Header interpretation and demultiplexing: the Table VI "Handle
-       interrupt for received pkt" step, then the software checksum. *)
-    Cpu_set.charge ctx ~cat ~label:"Handle interrupt for received pkt" (Timing.rx_demux t.tmg);
-    Cpu_set.charge ctx ~cat ~label:"Calculate UDP checksum"
-      (Timing.udp_checksum t.tmg ~bytes:(Bytes.length frame));
-    Cpu_set.charge ctx ~cat ~label:"Uniprocessor receive path"
-      (Timing.uniproc_rx_extra t.tmg ~bytes:(Bytes.length frame));
+    charge_receive t ctx ~label:"Handle interrupt for received pkt" frame;
     match Frames.parse t.tmg frame with
     | Ok parsed -> demux t ctx parsed
     | Error e ->
-      (match e with
-      | "udp: bad checksum" | "rpc: bad end-to-end checksum" ->
-        Sim.Stats.Counter.incr t.c_cks_reject
-      | _ -> ());
+      count_reject t e;
       Driver.Dropped e
   end
 
@@ -163,19 +167,10 @@ let fast_handler t ~ctx ~frame =
    packet and does the full demultiplex itself, on its own thread. *)
 let datalink_handler t ~ctx ~frame =
   let free_buffer () = Nub.Bufpool.free (Machine.pool t.mach) in
-  if traditional t then begin
-    Cpu_set.charge ctx ~cat ~label:"Handle received pkt (datalink)" (Timing.rx_demux t.tmg);
-    Cpu_set.charge ctx ~cat ~label:"Calculate UDP checksum"
-      (Timing.udp_checksum t.tmg ~bytes:(Bytes.length frame));
-    Cpu_set.charge ctx ~cat ~label:"Uniprocessor receive path"
-      (Timing.uniproc_rx_extra t.tmg ~bytes:(Bytes.length frame))
-  end;
+  if traditional t then charge_receive t ctx ~label:"Handle received pkt (datalink)" frame;
   match Frames.parse t.tmg frame with
   | Error e ->
-    (match e with
-    | "udp: bad checksum" | "rpc: bad end-to-end checksum" ->
-      Sim.Stats.Counter.incr t.c_cks_reject
-    | _ -> ());
+    count_reject t e;
     free_buffer ()
   | Ok parsed -> (
     (* Reuse the call-table demultiplexer (it frees the buffer when it

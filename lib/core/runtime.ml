@@ -16,20 +16,6 @@ type export_rec = {
   ex_auth : Secure.key option;
 }
 
-(* Per-(calling thread) state kept by a server: the duplicate-
-   suppression sequence number and the retained result packets for
-   retransmission (§3.2: "in the case of a server thread it is the last
-   result packet"). *)
-type server_act = {
-  mutable sa_last_seq : int;  (** highest completed call *)
-  mutable sa_working : bool;
-  mutable sa_cur_seq : int;
-  mutable sa_retained : (Proto.header * V.t) list;
-  mutable sa_reply_to : Frames.endpoint option;
-  mutable sa_retained_bufs : int;
-  mutable sa_generation : int;  (** bumps cancel pending retain GC *)
-}
-
 type local_call = {
   lc_intf_id : int32;
   lc_proc : int;
@@ -44,7 +30,7 @@ type t = {
   rt_node : Node.t;
   rt_space : int;
   rt_exports : (int32, export_rec) Hashtbl.t;
-  rt_acts : (Activity.t, server_act) Hashtbl.t;
+  rt_server : Frames.endpoint Exchange.Server.t;
   rt_pending_slow : Node.delivery Queue.t;
   rt_local_pool : local_worker Queue.t;
   rt_local_pending : local_call Queue.t;
@@ -70,13 +56,27 @@ let timing t = Node.timing t.rt_node
 let engine t = Machine.engine (machine t)
 let retain_gc_after = Time.sec 5
 
+(* The paper's recovery (~600 ms from the machine configuration), 10
+   retries, no backoff: every server's schedule, and a binding's
+   default. *)
+let machine_options m =
+  {
+    Exchange.retransmit_after = (Machine.config m).Hw.Config.retransmit_after;
+    max_retries = 10;
+    backoff = None;
+  }
+
 let create nd ~space =
   let t =
     {
       rt_node = nd;
       rt_space = space;
       rt_exports = Hashtbl.create 8;
-      rt_acts = Hashtbl.create 32;
+      rt_server =
+        (let m = Node.machine nd in
+         Exchange.Server.create (machine_options m)
+           ~max_payload:(Timing.max_payload_bytes (Machine.timing m))
+           ~streaming:(Machine.config m).Hw.Config.streaming_results);
       rt_pending_slow = Queue.create ();
       rt_local_pool = Queue.create ();
       rt_local_pending = Queue.create ();
@@ -152,11 +152,8 @@ let free_bufs t n =
     Nub.Bufpool.free pool
   done
 
-let payload_bound p =
-  List.fold_left (fun acc a -> acc + Idl.wire_size_bound a.Idl.ty) 0 p.Idl.args
-
-let encode_payload t p dir values bound =
-  let bound = max bound 16 in
+let encode_payload t p dir values =
+  let bound = max (Idl.args_size_bound p) 16 in
   if Bytes.length t.rt_scratch < bound then
     t.rt_scratch <- Bytes.create (max bound (2 * Bytes.length t.rt_scratch));
   let w = W.over t.rt_scratch ~pos:0 in
@@ -222,7 +219,7 @@ let dispatch t ctx ~intf_id ~proc_idx ~payload ~secured ~seq ~trusted :
           | Ok outs -> (
             try
               let full = Marshal.merge_outs p in_values outs in
-              let result = encode_payload t p Marshal.In_result_packet full (payload_bound p) in
+              let result = encode_payload t p Marshal.In_result_packet full in
               (* VAR OUT results are written in place by the server
                  procedure — no server-side copy (§2.2); Value/Text
                  server marshalling costs are charged here. *)
@@ -238,32 +235,15 @@ let dispatch t ctx ~intf_id ~proc_idx ~payload ~secured ~seq ~trusted :
 
 (* {1 Bindings} *)
 
-type backoff = { multiplier : float; max_interval : Time.span }
+type backoff = Exchange.backoff = { multiplier : float; max_interval : Time.span }
 
-type call_options = {
+type call_options = Exchange.options = {
   retransmit_after : Time.span;
   max_retries : int;
   backoff : backoff option;
 }
 
-let default_options t =
-  {
-    retransmit_after = (Machine.config (machine t)).Hw.Config.retransmit_after;
-    max_retries = 10;
-    backoff = None;
-  }
-
-(* The retransmission interval sequence of [opts]: fixed at
-   [retransmit_after] by default (the paper's 600 ms), or growing by
-   [multiplier] per silent period up to [max_interval] when backoff is
-   enabled. *)
-let next_interval opts cur =
-  match opts.backoff with
-  | None -> opts.retransmit_after
-  | Some b ->
-    if b.multiplier < 1. then invalid_arg "Runtime: backoff multiplier must be >= 1";
-    let grown = Time.span_scale b.multiplier cur in
-    if Time.span_compare grown b.max_interval > 0 then b.max_interval else grown
+let default_options t = machine_options (machine t)
 
 type ether_binding = {
   be_dst : Frames.endpoint;
@@ -318,85 +298,73 @@ let start_call client ctx intf ~proc_idx body =
   charge_rt ctx ~label:"Calling stub (call & return)" (Timing.calling_stub tmg);
   body t tmg p
 
-(* {1 The Ethernet transport — caller side} *)
+(* {1 The Ethernet transport: the simulated driver}
+
+   {!Exchange} decides every packet of the exchange; this driver
+   performs its outputs, in order, on the simulated machine.  Sends go
+   through {!Node.send}, which charges the Table VI sending steps; notes
+   move the journal, the counters and the packet-buffer pool; an [Arm]
+   reads the engine clock — only there, after whatever send precedes
+   it — so each deadline falls where the protocol's timing puts it. *)
 
 let max_payload t = Timing.max_payload_bytes (timing t)
 
-let fragment_count t len =
-  let m = max_payload t in
-  if len = 0 then 1 else (len + m - 1) / m
+(* Perform one non-terminal output; [Arm] is the wait loop's. *)
+let perform t ctx = function
+  | Exchange.Send (dst, { Exchange.hdr; payload = v }) ->
+    (* A view goes out without being materialised: the frame builder
+       copies straight out of the viewed window. *)
+    Node.send t.rt_node ~ctx ~dst ~hdr ~payload:(V.buffer v) ~payload_pos:(V.offset v)
+      ~payload_len:(V.length v)
+  | Exchange.Note (Exchange.Retransmit seq) ->
+    Sim.Stats.Counter.incr t.c_retrans;
+    journal t (Obs.Journal.Retransmit { seq })
+  | Exchange.Note (Exchange.Ack seq) -> journal t (Obs.Journal.Ack { seq })
+  | Exchange.Note (Exchange.Duplicate seq) ->
+    Sim.Stats.Counter.incr t.c_dups;
+    journal t (Obs.Journal.Retransmit { seq })
+  | Exchange.Note (Exchange.Busy _) -> Sim.Stats.Counter.incr t.c_busy
+  | Exchange.Note (Exchange.Released frames) -> free_bufs t frames
+  | Exchange.Note (Exchange.Transmit { frames; _ }) ->
+    alloc_bufs t ctx frames;
+    charge_rt ctx ~label:"Receiver (send result pkt)" (Timing.receiver_send (timing t))
+  | Exchange.Arm _ | Exchange.Deliver _ | Exchange.Execute _ | Exchange.Retain
+  | Exchange.Give_up _ ->
+    ()
 
-let header ?(please_ack = false) ?(no_frag_ack = false) ?(secured = false) ~act ~seq
-    ~space:server_space ~intf_id ~proc_idx ~frag_idx ~frag_count ptype =
-  {
-    Proto.ptype;
-    please_ack;
-    no_frag_ack;
-    secured;
-    activity = act;
-    seq;
-    server_space;
-    interface_id = intf_id;
-    proc_idx;
-    frag_idx;
-    frag_count;
-    data_len = 0;
-    checksum = 0;
-  }
-
-exception Give_up of string
-
-(* Wait on [entry], feeding deliveries to [handle]; when
-   [retransmit_after] elapses without progress, run [on_timeout] (a
-   retransmission), giving up after [max_retries] such periods.
-   [handle] returns [`Done v], [`Continue] (irrelevant packet), or
-   [`Progress] (the peer is alive: reset the deadline and the retry
-   counter).
-
-   The retransmission deadline is wall-clock, NOT reset by irrelevant
-   deliveries: if it were, a peer spamming unrelated packets (e.g. its
-   own retransmissions) would suppress ours forever — a livelock the
-   protocol property tests caught. *)
-let await t ctx entry ~opts ~on_timeout ~handle =
+(* The one wait loop.  Perform [outputs] in order, calling [after] on
+   each, until a terminal one, which is returned; in between, wait on
+   [entry] for a delivery or the armed deadline and feed it back
+   through [input] or [expire].  A delivery that makes no progress arms
+   nothing, so it cannot push a retransmission out: a peer spamming
+   unrelated packets would otherwise suppress ours forever — a livelock
+   the protocol property tests caught. *)
+let exchange t ctx entry ?(after = ignore) ~input ~expire outputs =
   let eng = engine t in
-  let retries = ref 0 in
-  let interval = ref opts.retransmit_after in
-  let deadline = ref (Time.add (Engine.now eng) !interval) in
-  let rec loop () =
+  let deadline = ref Time.zero in
+  let rec run = function
+    | [] -> wait ()
+    | (Exchange.Deliver _ | Exchange.Execute _ | Exchange.Retain | Exchange.Give_up _) as o :: _ -> o
+    | o :: rest ->
+      (match o with
+      | Exchange.Arm span -> deadline := Time.add (Engine.now eng) span
+      | _ -> perform t ctx o);
+      after o;
+      run rest
+  and wait () =
     match Node.Entry.inbox_pop entry with
-    | Some d -> (
-      match handle d with
-      | `Done v -> v
-      | `Continue -> loop ()
-      | `Progress ->
-        retries := 0;
-        interval := opts.retransmit_after;
-        deadline := Time.add (Engine.now eng) !interval;
-        loop ())
+    | Some d -> run (input { Exchange.hdr = d.Node.d_hdr; payload = d.Node.d_payload })
     | None ->
       let now = Engine.now eng in
       if Time.(now < !deadline) then begin
-        (match
-           Node.wait_timeout t.rt_node entry ctx ~timeout:(Time.diff !deadline now)
-         with
-        | `Ok | `Timeout -> ());
-        loop ()
+        ignore (Node.wait_timeout t.rt_node entry ctx ~timeout:(Time.diff !deadline now));
+        wait ()
       end
-      else begin
-        incr retries;
-        if !retries > opts.max_retries then raise (Give_up "no response from server")
-        else begin
-          Sim.Stats.Counter.incr t.c_retrans;
-          on_timeout ();
-          interval := next_interval opts !interval;
-          deadline := Time.add (Engine.now eng) !interval;
-          loop ()
-        end
-      end
+      else run (expire ())
   in
-  loop ()
+  run outputs
 
-let calls_made t = Sim.Stats.Counter.value t.c_calls
+(* {2 Caller side} *)
 
 let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
   start_call client ctx b.be_intf ~proc_idx @@ fun t tmg p ->
@@ -404,7 +372,7 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
   charge_rt ctx ~label:"Starter" (Timing.starter tmg);
   client.cl_seq <- client.cl_seq + 1;
   let seq = client.cl_seq in
-  let payload = encode_payload t p Marshal.In_call_packet args (payload_bound p) in
+  let payload = encode_payload t p Marshal.In_call_packet args in
   Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_call_packet p args;
   (* Authenticated binding: seal the whole call payload before
      fragmentation (§7's security hooks). *)
@@ -415,8 +383,7 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
       charge_security t ctx ~bytes:(Bytes.length payload);
       (Secure.seal key ~seq payload, true)
   in
-  let len = Bytes.length payload in
-  let frags = fragment_count t len in
+  let frags = Exchange.fragment_count ~max_payload:(max_payload t) (Bytes.length payload) in
   let act = client.cl_act in
   let entry = Node.new_entry t.rt_node in
   Node.register_caller t.rt_node act entry;
@@ -428,118 +395,34 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
   Fun.protect ~finally:(fun () -> free_bufs t frags) @@ fun () ->
   (* Transporter: send the call packet(s), wait for the result. *)
   charge_rt ctx ~label:"Transporter (send call pkt)" (Timing.transporter_send tmg);
-  let hdr_for ?please_ack ptype frag_idx =
-    header ?please_ack ~secured ~act ~seq ~space:b.be_space ~intf_id:b.be_id ~proc_idx ~frag_idx
-      ~frag_count:frags ptype
+  let caller, outputs =
+    Exchange.Caller.start b.be_opts ~max_payload:(max_payload t) ~peer:b.be_dst ~activity:act
+      ~seq ~server_space:b.be_space ~interface_id:b.be_id ~proc_idx ~secured payload
   in
-  let send_frag ?please_ack i =
-    let m = max_payload t in
-    let pos = i * m in
-    let flen = if len = 0 then 0 else min m (len - pos) in
-    Node.send t.rt_node ~ctx ~dst:b.be_dst
-      ~hdr:(hdr_for ?please_ack Proto.Call i)
-      ~payload ~payload_pos:pos ~payload_len:flen;
-    (* The caller's send path through trap return and scheduler is
-       longer on a uniprocessor (§5, calibrated against Table X). *)
-    charge_rt ctx ~label:"Uniprocessor send path" (Timing.uniproc_caller_send_extra tmg)
-  in
-  try
-    (* Fragments of a multi-packet call go stop-and-wait: each but the
-       last is acknowledged before the next is sent. *)
-    for i = 0 to frags - 1 do
-      send_frag i;
-      if i = 0 then begin
+  let registered = ref false in
+  let after = function
+    | Exchange.Send (_, { Exchange.hdr = { Proto.ptype = Proto.Call; _ }; _ }) ->
+      (* The caller's send path through trap return and scheduler is
+         longer on a uniprocessor (§5, calibrated against Table X). *)
+      charge_rt ctx ~label:"Uniprocessor send path" (Timing.uniproc_caller_send_extra tmg);
+      if not !registered then begin
+        registered := true;
         (* Registering the outstanding call overlaps transmission on a
-           multiprocessor: charged after the send (§3.1.3). *)
+           multiprocessor: charged after the first send (§3.1.3). *)
         charge_rt ctx ~label:"Register call" (Timing.register_call tmg);
         charge_rt ctx ~label:"Multiprocessor fix" (Timing.multiproc_fix_cost tmg)
-      end;
-      if i < frags - 1 then
-        await t ctx entry ~opts:b.be_opts
-          ~on_timeout:(fun () ->
-            journal t (Obs.Journal.Retransmit { seq });
-            send_frag ~please_ack:true i)
-          ~handle:(fun d ->
-            let h = d.Node.d_hdr in
-            match h.Proto.ptype with
-            | Proto.Ack when h.Proto.seq = seq && h.Proto.frag_idx = i -> `Done ()
-            | Proto.Busy when h.Proto.seq = seq -> `Progress
-            | Proto.Error_reply when h.Proto.seq = seq ->
-              raise (Give_up ("server: " ^ V.to_string d.Node.d_payload))
-            | _ -> `Continue)
-    done;
-    (* Await the result, acknowledging all but its last fragment. *)
-    let result_frags : (int, V.t) Hashtbl.t = Hashtbl.create 4 in
-    let result_secured = ref false in
-    let result_count = ref None in
-    let complete () =
-      match !result_count with
-      | Some n -> Hashtbl.length result_frags = n
-      | None -> false
-    in
-    await t ctx entry ~opts:b.be_opts
-      ~on_timeout:(fun () ->
-        journal t (Obs.Journal.Retransmit { seq });
-        send_frag ~please_ack:true (frags - 1))
-      ~handle:(fun d ->
-        let h = d.Node.d_hdr in
-        if h.Proto.seq <> seq then `Continue
-        else
-          match h.Proto.ptype with
-          | Proto.Busy | Proto.Ack -> `Progress
-          | Proto.Error_reply ->
-            raise (Give_up ("server: " ^ V.to_string d.Node.d_payload))
-          | Proto.Result
-            when h.Proto.frag_count < 1
-                 || h.Proto.frag_idx < 0
-                 || h.Proto.frag_idx >= h.Proto.frag_count
-                 || (match !result_count with
-                    | Some n -> h.Proto.frag_count <> n
-                    | None -> false) ->
-            (* A fragment whose index is out of range, or whose claimed
-               fragment count disagrees with the fragments already
-               received (a corrupted or forged retransmission), must not
-               poison the reassembly: drop it and keep waiting for a
-               consistent retransmission. *)
-            `Continue
-          | Proto.Result ->
-            result_count := Some h.Proto.frag_count;
-            if h.Proto.secured then result_secured := true;
-            if not (Hashtbl.mem result_frags h.Proto.frag_idx) then
-              Hashtbl.replace result_frags h.Proto.frag_idx d.Node.d_payload;
-            (* Streamed fragments (no_frag_ack) are not acknowledged;
-               stop-and-wait fragments ack all but the last, with the
-               result's own fragment numbering. *)
-            if (not h.Proto.no_frag_ack) && h.Proto.frag_idx < h.Proto.frag_count - 1 then begin
-              let ack =
-                { h with Proto.ptype = Proto.Ack; please_ack = false; data_len = 0 }
-              in
-              journal t (Obs.Journal.Ack { seq });
-              Node.send t.rt_node ~ctx ~dst:b.be_dst ~hdr:ack ~payload:Bytes.empty
-                ~payload_pos:0 ~payload_len:0
-            end;
-            if complete () then `Done () else `Progress
-          | Proto.Call -> `Continue);
-    (* Reassemble and unmarshal the result. *)
-    charge_rt ctx ~label:"Transporter (receive result pkt)" (Timing.transporter_recv tmg);
-    let n = Option.get !result_count in
-    let missing () = Rpc_error.fail (Rpc_error.Protocol_violation "missing result fragment") in
-    (* Single-fragment results — the common case — are decoded straight
-       out of the frame; only multi-fragment results are concatenated. *)
-    let result_payload =
-      if n = 1 then (match Hashtbl.find_opt result_frags 0 with Some v -> v | None -> missing ())
-      else begin
-        let buf = Buffer.create 256 in
-        for i = 0 to n - 1 do
-          match Hashtbl.find_opt result_frags i with
-          | Some v -> V.add_to_buffer v buf
-          | None -> missing ()
-        done;
-        V.of_bytes (Buffer.to_bytes buf)
       end
-    in
+    | _ -> ()
+  in
+  match
+    exchange t ctx entry ~after ~input:(Exchange.Caller.input caller)
+      ~expire:(fun () -> Exchange.Caller.expire caller)
+      outputs
+  with
+  | Exchange.Deliver { payload = result_payload; secured = result_secured } ->
+    charge_rt ctx ~label:"Transporter (receive result pkt)" (Timing.transporter_recv tmg);
     let result_payload =
-      match b.be_auth, !result_secured with
+      match b.be_auth, result_secured with
       | None, false -> result_payload
       | None, true ->
         Rpc_error.fail (Rpc_error.Protocol_violation "secured result on an unkeyed binding")
@@ -556,247 +439,51 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
     (* Ender: return the result packet to the free pool. *)
     charge_rt ctx ~label:"Ender" (Timing.ender tmg);
     Marshal.extract_outs p full
-  with Give_up msg -> Rpc_error.fail (Rpc_error.Call_failed msg)
+  | Exchange.Give_up msg -> Rpc_error.fail (Rpc_error.Call_failed msg)
+  | Exchange.Send _ | Exchange.Arm _ | Exchange.Note _ | Exchange.Execute _ | Exchange.Retain ->
+    Rpc_error.fail (Rpc_error.Protocol_violation "caller exchange ended without a result")
 
-(* {1 The Ethernet transport — server side} *)
-
-let find_act t act_id =
-  match Hashtbl.find_opt t.rt_acts act_id with
-  | Some a -> a
-  | None ->
-    let a =
-      {
-        sa_last_seq = 0;
-        sa_working = false;
-        sa_cur_seq = 0;
-        sa_retained = [];
-        sa_reply_to = None;
-        sa_retained_bufs = 0;
-        sa_generation = 0;
-      }
-    in
-    Hashtbl.replace t.rt_acts act_id a;
-    a
-
-let free_retained t sa =
-  free_bufs t sa.sa_retained_bufs;
-  sa.sa_retained <- [];
-  sa.sa_retained_bufs <- 0
+(* {2 Server side} *)
 
 (* A retained result not reclaimed by the activity's next call is freed
    after a few seconds, bounding pool usage from departed callers. *)
-let schedule_retain_gc t sa =
-  sa.sa_generation <- sa.sa_generation + 1;
-  let gen = sa.sa_generation in
-  Engine.schedule (engine t) ~after:retain_gc_after (fun () ->
-      if sa.sa_generation = gen && not sa.sa_working then free_retained t sa)
+let schedule_retain_gc t tr =
+  let reclaim = Exchange.Server.reclaim tr in
+  Engine.schedule (engine t) ~after:retain_gc_after (fun () -> free_bufs t (reclaim ()))
 
-let send_to t ctx ~dst ~hdr ~payload =
-  Node.send t.rt_node ~ctx ~dst ~hdr ~payload ~payload_pos:0
-    ~payload_len:(Bytes.length payload)
-
-(* Send a view without materialising it: the frame builder copies
-   straight out of the viewed window. *)
-let send_view t ctx ~dst ~hdr v =
-  Node.send t.rt_node ~ctx ~dst ~hdr ~payload:(V.buffer v) ~payload_pos:(V.offset v)
-    ~payload_len:(V.length v)
-
-let resend_retained t ctx sa =
-  (* Count the duplicate and journal a retransmission only when result
-     packets actually go back out: with no reply endpoint, or with the
-     retained packets already reclaimed by the GC, nothing is sent. *)
-  match sa.sa_reply_to with
-  | Some dst when sa.sa_retained <> [] ->
-    Sim.Stats.Counter.incr t.c_dups;
-    journal t (Obs.Journal.Retransmit { seq = sa.sa_last_seq });
-    List.iter (fun (hdr, payload) -> send_view t ctx ~dst ~hdr payload) sa.sa_retained
-  | Some _ | None -> ()
-
-(* Collect the remaining fragments of a multi-packet call, sending a
-   stop-and-wait ack for each but the last.  Returns the assembled
-   payload, or None if the caller went silent. *)
-let collect_call_fragments t ctx entry ~opts ~(first : Node.delivery) =
-  let h0 = first.Node.d_hdr in
-  let n = h0.Proto.frag_count in
-  if n < 1 then None (* malformed first fragment: drop the call *)
-  else if n = 1 then Some first.Node.d_payload
-  else begin
-    let act_id = h0.Proto.activity in
-    let seq = h0.Proto.seq in
-    let dst = first.Node.d_src in
-    let frags = Hashtbl.create 4 in
-    let ack i =
-      journal t (Obs.Journal.Ack { seq });
-      send_to t ctx ~dst
-        ~hdr:
-          (header ~act:act_id ~seq ~space:h0.Proto.server_space
-             ~intf_id:h0.Proto.interface_id ~proc_idx:h0.Proto.proc_idx ~frag_idx:i
-             ~frag_count:n Proto.Ack)
-        ~payload:Bytes.empty
-    in
-    let store (d : Node.delivery) =
-      let h = d.Node.d_hdr in
-      (* Trust nothing from the wire: the fragment must belong to this
-         call, agree with the first fragment's count, and carry an
-         in-range index.  An out-of-range index stored blindly once let
-         [Hashtbl.length] reach [n] with fragment [i < n] missing, so
-         reassembly raised an uncaught [Not_found], killed the worker
-         and leaked the fragment sink. *)
-      if
-        h.Proto.ptype = Proto.Call
-        && h.Proto.seq = seq
-        && h.Proto.frag_count = n
-        && h.Proto.frag_idx >= 0
-        && h.Proto.frag_idx < n
-      then begin
-        if not (Hashtbl.mem frags h.Proto.frag_idx) then
-          Hashtbl.replace frags h.Proto.frag_idx d.Node.d_payload;
-        (* (Re-)ack every fragment but the last, covering lost acks. *)
-        if h.Proto.frag_idx < n - 1 then ack h.Proto.frag_idx;
-        true
-      end
-      else false
-    in
-    ignore (store first);
-    Node.register_fragment_sink t.rt_node act_id entry;
-    (* The sink must come down on every exit, including an exception in
-       the ack path, or later fragments wedge a parked worker. *)
-    Fun.protect ~finally:(fun () -> Node.unregister_fragment_sink t.rt_node act_id) @@ fun () ->
-    let eng = engine t in
-    let timeouts = ref 0 in
-    let deadline = ref (Time.add (Engine.now eng) opts.retransmit_after) in
-    let result = ref None in
-    (try
-       while Hashtbl.length frags < n do
-         match Node.Entry.inbox_pop entry with
-         | Some d ->
-           if store d then begin
-             timeouts := 0;
-             deadline := Time.add (Engine.now eng) opts.retransmit_after
-           end
-         | None ->
-           let now = Engine.now eng in
-           if Time.(now < !deadline) then
-             ignore (Node.wait_timeout t.rt_node entry ctx ~timeout:(Time.diff !deadline now))
-           else begin
-             incr timeouts;
-             deadline := Time.add (Engine.now eng) opts.retransmit_after;
-             if !timeouts > opts.max_retries then raise Exit
-           end
-       done;
-       let buf = Buffer.create (n * 256) in
-       for i = 0 to n - 1 do
-         match Hashtbl.find_opt frags i with
-         | Some payload -> V.add_to_buffer payload buf
-         | None -> raise Exit (* unreachable once indexes are validated *)
-       done;
-       result := Some (V.of_bytes (Buffer.to_bytes buf))
-     with Exit -> ());
-    !result
-  end
-
-(* Send the result (or error reply) fragments, stop-and-wait on acks for
-   all but the last, then retain them for duplicate suppression. *)
-let send_result t ctx entry ~opts ~(sa : server_act) ~dst ~(h0 : Proto.header)
-    ~(outcome : (Bytes.t * bool, string) result) =
-  let tmg = timing t in
-  let streaming = (Machine.config (machine t)).Hw.Config.streaming_results in
-  let ptype, payload, secured =
-    match outcome with
-    | Ok (payload, secured) -> (Proto.Result, payload, secured)
-    | Error msg -> (Proto.Error_reply, Bytes.of_string msg, false)
+(* One waiting phase of a server transfer: collecting the call, or
+   sending its result.  While it waits, the activity's fragment sink
+   routes call fragments and acks to this worker: it goes up at the
+   first [Arm] — or, for a stop-and-wait result, before the first frame
+   leaves — and always comes down.  Result buffers are held from
+   [Transmit] until the transfer retains them; an exception in between
+   returns them and stops the activity working. *)
+let serve t ctx entry ~act tr outputs =
+  let sink = ref false and held = ref 0 in
+  let after o =
+    (match o with Exchange.Note (Exchange.Transmit { frames; _ }) -> held := frames | _ -> ());
+    match o with
+    | (Exchange.Arm _ | Exchange.Note (Exchange.Transmit { acked = true; _ })) when not !sink ->
+      Node.register_fragment_sink t.rt_node act entry;
+      sink := true
+    | _ -> ()
   in
-  let len = Bytes.length payload in
-  let frags = fragment_count t len in
-  alloc_bufs t ctx frags;
-  charge_rt ctx ~label:"Receiver (send result pkt)" (Timing.receiver_send tmg);
-  let m = max_payload t in
-  let hdr_of i =
-    {
-      (header ~no_frag_ack:streaming ~secured ~act:h0.Proto.activity ~seq:h0.Proto.seq
-         ~space:h0.Proto.server_space ~intf_id:h0.Proto.interface_id
-         ~proc_idx:h0.Proto.proc_idx ~frag_idx:i ~frag_count:frags ptype)
-      with
-      Proto.data_len = (if len = 0 then 0 else min m (len - (i * m)));
-    }
-  in
-  (* Fragments are views into the one result payload — no per-fragment
-     copy on either the first send, retransmissions, or retention. *)
-  let slice i =
-    let pos = i * m in
-    let flen = if len = 0 then 0 else min m (len - pos) in
-    V.of_bytes payload ~pos ~len:flen
-  in
-  let act_id = h0.Proto.activity in
-  let need_acks = frags > 1 && not streaming in
-  if need_acks then Node.register_fragment_sink t.rt_node act_id entry;
-  let eng = engine t in
-  let abandoned = ref false in
-  let retained = ref false in
-  (* Whatever happens in the send loop — including an exception from the
-     transport — the fragment sink comes down and, unless the packets
-     were retained for duplicate suppression, the buffers go back to the
-     pool and the activity stops being "working". *)
-  Fun.protect
-    ~finally:(fun () ->
-      if need_acks then Node.unregister_fragment_sink t.rt_node act_id;
-      if not !retained then begin
-        free_bufs t frags;
-        sa.sa_working <- false
-      end)
+  Fun.protect ~finally:(fun () -> if !sink then Node.unregister_fragment_sink t.rt_node act)
   @@ fun () ->
-  for i = 0 to frags - 1 do
-    if not !abandoned then begin
-      let fragment = slice i in
-      send_view t ctx ~dst ~hdr:(hdr_of i) fragment;
-      if need_acks && i < frags - 1 then begin
-        (* Deadline-based wait: irrelevant deliveries must not push the
-           retransmission out (see [await]).  A duplicate of the call
-           means the caller has nothing yet — resend immediately. *)
-        let timeouts = ref 0 in
-        let acked = ref false in
-        let deadline = ref (Time.add (Engine.now eng) opts.retransmit_after) in
-        let resend () =
-          send_view t ctx ~dst ~hdr:(hdr_of i) fragment;
-          deadline := Time.add (Engine.now eng) opts.retransmit_after
-        in
-        while (not !acked) && not !abandoned do
-          match Node.Entry.inbox_pop entry with
-          | Some d ->
-            let h = d.Node.d_hdr in
-            if h.Proto.seq = h0.Proto.seq then begin
-              match h.Proto.ptype with
-              | Proto.Ack when h.Proto.frag_idx = i -> acked := true
-              | Proto.Call when h.Proto.please_ack -> resend ()
-              | Proto.Ack | Proto.Call | Proto.Result | Proto.Busy | Proto.Error_reply -> ()
-            end
-          | None ->
-            let now = Engine.now eng in
-            if Time.(now < !deadline) then
-              ignore (Node.wait_timeout t.rt_node entry ctx ~timeout:(Time.diff !deadline now))
-            else begin
-              incr timeouts;
-              if !timeouts > opts.max_retries then abandoned := true else resend ()
-            end
-        done
-      end
-    end
-  done;
-  if not !abandoned then begin
-    (* Retain for retransmission; the buffers stay allocated until the
-       activity's next call or the retain GC. *)
-    sa.sa_retained <- List.init frags (fun i -> (hdr_of i, slice i));
-    sa.sa_retained_bufs <- frags;
-    sa.sa_reply_to <- Some dst;
-    sa.sa_last_seq <- h0.Proto.seq;
-    sa.sa_working <- false;
-    schedule_retain_gc t sa;
-    retained := true
-  end
+  match
+    exchange t ctx entry ~after ~input:(Exchange.Server.input tr)
+      ~expire:(fun () -> Exchange.Server.expire tr)
+      outputs
+  with
+  | last -> last
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    free_bufs t !held;
+    Exchange.Server.abort tr;
+    Printexc.raise_with_backtrace e bt
 
-let handle_call t ctx entry (d : Node.delivery) ~opts =
+let handle_call t ctx entry (d : Node.delivery) =
   let tmg = timing t in
-  let h = d.Node.d_hdr in
   (* Re-derive the call id from the delivered frame (the payload view
      aliases the frame buffer) rather than trusting whatever wakeup last
      stamped this worker's context — backlog drains and handoffs reuse
@@ -805,60 +492,42 @@ let handle_call t ctx entry (d : Node.delivery) ~opts =
    if Sim.Trace.enabled tr then
      Cpu_set.set_trace_call ctx (Sim.Trace.frame_call tr (V.buffer d.Node.d_payload)));
   charge_rt ctx ~label:"Receiver (receive call pkt)" (Timing.receiver_recv tmg);
-  let sa = find_act t h.Proto.activity in
-  let seq = h.Proto.seq in
-  if seq < sa.sa_last_seq then () (* ancient duplicate: drop *)
-  else if seq = sa.sa_last_seq && seq > 0 then resend_retained t ctx sa
-  else if sa.sa_working && seq = sa.sa_cur_seq then begin
-    (* Duplicate of the call another worker is still executing. *)
-    Sim.Stats.Counter.incr t.c_busy;
-    if h.Proto.please_ack then
-      send_to t ctx ~dst:d.Node.d_src
-        ~hdr:
-          (header ~act:h.Proto.activity ~seq ~space:h.Proto.server_space
-             ~intf_id:h.Proto.interface_id ~proc_idx:h.Proto.proc_idx
-             ~frag_idx:h.Proto.frag_idx ~frag_count:h.Proto.frag_count Proto.Busy)
-        ~payload:Bytes.empty
-  end
-  else if h.Proto.frag_idx <> 0 then () (* mid-call fragment with no collector: drop *)
-  else begin
-    (* A new call: the retained previous result is implicitly
-       acknowledged (§3.2). *)
-    sa.sa_generation <- sa.sa_generation + 1;
-    free_retained t sa;
-    sa.sa_working <- true;
-    sa.sa_cur_seq <- seq;
-    match collect_call_fragments t ctx entry ~opts ~first:d with
-    | None -> sa.sa_working <- false (* caller went silent mid-call *)
-    | Some payload ->
+  match
+    Exchange.Server.call t.rt_server ~from:d.Node.d_src
+      { Exchange.hdr = d.Node.d_hdr; payload = d.Node.d_payload }
+  with
+  | None, outputs -> List.iter (perform t ctx) outputs
+  | Some tr, outputs -> (
+    let act = d.Node.d_hdr.Proto.activity in
+    match serve t ctx entry ~act tr outputs with
+    | Exchange.Execute { Exchange.hdr = h; payload } -> (
       (match t.rt_exec_probe with
-      | Some probe -> probe h.Proto.activity seq
+      | Some probe -> probe h.Proto.activity h.Proto.seq
       | None -> ());
       let outcome =
         dispatch t ctx ~intf_id:h.Proto.interface_id ~proc_idx:h.Proto.proc_idx ~payload
-          ~secured:h.Proto.secured ~seq ~trusted:false
+          ~secured:h.Proto.secured ~seq:h.Proto.seq ~trusted:false
       in
-      (* Another, newer call from this activity may have superseded us
-         while the implementation ran (caller gave up and re-called). *)
-      if sa.sa_cur_seq = seq then
-        send_result t ctx entry ~opts ~sa ~dst:d.Node.d_src ~h0:h ~outcome
-  end
+      match serve t ctx entry ~act tr (Exchange.Server.reply tr outcome) with
+      | Exchange.Retain -> schedule_retain_gc t tr
+      | _ -> () (* superseded by a newer call of the activity *))
+    | _ -> () (* the caller went silent mid-call *))
 
 (* The server worker: drain backlog from the slow path first, then park
    in the call table where the interrupt routine can hand us the next
    call directly (§3.1.3's Receiver loop). *)
-let worker_loop t ~opts ctx =
+let worker_loop t ctx =
   let rec loop () =
     (match Queue.take_opt t.rt_pending_slow with
     | Some d ->
       let entry = Node.new_entry t.rt_node in
-      if d.Node.d_hdr.Proto.ptype = Proto.Call then handle_call t ctx entry d ~opts
+      if d.Node.d_hdr.Proto.ptype = Proto.Call then handle_call t ctx entry d
     | None -> (
       let entry = Node.new_entry t.rt_node in
       Node.join_worker_pool t.rt_node ~space:t.rt_space entry;
       Node.wait t.rt_node entry ctx;
       match Node.Entry.inbox_pop entry with
-      | Some d when d.Node.d_hdr.Proto.ptype = Proto.Call -> handle_call t ctx entry d ~opts
+      | Some d when d.Node.d_hdr.Proto.ptype = Proto.Call -> handle_call t ctx entry d
       | Some _ | None -> ()));
     loop ()
   in
@@ -903,7 +572,7 @@ let call_local client ctx (b : local_binding) ~proc_idx ~args =
   (* One pool buffer models the local call packet; it must return to the
      pool even when marshalling or the server's reply raises. *)
   Fun.protect ~finally:(fun () -> free_bufs t 1) @@ fun () ->
-  let payload = encode_payload t p Marshal.In_call_packet args (payload_bound p) in
+  let payload = encode_payload t p Marshal.In_call_packet args in
   Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_call_packet p args;
   charge_rt ctx ~label:"Transporter send (local)" (Timing.local_transporter_send tmg);
   let lc =
@@ -1009,7 +678,7 @@ let decnet_listen t ep =
 let call_decnet client ctx (b : decnet_binding) ~proc_idx ~args =
   start_call client ctx b.dn_intf ~proc_idx @@ fun t tmg p ->
   charge_rt ctx ~label:"Starter" (Timing.starter tmg);
-  let payload = encode_payload t p Marshal.In_call_packet args (payload_bound p) in
+  let payload = encode_payload t p Marshal.In_call_packet args in
   Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_call_packet p args;
   charge_rt ctx ~label:"Transporter (send call pkt)" (Timing.transporter_send tmg);
   (* One call at a time on the session. *)
@@ -1149,12 +818,11 @@ let export ?auth t intf ~impls ~workers =
     invalid_arg "Runtime.export: implementation count mismatch";
   if workers < 1 then invalid_arg "Runtime.export: need at least one worker";
   Hashtbl.replace t.rt_exports id { ex_intf = intf; ex_impls = impls; ex_auth = auth };
-  let opts = default_options t in
   let mach = machine t in
   for i = 1 to workers do
     Machine.spawn_thread mach
       ~name:(Printf.sprintf "%s-worker%d" intf.Idl.intf_name i)
-      (fun () -> Cpu_set.with_cpu (Machine.cpus mach) (fun ctx -> worker_loop t ~opts ctx))
+      (fun () -> Cpu_set.with_cpu (Machine.cpus mach) (fun ctx -> worker_loop t ctx))
   done;
   Machine.spawn_thread mach
     ~name:(intf.Idl.intf_name ^ "-local-worker")
@@ -1173,9 +841,10 @@ let call_by_name binding client ctx ~proc ~args =
 
 (* {1 Statistics} *)
 
+let calls_made t = Sim.Stats.Counter.value t.c_calls
 let set_execution_probe t probe = t.rt_exec_probe <- probe
 let calls_served t = Sim.Stats.Counter.value t.c_served
 let retransmissions t = Sim.Stats.Counter.value t.c_retrans
 let duplicates_suppressed t = Sim.Stats.Counter.value t.c_dups
 let busy_replies t = Sim.Stats.Counter.value t.c_busy
-let server_activities t = Hashtbl.length t.rt_acts
+let server_activities t = Exchange.Server.activities t.rt_server

@@ -16,9 +16,9 @@
 
     {!call} is the generic stub: it performs the five caller-stub steps
     of §3.1.1 (Starter, marshal, Transporter, unmarshal, Ender) with the
-    Table VII costs, marshalling per Tables II–V, and the full
-    retransmission / fragment / duplicate-suppression machinery of the
-    packet exchange protocol. *)
+    Table VII costs and marshalling per Tables II–V.  The packet
+    exchange itself — fragments, retransmission, duplicate suppression —
+    is {!Exchange}; this runtime is its simulated driver. *)
 
 type t
 
@@ -57,22 +57,21 @@ val export : ?auth:Secure.key -> t -> Idl.interface -> impls:impl array -> worke
 
 (** {1 Caller side} *)
 
-type backoff = {
-  multiplier : float;  (** growth per timeout; must be [>= 1.] *)
-  max_interval : Sim.Time.span;  (** cap on the retransmission interval *)
+type backoff = Exchange.backoff = {
+  multiplier : float;
+  max_interval : Sim.Time.span;
 }
-(** Capped exponential backoff for the retransmission interval.  After
-    each timeout the interval is multiplied by [multiplier] (clamped to
-    [max_interval]); any sign of progress from the server — a fragment
-    ack, a Busy — resets it to [retransmit_after]. *)
+(** Capped exponential backoff for the retransmission interval; any sign
+    of progress from the server resets it (see {!Exchange}). *)
 
-type call_options = {
-  retransmit_after : Sim.Time.span;  (** first result-wait timeout *)
-  max_retries : int;  (** give up (Call_failed) after this many *)
+type call_options = Exchange.options = {
+  retransmit_after : Sim.Time.span;
+  max_retries : int;
   backoff : backoff option;
       (** [None] (the default) keeps the paper's fixed interval, so the
           Table I / Table X reproductions are unchanged *)
 }
+(** A binding's retransmission schedule, run by {!Exchange.Caller}. *)
 
 val default_options : t -> call_options
 (** [retransmit_after] from the machine configuration (the paper's

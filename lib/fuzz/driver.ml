@@ -33,7 +33,7 @@ let run ?(sweep = true) ~seed ~iters () =
   let corpus = Corpus.generate ~seed in
   let corpus_arr = Array.of_list corpus in
   let rng = Rng.create ~seed in
-  let reasm = Oracle.Reasm.create () in
+  let reasm = Oracle.reassembly () in
   let executed = ref 0 and accepted = ref 0 in
   let failures : (string, failure_report ref) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
@@ -123,21 +123,13 @@ let write_failures ~dir report =
   List.mapi
     (fun i f ->
       let path = Filename.concat dir (failure_filename ~seed:report.r_seed i f) in
-      let oc = open_out_bin path in
-      output_bytes oc f.f_input;
-      close_out oc;
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc f.f_input);
       path)
     report.r_failures
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
-
-let replay_file path = (Oracle.run (read_file path)).Oracle.failure
+let replay_file path =
+  let input = In_channel.with_open_bin path In_channel.input_all in
+  (Oracle.run (Bytes.of_string input)).Oracle.failure
 
 let replay_dir ~dir =
   if not (Sys.file_exists dir) then []

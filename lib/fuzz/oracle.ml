@@ -3,6 +3,7 @@ module V = Wire.Bytebuf.View
 module W = Wire.Bytebuf.Writer
 module Proto = Rpc.Proto
 module Frames = Rpc.Frames
+module Collector = Rpc.Exchange.Collector
 
 (* Three properties, checked on every input at every layer:
 
@@ -54,32 +55,35 @@ let embed input =
 
 let attempt f = try Ok (f ()) with exn -> Error (Printexc.to_string exn)
 
-(* Run [decode] over both reader paths; fail on an escaped exception or
-   any disagreement; hand an agreed [Ok] to [accepted]. *)
+(* Decode [input] through the copying path and through a view embedded
+   mid-buffer ([names] says which is which in reports); fail on an
+   escaped exception or any disagreement, else return the agreed
+   acceptance. *)
+let differential ~stage ~names:(copying, viewing) ~copy ~view ~agree input =
+  let fail msg = Error { stage; kind = Differential msg } in
+  match (attempt (fun () -> copy (Bytes.copy input)), attempt (fun () -> view (embed input))) with
+  | Error exn, _ | _, Error exn -> Error { stage; kind = Exception_escaped exn }
+  | Ok (Ok a), Ok (Ok b) ->
+    if agree a b then Ok (Some a)
+    else fail (Printf.sprintf "%s and %s accept different values" copying viewing)
+  | Ok (Error ea), Ok (Error eb) ->
+    if String.equal ea eb then Ok None
+    else fail (Printf.sprintf "%s rejects with %S, %s with %S" copying ea viewing eb)
+  | Ok (Ok _), Ok (Error e) -> fail (Printf.sprintf "%s accepts, %s rejects: %s" copying viewing e)
+  | Ok (Error e), Ok (Ok _) -> fail (Printf.sprintf "%s accepts, %s rejects: %s" viewing copying e)
+
+(* Run [decode] over both reader paths; hand an agreed [Ok] to
+   [accepted]. *)
 let stage_result ~stage ~decode ~agree ~accepted input =
   match
-    ( attempt (fun () -> decode (R.of_bytes (Bytes.copy input))),
-      attempt (fun () -> decode (R.of_view (embed input))) )
+    differential ~stage ~names:("of_bytes", "of_view")
+      ~copy:(fun b -> decode (R.of_bytes b))
+      ~view:(fun v -> decode (R.of_view v))
+      ~agree input
   with
-  | Error exn, _ | _, Error exn -> Some { stage; kind = Exception_escaped exn }
-  | Ok (Ok a), Ok (Ok b) ->
-    if not (agree a b) then
-      Some { stage; kind = Differential "of_bytes and of_view accept different values" }
-    else accepted a
-  | Ok (Error ea), Ok (Error eb) ->
-    if String.equal ea eb then None
-    else
-      Some
-        {
-          stage;
-          kind =
-            Differential
-              (Printf.sprintf "of_bytes rejects with %S, of_view with %S" ea eb);
-        }
-  | Ok (Ok _), Ok (Error e) ->
-    Some { stage; kind = Differential ("of_bytes accepts, of_view rejects: " ^ e) }
-  | Ok (Error e), Ok (Ok _) ->
-    Some { stage; kind = Differential ("of_view accepts, of_bytes rejects: " ^ e) }
+  | Error f -> Some f
+  | Ok None -> None
+  | Ok (Some a) -> accepted a
 
 let roundtrip ~stage ~encode ~decode ~equal h =
   match attempt (fun () -> encode h) with
@@ -163,80 +167,43 @@ let parsed_agree (a : Frames.parsed) (b : Frames.parsed) =
   && Bytes.equal (V.to_bytes a.Frames.p_payload) (V.to_bytes b.Frames.p_payload)
 
 let frame_stage ~label ~timing input =
-  let stage = "frame[" ^ label ^ "]" in
   match
-    ( attempt (fun () -> Frames.parse timing (Bytes.copy input)),
-      attempt (fun () -> Frames.parse_view timing (embed input)) )
+    differential ~stage:("frame[" ^ label ^ "]") ~names:("parse", "parse_view")
+      ~copy:(Frames.parse timing) ~view:(Frames.parse_view timing) ~agree:parsed_agree input
   with
-  | Error exn, _ | _, Error exn -> (Some { stage; kind = Exception_escaped exn }, None)
-  | Ok (Ok a), Ok (Ok b) ->
-    if parsed_agree a b then (None, Some a)
-    else (Some { stage; kind = Differential "parse and parse_view disagree" }, None)
-  | Ok (Error ea), Ok (Error eb) ->
-    if String.equal ea eb then (None, None)
-    else
-      ( Some
-          {
-            stage;
-            kind =
-              Differential (Printf.sprintf "parse rejects with %S, parse_view with %S" ea eb);
-          },
-        None )
-  | Ok (Ok _), Ok (Error e) ->
-    (Some { stage; kind = Differential ("parse accepts, parse_view rejects: " ^ e) }, None)
-  | Ok (Error e), Ok (Ok _) ->
-    (Some { stage; kind = Differential ("parse_view accepts, parse rejects: " ^ e) }, None)
+  | Error f -> (Some f, None)
+  | Ok parsed -> (None, parsed)
 
-(* {1 Fragment reassembly} *)
+(* {1 Fragment reassembly}
 
-module Reasm = struct
-  (* A caller-side collector in miniature, enforcing the hardened
-     runtime's rules: fragments must share activity, sequence number and
-     fragment count; the completion scan checks every index is present —
-     exactly where the pre-hardening runtime raised [Not_found]. *)
-  type t = {
-    mutable current : (Proto.Activity.t * int * int) option;
-    frags : (int, Bytes.t) Hashtbl.t;
-  }
+   Accepted multi-fragment frames feed the runtime's own collector
+   ([Rpc.Exchange.Collector]), one per (activity, seq, fragment count)
+   run of frames, and it must stay total — reassembly is where the
+   pre-hardening runtime raised [Not_found]. *)
 
-  let create () = { current = None; frags = Hashtbl.create 8 }
+type reassembly = {
+  mutable call : (Proto.Activity.t * int * int) option;
+  mutable parts : Collector.t;
+}
 
-  let feed t (hdr : Proto.header) payload =
-    if hdr.Proto.frag_count <= 1 then Ok ()
-    else begin
-      let k = (hdr.Proto.activity, hdr.Proto.seq, hdr.Proto.frag_count) in
-      (match t.current with
-      | Some k' when k' = k -> ()
-      | _ ->
-        t.current <- Some k;
-        Hashtbl.reset t.frags);
-      if hdr.Proto.frag_idx < 0 || hdr.Proto.frag_idx >= hdr.Proto.frag_count then
-        Ok () (* the parser already rejects these; drop defensively *)
-      else begin
-        Hashtbl.replace t.frags hdr.Proto.frag_idx (V.to_bytes payload);
-        if Hashtbl.length t.frags < hdr.Proto.frag_count then Ok ()
-        else begin
-          let buf = Buffer.create 256 in
-          let complete = ref true in
-          for i = 0 to hdr.Proto.frag_count - 1 do
-            match Hashtbl.find_opt t.frags i with
-            | Some b -> Buffer.add_bytes buf b
-            | None -> complete := false
-          done;
-          t.current <- None;
-          Hashtbl.reset t.frags;
-          if !complete then Ok ()
-          else Error "reassembly completed with a missing fragment index"
-        end
-      end
-    end
-end
+let reassembly () = { call = None; parts = Collector.create () }
 
-let reassembly_stage reasm (p : Frames.parsed) =
-  match attempt (fun () -> Reasm.feed reasm p.Frames.p_hdr p.Frames.p_payload) with
-  | Error exn -> Some { stage = "reassembly"; kind = Exception_escaped exn }
-  | Ok (Error e) -> Some { stage = "reassembly"; kind = Roundtrip_broken e }
-  | Ok (Ok ()) -> None
+let reassembly_stage rs (p : Frames.parsed) =
+  let h = p.Frames.p_hdr in
+  let feed () =
+    let call = Some (h.Proto.activity, h.Proto.seq, h.Proto.frag_count) in
+    if rs.call <> call then begin
+      rs.call <- call;
+      rs.parts <- Collector.create ()
+    end;
+    ignore (Collector.offer rs.parts h p.Frames.p_payload);
+    if Option.is_some (Collector.payload rs.parts) then rs.call <- None
+  in
+  if h.Proto.frag_count <= 1 then None
+  else
+    match attempt feed with
+    | Error exn -> Some { stage = "reassembly"; kind = Exception_escaped exn }
+    | Ok () -> None
 
 (* {1 The oracle} *)
 

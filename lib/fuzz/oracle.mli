@@ -13,10 +13,10 @@
       [Reader.of_bytes] over a private copy, down to identical [Error]
       strings.
 
-    Accepted full-stack parses are optionally fed to a miniature
-    fragment collector ({!Reasm}) that enforces the hardened runtime's
-    reassembly rules — the stage where the pre-hardening runtime died
-    on [Not_found]. *)
+    Accepted full-stack parses are optionally fed to the runtime's own
+    fragment collector ({!Rpc.Exchange.Collector}), which must stay
+    total — the stage where the pre-hardening runtime died on
+    [Not_found]. *)
 
 type kind =
   | Exception_escaped of string
@@ -36,22 +36,17 @@ val key : failure -> string
 
 val to_string : failure -> string
 
-(** The miniature caller-side fragment collector. *)
-module Reasm : sig
-  type t
+type reassembly
+(** Fragment state carried across inputs: the runtime's own collector
+    ({!Rpc.Exchange.Collector}) for the current (activity, seq, count). *)
 
-  val create : unit -> t
-
-  val feed : t -> Rpc.Proto.header -> Wire.Bytebuf.View.t -> (unit, string) result
-  (** Accumulate one parsed fragment; [Error] reports a reassembly
-      property violation (not a wire rejection — those are dropped). *)
-end
+val reassembly : unit -> reassembly
 
 type outcome = {
   failure : failure option;  (** the first property violation, if any *)
   full_stack_ok : bool;  (** some regime's [Frames.parse] accepted *)
 }
 
-val run : ?reasm:Reasm.t -> Stdlib.Bytes.t -> outcome
+val run : ?reasm:reassembly -> Stdlib.Bytes.t -> outcome
 (** Deterministic; [reasm] carries fragment state across inputs and is
     omitted when replaying or shrinking a single input. *)

@@ -8,12 +8,9 @@
    [Frames.parse], software checksum verification included, so the
    loopback path drives the production encoders end to end against a
    real network stack: packet loss, reordering and timing are the
-   kernel's, not the simulator's.
-
-   The exchange protocol mirrors the simulated transporter: stop-and-
-   wait fragments acknowledged individually, a final fragment answered
-   by the result, retransmission with [please_ack] on silence, and
-   per-activity duplicate suppression with a cached last result. *)
+   kernel's, not the simulator's.  The protocol itself is
+   [Rpc.Exchange], the core the simulated transport drives too; this
+   file is only its socket driver. *)
 
 module V = Wire.Bytebuf.View
 module W = Wire.Bytebuf.Writer
@@ -22,6 +19,7 @@ module Frames = Rpc.Frames
 module Proto = Rpc.Proto
 module Idl = Rpc.Idl
 module Marshal = Rpc.Marshal
+module Exchange = Rpc.Exchange
 
 exception Call_failed of string
 
@@ -35,74 +33,70 @@ let caller_endpoint =
 let server_endpoint =
   { Frames.mac = Net.Mac.of_station 2; ip = Net.Ipv4.Addr.of_string "16.0.0.2" }
 
-let available () =
+let close_quietly sock = try Unix.close sock with Unix.Unix_error _ -> ()
+
+(* A datagram socket bound to an ephemeral loopback port. *)
+let bound_socket () =
   match Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | sock ->
-    let ok =
-      match Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    ok
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | sock -> (
+    match Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
+    | () -> Ok sock
+    | exception Unix.Unix_error (e, _, _) ->
+      close_quietly sock;
+      Error (Unix.error_message e))
+
+let available () =
+  match bound_socket () with
+  | Ok sock ->
+    close_quietly sock;
+    true
+  | Error _ -> false
 
 type impl = Marshal.value list -> Marshal.value list
 
-(* {1 Shared frame plumbing} *)
+(* {1 The socket driver}
 
-let payload_bound p =
-  List.fold_left (fun acc a -> acc + Idl.wire_size_bound a.Idl.ty) 0 p.Idl.args
+   [Rpc.Exchange] decides every packet; both halves below perform its
+   outputs: a [Send] becomes a [Frames.build] image in one [sendto], an
+   [Arm] an absolute wall-clock deadline, and waiting is a [select]
+   bounded by the time left to it — so a datagram that makes no progress
+   never postpones a retransmission. *)
 
 let encode_payload p dir values =
-  let w = W.create (max 16 (payload_bound p)) in
+  let w = W.create (max 16 (Idl.args_size_bound p)) in
   Marshal.encode_args w dir p values;
   W.contents w
 
-let fragment_count tmg len =
-  let m = Hw.Timing.max_payload_bytes tmg in
-  if len = 0 then 1 else (len + m - 1) / m
+let now () = Unix.gettimeofday ()
+let deadline_after span = now () +. Sim.Time.to_sec span
 
-let header ?(please_ack = false) ~act ~seq ~server_space ~intf_id ~proc_idx ~frag_idx
-    ~frag_count ptype =
-  {
-    Proto.ptype;
-    please_ack;
-    no_frag_ack = false;
-    secured = false;
-    activity = act;
-    seq;
-    server_space;
-    interface_id = intf_id;
-    proc_idx;
-    frag_idx;
-    frag_count;
-    (* both overwritten by [Frames.build] *)
-    data_len = 0;
-    checksum = 0;
-  }
+let frame_bytes tmg ~src ~dst (f : Exchange.frame) =
+  let v = f.Exchange.payload in
+  Frames.build tmg ~src ~dst ~hdr:f.Exchange.hdr ~payload:(V.buffer v) ~payload_pos:(V.offset v)
+    ~payload_len:(V.length v)
 
-let send_to sock addr frame =
-  ignore (Unix.sendto sock frame 0 (Bytes.length frame) [] addr)
+let send_to sock addr frame = ignore (Unix.sendto sock frame 0 (Bytes.length frame) [] addr)
 
-(* A receive that treats the socket timeout as "nothing arrived". *)
-let recv_frame sock buf =
+(* One datagram, copied out of [buf]: the core keeps views of received
+   fragments until they are reassembled.  A receive timeout set on the
+   socket reads as nothing arriving. *)
+let recv sock buf =
   match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
   | 0, _ -> None
   | n, addr -> Some (Bytes.sub buf 0 n, addr)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ETIMEDOUT), _, _) -> None
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> None
+
+(* [recv], waiting at most [timeout] seconds. *)
+let recv_within sock buf timeout =
+  match Unix.select [ sock ] [] [] (Float.max 0. timeout) with
+  | [], _, _ -> None
+  | _ -> recv sock buf
+  | exception Unix.Unix_error (EINTR, _, _) -> None
+
+let received (p : Frames.parsed) = { Exchange.hdr = p.Frames.p_hdr; payload = p.Frames.p_payload }
 
 (* {1 Server} *)
-
-module Act_tbl = Hashtbl.Make (Proto.Activity)
-
-type act_state = {
-  mutable as_seq : int;  (** call being assembled *)
-  mutable as_frag_count : int option;
-  as_frags : (int, Bytes.t) Hashtbl.t;
-  mutable as_done_seq : int;  (** last completed call *)
-  mutable as_result : Bytes.t list;  (** its result frames, for duplicates *)
-}
 
 type server = {
   s_sock : Unix.file_descr;
@@ -118,30 +112,14 @@ type server = {
 let server_port s = s.s_port
 let server_rejected s = Atomic.get s.s_rejected
 
-let build_result_frames s ~act ~seq ~server_space ~intf_id ~proc_idx payload =
-  let tmg = s.s_tmg in
-  let m = Hw.Timing.max_payload_bytes tmg in
-  let len = Bytes.length payload in
-  let n = fragment_count tmg len in
-  List.init n (fun i ->
-      let pos = i * m in
-      let flen = min m (len - pos) in
-      Frames.build tmg ~src:server_endpoint ~dst:caller_endpoint
-        ~hdr:
-          (header ~act ~seq ~server_space ~intf_id ~proc_idx ~frag_idx:i ~frag_count:n
-             Proto.Result)
-        ~payload ~payload_pos:pos ~payload_len:flen)
+(* The server's retransmission schedule for stop-and-wait results: the
+   client's defaults. *)
+let server_options =
+  { Exchange.retransmit_after = Sim.Time.ms 50; max_retries = 40; backoff = None }
 
-let build_error_frame s ~act ~seq ~server_space ~intf_id ~proc_idx msg =
-  let tmg = s.s_tmg in
-  let m = Hw.Timing.max_payload_bytes tmg in
-  let payload = Bytes.of_string msg in
-  let len = min m (Bytes.length payload) in
-  Frames.build tmg ~src:server_endpoint ~dst:caller_endpoint
-    ~hdr:
-      (header ~act ~seq ~server_space ~intf_id ~proc_idx ~frag_idx:0 ~frag_count:1
-         Proto.Error_reply)
-    ~payload ~payload_pos:0 ~payload_len:len
+(* How often the receive loop looks at the stop flag: the socket's
+   receive timeout. *)
+let stop_poll = 0.02
 
 let dispatch s (h : Proto.header) payload =
   if h.Proto.interface_id <> Idl.interface_id s.s_intf then
@@ -150,7 +128,7 @@ let dispatch s (h : Proto.header) payload =
     Error (Printf.sprintf "bad procedure index %d" h.Proto.proc_idx)
   else begin
     let p = s.s_intf.Idl.procs.(h.Proto.proc_idx) in
-    match Marshal.decode_args (R.of_bytes payload) Marshal.In_call_packet p with
+    match Marshal.decode_args (R.of_view payload) Marshal.In_call_packet p with
     | exception Rpc.Rpc_error.Rpc e -> Error (Rpc.Rpc_error.to_string e)
     | in_values -> (
       match s.s_impls.(h.Proto.proc_idx) in_values with
@@ -159,153 +137,86 @@ let dispatch s (h : Proto.header) payload =
       | outs -> (
         try
           let full = Marshal.merge_outs p in_values outs in
-          Ok (encode_payload p Marshal.In_result_packet full)
+          Ok (encode_payload p Marshal.In_result_packet full, false)
         with Rpc.Rpc_error.Rpc e -> Error (Rpc.Rpc_error.to_string e)))
   end
 
-(* Send result fragments stop-and-wait: after every non-final fragment,
-   wait for its ack, retransmitting on silence.  A duplicate of the
-   call's final fragment while waiting means the client missed us —
-   resend the current fragment. *)
-let send_result s addr ~seq frames =
-  let n = List.length frames in
-  let buf = Bytes.create 4096 in
-  List.iteri
-    (fun i frame ->
-      send_to s.s_sock addr frame;
-      if i < n - 1 then begin
-        let retries = ref 0 in
-        let rec await_ack () =
-          if !retries <= 20 && not (Atomic.get s.s_stop) then
-            match recv_frame s.s_sock buf with
-            | None ->
-              incr retries;
-              send_to s.s_sock addr frame;
-              await_ack ()
-            | Some (dat, _) -> (
-              match Frames.parse s.s_tmg dat with
-              | Error _ ->
-                Atomic.incr s.s_rejected;
-                await_ack ()
-              | Ok { Frames.p_hdr = h; _ } ->
-                if h.Proto.ptype = Proto.Ack && h.Proto.seq = seq && h.Proto.frag_idx = i
-                then ()
-                else begin
-                  if h.Proto.ptype = Proto.Call && h.Proto.seq = seq then
-                    send_to s.s_sock addr frame;
-                  await_ack ()
-                end)
-        in
-        await_ack ()
-      end)
-    frames
-
-let handle_call s states addr (h : Proto.header) payload_view =
-  let st =
-    match Act_tbl.find_opt states h.Proto.activity with
-    | Some st -> st
-    | None ->
-      let st =
-        {
-          as_seq = 0;
-          as_frag_count = None;
-          as_frags = Hashtbl.create 4;
-          as_done_seq = 0;
-          as_result = [];
-        }
-      in
-      Act_tbl.add states h.Proto.activity st;
-      st
-  in
-  if h.Proto.seq <= st.as_done_seq then begin
-    (* At-most-once: a retransmission of a completed call gets the
-       cached result back, never a second execution. *)
-    if h.Proto.seq = st.as_done_seq then List.iter (send_to s.s_sock addr) st.as_result
-  end
-  else begin
-    if h.Proto.seq <> st.as_seq then begin
-      st.as_seq <- h.Proto.seq;
-      st.as_frag_count <- None;
-      Hashtbl.reset st.as_frags
-    end;
-    let consistent =
-      h.Proto.frag_count >= 1
-      && h.Proto.frag_idx >= 0
-      && h.Proto.frag_idx < h.Proto.frag_count
-      && (match st.as_frag_count with None -> true | Some n -> n = h.Proto.frag_count)
-    in
-    if consistent then begin
-      st.as_frag_count <- Some h.Proto.frag_count;
-      if not (Hashtbl.mem st.as_frags h.Proto.frag_idx) then
-        Hashtbl.replace st.as_frags h.Proto.frag_idx (V.to_bytes payload_view);
-      if h.Proto.frag_idx < h.Proto.frag_count - 1 then begin
-        let ack =
-          Frames.build s.s_tmg ~src:server_endpoint ~dst:caller_endpoint
-            ~hdr:
-              (header ~act:h.Proto.activity ~seq:h.Proto.seq
-                 ~server_space:h.Proto.server_space ~intf_id:h.Proto.interface_id
-                 ~proc_idx:h.Proto.proc_idx ~frag_idx:h.Proto.frag_idx
-                 ~frag_count:h.Proto.frag_count Proto.Ack)
-            ~payload:Bytes.empty ~payload_pos:0 ~payload_len:0
-        in
-        send_to s.s_sock addr ack
-      end;
-      if Hashtbl.length st.as_frags = h.Proto.frag_count then begin
-        let whole = Buffer.create 1500 in
-        for i = 0 to h.Proto.frag_count - 1 do
-          Buffer.add_bytes whole (Hashtbl.find st.as_frags i)
-        done;
-        Hashtbl.reset st.as_frags;
-        let act = h.Proto.activity
-        and seq = h.Proto.seq
-        and server_space = h.Proto.server_space
-        and intf_id = h.Proto.interface_id
-        and proc_idx = h.Proto.proc_idx in
-        let frames =
-          match dispatch s h (Buffer.to_bytes whole) with
-          | Ok result ->
-            build_result_frames s ~act ~seq ~server_space ~intf_id ~proc_idx result
-          | Error msg -> [ build_error_frame s ~act ~seq ~server_space ~intf_id ~proc_idx msg ]
-        in
-        st.as_done_seq <- seq;
-        st.as_result <- frames;
-        send_result s addr ~seq frames
-      end
-    end
-  end
-
+(* One receive loop over every activity.  Calls execute inline; a
+   transfer waiting on its caller (collecting fragments, or awaiting a
+   result fragment's ack) keeps a deadline in [waiting], and while any
+   does, a [select] keeps the loop from sleeping past the earliest one.
+   Otherwise each datagram costs one blocking [recvfrom]. *)
 let server_loop s =
-  let states = Act_tbl.create 4 in
+  let core =
+    Exchange.Server.create server_options
+      ~max_payload:(Hw.Timing.max_payload_bytes s.s_tmg)
+      ~streaming:false
+  in
+  let waiting = ref [] in
+  let settle tr = waiting := List.remove_assq tr !waiting in
+  let rec perform tr = function
+    | [] -> ()
+    | Exchange.Send (addr, f) :: rest ->
+      send_to s.s_sock addr (frame_bytes s.s_tmg ~src:server_endpoint ~dst:caller_endpoint f);
+      perform tr rest
+    | Exchange.Arm span :: rest ->
+      Option.iter (fun t -> waiting := (t, deadline_after span) :: List.remove_assq t !waiting) tr;
+      perform tr rest
+    | Exchange.Note _ :: rest -> perform tr rest
+    | last :: _ -> (
+      Option.iter settle tr;
+      match (last, tr) with
+      | Exchange.Execute { Exchange.hdr; payload }, Some t ->
+        perform tr (Exchange.Server.reply t (dispatch s hdr payload))
+      | _ -> ())
+  in
   let buf = Bytes.create 4096 in
   while not (Atomic.get s.s_stop) do
-    match recv_frame s.s_sock buf with
+    let datagram =
+      match !waiting with
+      | [] -> recv s.s_sock buf
+      | w ->
+        let earliest = List.fold_left (fun acc (_, d) -> Float.min acc d) infinity w in
+        recv_within s.s_sock buf (earliest -. now ())
+    in
+    (match datagram with
     | None -> ()
     | Some (dat, addr) -> (
       match Frames.parse s.s_tmg dat with
       | Error _ -> Atomic.incr s.s_rejected
-      | Ok { Frames.p_hdr = h; p_payload; _ } -> (
-        match h.Proto.ptype with
-        | Proto.Call -> handle_call s states addr h p_payload
-        | Proto.Ack | Proto.Result | Proto.Busy | Proto.Error_reply -> ()))
+      | Ok p ->
+        let tr, outputs = Exchange.Server.receive core ~from:addr (received p) in
+        perform tr outputs));
+    match !waiting with
+    | [] -> ()
+    | w ->
+      let t = now () in
+      List.iter
+        (fun (tr, d) ->
+          if d <= t then begin
+            settle tr;
+            perform (Some tr) (Exchange.Server.expire tr)
+          end)
+        w
   done
 
 let start_server ~intf ~impls () =
   if Array.length impls <> Array.length intf.Idl.procs then
     invalid_arg "Udp_socket.start_server: one impl per procedure";
-  match Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | sock -> (
+  match bound_socket () with
+  | Error e -> Error e
+  | Ok sock -> (
     match
-      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 0.02;
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, port) -> port
-      | _ -> failwith "Udp_socket: unexpected socket address family"
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO stop_poll;
+      Unix.getsockname sock
     with
     | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
+      close_quietly sock;
       Error (Unix.error_message e)
-    | port ->
+    | Unix.ADDR_UNIX _ ->
+      close_quietly sock;
+      Error "unexpected socket address family"
+    | Unix.ADDR_INET (_, port) ->
       let s =
         {
           s_sock = sock;
@@ -324,7 +235,7 @@ let start_server ~intf ~impls () =
 let stop_server s =
   Atomic.set s.s_stop true;
   (match s.s_thread with Some t -> Thread.join t | None -> ());
-  try Unix.close s.s_sock with Unix.Unix_error _ -> ()
+  close_quietly s.s_sock
 
 (* {1 Client} *)
 
@@ -336,8 +247,7 @@ type client = {
   c_act : Proto.Activity.t;
   mutable c_seq : int;
   c_server_space : int;
-  c_retransmit_after : float;  (** seconds of silence before retrying *)
-  c_max_retries : int;
+  c_opts : Exchange.options;
   c_capture : (dir:[ `Tx | `Rx ] -> Bytes.t -> unit) option;
   c_send_filter : (Bytes.t -> bool) option;
   c_buf : Bytes.t;
@@ -345,54 +255,32 @@ type client = {
 
 let connect ?capture ?send_filter ?(retransmit_after = 0.05) ?(max_retries = 40)
     ?(thread = 1) ~port ~intf () =
-  match Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | sock -> (
-    match Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Error (Unix.error_message e)
-    | () ->
-      Ok
-        {
-          c_sock = sock;
-          c_dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port);
-          c_tmg = timing ();
-          c_intf = intf;
-          c_act =
-            { Proto.Activity.caller_ip = caller_endpoint.Frames.ip;
-              caller_space = 1;
-              thread;
-            };
-          c_seq = 0;
-          c_server_space = 1;
-          c_retransmit_after = retransmit_after;
-          c_max_retries = max_retries;
-          c_capture = capture;
-          c_send_filter = send_filter;
-          c_buf = Bytes.create 4096;
-        })
+  Result.map
+    (fun sock ->
+      {
+        c_sock = sock;
+        c_dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port);
+        c_tmg = timing ();
+        c_intf = intf;
+        c_act = { Proto.Activity.caller_ip = caller_endpoint.Frames.ip; caller_space = 1; thread };
+        c_seq = 0;
+        c_server_space = 1;
+        c_opts =
+          { Exchange.retransmit_after = Sim.Time.sec_f retransmit_after; max_retries; backoff = None };
+        c_capture = capture;
+        c_send_filter = send_filter;
+        c_buf = Bytes.create 4096;
+      })
+    (bound_socket ())
 
-let close c = try Unix.close c.c_sock with Unix.Unix_error _ -> ()
+let close c = close_quietly c.c_sock
 
-let client_send c frame =
+let client_send c addr frame =
   (match c.c_capture with Some f -> f ~dir:`Tx (Bytes.copy frame) | None -> ());
   let deliver = match c.c_send_filter with Some f -> f frame | None -> true in
-  if deliver then ignore (Unix.sendto c.c_sock frame 0 (Bytes.length frame) [] c.c_dst)
+  if deliver then send_to c.c_sock addr frame
 
-let send_raw c bytes = ignore (Unix.sendto c.c_sock bytes 0 (Bytes.length bytes) [] c.c_dst)
-
-let client_recv c =
-  match Unix.select [ c.c_sock ] [] [] c.c_retransmit_after with
-  | [], _, _ -> None
-  | _ -> (
-    match Unix.recvfrom c.c_sock c.c_buf 0 (Bytes.length c.c_buf) [] with
-    | 0, _ -> None
-    | n, _ ->
-      let dat = Bytes.sub c.c_buf 0 n in
-      (match c.c_capture with Some f -> f ~dir:`Rx dat | None -> ());
-      Some dat
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> None)
+let send_raw c bytes = send_to c.c_sock c.c_dst bytes
 
 let call c ~proc_idx ~args =
   let intf = c.c_intf in
@@ -400,99 +288,41 @@ let call c ~proc_idx ~args =
     raise (Call_failed (Printf.sprintf "bad procedure index %d" proc_idx));
   let p = intf.Idl.procs.(proc_idx) in
   c.c_seq <- c.c_seq + 1;
-  let seq = c.c_seq in
-  let payload = encode_payload p Marshal.In_call_packet args in
-  let intf_id = Idl.interface_id intf in
-  let m = Hw.Timing.max_payload_bytes c.c_tmg in
-  let len = Bytes.length payload in
-  let nfrags = fragment_count c.c_tmg len in
-  let call_frag ?please_ack i =
-    let pos = i * m in
-    let flen = min m (len - pos) in
-    Frames.build c.c_tmg ~src:caller_endpoint ~dst:server_endpoint
-      ~hdr:
-        (header ?please_ack ~act:c.c_act ~seq ~server_space:c.c_server_space ~intf_id
-           ~proc_idx ~frag_idx:i ~frag_count:nfrags Proto.Call)
-      ~payload ~payload_pos:pos ~payload_len:flen
+  let caller, outputs =
+    Exchange.Caller.start c.c_opts
+      ~max_payload:(Hw.Timing.max_payload_bytes c.c_tmg)
+      ~peer:c.c_dst ~activity:c.c_act ~seq:c.c_seq ~server_space:c.c_server_space
+      ~interface_id:(Idl.interface_id intf) ~proc_idx ~secured:false
+      (encode_payload p Marshal.In_call_packet args)
   in
-  (* Call fragments, stop-and-wait on all but the last. *)
-  for i = 0 to nfrags - 2 do
-    client_send c (call_frag i);
-    let retries = ref 0 in
-    let rec await_ack () =
-      match client_recv c with
-      | None ->
-        incr retries;
-        if !retries > c.c_max_retries then
-          raise (Call_failed "no acknowledgement for a call fragment");
-        client_send c (call_frag ~please_ack:true i);
-        await_ack ()
-      | Some dat -> (
+  let deadline = ref 0. in
+  let rec run = function
+    | [] -> wait ()
+    | Exchange.Send (addr, f) :: rest ->
+      client_send c addr (frame_bytes c.c_tmg ~src:caller_endpoint ~dst:server_endpoint f);
+      run rest
+    | Exchange.Arm span :: rest ->
+      deadline := deadline_after span;
+      run rest
+    | Exchange.Note _ :: rest -> run rest
+    | Exchange.Deliver { payload; _ } :: _ ->
+      Marshal.extract_outs p (Marshal.decode_args (R.of_view payload) Marshal.In_result_packet p)
+    | Exchange.Give_up msg :: _ -> raise (Call_failed msg)
+    | (Exchange.Execute _ | Exchange.Retain) :: _ ->
+      raise (Call_failed "caller exchange ended without a result")
+  and wait () =
+    let left = !deadline -. now () in
+    if left <= 0. then run (Exchange.Caller.expire caller)
+    else
+      match recv_within c.c_sock c.c_buf left with
+      | None -> wait ()
+      | Some (dat, _) -> (
+        (match c.c_capture with Some f -> f ~dir:`Rx dat | None -> ());
         match Frames.parse c.c_tmg dat with
-        | Error _ -> await_ack ()
-        | Ok { Frames.p_hdr = h; _ } ->
-          if h.Proto.ptype = Proto.Ack && h.Proto.seq = seq && h.Proto.frag_idx = i then ()
-          else await_ack ())
-    in
-    await_ack ()
-  done;
-  client_send c (call_frag (nfrags - 1));
-  (* Await the result, acknowledging all but its last fragment. *)
-  let result_frags : (int, Bytes.t) Hashtbl.t = Hashtbl.create 4 in
-  let result_count = ref None in
-  let complete () =
-    match !result_count with
-    | None -> false
-    | Some n -> Hashtbl.length result_frags = n
+        | Error _ -> wait ()
+        | Ok parsed -> run (Exchange.Caller.input caller (received parsed)))
   in
-  let retries = ref 0 in
-  let ack_result (h : Proto.header) =
-    let ack =
-      Frames.build c.c_tmg ~src:caller_endpoint ~dst:server_endpoint
-        ~hdr:
-          (header ~act:c.c_act ~seq ~server_space:c.c_server_space ~intf_id ~proc_idx
-             ~frag_idx:h.Proto.frag_idx ~frag_count:h.Proto.frag_count Proto.Ack)
-        ~payload:Bytes.empty ~payload_pos:0 ~payload_len:0
-    in
-    client_send c ack
-  in
-  while not (complete ()) do
-    match client_recv c with
-    | None ->
-      incr retries;
-      if !retries > c.c_max_retries then
-        raise (Call_failed "no result: retransmission budget exhausted");
-      client_send c (call_frag ~please_ack:true (nfrags - 1))
-    | Some dat -> (
-      match Frames.parse c.c_tmg dat with
-      | Error _ -> ()
-      | Ok { Frames.p_hdr = h; p_payload; _ } ->
-        if h.Proto.seq = seq then begin
-          match h.Proto.ptype with
-          | Proto.Busy -> retries := 0
-          | Proto.Error_reply -> raise (Call_failed (V.to_string p_payload))
-          | Proto.Result ->
-            if
-              h.Proto.frag_count >= 1
-              && h.Proto.frag_idx >= 0
-              && h.Proto.frag_idx < h.Proto.frag_count
-              && (match !result_count with None -> true | Some n -> n = h.Proto.frag_count)
-            then begin
-              result_count := Some h.Proto.frag_count;
-              if not (Hashtbl.mem result_frags h.Proto.frag_idx) then
-                Hashtbl.replace result_frags h.Proto.frag_idx (V.to_bytes p_payload);
-              if h.Proto.frag_idx < h.Proto.frag_count - 1 then ack_result h
-            end
-          | Proto.Call | Proto.Ack -> ()
-        end)
-  done;
-  let n = match !result_count with Some n -> n | None -> assert false in
-  let whole = Buffer.create 1500 in
-  for i = 0 to n - 1 do
-    Buffer.add_bytes whole (Hashtbl.find result_frags i)
-  done;
-  let full = Marshal.decode_args (R.of_bytes (Buffer.to_bytes whole)) Marshal.In_result_packet p in
-  Marshal.extract_outs p full
+  run outputs
 
 (* {1 The TRANSPORT instance}
 

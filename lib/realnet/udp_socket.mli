@@ -4,12 +4,14 @@
     produced by {!Rpc.Frames.build} — exactly the bytes the simulator
     puts on its wire and the wire fuzzer mutates — tunnelled through a
     loopback kernel socket and validated on receive by the same
-    {!Rpc.Frames.parse}, software checksums included.  The exchange
-    protocol mirrors the simulated transporter: stop-and-wait fragments,
-    retransmission on silence, per-activity duplicate suppression.
+    {!Rpc.Frames.parse}, software checksums included.
 
-    Everything here runs in real (wall-clock) time, outside the
-    simulator; [Hw.Timing] is used only for frame-format constants. *)
+    The protocol is {!Rpc.Exchange}, the core the simulated transport
+    drives too; this module is its socket driver — [sendto] per frame,
+    [select] bounded by the absolute retransmission deadline.  The
+    server is one receive loop over every activity, executing calls
+    inline.  Everything runs in wall-clock time, outside the simulator;
+    [Hw.Timing] is used only for frame-format constants. *)
 
 exception Call_failed of string
 (** The loopback exchange failed: retransmission budget exhausted, or

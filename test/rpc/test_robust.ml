@@ -437,6 +437,43 @@ let test_duplicate_after_gc_counts_nothing () =
   Alcotest.(check int) "server pool back to baseline" 16
     (Nub.Bufpool.in_use (Machine.pool w.World.server))
 
+let test_abandoned_transfer_retained () =
+  (* Every caller->server Ack is lost, so the server's stop-and-wait
+     result transfer never gets past fragment 0 and is abandoned.  The
+     abandoned transfer must still become the retained result: the
+     caller's next retransmission then receives every fragment.  Pre-fix
+     the server forgot the call, the retransmission started it again,
+     and the one GetData executed 9 times in 60 s without returning. *)
+  let w = World.create () in
+  let tmg = Machine.timing w.World.server in
+  let caller_ip = Machine.ip w.World.caller in
+  Hw.Ether_link.set_fault_injector w.World.link
+    (Some
+       (fun frame ->
+         match Rpc.Frames.parse tmg frame with
+         | Ok { Rpc.Frames.p_hdr = { Rpc.Proto.ptype = Rpc.Proto.Ack; _ }; p_src; _ }
+           when Net.Ipv4.Addr.equal p_src.Rpc.Frames.ip caller_ip ->
+           Hw.Ether_link.Drop
+         | _ -> Hw.Ether_link.Deliver));
+  let executions = ref 0 in
+  Runtime.set_execution_probe w.World.server_rt (Some (fun _ _ -> incr executions));
+  let binding = World.test_binding w () in
+  let gate = Sim.Gate.create w.World.eng in
+  let result = ref None in
+  run_caller w gate (fun client ctx ->
+      result :=
+        Some
+          (Runtime.call binding client ctx ~proc_idx:Workload.Test_interface.get_data_idx
+             ~args:[ v_int 6000; Marshal.V_bytes Bytes.empty ]));
+  (try World.run_until_quiet ~limit:(Time.sec 60) w gate with Failure _ -> ());
+  Alcotest.(check int) "GetData executed exactly once" 1 !executions;
+  match !result with
+  | Some [ Marshal.V_bytes b ] ->
+    Alcotest.(check bool) "the call returned the 6000-byte pattern" true
+      (Bytes.equal b (Workload.Test_interface.pattern 6000))
+  | Some _ -> Alcotest.fail "GetData: unexpected result shape"
+  | None -> Alcotest.fail "the call never returned"
+
 let suite =
   [
     Alcotest.test_case "retained result GC" `Quick test_retained_result_gc;
@@ -451,4 +488,6 @@ let suite =
     Alcotest.test_case "retained-result GC races" `Quick test_retained_gc_races;
     Alcotest.test_case "duplicate after GC counts nothing" `Quick
       test_duplicate_after_gc_counts_nothing;
+    Alcotest.test_case "abandoned result transfer is retained" `Quick
+      test_abandoned_transfer_retained;
   ]

@@ -9,6 +9,7 @@ let () =
       ("secure", Test_secure.suite);
       ("robustness", Test_robust.suite);
       ("protocol-properties", Test_protocol_props.suite);
+      ("exchange", Test_exchange.suite);
       ("decnet", Test_decnet.suite);
       ("typed", Test_typed.suite);
     ]

@@ -281,8 +281,9 @@ let test_socket_roundtrip () =
   Fun.protect ~finally:(fun () -> Us.close c) @@ fun () ->
   Alcotest.(check int) "Null returns no results" 0
     (List.length (Us.call c ~proc_idx:Ti.null_idx ~args:[]));
-  (* MaxArg's 1442-byte marshalled payload crosses the 1440-byte
-     fragment bound: a stop-and-wait fragmented *call*. *)
+  (* MaxArg's 1440-byte buffer is the call's last VAR argument, which
+     travels without a length prefix: exactly one full frame.  The
+     fragmented-call cases below use a 6000-byte argument. *)
   let arg = Ti.pattern Ti.buffer_bytes in
   ignore (Us.call c ~proc_idx:Ti.max_arg_idx ~args:[ Rpc.Marshal.V_bytes arg ]);
   match Us.call c ~proc_idx:Ti.max_result_idx ~args:[ Rpc.Marshal.V_bytes Bytes.empty ] with
@@ -336,6 +337,185 @@ let test_socket_rejects_malformed () =
   Alcotest.(check int) "every malformed datagram was rejected" sent
     (Us.server_rejected server);
   ignore (Us.call c ~proc_idx:Ti.null_idx ~args:[])
+
+(* {1 Fragmented calls}
+
+   A 6000-byte VAR IN argument (the last argument: no length prefix)
+   fragments the call itself into five stop-and-wait frames. *)
+
+let upload_bytes = 6000
+
+let upload_intf =
+  Rpc.Idl.interface ~name:"Upload" ~version:1
+    [
+      Rpc.Idl.proc "Put"
+        [ Rpc.Idl.arg ~mode:Rpc.Idl.Var_in "data" (Rpc.Idl.T_var_bytes upload_bytes) ];
+    ]
+
+let upload_arg = [ Rpc.Marshal.V_bytes (Ti.pattern upload_bytes) ]
+
+(* Counts executions and checks every one saw the exact bytes. *)
+let upload_impl executions = function
+  | [ Rpc.Marshal.V_bytes b ] when Bytes.equal b (Ti.pattern upload_bytes) ->
+    incr executions;
+    []
+  | _ -> failwith "Put: the argument arrived corrupted"
+
+let test_fragmented_call transport () =
+  let w = World.create ~idle_load:false ~export_test:false () in
+  let executions = ref 0 in
+  let impls = [| (fun _ctx args -> upload_impl executions args) |] in
+  let binding =
+    match transport with
+    | `Local ->
+      Rpc.Runtime.export w.World.caller_rt upload_intf ~impls ~workers:1;
+      Rpc.Runtime.bind_local w.World.caller_rt ~server:w.World.caller_rt upload_intf
+        ~options:(Rpc.Runtime.default_options w.World.caller_rt)
+    | `Auto ->
+      Rpc.Binder.export w.World.binder w.World.server_rt upload_intf ~impls ~workers:2;
+      Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Upload" ~version:1 ()
+  in
+  let gate = Sim.Gate.create w.World.eng in
+  let outs = ref None in
+  Nub.Machine.spawn_thread w.World.caller ~name:"uploader" (fun () ->
+      Hw.Cpu_set.with_cpu (Nub.Machine.cpus w.World.caller) (fun ctx ->
+          let client = Rpc.Runtime.new_client w.World.caller_rt in
+          outs := Some (Rpc.Runtime.call binding client ctx ~proc_idx:0 ~args:upload_arg));
+      Sim.Gate.open_ gate);
+  World.run_until_quiet w gate;
+  Alcotest.(check bool) "the call returned" true (!outs = Some []);
+  Alcotest.(check int) "executed once with the exact bytes" 1 !executions
+
+let with_upload_server f =
+  if not (Us.available ()) then Alcotest.skip ()
+  else begin
+    let executions = ref 0 in
+    match Us.start_server ~intf:upload_intf ~impls:[| upload_impl executions |] () with
+    | Error e -> Alcotest.failf "start_server: %s" e
+    | Ok server ->
+      Fun.protect ~finally:(fun () -> Us.stop_server server) @@ fun () -> f server executions
+  end
+
+let test_socket_fragmented_call () =
+  with_upload_server @@ fun server executions ->
+  let c = connect_exn server upload_intf in
+  Fun.protect ~finally:(fun () -> Us.close c) @@ fun () ->
+  Alcotest.(check int) "Put returns no results" 0
+    (List.length (Us.call c ~proc_idx:0 ~args:upload_arg));
+  Alcotest.(check int) "executed once with the exact bytes" 1 !executions
+
+(* One schedule of call-fragment faults through the real socket: the
+   first copy of fragment 1 is dropped, fragment 2 goes out twice, and
+   fragment 0 is replayed right after fragment 3. *)
+let test_socket_call_fragment_faults () =
+  with_upload_server @@ fun server executions ->
+  let tmg = Us.timing () in
+  let client = ref None in
+  let raw b = Us.send_raw (Option.get !client) b in
+  let first = Hashtbl.create 8 in
+  let send_filter frame =
+    match Rpc.Frames.parse tmg frame with
+    | Ok { Rpc.Frames.p_hdr = { Rpc.Proto.ptype = Rpc.Proto.Call; frag_idx; _ }; _ }
+      when not (Hashtbl.mem first frag_idx) -> (
+      Hashtbl.replace first frag_idx frame;
+      match frag_idx with
+      | 1 -> false
+      | 2 ->
+        raw frame;
+        true
+      | 3 ->
+        raw frame;
+        raw (Hashtbl.find first 0);
+        false
+      | _ -> true)
+    | _ -> true
+  in
+  let c = connect_exn ~send_filter ~retransmit_after:0.02 ~max_retries:50 server upload_intf in
+  client := Some c;
+  Fun.protect ~finally:(fun () -> Us.close c) @@ fun () ->
+  Alcotest.(check int) "Put returns no results" 0
+    (List.length (Us.call c ~proc_idx:0 ~args:upload_arg));
+  Alcotest.(check int) "all five fragments went out" 5 (Hashtbl.length first);
+  Alcotest.(check int) "executed once with the exact bytes" 1 !executions
+
+(* {1 One stalled transfer must not stall the server}
+
+   Client A's GetData(6000) result goes stop-and-wait while A drops its
+   own fragment acks, so the server's transfer to A waits.  Client B's
+   Null() meanwhile must be answered at once: one frame, no
+   retransmission.  (The server once waited for A's ack in a nested
+   loop that swallowed B's datagrams, so B needed seconds and several
+   retransmissions.) *)
+let test_socket_stalled_transfer_isolated () =
+  if not (Us.available ()) then Alcotest.skip ()
+  else begin
+    let executions = Atomic.make 0 in
+    let impls = Realnet.Crossval.test_impls () in
+    let get_data = impls.(Ti.get_data_idx) in
+    impls.(Ti.get_data_idx) <-
+      (fun args ->
+        Atomic.incr executions;
+        get_data args);
+    match Us.start_server ~intf:Ti.interface ~impls () with
+    | Error e -> Alcotest.failf "start_server: %s" e
+    | Ok server ->
+      Fun.protect ~finally:(fun () -> Us.stop_server server) @@ fun () ->
+      let tmg = Us.timing () in
+      let hold_acks = Atomic.make true and a_heard = Atomic.make false in
+      let is_ack frame =
+        match Rpc.Frames.parse tmg frame with
+        | Ok p -> p.Rpc.Frames.p_hdr.Rpc.Proto.ptype = Rpc.Proto.Ack
+        | Error _ -> false
+      in
+      let a =
+        connect_exn server Ti.interface
+          ~send_filter:(fun f -> not (Atomic.get hold_acks && is_ack f))
+          ~capture:(fun ~dir _ -> if dir = `Rx then Atomic.set a_heard true)
+      in
+      Fun.protect ~finally:(fun () -> Us.close a) @@ fun () ->
+      let a_result = ref None in
+      let a_thread =
+        Thread.create
+          (fun () ->
+            a_result :=
+              Some
+                (try
+                   Ok
+                     (Us.call a ~proc_idx:Ti.get_data_idx
+                        ~args:[ Rpc.Marshal.V_int 6000l; Rpc.Marshal.V_bytes Bytes.empty ])
+                 with e -> Error (Printexc.to_string e)))
+          ()
+      in
+      let waited = ref 0 in
+      while (not (Atomic.get a_heard)) && !waited < 5000 do
+        Thread.delay 0.001;
+        incr waited
+      done;
+      Alcotest.(check bool) "A's result transfer has begun" true (Atomic.get a_heard);
+      let b_sent = ref 0 in
+      let b =
+        match
+          Us.connect ~thread:2 ~retransmit_after:1.0
+            ~capture:(fun ~dir _ -> if dir = `Tx then incr b_sent)
+            ~port:(Us.server_port server) ~intf:Ti.interface ()
+        with
+        | Ok b -> b
+        | Error e -> Alcotest.failf "connect: %s" e
+      in
+      Fun.protect ~finally:(fun () -> Us.close b) @@ fun () ->
+      Alcotest.(check int) "B's Null returns" 0 (List.length (Us.call b ~proc_idx:Ti.null_idx ~args:[]));
+      Alcotest.(check int) "B needed exactly one transmitted frame" 1 !b_sent;
+      Atomic.set hold_acks false;
+      Thread.join a_thread;
+      (match !a_result with
+      | Some (Ok [ Rpc.Marshal.V_bytes r ]) ->
+        Alcotest.(check bool) "A receives the 6000-byte pattern" true
+          (Bytes.equal r (Ti.pattern 6000))
+      | Some (Ok _) -> Alcotest.fail "GetData: unexpected result shape"
+      | Some (Error e) -> Alcotest.failf "A's call failed: %s" e
+      | None -> Alcotest.fail "A's call did not finish");
+      Alcotest.(check int) "GetData executed exactly once" 1 (Atomic.get executions)
+  end
 
 let test_socket_wire_bytes () =
   (* The acceptance criterion: the first frame of a Null call on the
@@ -403,6 +583,10 @@ let () =
           Alcotest.test_case (name ^ " fragment reassembly") `Quick (test_reassembly tr);
         ])
       sim_transports
+    @ [
+        Alcotest.test_case "sim fragmented call" `Quick (test_fragmented_call `Auto);
+        Alcotest.test_case "local fragmented call" `Quick (test_fragmented_call `Local);
+      ]
   in
   Alcotest.run "transport"
     [
@@ -424,6 +608,10 @@ let () =
             test_socket_rejects_malformed;
           Alcotest.test_case "socket wire bytes = simulated bytes" `Quick
             test_socket_wire_bytes;
+          Alcotest.test_case "socket fragmented call" `Quick test_socket_fragmented_call;
+          Alcotest.test_case "socket call-fragment faults" `Quick test_socket_call_fragment_faults;
+          Alcotest.test_case "socket stalled transfer isolated" `Quick
+            test_socket_stalled_transfer_isolated;
           Alcotest.test_case "Transport.S instance" `Quick transport_pack;
         ] );
     ]
