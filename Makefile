@@ -2,15 +2,15 @@
 # runs — a clean build plus the full tier-1 test suite, including the
 # bounded-seed simulation-testing tier (test/check).
 #
-# Set JOBS=N to fan simulation sweeps and benchmark table regeneration
-# out over N worker domains (default: the binary's own default, the
-# machine's recommended domain count; JOBS=1 forces the exact serial
-# path with byte-identical output).
+# Set JOBS=N to fan simulation sweeps out over N worker domains
+# (default: the binary's own default, the machine's recommended domain
+# count; JOBS=1 forces the exact serial path with byte-identical
+# output).
 
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),--jobs $(JOBS),)
 
-.PHONY: all build test check sim-check sim-matrix fuzz fleet bench bench-json bench-guard perfbench-check socket-smoke clean
+.PHONY: all build test check sim-check sim-matrix fuzz fleet perfbench-check socket-smoke clean
 
 all: build
 
@@ -54,24 +54,6 @@ fleet: build
 # unavailable.
 socket-smoke: build
 	dune exec bin/firefly.exe -- call --transport socket --calls 200
-
-# Regenerate every table of the paper at full call counts, plus the
-# Bechamel kernel microbenchmarks.
-bench: build
-	dune exec bench/main.exe -- --microbench $(JOBS_FLAG)
-
-# Refresh the checked-in microbenchmark baseline (quick tables so the
-# run stays short; the kernel numbers are measured the same either way).
-# BENCH_10.json superseded BENCH_9.json when the engine hot loop went
-# closure-free (flat events, calendar queue, retransmit timer wheel).
-bench-json: build
-	dune exec bench/main.exe -- --quick --json BENCH_10.json $(JOBS_FLAG)
-
-# Performance-regression guard: re-measure the engine and fleet probes
-# and fail on >20% throughput loss — or any alloc-bytes-per-event
-# increase — against the checked-in baseline.
-bench-guard: build
-	dune exec bench/main.exe -- --quick --only tables2-5 --baseline BENCH_10.json $(JOBS_FLAG)
 
 # Host-cost benchmark self-test: every perfbench workload briefly, end
 # to end and traced; fails unless each metric BENCHMARK.json names is

@@ -135,18 +135,7 @@ let jobs_term =
            output.")
 
 let repro_cmd =
-  let run quick metrics jobs transport ids =
-    let entries =
-      match ids with
-      | [] -> Experiments.Registry.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Experiments.Registry.find id with
-            | Some e -> e
-            | None -> failwith (Printf.sprintf "unknown experiment %S (try `firefly list`)" id))
-          ids
-    in
+  let regenerate ~quick ~metrics ~jobs ~transport entries =
     if jobs <= 1 then
       (* The historical serial loop, kept verbatim for --jobs 1. *)
       List.iter
@@ -176,6 +165,17 @@ let repro_cmd =
         entries rendered
     end
   in
+  let run quick metrics jobs transport ids =
+    match List.find_opt (fun id -> Option.is_none (Experiments.Registry.find id)) ids with
+    | Some id -> Error (`Msg (Printf.sprintf "unknown experiment %S (try `firefly list`)" id))
+    | None ->
+      let entries =
+        if ids = [] then Experiments.Registry.all
+        else List.filter_map Experiments.Registry.find ids
+      in
+      regenerate ~quick ~metrics ~jobs ~transport entries;
+      Ok ()
+  in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced call counts.") in
   let metrics =
     Arg.(
@@ -198,7 +198,7 @@ let repro_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
   Cmd.v
     (Cmd.info "repro" ~doc:"Regenerate the paper's tables (all, or the given IDs).")
-    Term.(const run $ quick $ metrics $ jobs_term $ transport $ ids)
+    Term.(term_result ~usage:true (const run $ quick $ metrics $ jobs_term $ transport $ ids))
 
 (* {1 firefly call} *)
 

@@ -1,5 +1,5 @@
 (** The experiment registry: every reproduced table/figure, addressable
-    by id from the benchmark harness, the CLI and the test suite. *)
+    by id from the CLI ([firefly repro]) and the test suite. *)
 
 type transport = [ `Auto | `Local | `Udp | `Decnet ]
 (** The bind-time transport the workload-driving experiments should
@@ -9,8 +9,8 @@ type entry = {
   id : string;
   title : string;
   run : transport:transport -> quick:bool -> metrics:bool -> Report.Table.t list;
-      (** [quick] trades call counts for speed (used by tests); the
-          benchmark harness runs with [quick:false].  [metrics] asks an
+      (** [quick] trades call counts for speed (used by tests); a
+          full [firefly repro] runs with [quick:false].  [metrics] asks an
           experiment for extra percentile columns where it supports
           them (currently Table I); others ignore it.  [transport]
           re-targets the workload-driving experiments (currently

@@ -93,7 +93,7 @@ type report = {
   r_lookups : int;
   r_leaked_sinks : int;
   r_stuck_callers : int;
-  r_events : int;  (** engine events executed — the bench probe's unit *)
+  r_events : int;  (** engine events executed *)
   r_bottleneck : bottleneck;
 }
 

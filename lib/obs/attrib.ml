@@ -50,17 +50,12 @@ type report = {
   r_min_coverage : float;  (* worst call's attributed fraction *)
 }
 
-(* Nearest-rank percentile over an ascending array. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else if p < 0. || p > 1. then invalid_arg "Attrib.percentile: p outside [0,1]"
-  else
-    let rank = int_of_float (Float.ceil (float_of_int n *. p)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+(* A stage no call touched reports 0 rather than raising. *)
+let percentile st p =
+  if Array.length st.st_samples = 0 then 0. else Sim.Stats.percentile st.st_samples p
 
-let p50 st = percentile st.st_samples 0.5
-let p99 st = percentile st.st_samples 0.99
+let p50 st = percentile st 0.5
+let p99 st = percentile st 0.99
 
 let classify ~caller_site ~server_site (s : Trace.span) =
   (* The wire and the interprocessor signal are latency no CPU pays
@@ -335,7 +330,7 @@ let table ?percentile:(p_extra : float option) r =
         @
         match p_extra with
         | None -> []
-        | Some p -> [ f (percentile st.st_samples p) ])
+        | Some p -> [ f (percentile st p) ])
       r.r_stages
     @ List.map
         (fun row ->
@@ -376,7 +371,7 @@ let to_csv ?percentile:(p_extra : float option) r =
            st.st_wire_us st.st_mean_us (p50 st) (p99 st));
       (match p_extra with
       | None -> ()
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",%.3f" (percentile st.st_samples p)));
+      | Some p -> Buffer.add_string buf (Printf.sprintf ",%.3f" (percentile st p)));
       Buffer.add_char buf '\n')
     r.r_stages;
   Buffer.add_string buf

@@ -49,12 +49,10 @@ type report = {
   r_min_coverage : float;  (** worst call's attributed fraction *)
 }
 
-val percentile : float array -> float -> float
-(** Nearest-rank percentile of an ascending array (0 on empty).
-    @raise Invalid_argument when p lies outside [0, 1]. *)
-
 val p50 : stage -> float
 val p99 : stage -> float
+(** Nearest-rank percentiles of a stage's per-call totals (0 when no
+    call touched the stage). *)
 
 val attribute :
   ?caller_site:string ->

@@ -8,56 +8,12 @@ module Counter = struct
   let reset t = t.v <- 0
 end
 
-module Summary = struct
-  (* Welford's online algorithm: the naive sum-of-squares formula loses
-     all significant digits when the spread is small relative to the
-     magnitude (e.g. microsecond jitter on samples near 1e9). *)
-  type t = {
-    mutable n : int;
-    mutable total : float;
-    mutable mean_ : float;
-    mutable m2 : float;  (* sum of squared deviations from the mean *)
-    mutable lo : float;
-    mutable hi : float;
-  }
-
-  let create () = { n = 0; total = 0.; mean_ = 0.; m2 = 0.; lo = infinity; hi = neg_infinity }
-
-  let observe t x =
-    t.n <- t.n + 1;
-    t.total <- t.total +. x;
-    let d = x -. t.mean_ in
-    t.mean_ <- t.mean_ +. (d /. float_of_int t.n);
-    t.m2 <- t.m2 +. (d *. (x -. t.mean_));
-    if x < t.lo then t.lo <- x;
-    if x > t.hi then t.hi <- x
-
-  let count t = t.n
-  let sum t = t.total
-  let mean t = if t.n = 0 then 0. else t.mean_
-
-  let min t =
-    if t.n = 0 then invalid_arg "Stats.Summary.min: empty";
-    t.lo
-
-  let max t =
-    if t.n = 0 then invalid_arg "Stats.Summary.max: empty";
-    t.hi
-
-  let stddev t =
-    if t.n < 2 then 0.
-    else
-      let var = t.m2 /. float_of_int t.n in
-      if var <= 0. then 0. else sqrt var
-
-  let reset t =
-    t.n <- 0;
-    t.total <- 0.;
-    t.mean_ <- 0.;
-    t.m2 <- 0.;
-    t.lo <- infinity;
-    t.hi <- neg_infinity
-end
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then invalid_arg "Stats.percentile: no samples";
+  if p < 0. || p > 1. then invalid_arg "Stats.percentile: p outside [0,1]";
+  let rank = int_of_float (Float.ceil (float_of_int n *. p)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
 
 module Level = struct
   type t = {

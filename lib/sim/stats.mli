@@ -1,4 +1,5 @@
-(** Lightweight measurement helpers: counters and summary statistics. *)
+(** Lightweight measurement helpers: counters, exact percentiles and
+    time-weighted levels. *)
 
 module Counter : sig
   type t
@@ -10,29 +11,12 @@ module Counter : sig
   val reset : t -> unit
 end
 
-(** Running summary of a stream of samples (durations, sizes, ...). *)
-module Summary : sig
-  type t
-
-  val create : unit -> t
-  val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-  (** [mean t] is 0. when no samples have been observed. *)
-
-  val min : t -> float
-  val max : t -> float
-  (** [min]/[max] raise [Invalid_argument] when empty. *)
-
-  val stddev : t -> float
-  (** Population standard deviation; 0. with fewer than two samples.
-      Computed with Welford's online algorithm, so it stays accurate for
-      samples with a large common offset (small jitter around a big
-      mean), where the sum-of-squares formula cancels catastrophically. *)
-
-  val reset : t -> unit
-end
+val percentile : 'a array -> float -> 'a
+(** [percentile sorted p] is the nearest-rank [p]-quantile of the
+    ascending array [sorted]: the smallest sample whose cumulative count
+    reaches [p * n], i.e. rank [ceil (n * p)] clamped to [1, n].
+    @raise Invalid_argument when [sorted] is empty or [p] lies outside
+    [0, 1]. *)
 
 (** Time-weighted average of a step function, e.g. "number of busy CPUs
     over time".  Drives the paper's CPU-utilization figures. *)

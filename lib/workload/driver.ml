@@ -29,17 +29,13 @@ let sort_lazily latencies =
       sorted)
 
 let percentile o p =
-  let n = Array.length o.latencies in
-  if n = 0 then invalid_arg "Driver.percentile: no samples";
-  if p < 0. || p > 1. then invalid_arg "Driver.percentile: p outside [0,1]";
+  if Array.length o.latencies = 0 then invalid_arg "Driver.percentile: no samples";
   (* Sorted once per outcome; the latency-tail experiments query four
      percentiles per row.  Nearest-rank definition — the smallest sample
      whose cumulative count reaches p*n — matching what
      [Obs.Metrics.Histogram.percentile] computes on its buckets, so the
      two views of one latency population agree. *)
-  let sorted = Par.Once.force o.sorted_latencies in
-  let rank = int_of_float (Float.ceil (Float.of_int n *. p)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
+  Sim.Stats.percentile (Par.Once.force o.sorted_latencies) p
 
 let payload_bytes = function
   | Null -> 0

@@ -5,7 +5,6 @@
 module Engine = Sim.Engine
 module Time = Sim.Time
 module Resource = Sim.Resource
-module Semaphore = Sim.Semaphore
 module Mutex = Sim.Mutex
 
 (* Random process workload: [ops] drives spawns, delays and resource
@@ -71,31 +70,9 @@ let prop_mutex_never_double_held =
       Engine.run ~max_events:1_000_000 eng;
       (not !violation) && not (Mutex.locked m))
 
-let prop_semaphore_conservation =
-  QCheck.Test.make ~name:"semaphore: units conserved under random traffic" ~count:100
-    (QCheck.make (QCheck.Gen.pair (QCheck.Gen.int_range 1 4) gen_ops))
-    (fun (initial, ops) ->
-      let eng = Engine.create () in
-      let sem = Semaphore.create eng ~initial in
-      let active = ref 0 in
-      let over = ref false in
-      List.iter
-        (fun (start_us, hold_us, _) ->
-          Engine.spawn eng ~after:(Time.us start_us) (fun () ->
-              Semaphore.acquire sem;
-              incr active;
-              if !active > initial then over := true;
-              Engine.delay eng (Time.us (1 + hold_us));
-              decr active;
-              Semaphore.release sem))
-        ops;
-      Engine.run ~max_events:1_000_000 eng;
-      (not !over) && Semaphore.value sem = initial)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_resource_invariants;
     QCheck_alcotest.to_alcotest prop_engine_deterministic;
     QCheck_alcotest.to_alcotest prop_mutex_never_double_held;
-    QCheck_alcotest.to_alcotest prop_semaphore_conservation;
   ]

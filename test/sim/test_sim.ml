@@ -2,7 +2,6 @@ let () =
   Alcotest.run "sim"
     [
       ("time", Test_time.suite);
-      ("heap", Test_heap.suite);
       ("eventq", Test_eventq.suite);
       ("calendar-wheel", Test_calwheel.suite);
       ("engine", Test_engine.suite);

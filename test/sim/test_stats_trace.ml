@@ -10,15 +10,15 @@ let test_counter () =
   Stats.Counter.reset c;
   Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
 
-let test_summary () =
-  let s = Stats.Summary.create () in
-  Alcotest.(check (float 0.)) "empty mean" 0. (Stats.Summary.mean s);
-  List.iter (Stats.Summary.observe s) [ 1.; 2.; 3.; 4. ];
-  Alcotest.(check int) "count" 4 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 4. (Stats.Summary.max s);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 1.25) (Stats.Summary.stddev s)
+let test_percentile () =
+  let sorted = [| 10; 20; 30; 40 |] in
+  (* Rank ceil(4p), clamped to [1, 4]. *)
+  Alcotest.(check (list int)) "nearest rank" [ 10; 10; 20; 20; 30; 40; 40 ]
+    (List.map (Stats.percentile sorted) [ 0.; 0.25; 0.26; 0.5; 0.75; 0.76; 1. ]);
+  Alcotest.check_raises "empty raises" (Invalid_argument "Stats.percentile: no samples")
+    (fun () -> ignore (Stats.percentile [||] 0.5));
+  Alcotest.check_raises "p above 1 raises" (Invalid_argument "Stats.percentile: p outside [0,1]")
+    (fun () -> ignore (Stats.percentile sorted 1.5))
 
 let test_level () =
   let at n = Time.of_ns_since_start n in
@@ -29,25 +29,6 @@ let test_level () =
   Alcotest.(check (float 1e-9)) "integral" 5. (Stats.Level.integral l ~upto:(at 4_000_000_000));
   Alcotest.(check (float 1e-9)) "average" 1.25 (Stats.Level.average l ~upto:(at 4_000_000_000));
   Alcotest.(check (float 0.)) "current" 1. (Stats.Level.current l)
-
-let test_summary_welford () =
-  (* Catastrophic cancellation regression: a naive sum-of-squares
-     accumulator loses all precision when the mean dwarfs the spread.
-     Samples 1e9, 1e9+1, 1e9+2 have population stddev sqrt(2/3). *)
-  let s = Stats.Summary.create () in
-  List.iter (Stats.Summary.observe s) [ 1e9; 1e9 +. 1.; 1e9 +. 2. ];
-  Alcotest.(check (float 1e-9)) "mean at large offset" (1e9 +. 1.) (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-6)) "stddev at large offset" (sqrt (2. /. 3.))
-    (Stats.Summary.stddev s);
-  (* Same spread near zero gives the same stddev. *)
-  let s0 = Stats.Summary.create () in
-  List.iter (Stats.Summary.observe s0) [ 0.; 1.; 2. ];
-  Alcotest.(check (float 1e-12)) "offset-invariant" (Stats.Summary.stddev s0)
-    (Stats.Summary.stddev s);
-  (* Constant samples: exactly zero, never NaN. *)
-  let c = Stats.Summary.create () in
-  List.iter (Stats.Summary.observe c) [ 5.; 5.; 5.; 5. ];
-  Alcotest.(check (float 0.)) "constant samples" 0. (Stats.Summary.stddev c)
 
 let test_level_out_of_order () =
   let at n = Time.of_ns_since_start n in
@@ -66,19 +47,6 @@ let test_level_out_of_order () =
     (Stats.Level.integral l ~upto:(at 3_000_000_000));
   Alcotest.(check (float 1e-9)) "average over full window" (4. /. 3.)
     (Stats.Level.average l ~upto:(at 3_000_000_000))
-
-let test_summary_empty_guards () =
-  let s = Stats.Summary.create () in
-  Alcotest.check_raises "min on empty raises" (Invalid_argument "Stats.Summary.min: empty")
-    (fun () -> ignore (Stats.Summary.min s));
-  Alcotest.check_raises "max on empty raises" (Invalid_argument "Stats.Summary.max: empty")
-    (fun () -> ignore (Stats.Summary.max s));
-  Stats.Summary.observe s 7.;
-  Alcotest.(check (float 0.)) "single observation min" 7. (Stats.Summary.min s);
-  Alcotest.(check (float 0.)) "single observation max" 7. (Stats.Summary.max s);
-  Stats.Summary.reset s;
-  Alcotest.check_raises "guard restored by reset" (Invalid_argument "Stats.Summary.min: empty")
-    (fun () -> ignore (Stats.Summary.min s))
 
 let test_trace_empty () =
   let tr = Trace.create () in
@@ -255,9 +223,7 @@ let test_trace_frame_recycling () =
 let suite =
   [
     Alcotest.test_case "counter" `Quick test_counter;
-    Alcotest.test_case "summary" `Quick test_summary;
-    Alcotest.test_case "summary welford stability" `Quick test_summary_welford;
-    Alcotest.test_case "summary empty guards" `Quick test_summary_empty_guards;
+    Alcotest.test_case "percentile nearest rank" `Quick test_percentile;
     Alcotest.test_case "level integral" `Quick test_level;
     Alcotest.test_case "level out-of-order timestamps" `Quick test_level_out_of_order;
     Alcotest.test_case "trace empty and disabled" `Quick test_trace_empty;

@@ -2,7 +2,6 @@ module Engine = Sim.Engine
 module Time = Sim.Time
 module Condvar = Sim.Condvar
 module Mutex = Sim.Mutex
-module Semaphore = Sim.Semaphore
 module Mailbox = Sim.Mailbox
 module Resource = Sim.Resource
 
@@ -76,25 +75,6 @@ let test_mutex_misuse () =
   Alcotest.(check bool) "try_lock held" false (Mutex.try_lock m);
   Mutex.unlock m;
   Alcotest.(check bool) "released" false (Mutex.locked m)
-
-let test_semaphore () =
-  let eng = Engine.create () in
-  let sem = Semaphore.create eng ~initial:2 in
-  let active = ref 0 in
-  let max_active = ref 0 in
-  for _ = 1 to 6 do
-    Engine.spawn eng (fun () ->
-        Semaphore.acquire sem;
-        incr active;
-        if !active > !max_active then max_active := !active;
-        Engine.delay eng (us 10);
-        decr active;
-        Semaphore.release sem)
-  done;
-  Engine.run eng;
-  Alcotest.(check int) "bounded concurrency" 2 !max_active;
-  Alcotest.(check int) "takes three rounds" 30_000 (now_ns eng);
-  Alcotest.(check int) "count restored" 2 (Semaphore.value sem)
 
 let test_mailbox () =
   let eng = Engine.create () in
@@ -182,7 +162,6 @@ let suite =
     Alcotest.test_case "condvar timeout leaves queue clean" `Quick test_condvar_timeout;
     Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mutex misuse" `Quick test_mutex_misuse;
-    Alcotest.test_case "semaphore bounds concurrency" `Quick test_semaphore;
     Alcotest.test_case "mailbox FIFO" `Quick test_mailbox;
     Alcotest.test_case "mailbox timeout" `Quick test_mailbox_timeout;
     Alcotest.test_case "resource FIFO + utilization" `Quick test_resource_fifo_and_util;
