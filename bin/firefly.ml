@@ -3,8 +3,7 @@
      firefly list                        list reproducible experiments
      firefly repro [ID...] [--quick]     regenerate paper tables
      firefly call  [options]             run an ad-hoc workload
-     firefly trace [--proc P]            per-step breakdown of one call
-     firefly breakdown [--check]         causal latency attribution with conservation
+     firefly breakdown [--proc P]        per-step attribution of traced calls
      firefly check [--seeds N]           seeded fault-plan exploration
 
    `firefly call` exposes the configuration knobs (§4.2's improvements,
@@ -334,123 +333,75 @@ let call_cmd =
     (Cmd.info "call" ~doc:"Run an ad-hoc RPC workload under a chosen configuration.")
     Term.(const run $ cfg_term $ proc $ threads $ calls $ bulk $ loss $ transport $ metrics)
 
-(* {1 firefly trace} *)
-
-let trace_cmd =
-  let run flags proc calls out =
-    let caller_config, server_config = configs flags in
-    let w =
-      Workload.World.create ~caller_config ~server_config ~seed:flags.seed ~idle_load:false ()
-    in
-    let latencies = Workload.Driver.run_traced w ~calls ~proc () in
-    (match latencies with
-    | [ l ] -> say "one warmed-up call: %s" (Sim.Time.span_to_string l)
-    | ls ->
-      let total = Sim.Time.span_sum ls in
-      say "%d warmed-up calls, mean %s" (List.length ls)
-        (Sim.Time.span_to_string
-           (Sim.Time.span_scale (1. /. float_of_int (List.length ls)) total)));
-    let tr = Sim.Engine.trace w.Workload.World.eng in
-    let spans =
-      List.sort
-        (fun a b -> Sim.Time.compare a.Sim.Trace.start_at b.Sim.Trace.start_at)
-        (Sim.Trace.spans tr)
-    in
-    let journal = w.Workload.World.obs.Obs.Ctx.journal in
-    say "journal: %d events retained, %d dropped (of %d recorded)" (Obs.Journal.length journal)
-      (Obs.Journal.dropped journal) (Obs.Journal.total journal);
-    if Sim.Trace.dropped tr > 0 then
-      say "trace: %d spans DROPPED at the capacity bound — the window is incomplete"
-        (Sim.Trace.dropped tr);
-    if Sim.Trace.frame_evictions tr > 0 then
-      say
-        "trace: %d frame-registry evictions — some packet spans may be missing their call \
-         attribution"
-        (Sim.Trace.frame_evictions tr);
-    match out with
-    | Some path ->
-      let json = Obs.Trace_export.chrome_trace ~journal ~spans () in
-      Obs.Trace_export.write_file ~path json;
-      say "wrote %d spans and %d journal events to %s" (List.length spans)
-        (Obs.Journal.length journal) path;
-      say "open it at https://ui.perfetto.dev or chrome://tracing"
-    | None ->
-      say "";
-      say "%-10s %-9s %-38s %10s" "time(us)" "site" "step" "cost(us)";
-      let origin =
-        match spans with
-        | [] -> Sim.Time.zero
-        | s :: _ -> s.Sim.Trace.start_at
-      in
-      List.iter
-        (fun s ->
-          say "%-10.0f %-9s %-38s %10.1f"
-            (Sim.Time.to_us (Sim.Time.diff s.Sim.Trace.start_at origin))
-            s.Sim.Trace.site s.Sim.Trace.label
-            (Sim.Time.to_us (Sim.Trace.duration s)))
-        spans
-  in
-  let proc =
-    Arg.(value & opt proc_conv Workload.Driver.Null & info [ "proc" ] ~doc:"Procedure to trace.")
-  in
-  let calls = Arg.(value & opt int 1 & info [ "calls" ] ~doc:"Warmed-up calls to trace.") in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write a Chrome trace-event (Perfetto) JSON file instead of the table.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Trace warmed-up calls: print the per-step time breakdown (Tables VI/VII), or export \
-          a Perfetto/chrome://tracing JSON timeline with $(b,--out).")
-    Term.(const run $ cfg_term $ proc $ calls $ out)
-
 (* {1 firefly breakdown} *)
 
+(* Silent-loss warnings go to stderr, so they never corrupt the CSV or
+   timeline on stdout. *)
+let warn_trace_loss tr =
+  if Sim.Trace.dropped tr > 0 then
+    Printf.eprintf "trace: %d spans DROPPED at the capacity bound — the window is incomplete\n%!"
+      (Sim.Trace.dropped tr);
+  if Sim.Trace.frame_evictions tr > 0 then
+    Printf.eprintf
+      "trace: %d frame-registry evictions — some packet spans may be missing their call \
+       attribution\n%!"
+      (Sim.Trace.frame_evictions tr)
+
+(* Every span of the window in start order, after the calls' latency
+   and the journal's completeness. *)
+let print_timeline ~journal ~windows spans =
+  (match
+     List.map (fun w -> Sim.Time.diff w.Obs.Attrib.w_stop w.Obs.Attrib.w_start) windows
+   with
+  | [ l ] -> say "one warmed-up call: %s" (Sim.Time.span_to_string l)
+  | ls ->
+    let total = Sim.Time.span_sum ls in
+    say "%d warmed-up calls, mean %s" (List.length ls)
+      (Sim.Time.span_to_string (Sim.Time.span_scale (1. /. float_of_int (List.length ls)) total)));
+  say "journal: %d events retained, %d dropped (of %d recorded)" (Obs.Journal.length journal)
+    (Obs.Journal.dropped journal) (Obs.Journal.total journal);
+  say "";
+  say "%-10s %-9s %-38s %10s" "time(us)" "site" "step" "cost(us)";
+  let spans =
+    List.sort (fun a b -> Sim.Time.compare a.Sim.Trace.start_at b.Sim.Trace.start_at) spans
+  in
+  let origin =
+    match spans with
+    | [] -> Sim.Time.zero
+    | s :: _ -> s.Sim.Trace.start_at
+  in
+  List.iter
+    (fun s ->
+      say "%-10.0f %-9s %-38s %10.1f"
+        (Sim.Time.to_us (Sim.Time.diff s.Sim.Trace.start_at origin))
+        s.Sim.Trace.site s.Sim.Trace.label
+        (Sim.Time.to_us (Sim.Trace.duration s)))
+    spans
+
 let breakdown_cmd =
-  let run flags proc calls pctl check out csv =
+  let run flags proc calls threads pctl check out format =
     if calls < 1 then Error (`Msg "--calls must be >= 1")
+    else if threads < 1 then Error (`Msg "--threads must be >= 1")
     else begin
       let caller_config, server_config = configs flags in
       let w =
         Workload.World.create ~caller_config ~server_config ~seed:flags.seed ~idle_load:false ()
       in
-      let windows = Workload.Driver.run_breakdown w ~calls ~proc () in
+      let windows = Workload.Driver.run_traced w ~threads ~calls ~proc () in
       let tr = Sim.Engine.trace w.Workload.World.eng in
       let spans = Sim.Trace.spans tr in
-      let windows =
-        List.map
-          (fun (i, t0, t1) -> { Obs.Attrib.w_call = i; w_start = t0; w_stop = t1 })
-          windows
-      in
+      let journal = w.Workload.World.obs.Obs.Ctx.journal in
       let percentile = Option.map (fun p -> p /. 100.) pctl in
       let r = Obs.Attrib.attribute ~spans ~windows () in
-      (match out with
-      | Some path when Filename.check_suffix path ".json" ->
-        let journal = w.Workload.World.obs.Obs.Ctx.journal in
+      warn_trace_loss tr;
+      (match (out, format) with
+      | Some path, _ ->
         Obs.Trace_export.write_file ~path (Obs.Trace_export.chrome_trace ~journal ~spans ());
         say "wrote %d spans (%d calls) to %s — open at https://ui.perfetto.dev" (List.length spans)
           calls path
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Obs.Attrib.to_csv ?percentile r));
-        say "wrote per-stage CSV to %s" path
-      | None ->
-        if csv then print_string (Obs.Attrib.to_csv ?percentile r)
-        else print_string (Report.Table.render (Obs.Attrib.table ?percentile r)));
-      if Sim.Trace.dropped tr > 0 then
-        say "trace: %d spans DROPPED at the capacity bound — attribution is incomplete"
-          (Sim.Trace.dropped tr);
-      if Sim.Trace.frame_evictions tr > 0 then
-        say
-          "trace: %d frame-registry evictions — some packet spans may be missing their \
-           call attribution"
-          (Sim.Trace.frame_evictions tr);
+      | None, `Table -> print_string (Report.Table.render (Obs.Attrib.table ?percentile r))
+      | None, `Csv -> print_string (Obs.Attrib.to_csv ?percentile r)
+      | None, `Timeline -> print_timeline ~journal ~windows spans);
       if not check then Ok ()
       else begin
         (* The gate: conservation on every call, plus (for the two
@@ -492,6 +443,13 @@ let breakdown_cmd =
   let calls =
     Arg.(value & opt int 20 & info [ "calls" ] ~docv:"N" ~doc:"Timed calls to aggregate over.")
   in
+  let threads =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "threads" ] ~docv:"N"
+          ~doc:"Caller threads sharing the timed calls; above 1, queueing stages appear.")
+  in
   let pctl =
     Arg.(
       value
@@ -515,69 +473,30 @@ let breakdown_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write the result to $(docv): $(i,*.json) gets the Perfetto span timeline, anything \
-             else the per-stage CSV.")
+            "Write the window's Perfetto/chrome://tracing JSON timeline to $(docv) instead of \
+             printing it.")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Print CSV instead of the table.") in
+  let format =
+    Arg.(
+      value
+      & opt (enum [ ("table", `Table); ("csv", `Csv); ("timeline", `Timeline) ]) `Table
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:
+            "$(b,table) (default): the per-stage attribution; $(b,csv): the same rows as CSV; \
+             $(b,timeline): every span of the window in start order, one line each.")
+  in
   Cmd.v
     (Cmd.info "breakdown"
        ~doc:
-         "Causal latency attribution: run traced calls, stitch each call's spans across both \
-          machines and the wire, and account its end-to-end latency into per-stage service \
-          time, identified queueing and an explicit unattributed residual (a live re-derivation \
-          of Tables VI-VIII).  $(b,--check) enforces conservation and calibration drift bounds.")
+         "Causal latency attribution: run warmed-up traced calls, stitch each call's spans \
+          across both machines and the wire, and account its end-to-end latency into per-stage \
+          service time, identified queueing and an explicit unattributed residual (a live \
+          re-derivation of Tables VI-VIII).  $(b,--threads) adds concurrent callers, \
+          $(b,--format) picks the view, $(b,--out) exports the span timeline and $(b,--check) \
+          enforces conservation and calibration drift bounds.")
     Term.(
-      term_result ~usage:true (const run $ cfg_term $ proc $ calls $ pctl $ check $ out $ csv))
-
-(* {1 firefly profile} *)
-
-let profile_cmd =
-  let run flags proc threads calls =
-    let caller_config, server_config = configs flags in
-    let w =
-      Workload.World.create ~caller_config ~server_config ~seed:flags.seed ~idle_load:false ()
-    in
-    let tr = Sim.Engine.trace w.Workload.World.eng in
-    Sim.Trace.set_enabled tr true;
-    let o = Workload.Driver.run w ~threads ~calls ~proc () in
-    Sim.Trace.set_enabled tr false;
-    let spans = Sim.Trace.spans tr in
-    let agg : (string * string, int ref * Sim.Time.span ref) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        let key = (s.Sim.Trace.site, s.Sim.Trace.label) in
-        let n, total =
-          match Hashtbl.find_opt agg key with
-          | Some v -> v
-          | None ->
-            let v = (ref 0, ref Sim.Time.zero_span) in
-            Hashtbl.add agg key v;
-            v
-        in
-        incr n;
-        total := Sim.Time.span_add !total (Sim.Trace.duration s))
-      spans;
-    let rows = Hashtbl.fold (fun (site, label) (n, total) acc -> (site, label, !n, !total) :: acc) agg [] in
-    let rows = List.sort (fun (_, _, _, a) (_, _, _, b) -> Sim.Time.span_compare b a) rows in
-    say "%d calls (%d threads), %.0f RPC/s — CPU/bus time by step:" o.Workload.Driver.calls
-      threads o.Workload.Driver.rpcs_per_sec;
-    say "";
-    say "%-9s %-38s %8s %12s %10s" "site" "step" "count" "total(ms)" "us/call";
-    List.iter
-      (fun (site, label, n, total) ->
-        say "%-9s %-38s %8d %12.2f %10.1f" site label n (Sim.Time.to_ms total)
-          (Sim.Time.to_us total /. float_of_int o.Workload.Driver.calls))
-      rows
-  in
-  let proc =
-    Arg.(value & opt proc_conv Workload.Driver.Null & info [ "proc" ] ~doc:"Procedure to profile.")
-  in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"Caller threads.") in
-  let calls = Arg.(value & opt int 50 & info [ "calls" ] ~doc:"Calls to aggregate over.") in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Aggregate CPU/bus time per fast-path step over a workload (a Table VI/VII view under load).")
-    Term.(const run $ cfg_term $ proc $ threads $ calls)
+      term_result ~usage:true
+        (const run $ cfg_term $ proc $ calls $ threads $ pctl $ check $ out $ format))
 
 (* {1 firefly check} *)
 
@@ -1052,9 +971,7 @@ let () =
             list_cmd;
             repro_cmd;
             call_cmd;
-            trace_cmd;
             breakdown_cmd;
-            profile_cmd;
             fleet_cmd;
             check_cmd;
             fuzz_cmd;

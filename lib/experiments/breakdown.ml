@@ -1,63 +1,33 @@
-module Engine = Sim.Engine
-module Time = Sim.Time
-module Cpu_set = Hw.Cpu_set
-module Machine = Nub.Machine
-module Runtime = Rpc.Runtime
+module Trace = Sim.Trace
+module Attrib = Obs.Attrib
 module World = Workload.World
 module Driver = Workload.Driver
-module Trace = Sim.Trace
 
-(* Run one traced call of [proc] in a fresh, idle-load-free world;
-   returns the recorded spans and the call's latency. *)
-let traced_call proc =
+(* One warmed-up traced call of [proc] in a fresh world without idle
+   load, attributed by [Obs.Attrib], and the world's calling-program
+   loop cost in us: the runner times the RPC alone, so the loop (Table
+   VII's first row) is added back from the calibration. *)
+let traced proc =
   let w = World.create ~idle_load:false () in
-  let binding = World.test_binding w () in
-  let gate = Sim.Gate.create w.World.eng in
-  let latency = ref Time.zero_span in
-  let tr = Engine.trace w.World.eng in
-  Machine.spawn_thread w.World.caller ~name:"traced-call" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
-          let client = Runtime.new_client w.World.caller_rt in
-          let once () =
-            Cpu_set.charge ctx ~cat:"runtime" ~label:"Calling program (loop)"
-              (Hw.Timing.caller_loop (Machine.timing w.World.caller));
-            ignore
-              (Runtime.call binding client ctx
-                 ~proc_idx:
-                   (match proc with
-                   | Driver.Null -> Workload.Test_interface.null_idx
-                   | Driver.Max_result -> Workload.Test_interface.max_result_idx
-                   | Driver.Max_arg -> Workload.Test_interface.max_arg_idx
-                   | Driver.Get_data _ -> Workload.Test_interface.get_data_idx)
-                 ~args:
-                   (match proc with
-                   | Driver.Null -> []
-                   | Driver.Max_result | Driver.Max_arg ->
-                     [ Rpc.Marshal.V_bytes (Workload.Test_interface.pattern 1440) ]
-                   | Driver.Get_data n ->
-                     [ Rpc.Marshal.V_int (Int32.of_int n); Rpc.Marshal.V_bytes Bytes.empty ]))
-          in
-          once ();
-          once ();
-          Trace.clear tr;
-          Trace.set_enabled tr true;
-          let t0 = Engine.now w.World.eng in
-          once ();
-          latency := Time.diff (Engine.now w.World.eng) t0;
-          Trace.set_enabled tr false);
-      Sim.Gate.open_ gate);
-  World.run_until_quiet w gate;
-  (Trace.spans tr, !latency)
+  let windows = Driver.run_traced w ~calls:1 ~proc () in
+  let spans = Trace.spans (Sim.Engine.trace w.World.eng) in
+  ( Attrib.attribute ~spans ~windows (),
+    Sim.Time.to_us (Hw.Timing.caller_loop (Nub.Machine.timing w.World.caller)) )
 
-(* nth occurrence (0-based) of a (site, label) span, in time order. *)
-let nth_span spans ~site ~label n =
-  let matching =
-    List.filter
-      (fun s -> String.equal s.Trace.site site && String.equal s.Trace.label label)
-      spans
-  in
-  match List.nth_opt matching n with
-  | Some s -> Time.to_us (Trace.duration s)
+(* Domain-safe memo cells, not [lazy]: table 6/7/8 regeneration can run
+   on several worker domains at once, and racing [Lazy.force] calls on
+   one thunk are undefined behaviour. *)
+let null_data = Par.Once.create (fun () -> traced Driver.Null)
+let maxr_data = Par.Once.create (fun () -> traced Driver.Max_result)
+
+(* A service stage's per-call mean; 0 when the call never ran it. *)
+let mean r label =
+  match
+    List.find_opt
+      (fun st -> String.equal st.Attrib.st_label label && st.Attrib.st_kind = Trace.Service)
+      r.Attrib.r_stages
+  with
+  | Some st -> st.Attrib.st_mean_us
   | None -> 0.
 
 type step = {
@@ -68,83 +38,28 @@ type step = {
   measured_large_us : float;
 }
 
-(* Table VI step list: (label, paper 74B, paper 1514B if different,
-   occurrence index used on each side). *)
-let send_receive_steps =
-  [
-    ("Finish UDP header (Sender)", 59., None);
-    ("Calculate UDP checksum", 45., Some 440.);
-    ("Handle trap to Nub", 37., None);
-    ("Queue packet for transmission", 39., None);
-    ("Interprocessor interrupt to CPU 0", 10., None);
-    ("Handle interprocessor interrupt", 76., None);
-    ("Activate Ethernet controller", 22., None);
-    ("QBus/Controller transmit latency", 70., Some 815.);
-    ("Transmission time on Ethernet", 60., Some 1230.);
-    ("QBus/Controller receive latency", 80., Some 835.);
-    ("General I/O interrupt handler", 14., None);
-    ("Handle interrupt for received pkt", 177., None);
-    ("Calculate UDP checksum (receiver)", 45., Some 440.);
-    ("Wakeup RPC thread", 220., None);
-  ]
-
-(* The call packet of Null() is the 74-byte operation (sender steps at
-   the caller, receiver steps at the server); the result packet of
-   MaxResult(b) is the 1514-byte one (sender at the server, receiver at
-   the caller).  The checksum label appears twice per site — once as
-   sender, once as receiver — disambiguated by occurrence order. *)
-let extract spans ~sender ~receiver (label, _, _) =
-  match label with
-  | "Interprocessor interrupt to CPU 0" -> 10. (* pure signalling latency, not a CPU span *)
-  | "Calculate UDP checksum" ->
-    (* sender side: the sender site's first checksum span *)
-    nth_span spans ~site:sender ~label:"Calculate UDP checksum" 0
-  | "Calculate UDP checksum (receiver)" ->
-    nth_span spans ~site:receiver ~label:"Calculate UDP checksum" 0
-  | "QBus/Controller receive latency" | "General I/O interrupt handler"
-  | "Handle interrupt for received pkt" | "Wakeup RPC thread" ->
-    nth_span spans ~site:receiver ~label 0
-  | _ -> nth_span spans ~site:sender ~label 0
-
-(* Domain-safe memo cells, not [lazy]: table 6/7/8 regeneration can run
-   on several worker domains at once, and racing [Lazy.force] calls on
-   one thunk are undefined behaviour. *)
-let null_data = Par.Once.create (fun () -> traced_call Driver.Null)
-let maxr_data = Par.Once.create (fun () -> traced_call Driver.Max_result)
-
-(* For the 1514-byte column the sender is the server.  The server's
-   checksum spans are: verify incoming 74-byte call (45), then checksum
-   the outgoing 1514-byte result (440) — so sender-side is occurrence 1;
-   at the caller the spans are: checksum outgoing call (45), verify
-   result (440) — receiver-side is occurrence 1 as well. *)
-let extract_large spans (label, _, _) =
-  let sender = "server" and receiver = "caller" in
-  match label with
-  | "Interprocessor interrupt to CPU 0" -> 10.
-  | "Calculate UDP checksum" -> nth_span spans ~site:sender ~label:"Calculate UDP checksum" 1
-  | "Calculate UDP checksum (receiver)" ->
-    nth_span spans ~site:receiver ~label:"Calculate UDP checksum" 1
-  | "QBus/Controller receive latency" -> nth_span spans ~site:receiver ~label 0
-  | "General I/O interrupt handler" | "Handle interrupt for received pkt"
-  | "Wakeup RPC thread" ->
-    nth_span spans ~site:receiver ~label 0
-  | "QBus/Controller transmit latency" | "Transmission time on Ethernet" ->
-    nth_span spans ~site:sender ~label 0
-  | _ -> nth_span spans ~site:sender ~label 0
-
+(* Null() sends two 74-byte packets; MaxResult(b) a 74-byte call and a
+   1514-byte result.  A span accrues once per packet for each row that
+   names it, so dividing a stage mean by the rows naming its span gives
+   one row's cost per packet. *)
 let table6 () =
-  let null_spans, _ = Par.Once.force null_data in
-  let maxr_spans, _ = Par.Once.force maxr_data in
+  let null, _ = Par.Once.force null_data in
+  let maxr, _ = Par.Once.force maxr_data in
   List.map
-    (fun ((label, small, large) as stepdef) ->
+    (fun (s : Attrib.table6_row) ->
+      let rows =
+        List.filter (fun o -> String.equal o.Attrib.t6_span s.t6_span) Attrib.table6_steps
+        |> List.length |> float_of_int
+      in
+      let small = mean null s.t6_span /. (2. *. rows) in
       {
-        step_label = label;
-        paper_small_us = small;
-        paper_large_us = large;
-        measured_small_us = extract null_spans ~sender:"caller" ~receiver:"server" stepdef;
-        measured_large_us = extract_large maxr_spans stepdef;
+        step_label = s.t6_row;
+        paper_small_us = s.t6_small_us;
+        paper_large_us = (if s.t6_large_us <> s.t6_small_us then Some s.t6_large_us else None);
+        measured_small_us = small;
+        measured_large_us = (mean maxr s.t6_span /. rows) -. small;
       })
-    send_receive_steps
+    Attrib.table6_steps
 
 type runtime_step = { rt_label : string; rt_paper_us : float; rt_measured_us : float }
 
@@ -163,17 +78,11 @@ let runtime_steps =
   ]
 
 let table7 () =
-  let spans, _ = Par.Once.force null_data in
-  let runtime_span label =
-    List.fold_left
-      (fun acc s ->
-        if String.equal s.Trace.cat "runtime" && String.equal s.Trace.label label then
-          acc +. Time.to_us (Trace.duration s)
-        else acc)
-      0. spans
-  in
+  let null, loop_us = Par.Once.force null_data in
   List.map
-    (fun (label, paper) -> { rt_label = label; rt_paper_us = paper; rt_measured_us = runtime_span label })
+    (fun (label, paper) ->
+      let loop = if String.equal label "Calling program (loop)" then loop_us else 0. in
+      { rt_label = label; rt_paper_us = paper; rt_measured_us = mean null label +. loop })
     runtime_steps
 
 type accounting = {
@@ -184,29 +93,29 @@ type accounting = {
   measured_elapsed_us : float;
 }
 
+let sum f l = List.fold_left (fun a s -> a +. f s) 0. l
+
 let table8 () =
   let t6 = table6 () in
-  let t7 = table7 () in
-  let sum_small = List.fold_left (fun a s -> a +. s.measured_small_us) 0. t6 in
-  let sum_large = List.fold_left (fun a s -> a +. s.measured_large_us) 0. t6 in
-  let sum_rt = List.fold_left (fun a s -> a +. s.rt_measured_us) 0. t7 in
-  let _, null_lat = Par.Once.force null_data in
-  let _, maxr_lat = Par.Once.force maxr_data in
-  let maxr_marshal = 550. in
+  let sum_small = sum (fun s -> s.measured_small_us) t6 in
+  let sum_large = sum (fun s -> s.measured_large_us) t6 in
+  let sum_rt = sum (fun s -> s.rt_measured_us) (table7 ()) in
+  let null, null_loop = Par.Once.force null_data in
+  let maxr, maxr_loop = Par.Once.force maxr_data in
   [
     {
       what = "Null()";
       paper_calc_us = 606. +. 954. +. 954.;
       measured_calc_us = sum_rt +. (2. *. sum_small);
       paper_elapsed_us = 2645.;
-      measured_elapsed_us = Time.to_us null_lat;
+      measured_elapsed_us = null.Attrib.r_elapsed_us +. null_loop;
     };
     {
       what = "MaxResult(b)";
       paper_calc_us = 606. +. 550. +. 954. +. 4414.;
-      measured_calc_us = sum_rt +. maxr_marshal +. sum_small +. sum_large;
+      measured_calc_us = sum_rt +. mean maxr "Marshalling" +. sum_small +. sum_large;
       paper_elapsed_us = 6347.;
-      measured_elapsed_us = Time.to_us maxr_lat;
+      measured_elapsed_us = maxr.Attrib.r_elapsed_us +. maxr_loop;
     };
   ]
 
@@ -240,11 +149,9 @@ let tables () =
           [
             "TOTAL";
             "954";
-            Report.Table.cell_f ~decimals:0
-              (List.fold_left (fun a s -> a +. s.measured_small_us) 0. t6);
+            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_small_us) t6);
             "4414";
-            Report.Table.cell_f ~decimals:0
-              (List.fold_left (fun a s -> a +. s.measured_large_us) 0. t6);
+            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_large_us) t6);
           ];
         ]);
     Report.Table.make ~id:"table7" ~title:"Latency of stubs and RPC runtime (Null())"
@@ -262,8 +169,7 @@ let tables () =
           [
             "TOTAL";
             "606";
-            Report.Table.cell_f ~decimals:0
-              (List.fold_left (fun a s -> a +. s.rt_measured_us) 0. t7);
+            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.rt_measured_us) t7);
           ];
         ]);
     Report.Table.make ~id:"table8" ~title:"Calculated vs measured latency"

@@ -1,8 +1,9 @@
 (** Tables VI–VIII — the paper's microsecond-by-microsecond accounting,
     regenerated from the {e trace of an actual simulated call} rather
-    than echoed constants: the experiment warms the fast path, enables
-    span tracing, runs one Null() and one MaxResult(b) call, and groups
-    the recorded spans under the paper's step names. *)
+    than echoed constants: {!Workload.Driver.run_traced} times one
+    warmed-up Null() and one MaxResult(b) call, {!Obs.Attrib} attributes
+    their spans to stages, and the tables read the stage means under
+    the paper's step names ({!Obs.Attrib.table6_steps}). *)
 
 type step = {
   step_label : string;
@@ -27,7 +28,8 @@ type accounting = {
   paper_calc_us : float;
   measured_calc_us : float;  (** sum of the traced components *)
   paper_elapsed_us : float;
-  measured_elapsed_us : float;  (** simulated single-call latency *)
+  measured_elapsed_us : float;
+      (** simulated single-call latency, plus the calling program's loop *)
 }
 
 val table8 : unit -> accounting list

@@ -73,7 +73,7 @@ let find_free_any t =
    contention from service time.  The pre-suspend [Engine.now] is a pure
    read and [Sim.Trace.add] no-ops while tracing is off, so the untraced
    path is unchanged. *)
-let suspend_queued ?(call = Sim.Trace.no_call) t push =
+let suspend_queued t ~call push =
   let start_at = Engine.now t.eng in
   let idx = Engine.suspend t.eng push in
   let stop_at = Engine.now t.eng in
@@ -82,7 +82,7 @@ let suspend_queued ?(call = Sim.Trace.no_call) t push =
       ~cat:"queue" ~label:"Wait for free CPU" ~site:t.name ~start_at ~stop_at;
   idx
 
-let acquire ?call t ~affinity ~priority =
+let acquire t ~call ~affinity ~priority =
   match affinity with
   | Cpu0 ->
     if not t.busy.(0) then begin
@@ -95,13 +95,13 @@ let acquire ?call t ~affinity ~priority =
         | Interrupt -> t.q0_int
         | Thread -> t.q0_thread
       in
-      suspend_queued ?call t (fun w -> Queue.push w q)
+      suspend_queued t ~call (fun w -> Queue.push w q)
   | Any -> (
     match find_free_any t with
     | Some i ->
       take t i;
       i
-    | None -> suspend_queued ?call t (fun w -> Queue.push w t.q_any))
+    | None -> suspend_queued t ~call (fun w -> Queue.push w t.q_any))
 
 (* Handing a CPU to a waiter keeps it busy; only update levels when it
    actually goes idle. *)
@@ -118,9 +118,9 @@ let release t idx =
   in
   if not handed then free_index t idx
 
-let with_cpu ?(affinity = Any) ?(priority = Thread) t f =
-  let idx = acquire t ~affinity ~priority in
-  let ctx = { set = t; affinity; idx; trace_id = Sim.Trace.no_call } in
+let with_cpu ?(affinity = Any) ?(priority = Thread) ?(call = Sim.Trace.no_call) t f =
+  let idx = acquire t ~call ~affinity ~priority in
+  let ctx = { set = t; affinity; idx; trace_id = call } in
   Fun.protect ~finally:(fun () -> release t ctx.idx) (fun () -> f ctx)
 
 let charge ?kind ?call ctx ~cat ~label d =
@@ -150,7 +150,7 @@ let yield_cpu ctx f =
      as on the real machine. *)
   Fun.protect
     ~finally:(fun () ->
-      ctx.idx <- acquire ~call:ctx.trace_id t ~affinity:ctx.affinity ~priority:Thread)
+      ctx.idx <- acquire t ~call:ctx.trace_id ~affinity:ctx.affinity ~priority:Thread)
     f
 
 let average_busy t ~upto = Sim.Stats.Level.average t.level ~upto

@@ -26,12 +26,15 @@ val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> site:string -> cpus:int -> t
 val site : t -> string
 val cpu_count : t -> int
 
-val with_cpu : ?affinity:affinity -> ?priority:priority -> t -> (ctx -> 'a) -> 'a
+val with_cpu :
+  ?affinity:affinity -> ?priority:priority -> ?call:int -> t -> (ctx -> 'a) -> 'a
 (** [with_cpu t f] acquires a CPU (waiting if necessary), runs [f] with
     the held context and releases the CPU afterwards, also on
     exception.  [Any] requests prefer the highest-numbered free CPU so
     CPU 0 stays available for interrupt work.  [Interrupt] priority is
-    only meaningful with [affinity = Cpu0]. *)
+    only meaningful with [affinity = Cpu0].  [call] (default
+    {!Sim.Trace.no_call}) is charged for the wait and is the context's
+    starting trace call ({!set_trace_call}). *)
 
 val charge :
   ?kind:Sim.Trace.kind -> ?call:int -> ctx -> cat:string -> label:string -> Sim.Time.span -> unit

@@ -41,8 +41,7 @@ let journal t ev =
    elapsed: activate the controller at interrupt priority. *)
 let run_ipi_prod t call =
   Engine.spawn t.eng ~name:"ipi" (fun () ->
-      Cpu_set.with_cpu ~affinity:Cpu_set.Cpu0 ~priority:Cpu_set.Interrupt t.cpus (fun ctx ->
-          Cpu_set.set_trace_call ctx call;
+      Cpu_set.with_cpu ~affinity:Cpu_set.Cpu0 ~priority:Cpu_set.Interrupt ~call t.cpus (fun ctx ->
           journal t Obs.Journal.Ipi;
           charge ctx ~label:"Uniprocessor interrupt entry"
             (Timing.uniproc_interrupt_entry t.timing);
@@ -109,14 +108,6 @@ let interrupt_body t ctx =
   | Some h ->
     Obs.Metrics.Histogram.observe_span h
       (Time.diff (Engine.now t.eng) (Deqna.last_irq_at t.deqna)));
-  (* Attribute the handler's entry cost to the frame it was raised for —
-     the head of the completion queue (non-empty whenever the interrupt
-     fires). *)
-  if Sim.Trace.enabled (Engine.trace t.eng) then
-    Cpu_set.set_trace_call ctx
-      (match Deqna.peek_rx t.deqna with
-      | Some frame -> frame_call t frame
-      | None -> Sim.Trace.no_call);
   charge ctx ~label:"General I/O interrupt handler" (Timing.io_interrupt t.timing);
   charge ctx ~label:"Uniprocessor interrupt entry" (Timing.uniproc_interrupt_entry t.timing);
   let rec drain () =
@@ -157,8 +148,18 @@ let start t ~rx_buffers =
   done;
   Deqna.add_rx_credits t.deqna !granted;
   Deqna.set_interrupt_handler t.deqna (fun () ->
-      Cpu_set.with_cpu ~affinity:Cpu_set.Cpu0 ~priority:Cpu_set.Interrupt t.cpus (fun ctx ->
-          interrupt_body t ctx));
+      (* Charge the wait for CPU 0 and the handler's entry cost to the
+         frame the interrupt was raised for: the head of the completion
+         queue (non-empty whenever the interrupt fires). *)
+      let call =
+        if Sim.Trace.enabled (Engine.trace t.eng) then
+          match Deqna.peek_rx t.deqna with
+          | Some frame -> frame_call t frame
+          | None -> Sim.Trace.no_call
+        else Sim.Trace.no_call
+      in
+      Cpu_set.with_cpu ~affinity:Cpu_set.Cpu0 ~priority:Cpu_set.Interrupt ~call t.cpus
+        (interrupt_body t));
   Engine.spawn t.eng ~name:"datalink" (fun () ->
       let rec loop () =
         let frame = Sim.Mailbox.recv t.datalink_q in

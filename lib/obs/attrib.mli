@@ -71,12 +71,25 @@ val conservation_ok : ?min_coverage:float -> report -> bool
 
 (** {1 Drift against the calibrated Table VI constants} *)
 
+type table6_row = {
+  t6_row : string;  (** the paper's step name *)
+  t6_span : string;  (** the span label that measures the step *)
+  t6_small_us : float;  (** cost per 74-byte packet *)
+  t6_large_us : float;  (** cost per 1514-byte packet *)
+}
+
+val table6_steps : table6_row list
+(** The paper's Table VI: its 14 rows, in its order.  The sender's and
+    the receiver's UDP checksum are two rows naming one span. *)
+
 type scenario = Null_call | Max_arg_call
 
 val expected_us : scenario -> string -> float option
-(** Expected per-call raw total of a Table VI step under the scenario's
-    packet sizes: Null() exchanges two 74-byte packets; MaxArg(b) sends
-    one 1514-byte call packet and receives a 74-byte result. *)
+(** Expected per-call raw total of a span under the scenario's packet
+    sizes: Null() exchanges two 74-byte packets; MaxArg(b) sends one
+    1514-byte call packet and receives a 74-byte result.  A span
+    accrues once per packet for each Table VI row that names it;
+    [None] when no row does. *)
 
 type drift = { d_label : string; d_expected_us : float; d_measured_us : float; d_frac : float }
 

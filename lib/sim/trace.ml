@@ -147,27 +147,3 @@ let spans t = List.rev t.recorded
 let length t = t.count
 let dropped t = t.n_dropped
 let duration s = Time.diff s.stop_at s.start_at
-
-let matches ?site ?cat ?label s =
-  let ok filter field =
-    match filter with
-    | None -> true
-    | Some v -> String.equal v field
-  in
-  ok site s.site && ok cat s.cat && ok label s.label
-
-let total ?site ?cat ?label t =
-  List.fold_left
-    (fun acc s -> if matches ?site ?cat ?label s then Time.span_add acc (duration s) else acc)
-    Time.zero_span t.recorded
-
-let labels ?cat t =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun s ->
-      if matches ?cat s && not (Hashtbl.mem seen s.label) then begin
-        Hashtbl.add seen s.label ();
-        Some s.label
-      end
-      else None)
-    (spans t)

@@ -3,18 +3,16 @@
     The paper's Tables VI and VII are a per-step breakdown of where the
     time of one RPC goes.  To regenerate them, model code records a
     {e span} — a labelled interval of virtual time — for every fast-path
-    step it executes.  Experiments then group spans by label and sum
-    them, reproducing the paper's accounting from an actual simulated
-    call rather than from constants.
+    step it executes.  Each span carries a {!kind} (service time vs
+    queueing delay) and a per-call id, so the attribution engine
+    ({!Obs.Attrib}) can rebuild each call's causal timeline, account it
+    to named stages, and check that the stages conserve the measured
+    end-to-end latency; Tables VI–VIII are read from that account.
 
-    Spans additionally carry a {!kind} (service time vs queueing delay)
-    and a per-call id, so the attribution engine ({!Obs.Attrib}) can
-    rebuild each call's causal timeline and check that the per-stage
-    accounting conserves the measured end-to-end latency.  Call ids
-    propagate across the wire by frame identity: the sender registers
-    the frame bytes it hands to the controller ({!register_frame}), and
-    the receive path recovers the id from the same physical buffer
-    ({!frame_call}).
+    Call ids propagate across the wire by frame identity: the sender
+    registers the frame bytes it hands to the controller
+    ({!register_frame}), and the receive path recovers the id from the
+    same physical buffer ({!frame_call}).
 
     Tracing is off by default (the throughput experiments execute
     millions of steps); experiments enable it around a single call.
@@ -123,10 +121,3 @@ val dropped : t -> int
 (** Spans discarded because the capacity bound was reached. *)
 
 val duration : span -> Time.span
-
-val total : ?site:string -> ?cat:string -> ?label:string -> t -> Time.span
-(** [total t ~cat ~label ~site] sums the duration of spans matching all
-    the given filters (an omitted filter matches everything). *)
-
-val labels : ?cat:string -> t -> string list
-(** Distinct labels in recording order of first appearance. *)

@@ -130,70 +130,52 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
     sorted_latencies = sort_lazily latencies;
   }
 
-(* One thread, warmed up, then [calls] sequential calls with the engine
-   trace (and a fresh journal window) covering exactly the timed calls.
-   Shared by [firefly trace] and the Perfetto-export test. *)
-let run_traced (w : World.t) ?options ?transport ?(warmup = 2) ~calls ~proc () =
+(* One caller thread warms the path, opens a fresh trace and journal
+   window, then shares the timed calls with [threads - 1] more callers.
+   The i-th timed call to start is trace call id i: the allocator
+   restarts at the [Sim.Trace.clear], and [Rpc.Runtime.call] takes its
+   id before it first yields. *)
+let run_traced (w : World.t) ?options ?transport ?(warmup = 2) ?(threads = 1) ~calls ~proc () =
+  if threads < 1 then invalid_arg "Driver.run_traced: threads must be >= 1";
   let binding = World.test_binding w ?options ?transport () in
-  let gate = Sim.Gate.create w.World.eng in
-  let latencies = ref [] in
-  Machine.spawn_thread w.World.caller ~name:"traced-call" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
-          let client = Rpc.Runtime.new_client w.World.caller_rt in
-          let once () =
-            ignore
-              (Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx proc) ~args:(args_of proc))
-          in
-          (* Warm the path: binding established, server threads parked. *)
-          for _ = 1 to warmup do
-            once ()
-          done;
-          Obs.Journal.clear w.World.obs.Obs.Ctx.journal;
-          let tr = Engine.trace w.World.eng in
-          Sim.Trace.clear tr;
-          Sim.Trace.set_enabled tr true;
-          for _ = 1 to calls do
-            let t0 = Engine.now w.World.eng in
-            once ();
-            latencies := Time.diff (Engine.now w.World.eng) t0 :: !latencies
-          done;
-          Sim.Trace.set_enabled tr false);
-      Sim.Gate.open_ gate);
+  let eng = w.World.eng in
+  let tr = Engine.trace eng in
+  let gate = Sim.Gate.create eng in
+  let next = ref 0 and running = ref threads and windows = ref [] in
+  let call client ctx =
+    ignore (Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx proc) ~args:(args_of proc))
+  in
+  let timed client ctx =
+    while !next < calls do
+      let i = !next in
+      incr next;
+      let t0 = Engine.now eng in
+      call client ctx;
+      windows := { Obs.Attrib.w_call = i; w_start = t0; w_stop = Engine.now eng } :: !windows
+    done;
+    decr running;
+    if !running = 0 then Sim.Trace.set_enabled tr false
+  in
+  let caller body =
+    Machine.spawn_thread w.World.caller ~name:"traced-call" (fun () ->
+        Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
+            body (Rpc.Runtime.new_client w.World.caller_rt) ctx);
+        if !running = 0 then Sim.Gate.open_ gate)
+  in
+  caller (fun client ctx ->
+      (* Warm the path: binding established, server threads parked. *)
+      for _ = 1 to warmup do
+        call client ctx
+      done;
+      Obs.Journal.clear w.World.obs.Obs.Ctx.journal;
+      Sim.Trace.clear tr;
+      Sim.Trace.set_enabled tr true;
+      for _ = 2 to threads do
+        caller timed
+      done;
+      timed client ctx);
   World.run_until_quiet w gate;
-  List.rev !latencies
-
-(* Like [run_traced], but returns the measured window of each timed
-   call alongside the trace: the i-th timed call is call id i (the
-   trace's call-id allocator restarts at the [Sim.Trace.clear], and
-   only traced calls allocate), so the windows line up with the span
-   dump for Obs.Attrib. *)
-let run_breakdown (w : World.t) ?options ?transport ?(warmup = 2) ~calls ~proc () =
-  let binding = World.test_binding w ?options ?transport () in
-  let gate = Sim.Gate.create w.World.eng in
-  let windows = ref [] in
-  Machine.spawn_thread w.World.caller ~name:"breakdown-call" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
-          let client = Rpc.Runtime.new_client w.World.caller_rt in
-          let once () =
-            ignore
-              (Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx proc) ~args:(args_of proc))
-          in
-          for _ = 1 to warmup do
-            once ()
-          done;
-          Obs.Journal.clear w.World.obs.Obs.Ctx.journal;
-          let tr = Engine.trace w.World.eng in
-          Sim.Trace.clear tr;
-          Sim.Trace.set_enabled tr true;
-          for i = 0 to calls - 1 do
-            let t0 = Engine.now w.World.eng in
-            once ();
-            windows := (i, t0, Engine.now w.World.eng) :: !windows
-          done;
-          Sim.Trace.set_enabled tr false);
-      Sim.Gate.open_ gate);
-  World.run_until_quiet w gate;
-  List.rev !windows
+  List.sort (fun a b -> compare a.Obs.Attrib.w_call b.Obs.Attrib.w_call) !windows
 
 let measure_single_call (w : World.t) ?options ?transport ~proc () =
   let binding = World.test_binding w ?options ?transport () in

@@ -3,7 +3,10 @@
     [k] caller threads in one user address space share a fixed budget of
     calls to one Test procedure on the remote server; the run reports
     elapsed virtual time, call rate, payload throughput and the CPU draw
-    of both machines — the quantities of Tables I, X and XI. *)
+    of both machines — the quantities of Tables I, X and XI.
+    {!run_traced} is the one traced-call runner, behind Tables VI–VIII
+    and [firefly breakdown]; {!measure_single_call} times one untraced
+    call. *)
 
 type proc = Null | Max_result | Max_arg | Get_data of int
 
@@ -48,32 +51,21 @@ val run_traced :
   ?options:Rpc.Runtime.call_options ->
   ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
   ?warmup:int ->
+  ?threads:int ->
   calls:int ->
   proc:proc ->
   unit ->
-  Sim.Time.span list
-(** One caller thread makes [warmup] (default 2) untimed calls, then
-    [calls] sequential timed calls with the engine's span trace enabled
-    and the world's event journal cleared at the window start — so the
-    trace and journal cover exactly the timed calls.  Returns the
-    per-call latencies; read the spans from [Sim.Engine.trace] and the
-    journal from the world's {!Obs.Ctx.t} afterwards.  Drives
-    [firefly trace] and the Perfetto exporter. *)
-
-val run_breakdown :
-  World.t ->
-  ?options:Rpc.Runtime.call_options ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
-  ?warmup:int ->
-  calls:int ->
-  proc:proc ->
-  unit ->
-  (int * Sim.Time.t * Sim.Time.t) list
-(** Like {!run_traced}, but returns each timed call's measured window
-    [(call_id, start, stop)].  Call ids are [0 .. calls-1] in order —
-    exactly the ids the trace's spans carry — ready to feed
-    [Obs.Attrib.attribute].  Read the spans from [Sim.Engine.trace]
-    afterwards. *)
+  Obs.Attrib.window list
+(** The one traced-call runner.  One caller thread makes [warmup]
+    (default 2) untimed calls, then clears the engine's span trace and
+    the world's event journal and enables tracing; [threads] (default
+    1) caller threads then share the [calls] timed calls, so the trace
+    and journal cover exactly those calls.  Returns each timed call's
+    measured window, in call-id order: the i-th call to start is trace
+    call id i, ready for [Obs.Attrib.attribute].  Read the spans from
+    [Sim.Engine.trace] and the journal from the world's {!Obs.Ctx.t}
+    afterwards.  Drives [firefly breakdown] and Tables VI–VIII.
+    @raise Invalid_argument when [threads < 1]. *)
 
 val measure_single_call :
   World.t ->

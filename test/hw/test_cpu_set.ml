@@ -94,9 +94,12 @@ let test_charge_traces () =
           Cpu_set.charge ctx ~cat:"send+receive" ~label:"Calculate UDP checksum" Time.zero_span));
   Engine.run eng;
   let tr = Engine.trace eng in
-  Alcotest.(check int) "zero-length charges skipped" 1 (List.length (Sim.Trace.spans tr));
-  Alcotest.(check int) "span duration" 45_000
-    (Time.to_ns (Sim.Trace.total tr ~label:"Calculate UDP checksum" ~site:"caller"))
+  match Sim.Trace.spans tr with
+  | [ s ] ->
+    Alcotest.(check string) "span label" "Calculate UDP checksum" s.Sim.Trace.label;
+    Alcotest.(check string) "span site" "caller" s.Sim.Trace.site;
+    Alcotest.(check int) "span duration" 45_000 (Time.to_ns (Sim.Trace.duration s))
+  | spans -> Alcotest.failf "zero-length charges not skipped: %d spans" (List.length spans)
 
 let test_utilization () =
   let eng = Engine.create () in

@@ -326,7 +326,7 @@ let test_span_balance_detects_partial_overlap () =
    stitching caller and server. *)
 let test_span_properties_on_real_trace () =
   let w = Workload.World.create ~idle_load:false () in
-  let windows = Workload.Driver.run_breakdown w ~calls:3 ~proc:Workload.Driver.Null () in
+  let windows = Workload.Driver.run_traced w ~calls:3 ~proc:Workload.Driver.Null () in
   Alcotest.(check int) "three windows" 3 (List.length windows);
   let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
   let calls = Obs.Span.of_spans spans in
@@ -359,11 +359,8 @@ let test_span_properties_on_real_trace () =
 
 let breakdown_report ~proc ~calls =
   let w = Workload.World.create ~idle_load:false () in
-  let windows = Workload.Driver.run_breakdown w ~calls ~proc () in
+  let windows = Workload.Driver.run_traced w ~calls ~proc () in
   let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
-  let windows =
-    List.map (fun (i, t0, t1) -> { Obs.Attrib.w_call = i; w_start = t0; w_stop = t1 }) windows
-  in
   Obs.Attrib.attribute ~spans ~windows ()
 
 let test_attrib_conservation_null () =
@@ -418,6 +415,39 @@ let test_attrib_drift_and_check_maxarg () =
   | Ok () -> Alcotest.fail "check accepted a report missing a calibrated stage"
   | Error _ -> ()
 
+(* Concurrent callers queue for CPU 0 behind each other's interrupt
+   work, the paper's section-6 bottleneck.  That wait must be charged to
+   the call that waited, and the runner's windows must line up with the
+   trace's call ids. *)
+let test_attrib_concurrent_callers () =
+  let w = Workload.World.create ~idle_load:false () in
+  let calls = 15 in
+  let windows = Workload.Driver.run_traced w ~threads:3 ~calls ~proc:Workload.Driver.Null () in
+  Alcotest.(check (list int)) "one window per call, in id order" (List.init calls Fun.id)
+    (List.map (fun (w : Obs.Attrib.window) -> w.w_call) windows);
+  let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
+  let waits =
+    List.filter (fun (s : Sim.Trace.span) -> String.equal s.label "Wait for free CPU") spans
+  in
+  Alcotest.(check bool) "callers queued for CPU 0" true
+    (List.exists (fun (s : Sim.Trace.span) -> String.equal s.track "cpu0") waits);
+  List.iter
+    (fun (s : Sim.Trace.span) ->
+      if s.call = Sim.Trace.no_call then
+        Alcotest.failf "a %s wait on %s/%s is charged to no call" s.label s.site s.track)
+    waits;
+  List.iter
+    (fun (win : Obs.Attrib.window) ->
+      let own (s : Sim.Trace.span) =
+        s.call = win.w_call
+        && String.equal s.label "Calling stub (call & return)"
+        && Time.compare s.start_at win.w_start >= 0
+        && Time.compare s.stop_at win.w_stop <= 0
+      in
+      if not (List.exists own spans) then
+        Alcotest.failf "window %d lacks its own call's stub span" win.w_call)
+    windows
+
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
@@ -442,8 +472,8 @@ let test_attrib_rendering () =
 
 let test_chrome_trace_export () =
   let w = Workload.World.create ~idle_load:false () in
-  let latencies = Workload.Driver.run_traced w ~calls:1 ~proc:Workload.Driver.Null () in
-  Alcotest.(check int) "one timed call" 1 (List.length latencies);
+  let windows = Workload.Driver.run_traced w ~calls:1 ~proc:Workload.Driver.Null () in
+  Alcotest.(check int) "one timed call" 1 (List.length windows);
   let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
   Alcotest.(check bool) "spans recorded" true (List.length spans > 0);
   let journal = w.Workload.World.obs.Obs.Ctx.journal in
@@ -532,6 +562,8 @@ let () =
           Alcotest.test_case "conservation on Null()" `Quick test_attrib_conservation_null;
           Alcotest.test_case "drift gate on MaxArg(b)" `Quick test_attrib_drift_and_check_maxarg;
           Alcotest.test_case "table and CSV rendering" `Quick test_attrib_rendering;
+          Alcotest.test_case "concurrent callers charge their CPU waits" `Quick
+            test_attrib_concurrent_callers;
         ] );
       ( "metrics",
         [
