@@ -340,12 +340,7 @@ let call_cmd =
 let warn_trace_loss tr =
   if Sim.Trace.dropped tr > 0 then
     Printf.eprintf "trace: %d spans DROPPED at the capacity bound — the window is incomplete\n%!"
-      (Sim.Trace.dropped tr);
-  if Sim.Trace.frame_evictions tr > 0 then
-    Printf.eprintf
-      "trace: %d frame-registry evictions — some packet spans may be missing their call \
-       attribution\n%!"
-      (Sim.Trace.frame_evictions tr)
+      (Sim.Trace.dropped tr)
 
 (* Every span of the window in start order, after the calls' latency
    and the journal's completeness. *)

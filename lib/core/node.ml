@@ -6,7 +6,12 @@ module Machine = Nub.Machine
 module Driver = Nub.Driver
 module Activity = Proto.Activity
 
-type delivery = { d_src : Frames.endpoint; d_hdr : Proto.header; d_payload : Wire.Bytebuf.View.t }
+type delivery = {
+  d_src : Frames.endpoint;
+  d_hdr : Proto.header;
+  d_payload : Wire.Bytebuf.View.t;
+  d_call : int;
+}
 
 module Entry = struct
   type t = { waiter : Nub.Waiter.t; inbox : delivery Queue.t }
@@ -78,6 +83,16 @@ let wait_timeout t entry ctx ~timeout = ignore t; Nub.Waiter.wait_timeout entry.
 
 let cat = "send+receive"
 
+(* The driver has stamped [ctx] with the call id the frame arrived
+   with; the delivery carries it on to the thread that handles it. *)
+let delivery ctx (p : Frames.parsed) =
+  {
+    d_src = p.Frames.p_src;
+    d_hdr = p.Frames.p_hdr;
+    d_payload = p.Frames.p_payload;
+    d_call = Cpu_set.trace_call ctx;
+  }
+
 (* One packet, already parsed.  Runs on CPU 0 at interrupt priority.
    Returns the driver verdict; on [Consumed] the frame's simulated pool
    buffer is freed here.  The delivery's payload is a zero-copy view of
@@ -86,7 +101,7 @@ let cat = "send+receive"
    done with them. *)
 let demux t ctx (p : Frames.parsed) =
   let hdr = p.Frames.p_hdr in
-  let d = { d_src = p.Frames.p_src; d_hdr = hdr; d_payload = p.Frames.p_payload } in
+  let d = delivery ctx p in
   let consume entry =
     Entry.deliver entry ~waker:ctx d;
     Nub.Bufpool.free (Machine.pool t.mach);
@@ -182,8 +197,7 @@ let datalink_handler t ~ctx ~frame =
       let hdr = parsed.Frames.p_hdr in
       free_buffer ();
       match Hashtbl.find_opt t.slow_sinks hdr.Proto.server_space with
-      | Some sink ->
-        sink { d_src = parsed.Frames.p_src; d_hdr = hdr; d_payload = parsed.Frames.p_payload }
+      | Some sink -> sink (delivery ctx parsed)
       | None -> Sim.Stats.Counter.incr t.c_stale))
 
 let create mach =

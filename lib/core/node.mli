@@ -15,8 +15,7 @@
 type t
 
 (** An incoming packet as handed to a thread: who sent it, its RPC
-    header, and the payload (copied out of the frame buffer, which the
-    interrupt handler recycles immediately). *)
+    header, the payload and the call id it carries. *)
 type delivery = {
   d_src : Frames.endpoint;
   d_hdr : Proto.header;
@@ -25,6 +24,9 @@ type delivery = {
           buffer is returned to the pool by the demultiplexer, but the
           real bytes are GC-owned and immutable, so the view stays
           valid while the runtime reassembles fragments *)
+  d_call : int;
+      (** the trace call id the frame was sent under, carried with it
+          across the wire ({!Sim.Trace.no_call} when untraced) *)
 }
 
 (** A parked thread: the interrupt handler appends deliveries to its

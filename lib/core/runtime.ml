@@ -278,9 +278,9 @@ type local_binding = { bl_server : t; bl_intf : Idl.interface }
 
    Every transport starts a call the same way: bounds-check the
    procedure, count the call, open a causal trace for it (everything the
-   calling thread charges until the result returns — and, via frame
-   registration and wakeup propagation, everything the server and both
-   controllers do on its behalf — attributes to this id; a no-op id of
+   calling thread charges until the result returns — and, via the id
+   each frame carries and wakeup propagation, everything the server and
+   both controllers do on its behalf — attributes to this id; a no-op id of
    [Sim.Trace.no_call] flows through when tracing is off), and charge
    the calling stub.  The transport-specific Starter/Transporter/Ender
    body runs under that trace id. *)
@@ -484,13 +484,10 @@ let serve t ctx entry ~act tr outputs =
 
 let handle_call t ctx entry (d : Node.delivery) =
   let tmg = timing t in
-  (* Re-derive the call id from the delivered frame (the payload view
-     aliases the frame buffer) rather than trusting whatever wakeup last
-     stamped this worker's context — backlog drains and handoffs reuse
-     worker threads across calls. *)
-  (let tr = Engine.trace (engine t) in
-   if Sim.Trace.enabled tr then
-     Cpu_set.set_trace_call ctx (Sim.Trace.frame_call tr (V.buffer d.Node.d_payload)));
+  (* Take the call id from the delivered frame rather than trusting
+     whatever wakeup last stamped this worker's context — backlog drains
+     and handoffs reuse worker threads across calls. *)
+  Cpu_set.set_trace_call ctx d.Node.d_call;
   charge_rt ctx ~label:"Receiver (receive call pkt)" (Timing.receiver_recv tmg);
   match
     Exchange.Server.call t.rt_server ~from:d.Node.d_src

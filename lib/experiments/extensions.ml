@@ -101,7 +101,7 @@ let controller_saturation () =
     (* a sink station so frames are deliverable *)
     ignore
       (Hw.Ether_link.attach link ~mac:(Net.Mac.of_station 2)
-         ~on_frame_start:(fun ~frame:_ ~wire:_ -> ()));
+         ~on_frame_start:(fun ~frame:_ ~call:_ ~wire:_ -> ()));
     let payload = frame_of ~src:(Net.Mac.of_station 1) ~dst:(Net.Mac.of_station 2) in
     for _ = 1 to frames do
       Hw.Deqna.queue_tx a payload

@@ -1,7 +1,7 @@
 module Engine = Sim.Engine
 module Time = Sim.Time
 
-type pending = { pd_src : Net.Mac.t; pd_frame : Bytes.t }
+type pending = { pd_src : Net.Mac.t; pd_frame : Bytes.t; pd_call : int }
 
 type port = {
   pt_id : int;
@@ -30,8 +30,8 @@ type t = {
 let egress_loop pt () =
   let rec loop () =
     match Queue.take_opt pt.pt_egress with
-    | Some { pd_src; pd_frame } ->
-      Hw.Ether_link.transmit pt.pt_link ~src:pd_src pd_frame;
+    | Some { pd_src; pd_frame; pd_call } ->
+      Hw.Ether_link.transmit ~call:pd_call pt.pt_link ~src:pd_src pd_frame;
       loop ()
     | None ->
       Sim.Condvar.await pt.pt_kick;
@@ -43,7 +43,7 @@ let egress_loop pt () =
    and crossed the fabric: queue it at the destination port, or drop it
    if the egress queue is full — the incast loss the RPC layer must
    retransmit through. *)
-let enqueue_egress t dst_port ~src frame =
+let enqueue_egress t dst_port ~src ~call frame =
   let pt = t.pts.(dst_port) in
   let forced_drop =
     match t.injector with
@@ -53,13 +53,13 @@ let enqueue_egress t dst_port ~src frame =
   if forced_drop || Queue.length pt.pt_egress >= t.egress_cap then
     Sim.Stats.Counter.incr t.c_incast
   else begin
-    Queue.push { pd_src = src; pd_frame = frame } pt.pt_egress;
+    Queue.push { pd_src = src; pd_frame = frame; pd_call = call } pt.pt_egress;
     t.max_depth <- max t.max_depth (Queue.length pt.pt_egress);
     Sim.Stats.Counter.incr t.c_forwarded;
     ignore (Sim.Condvar.signal pt.pt_kick)
   end
 
-let ingress t ~src ~frame ~wire =
+let ingress t ~src ~frame ~call ~wire =
   let dst = Net.Mac.read (Wire.Bytebuf.Reader.of_bytes frame) in
   match Hashtbl.find_opt t.macs dst with
   | None -> Sim.Stats.Counter.incr t.c_unknown
@@ -68,7 +68,7 @@ let ingress t ~src ~frame ~wire =
        its ingress wire time; the fabric adds [latency] on top. *)
     Engine.schedule t.eng
       ~after:(Time.span_add wire t.latency)
-      (fun () -> enqueue_egress t dst_port ~src frame)
+      (fun () -> enqueue_egress t dst_port ~src ~call frame)
 
 let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports () =
   if ports < 1 then invalid_arg "Topology.create: ports must be >= 1";
@@ -102,7 +102,7 @@ let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports
   Array.iter
     (fun pt ->
       Hw.Ether_link.set_uplink pt.pt_link
-        (Some (fun ~src ~frame ~wire -> ingress t ~src ~frame ~wire));
+        (Some (fun ~src ~frame ~call ~wire -> ingress t ~src ~frame ~call ~wire));
       Engine.spawn eng ~name:(Printf.sprintf "switch-egress-%d" pt.pt_id) (egress_loop pt))
     t.pts;
   (match obs with

@@ -9,7 +9,8 @@
     port's egress.  The egress queue is bounded — under incast fan-in
     the overflow is dropped and counted, and the RPC retransmission
     machinery has to recover, exactly the regime the extreme-scale RPC
-    literature studies.
+    literature studies.  A forwarded frame keeps the trace call id it
+    arrived with, so its egress wait and delivery attribute to its call.
 
     All state transitions happen at seeded-engine event granularity, so
     a switch run is a pure function of the simulation seed. *)

@@ -9,9 +9,12 @@ module Time = Sim.Time
    before its QBus write starts (no cut-through, §4.2.1), and each frame
    costs the engine a housekeeping recovery after the transfer. *)
 
+(* Every job and completion carries the call id its frame was sent
+   under ([Sim.Trace.no_call] when untraced), so the controller's spans
+   and the receiving driver attribute to the right call. *)
 type job =
-  | Tx of { frame : Bytes.t; enq_at : Time.t }
-  | Rx_drain of { frame : Bytes.t; ready_at : Time.t; enq_at : Time.t }
+  | Tx of { frame : Bytes.t; call : int; enq_at : Time.t }
+  | Rx_drain of { frame : Bytes.t; call : int; ready_at : Time.t; enq_at : Time.t }
 
 type t = {
   eng : Engine.t;
@@ -26,7 +29,7 @@ type t = {
   staging_cap : int;
   mutable staging_used : int;
   mutable credits : int;
-  rx_done : Bytes.t Queue.t;
+  rx_done : (Bytes.t * int) Queue.t;
   mutable irq_asserted : bool;
   mutable irq_raised_at : Time.t;
   mutable irq_handler : unit -> unit;
@@ -67,25 +70,22 @@ let enqueue_job t job =
    when the frame is complete; a cut-through controller (§4.2.1) starts
    the memory write immediately, overlapping it with reception, and
    completes at whichever of the two transfers finishes last. *)
-let on_frame_start t ~frame ~wire =
+let on_frame_start t ~frame ~call ~wire =
   if t.staging_used >= t.staging_cap then Sim.Stats.Counter.incr t.c_overrun
   else begin
     t.staging_used <- t.staging_used + 1;
     let ready_at = Time.add (Engine.now t.eng) wire in
-    if cut_through t then enqueue_job t (Rx_drain { frame; ready_at; enq_at = Engine.now t.eng })
+    if cut_through t then
+      enqueue_job t (Rx_drain { frame; call; ready_at; enq_at = Engine.now t.eng })
     else
       Engine.spawn t.eng ~name:"deqna-rx-wire" (fun () ->
           Engine.delay t.eng wire;
-          enqueue_job t (Rx_drain { frame; ready_at; enq_at = Engine.now t.eng }))
+          enqueue_job t (Rx_drain { frame; call; ready_at; enq_at = Engine.now t.eng }))
   end
 
-let trace_span ?(track = "deqna") ?kind ?call t ~label ~start_at ~stop_at =
-  Sim.Trace.add ~track ?kind ?call (Engine.trace t.eng) ~cat:"send+receive" ~label ~site:t.site
+let trace_span ?(track = "deqna") ?kind ~call t ~label ~start_at ~stop_at =
+  Sim.Trace.add ~track ?kind ~call (Engine.trace t.eng) ~cat:"send+receive" ~label ~site:t.site
     ~start_at ~stop_at
-
-(* The frame's call id, recovered from the sender's registration by
-   physical buffer identity ([Sim.Trace.register_frame]). *)
-let call_of_frame t frame = Sim.Trace.frame_call (Engine.trace t.eng) frame
 
 (* Queueing delay on the controller's shared resources is recorded
    separately from service time so the attribution engine can tell
@@ -94,7 +94,7 @@ let trace_queue ?(track = "deqna") t ~label ~call ~start_at ~stop_at =
   if Time.span_compare (Time.diff stop_at start_at) Time.zero_span > 0 then
     trace_span ~track ~kind:Sim.Trace.Queue ~call t ~label ~start_at ~stop_at
 
-let use_qbus ?(call = Sim.Trace.no_call) t span ~label =
+let use_qbus ~call t span ~label =
   let wait_from = Engine.now t.eng in
   Sim.Resource.acquire t.qbus;
   let start_at = Engine.now t.eng in
@@ -103,9 +103,9 @@ let use_qbus ?(call = Sim.Trace.no_call) t span ~label =
   trace_span ~call t ~label ~start_at ~stop_at:(Engine.now t.eng);
   Sim.Resource.release t.qbus
 
-let transmit_traced ?call t frame =
+let transmit_traced ~call t frame =
   let len = Bytes.length frame in
-  Ether_link.transmit ?call t.link ~src:t.dev_mac frame;
+  Ether_link.transmit ~call t.link ~src:t.dev_mac frame;
   (* [transmit] blocks through medium acquisition, the wire time and
      the interframe gap; reconstruct the pure wire interval for the
      Table VI "Transmission time on Ethernet" step. *)
@@ -114,11 +114,10 @@ let transmit_traced ?call t frame =
   let neg d = Time.span_scale (-1.) d in
   let wire_end = Time.add after (neg (Ether_link.interframe_span t.link)) in
   let wire_start = Time.add wire_end (neg wire) in
-  trace_span ~track:"wire" ?call t ~label:"Transmission time on Ethernet" ~start_at:wire_start
+  trace_span ~track:"wire" ~call t ~label:"Transmission time on Ethernet" ~start_at:wire_start
     ~stop_at:wire_end
 
-let do_tx t frame ~enq_at =
-  let call = call_of_frame t frame in
+let do_tx t frame ~call ~enq_at =
   trace_queue t ~label:"Controller transmit queue" ~call ~start_at:enq_at
     ~stop_at:(Engine.now t.eng);
   let qspan = Timing.qbus_transmit t.timing ~bytes:(Bytes.length frame) in
@@ -142,14 +141,13 @@ let do_tx t frame ~enq_at =
   journal t (Obs.Journal.Packet_tx { bytes = Bytes.length frame });
   Engine.delay t.eng (jitter t (Timing.deqna_tx_recovery t.timing))
 
-let do_rx_drain t frame ~ready_at ~enq_at =
+let do_rx_drain t frame ~call ~ready_at ~enq_at =
   let len = Bytes.length frame in
   if t.credits = 0 then begin
     Sim.Stats.Counter.incr t.c_no_buffer;
     t.staging_used <- t.staging_used - 1
   end
   else begin
-    let call = call_of_frame t frame in
     trace_queue t ~label:"Controller receive queue" ~call ~start_at:enq_at
       ~stop_at:(Engine.now t.eng);
     t.credits <- t.credits - 1;
@@ -161,7 +159,7 @@ let do_rx_drain t frame ~ready_at ~enq_at =
     let now = Engine.now t.eng in
     if Time.(now < ready_at) then Engine.delay t.eng (Time.diff ready_at now);
     t.staging_used <- t.staging_used - 1;
-    Queue.push frame t.rx_done;
+    Queue.push (frame, call) t.rx_done;
     Sim.Stats.Counter.incr t.c_rx;
     journal t (Obs.Journal.Packet_rx { bytes = len });
     raise_irq t;
@@ -171,11 +169,11 @@ let do_rx_drain t frame ~ready_at ~enq_at =
 let engine_loop t () =
   let rec loop () =
     match Queue.take_opt t.jobs with
-    | Some (Tx { frame; enq_at }) ->
-      do_tx t frame ~enq_at;
+    | Some (Tx { frame; call; enq_at }) ->
+      do_tx t frame ~call ~enq_at;
       loop ()
-    | Some (Rx_drain { frame; ready_at; enq_at }) ->
-      do_rx_drain t frame ~ready_at ~enq_at;
+    | Some (Rx_drain { frame; call; ready_at; enq_at }) ->
+      do_rx_drain t frame ~call ~ready_at ~enq_at;
       loop ()
     | None ->
       Sim.Condvar.await t.engine_kick;
@@ -221,7 +219,8 @@ let create eng timing ~link ~qbus ~mac ?site ?obs () =
     Obs.Metrics.Registry.register_probe reg ~site ~name:"deqna.queue_depth" (fun () ->
         float_of_int (Queue.length t.jobs + t.staging_used)));
   let station =
-    Ether_link.attach link ~mac ~on_frame_start:(fun ~frame ~wire -> on_frame_start t ~frame ~wire)
+    Ether_link.attach link ~mac ~on_frame_start:(fun ~frame ~call ~wire ->
+        on_frame_start t ~frame ~call ~wire)
   in
   t.dev_station <- Some station;
   Engine.spawn eng ~name:"deqna-engine" (engine_loop t);
@@ -246,8 +245,8 @@ let reattach_to_link t =
   | Some _ -> ()
   | None ->
     let station =
-      Ether_link.attach t.link ~mac:t.dev_mac ~on_frame_start:(fun ~frame ~wire ->
-          on_frame_start t ~frame ~wire)
+      Ether_link.attach t.link ~mac:t.dev_mac ~on_frame_start:(fun ~frame ~call ~wire ->
+          on_frame_start t ~frame ~call ~wire)
     in
     t.dev_station <- Some station
 
@@ -255,7 +254,8 @@ let reattach_to_link t =
    begins transmitting when CPU 0 prods it (the "activate Ethernet
    controller" step); a busy engine picks the job up when it gets
    there. *)
-let queue_tx t frame = Queue.push (Tx { frame; enq_at = Engine.now t.eng }) t.jobs
+let queue_tx ?(call = Sim.Trace.no_call) t frame =
+  Queue.push (Tx { frame; call; enq_at = Engine.now t.eng }) t.jobs
 let start_transmit t = ignore (Sim.Condvar.signal t.engine_kick)
 let add_rx_credits t n = t.credits <- t.credits + n
 let rx_credits t = t.credits

@@ -19,7 +19,12 @@
     Received frames accumulate in a completion queue; the controller
     raises the interrupt line once and leaves it asserted until the
     driver calls {!interrupt_done}, so one interrupt can drain many
-    packets (§3.2 reports several hundred). *)
+    packets (§3.2 reports several hundred).
+
+    Each frame carries the trace call id it was queued under
+    ({!queue_tx}) through the transmit ring, the link and the receiving
+    controller's completion queue ({!take_rx}), so the controller's
+    spans and the receiving driver attribute to that call. *)
 
 type t
 
@@ -51,9 +56,10 @@ val reattach_to_link : t -> unit
 
 (** {1 Driver interface — transmit} *)
 
-val queue_tx : t -> Stdlib.Bytes.t -> unit
-(** Appends a frame to the transmit ring.  The ring is unbounded: the
-    RPC workload self-limits to one outstanding packet per thread. *)
+val queue_tx : ?call:int -> t -> Stdlib.Bytes.t -> unit
+(** Appends a frame to the transmit ring, sent under trace call [call]
+    (default {!Sim.Trace.no_call}).  The ring is unbounded: the RPC
+    workload self-limits to one outstanding packet per thread. *)
 
 val start_transmit : t -> unit
 (** The CPU-0 "prod" (paper §3.1.3): starts the transmit engine if it
@@ -70,13 +76,14 @@ val set_interrupt_handler : t -> (unit -> unit) -> unit
 (** [f] is invoked (in a fresh process) when the completion queue goes
     non-empty while the interrupt line is clear. *)
 
-val take_rx : t -> Stdlib.Bytes.t option
-(** Pops the oldest completed receive, if any. *)
+val take_rx : t -> (Stdlib.Bytes.t * int) option
+(** Pops the oldest completed receive, if any, with the call id its
+    sender queued it under. *)
 
-val peek_rx : t -> Stdlib.Bytes.t option
+val peek_rx : t -> (Stdlib.Bytes.t * int) option
 (** The oldest completed receive without removing it — a pure read, used
-    by the interrupt handler to attribute its entry cost to the frame it
-    is about to drain. *)
+    by the interrupt handler to attribute its entry cost to the call of
+    the frame it is about to drain. *)
 
 val interrupt_done : t -> unit
 (** Clears the interrupt line; re-raises immediately if completions

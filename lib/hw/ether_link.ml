@@ -12,17 +12,17 @@ type fault =
 
 type station = {
   st_mac : Net.Mac.t;
-  on_frame_start : frame:Bytes.t -> wire:Time.span -> unit;
+  on_frame_start : frame:Bytes.t -> call:int -> wire:Time.span -> unit;
 }
 
-type held_frame = { hf_src : Net.Mac.t; hf_frame : Bytes.t; hf_wire : Time.span }
+type held_frame = { hf_src : Net.Mac.t; hf_frame : Bytes.t; hf_call : int; hf_wire : Time.span }
 
 type t = {
   eng : Engine.t;
   mbps : float;
   medium : Sim.Resource.t;
   stations : (Net.Mac.t, station) Hashtbl.t;
-  mutable uplink : (src:Net.Mac.t -> frame:Bytes.t -> wire:Time.span -> unit) option;
+  mutable uplink : (src:Net.Mac.t -> frame:Bytes.t -> call:int -> wire:Time.span -> unit) option;
   mutable injector : (Bytes.t -> fault) option;
   mutable held : held_frame option;
   mutable held_gen : int;
@@ -103,9 +103,9 @@ let corrupt_copy t frame ~lo =
    so a lone trailing frame cannot vanish into the hold buffer. *)
 let reorder_backstop = Time.ms 1
 
-let deliver t ~src frame ~wire =
+let deliver t ~src frame ~call ~wire =
   let dst = Net.Mac.read (Wire.Bytebuf.Reader.of_bytes frame) in
-  let notify st = if not (Net.Mac.equal st.st_mac src) then st.on_frame_start ~frame ~wire in
+  let notify st = if not (Net.Mac.equal st.st_mac src) then st.on_frame_start ~frame ~call ~wire in
   if Net.Mac.is_broadcast dst then Hashtbl.iter (fun _ st -> notify st) t.stations
   else
     match Hashtbl.find_opt t.stations dst with
@@ -116,7 +116,7 @@ let deliver t ~src frame ~wire =
          frame is handed there; otherwise it disappears into the ether,
          exactly as before. *)
       match t.uplink with
-      | Some up -> up ~src ~frame ~wire
+      | Some up -> up ~src ~frame ~call ~wire
       | None -> ())
 
 let release_held t =
@@ -124,7 +124,7 @@ let release_held t =
   | None -> ()
   | Some h ->
     t.held <- None;
-    deliver t ~src:h.hf_src h.hf_frame ~wire:h.hf_wire
+    deliver t ~src:h.hf_src h.hf_frame ~call:h.hf_call ~wire:h.hf_wire
 
 let transmit ?(call = Sim.Trace.no_call) t ~src frame =
   let len = Bytes.length frame in
@@ -152,33 +152,33 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
       in
       (match fate with
       | Deliver ->
-        deliver t ~src frame ~wire;
+        deliver t ~src frame ~call ~wire;
         release_held t
       | Drop ->
         Sim.Stats.Counter.incr t.dropped;
         release_held t
       | Corrupt ->
         Sim.Stats.Counter.incr t.corrupted;
-        deliver t ~src (corrupt_copy t frame ~lo:Net.Ethernet.header_size) ~wire;
+        deliver t ~src (corrupt_copy t frame ~lo:Net.Ethernet.header_size) ~call ~wire;
         release_held t
       | Corrupt_payload ->
         if len > 74 then begin
           Sim.Stats.Counter.incr t.corrupted;
-          deliver t ~src (corrupt_copy t frame ~lo:74) ~wire
+          deliver t ~src (corrupt_copy t frame ~lo:74) ~call ~wire
         end
-        else deliver t ~src frame ~wire;
+        else deliver t ~src frame ~call ~wire;
         release_held t
       | Duplicate ->
         (* The frame arrives twice back to back, as if the controller
            retransmitted it; the medium is occupied for both copies, so
            the sender blocks for two frame times. *)
         Sim.Stats.Counter.incr t.duplicated;
-        deliver t ~src frame ~wire;
+        deliver t ~src frame ~call ~wire;
         release_held t;
         Engine.delay t.eng (Time.span_add wire (interframe_gap t));
         Sim.Stats.Counter.incr t.frames;
         Sim.Stats.Counter.add t.bytes len;
-        deliver t ~src (Bytes.copy frame) ~wire
+        deliver t ~src (Bytes.copy frame) ~call ~wire
       | Delay hold ->
         if Time.span_is_negative hold then invalid_arg "Ether_link: negative Delay fault";
         (* The frame sits in limbo (a congested bridge, a slow repeater)
@@ -186,7 +186,7 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
         Sim.Stats.Counter.incr t.delayed;
         let copy = Bytes.copy frame in
         release_held t;
-        Engine.schedule t.eng ~after:hold (fun () -> deliver t ~src copy ~wire)
+        Engine.schedule t.eng ~after:hold (fun () -> deliver t ~src copy ~call ~wire)
       | Reorder ->
         (* The frame is overtaken by the next one on the segment (a
            store-and-forward bridge draining out of order): it is held
@@ -194,7 +194,8 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
            [reorder_backstop] if the segment goes quiet. *)
         Sim.Stats.Counter.incr t.reordered;
         release_held t;
-        t.held <- Some { hf_src = src; hf_frame = Bytes.copy frame; hf_wire = wire };
+        t.held <-
+          Some { hf_src = src; hf_frame = Bytes.copy frame; hf_call = call; hf_wire = wire };
         t.held_gen <- t.held_gen + 1;
         let gen = t.held_gen in
         Engine.schedule t.eng ~after:reorder_backstop (fun () ->

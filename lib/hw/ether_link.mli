@@ -43,10 +43,15 @@ val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> mbps:float -> t
     probe are registered under site ["ether"]. *)
 
 val attach :
-  t -> mac:Net.Mac.t -> on_frame_start:(frame:Stdlib.Bytes.t -> wire:Sim.Time.span -> unit) -> station
+  t ->
+  mac:Net.Mac.t ->
+  on_frame_start:(frame:Stdlib.Bytes.t -> call:int -> wire:Sim.Time.span -> unit) ->
+  station
 (** Attaches a station.  [on_frame_start] is invoked — at the instant a
     frame addressed to this station (or to broadcast) begins arriving —
-    with the frame bytes and its remaining wire time.
+    with the frame bytes, the call id the sender passed to {!transmit}
+    and the frame's remaining wire time.  Fault copies (corrupted,
+    duplicated, delayed, reordered) arrive with the original's call.
     @raise Invalid_argument if the MAC is already attached. *)
 
 val detach : t -> station -> unit
@@ -58,9 +63,10 @@ val transmit : ?call:int -> t -> src:Net.Mac.t -> Stdlib.Bytes.t -> unit
     destination (first 6 bytes of the frame).  Blocks the calling
     process for the whole occupancy — the transmitting controller is
     busy throughout (no cut-through is modelled by the {e caller}
-    sequencing its QBus transfer before this call).  When tracing is on,
-    a non-zero wait for the medium is recorded as a queueing span
-    attributed to [call] (default {!Sim.Trace.no_call}). *)
+    sequencing its QBus transfer before this call).  [call] (default
+    {!Sim.Trace.no_call}) travels with the frame to the receiving
+    station or the uplink.  When tracing is on, a non-zero wait for the
+    medium is recorded as a queueing span attributed to [call]. *)
 
 val wire_span : t -> bytes:int -> Sim.Time.span
 val interframe_span : t -> Sim.Time.span
@@ -68,14 +74,16 @@ val interframe_span : t -> Sim.Time.span
 val set_fault_injector : t -> (Stdlib.Bytes.t -> fault) option -> unit
 
 val set_uplink :
-  t -> (src:Net.Mac.t -> frame:Stdlib.Bytes.t -> wire:Sim.Time.span -> unit) option -> unit
+  t ->
+  (src:Net.Mac.t -> frame:Stdlib.Bytes.t -> call:int -> wire:Sim.Time.span -> unit) option ->
+  unit
 (** The segment's bridge to the rest of a larger network: a unicast
     frame whose destination MAC matches no attached station is handed to
-    the uplink (at transmission start, with its wire time) instead of
-    vanishing.  A switch port (library [fleet]) registers itself here;
-    [None] — the default — keeps the classic single-segment behaviour,
-    so the two-machine reproduction is untouched.  Broadcast frames stay
-    on their segment. *)
+    the uplink (at transmission start, with its call id and wire time)
+    instead of vanishing.  A switch port (library [fleet]) registers
+    itself here; [None] — the default — keeps the classic
+    single-segment behaviour, so the two-machine reproduction is
+    untouched.  Broadcast frames stay on their segment. *)
 
 (** {1 Statistics} *)
 

@@ -16,7 +16,7 @@ type t = {
   irq_hist : Obs.Metrics.Histogram.t option;
   mutable fast : ctx:Cpu_set.ctx -> frame:Bytes.t -> verdict;
   mutable datalink : ctx:Cpu_set.ctx -> frame:Bytes.t -> unit;
-  datalink_q : Bytes.t Sim.Mailbox.t;
+  datalink_q : (Bytes.t * int) Sim.Mailbox.t; (* frame, call id *)
   (* Flat-scheduled IPI prod (registered once in [create]): every [send]
      raises one, so routing it through the engine's closure-free event
      path keeps the per-packet cost allocation-free up to the prod
@@ -93,11 +93,6 @@ let create ?obs eng timing ~cpus ~deqna ~pool =
 let set_fast_handler t f = t.fast <- f
 let set_datalink_handler t f = t.datalink <- f
 
-(* The call id carried by a frame, if tracing registered one.  Pure
-   reads throughout: when tracing is off every lookup short-circuits to
-   [Sim.Trace.no_call] and nothing else changes. *)
-let frame_call t frame = Sim.Trace.frame_call (Engine.trace t.eng) frame
-
 let interrupt_body t ctx =
   Sim.Stats.Counter.incr t.c_irq;
   journal t Obs.Journal.Interrupt;
@@ -113,10 +108,9 @@ let interrupt_body t ctx =
   let rec drain () =
     match Deqna.take_rx t.deqna with
     | None -> ()
-    | Some frame ->
+    | Some ((frame, call) as rx) ->
       Sim.Stats.Counter.incr t.c_rx;
-      if Sim.Trace.enabled (Engine.trace t.eng) then
-        Cpu_set.set_trace_call ctx (frame_call t frame);
+      Cpu_set.set_trace_call ctx call;
       (* On-the-fly receive buffer replacement: hand the controller a
          fresh buffer before processing this one (§3.2).  If the pool is
          dry the controller will drop until buffers return. *)
@@ -132,7 +126,7 @@ let interrupt_body t ctx =
         charge ctx ~label:"Wakeup datalink thread" (Timing.wakeup t.timing);
         charge ctx ~label:"Uniprocessor wakeup path"
           (Timing.uniproc_wakeup_extra t.timing);
-        Sim.Mailbox.send t.datalink_q frame);
+        Sim.Mailbox.send t.datalink_q rx);
       (* Context restore and scheduler bookkeeping for this packet:
          serialized on CPU 0 but off an isolated call's latency path. *)
       charge ctx ~label:"Interrupt epilogue" (Timing.interrupt_epilogue t.timing);
@@ -152,19 +146,16 @@ let start t ~rx_buffers =
          frame the interrupt was raised for: the head of the completion
          queue (non-empty whenever the interrupt fires). *)
       let call =
-        if Sim.Trace.enabled (Engine.trace t.eng) then
-          match Deqna.peek_rx t.deqna with
-          | Some frame -> frame_call t frame
-          | None -> Sim.Trace.no_call
-        else Sim.Trace.no_call
+        match Deqna.peek_rx t.deqna with
+        | Some (_, call) -> call
+        | None -> Sim.Trace.no_call
       in
       Cpu_set.with_cpu ~affinity:Cpu_set.Cpu0 ~priority:Cpu_set.Interrupt ~call t.cpus
         (interrupt_body t));
   Engine.spawn t.eng ~name:"datalink" (fun () ->
       let rec loop () =
-        let frame = Sim.Mailbox.recv t.datalink_q in
-        Cpu_set.with_cpu t.cpus (fun ctx ->
-            Cpu_set.set_trace_call ctx (frame_call t frame);
+        let frame, call = Sim.Mailbox.recv t.datalink_q in
+        Cpu_set.with_cpu ~call t.cpus (fun ctx ->
             (* Datalink demultiplexing outside the interrupt routine:
                dispatch + the module walk the fast path avoids. *)
             charge ctx ~label:"Datalink thread dispatch" (Timing.dispatch t.timing);
@@ -177,12 +168,11 @@ let start t ~rx_buffers =
 let send t ~ctx frame =
   charge ctx ~label:"Handle trap to Nub" (Timing.trap_to_nub t.timing);
   charge ctx ~label:"Queue packet for transmission" (Timing.queue_packet t.timing);
-  (* Register the outgoing frame under the sending thread's call id so
-     the receive path (which sees the same buffer) can attribute its
-     work to the same RPC. *)
+  (* The frame goes out under the sending thread's call id, which every
+     hop carries to the receiver, so its work attributes to the same
+     RPC. *)
   let call = Cpu_set.trace_call ctx in
-  Sim.Trace.register_frame (Engine.trace t.eng) frame ~call;
-  Deqna.queue_tx t.deqna frame;
+  Deqna.queue_tx ~call t.deqna frame;
   (* The interprocessor interrupt: 10 us of signalling latency, then
      CPU 0 runs the prod at interrupt priority.  The signalling interval
      is pure latency on the call's critical path — no CPU is busy — so

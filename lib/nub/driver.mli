@@ -13,7 +13,13 @@
     interrupt routine}.  If the demultiplexer finds no waiting RPC
     thread, the frame takes the traditional slow path: an extra wakeup
     hands it to the datalink thread, which delivers it to whatever
-    non-fast-path consumer is registered. *)
+    non-fast-path consumer is registered.
+
+    {b Call ids}: {!send} hands the controller the sending context's
+    trace call id with the frame; the interrupt routine and the datalink
+    thread stamp their context with the id the frame arrives with, so
+    the handlers' charges (and whatever thread they wake) attribute to
+    that call. *)
 
 type t
 
@@ -47,8 +53,9 @@ val start : t -> rx_buffers:int -> unit
 
 val send : t -> ctx:Hw.Cpu_set.ctx -> Stdlib.Bytes.t -> unit
 (** Charges the Table VI sending-machine kernel steps to the calling
-    thread's CPU, queues the frame, and fires the CPU-0 prod.  Returns
-    as soon as the packet is queued (before it is on the wire). *)
+    thread's CPU, queues the frame under the context's trace call id,
+    and fires the CPU-0 prod.  Returns as soon as the packet is queued
+    (before it is on the wire). *)
 
 (** {1 Statistics} *)
 

@@ -52,10 +52,11 @@ let lookup_route t dst =
   let d = Net.Ipv4.Addr.to_int32 dst in
   List.find_opt (fun r -> Int32.equal (Int32.logand d r.mask) r.prefix) t.routes
 
-(* Forward one frame arriving on [inp]: validate, decrement TTL,
-   recompute the IP header checksum in place, re-address the Ethernet
-   header for the next hop, and queue it out.  All on the real bytes. *)
-let forward t inp frame =
+(* Forward one received frame: validate, decrement TTL, recompute the IP
+   header checksum in place, re-address the Ethernet header for the next
+   hop, and queue it out under the call id it arrived with.  All on the
+   real bytes. *)
+let forward t ~call frame =
   let module R = Wire.Bytebuf.Reader in
   let r = R.of_bytes frame in
   match Net.Ethernet.decode r with
@@ -73,7 +74,6 @@ let forward t inp frame =
           | None -> Sim.Stats.Counter.incr t.c_no_route
           | Some route -> (
             let out = port_state t route.via in
-            ignore inp;
             match Hashtbl.find_opt out.arp ip.Net.Ipv4.dst with
             | None -> Sim.Stats.Counter.incr t.c_no_arp
             | Some next_hop_mac ->
@@ -88,7 +88,7 @@ let forward t inp frame =
               let cks = Wire.Checksum.checksum b ~pos:14 ~len:Net.Ipv4.header_size in
               Bytes.set_uint16_be b 24 cks;
               Sim.Stats.Counter.incr t.c_fwd;
-              Hw.Deqna.queue_tx out.deqna b;
+              Hw.Deqna.queue_tx ~call out.deqna b;
               Hw.Deqna.start_transmit out.deqna)
         end
     end
@@ -100,10 +100,11 @@ let attach_port t which =
           let rec drain () =
             match Hw.Deqna.take_rx p.deqna with
             | None -> ()
-            | Some frame ->
+            | Some (frame, call) ->
               if Bufpool.try_alloc t.pool then Hw.Deqna.add_rx_credits p.deqna 1;
+              Cpu_set.set_trace_call ctx call;
               Cpu_set.charge ctx ~cat:"router" ~label:"IP forwarding" t.forward_cost;
-              forward t which frame;
+              forward t ~call frame;
               (* the frame buffer is released once queued out (or dropped) *)
               Bufpool.free t.pool;
               drain ()

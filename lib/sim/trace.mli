@@ -9,10 +9,11 @@
     to named stages, and check that the stages conserve the measured
     end-to-end latency; Tables VI–VIII are read from that account.
 
-    Call ids propagate across the wire by frame identity: the sender
-    registers the frame bytes it hands to the controller
-    ({!register_frame}), and the receive path recovers the id from the
-    same physical buffer ({!frame_call}).
+    Call ids cross the wire with the frame: the sender's id is handed to
+    the controller along with the frame bytes, and every hop (controller
+    queues, the link and its fault copies, switch and router forwarding)
+    carries it beside the frame to the receiver, as the Firefly's
+    stubs, driver and interrupt handler share one packet buffer (§3.2).
 
     Tracing is off by default (the throughput experiments execute
     millions of steps); experiments enable it around a single call.
@@ -81,35 +82,14 @@ val new_call : t -> int
     while tracing is disabled.  Ids restart from 0 at every {!clear}, so
     a traced window's calls are numbered [0 .. n-1] deterministically. *)
 
-val register_frame : t -> Bytes.t -> call:int -> unit
-(** Associates the physical identity of [frame] with [call], so the
-    receive path (which sees the same buffer object) can recover the
-    call id via {!frame_call}.  A no-op while tracing is disabled.  The
-    registry is a fixed-size ring sized for the handful of in-flight
-    frames a traced window produces; registering an already-present
-    buffer overwrites its entry in place (newest registration wins), and
-    registering one with [call = no_call] releases any stale entry — so
-    a buffer recycled from a previous call can never alias that call's
-    id.  When the ring is full the (approximately) oldest entry is
-    evicted and counted in {!frame_evictions}. *)
-
-val release_frame : t -> Bytes.t -> unit
-(** Drops the registry entry for this buffer, if any: call when a frame
-    buffer is returned to a freelist while tracing is on, so its next
-    life starts unattributed.  A no-op while tracing is disabled. *)
-
-val frame_call : t -> Bytes.t -> int
-(** The call id registered for this frame object (physical equality), or
-    {!no_call} if unknown or tracing is disabled. *)
-
 val frame_evictions : t -> int
-(** Frame-registry entries evicted because the ring was full — each one
-    an in-flight call whose spans may since attribute to {!no_call}.
-    Reset by {!clear}. *)
+(** Always [0]: call ids travel with their frames, so nothing is ever
+    evicted.  Kept only because the host-cost benchmark still reads
+    it. *)
 
 val clear : t -> unit
-(** Drops all recorded spans, resets the {!dropped} counter, the call-id
-    allocator, and the frame registry. *)
+(** Drops all recorded spans, resets the {!dropped} counter and the
+    call-id allocator. *)
 
 val spans : t -> span list
 (** All recorded spans, in recording order. *)

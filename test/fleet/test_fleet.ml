@@ -115,6 +115,39 @@ let test_incast_first_bottleneck_is_cpu0 () =
     (server.Scenario.nr_cpu0_util >= 0.9);
   Alcotest.(check int) "server answered every call" 400 server.Scenario.nr_served
 
+(* {1 Call ids under load} *)
+
+let test_incast_spans_carry_calls () =
+  (* Every hop carries a frame's call id — controller queues, the
+     client's segment, the switch's egress queue and port, the server's
+     segment — so under incast every non-background span belongs to a
+     call.  The one exception is a client thread's wait for its first
+     CPU at time zero: no call exists yet. *)
+  let spec =
+    {
+      Scenario.default with
+      Scenario.s_nodes = 8;
+      s_clients = 64;
+      s_calls = 200;
+      s_kind = Scenario.Incast;
+    }
+  in
+  let _, art = Scenario.run ~trace:true spec in
+  let spans =
+    List.filter (fun (s : Sim.Trace.span) -> s.cat <> "background") art.Scenario.a_spans
+  in
+  let startup (s : Sim.Trace.span) =
+    s.label = "Wait for free CPU" && Sim.Time.compare s.start_at Sim.Time.zero = 0
+  in
+  List.iter
+    (fun (s : Sim.Trace.span) ->
+      if s.call = Sim.Trace.no_call && not (startup s) then
+        Alcotest.failf "%s on %s/%s at %.1f us carries no call" s.label s.site s.track
+          (Sim.Time.since_start_us s.start_at))
+    spans;
+  Alcotest.(check bool) "switch ports queued frames" true
+    (List.exists (fun (s : Sim.Trace.span) -> s.label = "Wait for Ethernet medium") spans)
+
 (* {1 The binding service} *)
 
 let mk_cluster () =
@@ -315,6 +348,9 @@ let () =
           Alcotest.test_case "incast 64->1: CPU 0 interrupts first" `Quick
             test_incast_first_bottleneck_is_cpu0;
         ] );
+      ( "call ids",
+        [ Alcotest.test_case "incast spans carry their call" `Quick test_incast_spans_carry_calls ]
+      );
       ( "nameserv",
         [
           Alcotest.test_case "resolve" `Quick test_nameserv_resolve;

@@ -22,10 +22,12 @@ let test_link_delivery_and_occupancy () =
   let m1 = Mac.of_station 1 and m2 = Mac.of_station 2 in
   let arrivals = ref [] in
   let _s2 =
-    Ether_link.attach link ~mac:m2 ~on_frame_start:(fun ~frame ~wire ->
+    Ether_link.attach link ~mac:m2 ~on_frame_start:(fun ~frame ~call:_ ~wire ->
         arrivals := (Time.since_start_us (Engine.now eng), Bytes.length frame, Time.to_us wire) :: !arrivals)
   in
-  let _s1 = Ether_link.attach link ~mac:m1 ~on_frame_start:(fun ~frame:_ ~wire:_ -> ()) in
+  let _s1 =
+    Ether_link.attach link ~mac:m1 ~on_frame_start:(fun ~frame:_ ~call:_ ~wire:_ -> ())
+  in
   Engine.spawn eng (fun () ->
       Ether_link.transmit link ~src:m1 (frame ~dst:m2 ~src:m1 ~len:74);
       Ether_link.transmit link ~src:m1 (frame ~dst:m2 ~src:m1 ~len:1514));
@@ -46,7 +48,9 @@ let test_link_unknown_destination () =
   let eng = Engine.create () in
   let link = Ether_link.create eng ~mbps:10. in
   let m1 = Mac.of_station 1 in
-  let _s1 = Ether_link.attach link ~mac:m1 ~on_frame_start:(fun ~frame:_ ~wire:_ -> ()) in
+  let _s1 =
+    Ether_link.attach link ~mac:m1 ~on_frame_start:(fun ~frame:_ ~call:_ ~wire:_ -> ())
+  in
   Engine.spawn eng (fun () ->
       Ether_link.transmit link ~src:m1 (frame ~dst:(Mac.of_station 9) ~src:m1 ~len:74));
   Engine.run eng;
@@ -58,8 +62,8 @@ let test_link_broadcast () =
   let hits = ref 0 in
   let attach n =
     ignore
-      (Ether_link.attach link ~mac:(Mac.of_station n) ~on_frame_start:(fun ~frame:_ ~wire:_ ->
-           incr hits))
+      (Ether_link.attach link ~mac:(Mac.of_station n)
+         ~on_frame_start:(fun ~frame:_ ~call:_ ~wire:_ -> incr hits))
   in
   attach 1;
   attach 2;
@@ -76,7 +80,7 @@ let test_link_fault_injection () =
   let m1 = Mac.of_station 1 and m2 = Mac.of_station 2 in
   let received = ref [] in
   let _s2 =
-    Ether_link.attach link ~mac:m2 ~on_frame_start:(fun ~frame ~wire:_ ->
+    Ether_link.attach link ~mac:m2 ~on_frame_start:(fun ~frame ~call:_ ~wire:_ ->
         received := frame :: !received)
   in
   let plan = ref [ Ether_link.Drop; Ether_link.Corrupt; Ether_link.Deliver ] in
@@ -125,18 +129,19 @@ let make_rig ?(config = Config.default) () =
 
 let test_deqna_store_and_forward_timing () =
   let r = make_rig () in
-  let received_at = ref 0. in
+  let received_at = ref 0. and received_call = ref Sim.Trace.no_call in
   Deqna.set_interrupt_handler r.b (fun () ->
       received_at := Time.since_start_us (Engine.now r.eng);
-      ignore (Deqna.take_rx r.b);
+      Option.iter (fun (_, call) -> received_call := call) (Deqna.take_rx r.b);
       Deqna.interrupt_done r.b);
   Deqna.add_rx_credits r.b 4;
   Engine.spawn r.eng (fun () ->
-      Deqna.queue_tx r.a (frame ~dst:(Mac.of_station 2) ~src:(Mac.of_station 1) ~len:74);
+      Deqna.queue_tx ~call:7 r.a (frame ~dst:(Mac.of_station 2) ~src:(Mac.of_station 1) ~len:74);
       Deqna.start_transmit r.a);
   Engine.run r.eng;
   (* qbus tx 70 + wire 59.2 + qbus rx 80.2, fully serial. *)
   Alcotest.(check (float 3.)) "store-and-forward latency" 209.4 !received_at;
+  Alcotest.(check int) "the frame's call crosses the wire" 7 !received_call;
   Alcotest.(check int) "tx counted" 1 (Deqna.tx_frames r.a);
   Alcotest.(check int) "rx counted" 1 (Deqna.rx_frames r.b)
 

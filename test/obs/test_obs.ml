@@ -448,6 +448,36 @@ let test_attrib_concurrent_callers () =
         Alcotest.failf "window %d lacks its own call's stub span" win.w_call)
     windows
 
+(* A faulted frame reaches the receiver as a copy (corrupted, duplicated,
+   delayed or held for reordering).  The copy must keep the call id of
+   the frame it copies, so the receiver's work on it attributes to that
+   call: in a traced window with every 7th frame faulted, every
+   non-background span carries a call.  Spans that started before the
+   first timed call (the warm-up's tail, recorded once tracing is on)
+   belong to no traced call and are left out. *)
+let test_fault_copies_keep_their_call fault () =
+  let w = Workload.World.create ~seed:7 () in
+  let frames = ref 0 and faulted = ref 0 in
+  Hw.Ether_link.set_fault_injector w.Workload.World.link
+    (Some
+       (fun _ ->
+         incr frames;
+         if !frames mod 7 = 0 then begin
+           incr faulted;
+           fault
+         end
+         else Hw.Ether_link.Deliver));
+  let windows =
+    Workload.Driver.run_traced w ~calls:100 ~proc:(Workload.Driver.Get_data 0) ()
+  in
+  let first = (List.hd windows).Obs.Attrib.w_start in
+  Alcotest.(check bool) "faults were injected" true (!faulted > 10);
+  List.iter
+    (fun (s : Sim.Trace.span) ->
+      if s.cat <> "background" && Time.compare s.start_at first >= 0 && s.call = Sim.Trace.no_call
+      then Alcotest.failf "%s on %s/%s carries no call" s.label s.site s.track)
+    (Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng))
+
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
@@ -564,7 +594,19 @@ let () =
           Alcotest.test_case "table and CSV rendering" `Quick test_attrib_rendering;
           Alcotest.test_case "concurrent callers charge their CPU waits" `Quick
             test_attrib_concurrent_callers;
-        ] );
+        ]
+        @ List.map
+            (fun (name, fault) ->
+              Alcotest.test_case ("fault copies keep call: " ^ name) `Quick
+                (test_fault_copies_keep_their_call fault))
+            Hw.Ether_link.
+              [
+                ("Duplicate", Duplicate);
+                ("Corrupt", Corrupt);
+                ("Corrupt_payload", Corrupt_payload);
+                ("Delay", Delay (Time.us 700));
+                ("Reorder", Reorder);
+              ] );
       ( "metrics",
         [
           Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;

@@ -126,6 +126,33 @@ let test_multi_packet_across_gateway () =
     Alcotest.(check bytes) "content intact" (Bytes.cat payload payload) b
   | _ -> Alcotest.fail "bad result"
 
+let test_call_id_crosses_gateway () =
+  (* Traced from the start, both calls (the warm-up and the timed one)
+     get ids 0 and 1.  The router forwards a copy of each frame; the
+     copy must keep its id, so the far segment's controller, wire and
+     server work attributes to the call like the near side's. *)
+  let w = build_wan () in
+  let tr = Engine.trace w.eng in
+  Sim.Trace.set_enabled tr true;
+  ignore (run_call w (Bytes.of_string "traced"));
+  let spans =
+    List.filter (fun (s : Sim.Trace.span) -> s.cat <> "background") (Sim.Trace.spans tr)
+  in
+  List.iter
+    (fun (s : Sim.Trace.span) ->
+      if s.call = Sim.Trace.no_call then
+        Alcotest.failf "%s on %s/%s carries no call" s.label s.site s.track)
+    spans;
+  let calls_at site =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (s : Sim.Trace.span) -> if s.site = site then Some s.call else None)
+         spans)
+  in
+  Alcotest.(check (list int)) "forwarding runs under both calls" [ 0; 1 ] (calls_at "gw");
+  Alcotest.(check (list int)) "far controller works for both calls" [ 0; 1 ] (calls_at "gw-b");
+  Alcotest.(check (list int)) "server works for both calls" [ 0; 1 ] (calls_at "server")
+
 let test_ttl_expiry () =
   (* A frame arriving with TTL 1 must be dropped, not forwarded. *)
   let eng = Engine.create () in
@@ -155,7 +182,7 @@ let test_ttl_expiry () =
     };
   Wire.Bytebuf.Writer.zeros w 8;
   let sender = Hw.Ether_link.attach link_a ~mac:(Net.Mac.of_station 1)
-      ~on_frame_start:(fun ~frame:_ ~wire:_ -> ()) in
+      ~on_frame_start:(fun ~frame:_ ~call:_ ~wire:_ -> ()) in
   ignore sender;
   Engine.spawn eng (fun () ->
       Hw.Ether_link.transmit link_a ~src:(Net.Mac.of_station 1) (Wire.Bytebuf.Writer.contents w));
@@ -178,6 +205,7 @@ let suite =
   [
     Alcotest.test_case "call across gateway" `Quick test_cross_gateway_call;
     Alcotest.test_case "multi-packet across gateway" `Quick test_multi_packet_across_gateway;
+    Alcotest.test_case "call id crosses gateway" `Quick test_call_id_crosses_gateway;
     Alcotest.test_case "TTL expiry drops" `Quick test_ttl_expiry;
     Alcotest.test_case "UDP checksum survives forwarding" `Quick
       test_checksums_survive_forwarding;

@@ -137,72 +137,6 @@ let test_trace_call_ids () =
     Alcotest.(check bool) "explicit kind sticks" true (tagged.Trace.kind = Trace.Queue)
   | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
-let test_trace_frame_registry () =
-  let tr = Trace.create () in
-  let frame = Bytes.create 8 in
-  let twin = Bytes.create 8 in
-  (* Disabled: registration is a no-op and lookups return the sentinel. *)
-  Trace.register_frame tr frame ~call:3;
-  Alcotest.(check int) "lookup off" Trace.no_call (Trace.frame_call tr frame);
-  Trace.set_enabled tr true;
-  Trace.register_frame tr frame ~call:3;
-  Alcotest.(check int) "frame recovered by identity" 3 (Trace.frame_call tr frame);
-  (* Physical identity, not structural equality: an equal-but-distinct
-     buffer is a different frame. *)
-  Alcotest.(check int) "equal bytes do not alias" Trace.no_call (Trace.frame_call tr twin);
-  (* The sentinel call id is never registered. *)
-  Trace.register_frame tr twin ~call:Trace.no_call;
-  Alcotest.(check int) "no_call never registers" Trace.no_call (Trace.frame_call tr twin);
-  (* Re-registration (a retransmitted buffer) takes the newest id. *)
-  Trace.register_frame tr frame ~call:7;
-  Alcotest.(check int) "latest registration wins" 7 (Trace.frame_call tr frame);
-  (* The registry is bounded: old entries evict once enough newer
-     frames register, and each eviction is counted. *)
-  Alcotest.(check int) "no evictions yet" 0 (Trace.frame_evictions tr);
-  for i = 0 to 99 do
-    Trace.register_frame tr (Bytes.create 4) ~call:i
-  done;
-  Alcotest.(check int) "old frames evict" Trace.no_call (Trace.frame_call tr frame);
-  Alcotest.(check bool) "evictions counted" true (Trace.frame_evictions tr > 0);
-  Trace.clear tr;
-  Alcotest.(check int) "clear resets evictions" 0 (Trace.frame_evictions tr);
-  Trace.register_frame tr frame ~call:1;
-  Trace.set_enabled tr false;
-  Alcotest.(check int) "lookups short-circuit when disabled" Trace.no_call
-    (Trace.frame_call tr frame)
-
-(* A pool/freelist can hand the same physical buffer to two successive
-   calls.  Whatever happens between the two lives — an explicit release,
-   a re-registration, or an untraced send of the recycled buffer — the
-   second life must never inherit the first call's id. *)
-let test_trace_frame_recycling () =
-  let tr = Trace.create () in
-  Trace.set_enabled tr true;
-  let buf = Bytes.create 64 in
-  (* First life: carries call 0. *)
-  let c0 = Trace.new_call tr in
-  Trace.register_frame tr buf ~call:c0;
-  Alcotest.(check int) "first life attributed" c0 (Trace.frame_call tr buf);
-  (* Buffer returned to the freelist. *)
-  Trace.release_frame tr buf;
-  Alcotest.(check int) "released buffer unattributed" Trace.no_call (Trace.frame_call tr buf);
-  (* Second life: recycled for call 1 — re-registration wins in place. *)
-  let c1 = Trace.new_call tr in
-  Trace.register_frame tr buf ~call:c1;
-  Alcotest.(check int) "second life gets the new id" c1 (Trace.frame_call tr buf);
-  Alcotest.(check bool) "ids differ across lives" true (c0 <> c1);
-  (* Third life without an intervening release: the recycled buffer is
-     sent by an untraced path (call = no_call), which must strip the
-     stale id rather than leave the old call aliased. *)
-  Trace.register_frame tr buf ~call:Trace.no_call;
-  Alcotest.(check int) "untraced re-send clears stale id" Trace.no_call
-    (Trace.frame_call tr buf);
-  (* Releasing an unknown buffer is harmless. *)
-  Trace.release_frame tr (Bytes.create 4);
-  (* No slot pressure was involved: none of the above counts as an
-     eviction. *)
-  Alcotest.(check int) "recycling is not eviction" 0 (Trace.frame_evictions tr)
-
 let suite =
   [
     Alcotest.test_case "counter" `Quick test_counter;
@@ -213,6 +147,4 @@ let suite =
     Alcotest.test_case "trace spans and filters" `Quick test_trace;
     Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;
     Alcotest.test_case "trace call-id allocator" `Quick test_trace_call_ids;
-    Alcotest.test_case "trace frame registry" `Quick test_trace_frame_registry;
-    Alcotest.test_case "trace frame recycling" `Quick test_trace_frame_recycling;
   ]
