@@ -4,8 +4,8 @@
 #
 # Set JOBS=N to fan simulation sweeps out over N worker domains
 # (default: the binary's own default, the machine's recommended domain
-# count; JOBS=1 forces the exact serial path with byte-identical
-# output).
+# count).  Output is byte-identical for every N; JOBS=1 spawns no
+# domain.
 
 JOBS ?=
 JOBS_FLAG = $(if $(JOBS),--jobs $(JOBS),)

@@ -130,39 +130,27 @@ let jobs_term =
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for independent simulations (default: the machine's recommended \
-           domain count).  $(b,--jobs 1) runs the exact serial path with byte-identical \
-           output.")
+           domain count).  Output is byte-identical for every $(docv); $(b,--jobs 1) runs \
+           everything on the calling domain.")
 
 let repro_cmd =
   let regenerate ~quick ~metrics ~jobs ~transport entries =
-    if jobs <= 1 then
-      (* The historical serial loop, kept verbatim for --jobs 1. *)
-      List.iter
-        (fun e ->
-          say "";
-          say "### %s — %s" e.Experiments.Registry.id e.Experiments.Registry.title;
-          List.iter
-            (fun t -> print_string (Report.Table.render t))
-            (e.Experiments.Registry.run ~transport ~quick ~metrics))
+    (* Each entry regenerates on a worker domain (every simulation owns
+       its engine); rendering to strings and printing afterwards in
+       registry order keeps the output independent of [jobs]. *)
+    let rendered =
+      Par.Pool.map_list ~jobs
+        (fun (e : Experiments.Registry.entry) ->
+          String.concat ""
+            (List.map Report.Table.render (e.Experiments.Registry.run ~transport ~quick ~metrics)))
         entries
-    else begin
-      (* Each entry regenerates on a worker domain (every simulation
-         owns its engine); rendering to strings and printing afterwards
-         in registry order keeps the output identical to serial. *)
-      let rendered =
-        Par.Pool.map_list ~jobs
-          (fun (e : Experiments.Registry.entry) ->
-            String.concat ""
-              (List.map Report.Table.render (e.Experiments.Registry.run ~transport ~quick ~metrics)))
-          entries
-      in
-      List.iter2
-        (fun (e : Experiments.Registry.entry) body ->
-          say "";
-          say "### %s — %s" e.Experiments.Registry.id e.Experiments.Registry.title;
-          print_string body)
-        entries rendered
-    end
+    in
+    List.iter2
+      (fun (e : Experiments.Registry.entry) body ->
+        say "";
+        say "### %s — %s" e.Experiments.Registry.id e.Experiments.Registry.title;
+        print_string body)
+      entries rendered
   in
   let run quick metrics jobs transport ids =
     match List.find_opt (fun id -> Option.is_none (Experiments.Registry.find id)) ids with
@@ -241,7 +229,7 @@ let call_cmd =
         | Error e -> say "socket transport unavailable: %s — skipping" e
         | Ok t -> print_string (Report.Table.render t)
       end
-    | (`Auto | `Local | `Udp | `Decnet) as transport ->
+    | (`Auto | `Local | `Decnet) as transport ->
     let w =
       Workload.World.create ~caller_config ~server_config ~seed:flags.seed ()
     in
@@ -307,21 +295,15 @@ let call_cmd =
       value
       & opt
           (enum
-             [
-               ("auto", `Auto);
-               ("sim", `Auto);
-               ("local", `Local);
-               ("udp", `Udp);
-               ("decnet", `Decnet);
-               ("socket", `Socket);
-             ])
+             [ ("sim", `Auto); ("local", `Local); ("decnet", `Decnet); ("socket", `Socket) ])
           `Auto
       & info [ "transport" ]
           ~doc:
-            "Bind-time transport: $(b,auto)/$(b,sim) (the simulated Ethernet), \
-             $(b,local) (same-machine shared memory, the paper's local call), $(b,udp), \
-             $(b,decnet), or $(b,socket) — a real loopback UDP socket carrying the same \
-             frame bytes, reported as measured-vs-calibrated cross-validation.")
+            "Bind-time transport: $(b,sim) (default; the packet exchange over the simulated \
+             Ethernet), $(b,local) (same-machine shared memory, the paper's local call), \
+             $(b,decnet) (a DECNet session), or $(b,socket) — a real loopback UDP socket \
+             carrying the same frame bytes, reported as measured-vs-calibrated \
+             cross-validation.")
   in
   let metrics =
     Arg.(
@@ -647,7 +629,7 @@ let check_cmd =
 
 let fleet_cmd =
   let run nodes clients calls arrival rate alpha think scenario seed seeds jobs payload
-      straggler_speedup switch_latency egress_capacity queue check trace out =
+      straggler_speedup switch_latency egress_capacity check trace out =
     if nodes < 2 then Error (`Msg "--nodes must be >= 2")
     else if clients < 1 then Error (`Msg "--clients must be >= 1")
     else if calls < 1 then Error (`Msg "--calls must be >= 1")
@@ -678,7 +660,6 @@ let fleet_cmd =
           s_straggler_speedup = straggler_speedup;
           s_switch_latency_us = switch_latency;
           s_egress_capacity = egress_capacity;
-          s_queue = queue;
         }
       in
       let run_one seed =
@@ -688,13 +669,10 @@ let fleet_cmd =
         (report, artifacts, Fleet.Scenario.render report)
       in
       let results =
-        if seeds = 1 || jobs <= 1 then
-          List.map run_one (List.init seeds (fun i -> seed + i))
-        else
-          (* Each seed's cluster owns its engine, so seeds fan out over
-             worker domains; rendering to strings and printing in seed
-             order keeps the output identical to the serial path. *)
-          Par.Pool.map_list ~jobs run_one (List.init seeds (fun i -> seed + i))
+        (* Each seed's cluster owns its engine, so seeds fan out over
+           worker domains; rendering to strings and printing in seed
+           order keeps the output independent of [jobs]. *)
+        Par.Pool.map_list ~jobs run_one (List.init seeds (fun i -> seed + i))
       in
       List.iteri
         (fun i (_, _, body) ->
@@ -814,16 +792,6 @@ let fleet_cmd =
       & info [ "egress-capacity" ] ~docv:"FRAMES"
           ~doc:"Per-port egress queue bound; overflow frames are dropped (incast loss).")
   in
-  let queue =
-    Arg.(
-      value
-      & opt (enum [ ("heap", `Heap); ("calendar", `Calendar) ]) `Heap
-      & info [ "queue" ] ~docv:"KIND"
-          ~doc:
-            "Engine event-queue discipline: $(b,heap) (pairing heap, default) or $(b,calendar) \
-             (bucketed calendar queue).  A pure performance knob — same-seed reports are \
-             byte-identical under either.")
-  in
   let check =
     Arg.(
       value
@@ -856,7 +824,7 @@ let fleet_cmd =
       term_result ~usage:true
         (const run $ nodes $ clients $ calls $ arrival $ rate $ alpha $ think $ scenario $ seed
         $ seeds $ jobs_term $ payload $ straggler_speedup $ switch_latency $ egress_capacity
-        $ queue $ check $ trace $ out))
+        $ check $ trace $ out))
 
 (* {1 firefly fuzz} *)
 

@@ -180,32 +180,13 @@ let investigate_seed config ~seed =
 
 let explore ?progress ?(jobs = 1) config ~base_seed ~seeds =
   if seeds < 1 then invalid_arg "Explorer.explore: seeds must be >= 1";
-  if jobs <= 1 then begin
-    (* The serial path is kept exactly as it always was — byte-identical
-       output is the [--jobs 1] contract. *)
-    let failures = ref [] in
-    for k = 0 to seeds - 1 do
-      let seed = base_seed + k in
-      (match progress with
-      | Some f -> f seed
-      | None -> ());
-      match investigate_seed config ~seed with
-      | Some traced -> failures := traced :: !failures
-      | None -> ()
-    done;
-    { seeds_run = seeds; failures = List.rev !failures }
-  end
-  else begin
-    (* Parallel: progress is announced up front (batch dispatch), the
-       per-seed investigations fan out, and failures come back in seed
-       order because the pool preserves input order. *)
-    let seeds_list = List.init seeds (fun k -> base_seed + k) in
-    (match progress with
-    | Some f -> List.iter f seeds_list
-    | None -> ());
-    let results = Par.Pool.map_list ~jobs (fun seed -> investigate_seed config ~seed) seeds_list in
-    { seeds_run = seeds; failures = List.filter_map Fun.id results }
-  end
+  (* Progress is announced up front (batch dispatch), the per-seed
+     investigations fan out, and failures come back in seed order
+     because the pool preserves input order. *)
+  let seeds_list = List.init seeds (fun k -> base_seed + k) in
+  Option.iter (fun f -> List.iter f seeds_list) progress;
+  let results = Par.Pool.map_list ~jobs (fun seed -> investigate_seed config ~seed) seeds_list in
+  { seeds_run = seeds; failures = List.filter_map Fun.id results }
 
 (* {1 The configuration matrix} *)
 
@@ -247,47 +228,24 @@ let apply_cell config c =
 
 let explore_matrix ?progress ?(jobs = 1) config ~base_seed ~seeds_per_cell =
   if seeds_per_cell < 1 then invalid_arg "Explorer.explore_matrix: seeds_per_cell must be >= 1";
-  if jobs <= 1 then begin
-    (* Serial: the historical cell-by-cell loop, unchanged. *)
-    let failures = ref [] in
-    let run = ref 0 in
-    List.iteri
-      (fun i cell ->
-        let cfg = apply_cell config cell in
-        let s =
-          explore
-            ?progress:(Option.map (fun f seed -> f cell seed) progress)
-            cfg
-            ~base_seed:(base_seed + (i * seeds_per_cell))
-            ~seeds:seeds_per_cell
-        in
-        run := !run + s.seeds_run;
-        failures := !failures @ s.failures)
-      matrix_cells;
-    { seeds_run = !run; failures = !failures }
-  end
-  else begin
-    (* Parallel: flatten the matrix to independent (cell, seed) tasks.
-       Seed assignment is identical to the serial sweep, and the pool
-       returns results in input order, so the failure list — and
-       everything rendered from it — matches the serial sweep exactly. *)
-    let tasks =
-      List.concat
-        (List.mapi
-           (fun i cell ->
-             List.init seeds_per_cell (fun k -> (cell, base_seed + (i * seeds_per_cell) + k)))
-           matrix_cells)
-    in
-    (match progress with
-    | Some f -> List.iter (fun (cell, seed) -> f cell seed) tasks
-    | None -> ());
-    let results =
-      Par.Pool.map_list ~jobs
-        (fun (cell, seed) -> investigate_seed (apply_cell config cell) ~seed)
-        tasks
-    in
-    { seeds_run = List.length tasks; failures = List.filter_map Fun.id results }
-  end
+  (* The matrix flattens to independent (cell, seed) tasks, cell [i]
+     taking seeds [base_seed + i * seeds_per_cell ...]; the pool returns
+     results in input order, so the failure list — and everything
+     rendered from it — is the same for every [jobs]. *)
+  let tasks =
+    List.concat
+      (List.mapi
+         (fun i cell ->
+           List.init seeds_per_cell (fun k -> (cell, base_seed + (i * seeds_per_cell) + k)))
+         matrix_cells)
+  in
+  Option.iter (fun f -> List.iter (fun (cell, seed) -> f cell seed) tasks) progress;
+  let results =
+    Par.Pool.map_list ~jobs
+      (fun (cell, seed) -> investigate_seed (apply_cell config cell) ~seed)
+      tasks
+  in
+  { seeds_run = List.length tasks; failures = List.filter_map Fun.id results }
 
 let trace_tail = 40
 

@@ -69,11 +69,10 @@ type summary = { seeds_run : int; failures : outcome list (** shrunk, traced *) 
 val explore :
   ?progress:(int -> unit) -> ?jobs:int -> config -> base_seed:int -> seeds:int -> summary
 (** Runs seeds [base_seed .. base_seed + seeds - 1]; [progress] is
-    called with each seed before its run.  [jobs] (default 1) fans the
-    per-seed investigations out over that many domains; results are
-    identical to the serial run (seed assignment and failure order are
-    preserved), except that with [jobs > 1] all [progress] calls happen
-    up front.  [jobs = 1] is the exact historical serial path. *)
+    called with every seed, in order, before the runs start.  [jobs]
+    (default 1) fans the per-seed investigations out over that many
+    domains; seed assignment and failure order, and so the result, are
+    the same for every [jobs]. *)
 
 (** {1 The configuration matrix}
 
@@ -103,10 +102,10 @@ val explore_matrix :
 (** [explore] over every cell of {!matrix_cells} (cell [i] uses seeds
     [base_seed + i * seeds_per_cell ...]), taking [config] as the
     template for everything the cell does not fix.  [summary.seeds_run]
-    totals every run across the matrix.  [jobs > 1] runs the
-    (cell, seed) grid on a domain pool; each simulation keeps its own
-    engine and seed, so failures (and their shrunk plans and traces)
-    are identical to the serial sweep, in the same order. *)
+    totals every run across the matrix.  The (cell, seed) grid runs
+    on a pool of [jobs] domains; each simulation keeps its own engine
+    and seed, so failures (and their shrunk plans and traces) are the
+    same, in the same order, for every [jobs]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Human-readable failure report: seed, minimal plan, violations, a

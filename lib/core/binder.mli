@@ -1,11 +1,10 @@
 (** The name service: exporters register interfaces, importers obtain
     bindings.
 
-    Binding is where the transport is chosen (§3.1): importing an
-    interface exported from the same machine yields a shared-memory
-    binding; a remote exporter yields the packet-exchange protocol over
-    IP/UDP/Ethernet.  The binder itself is a zero-cost oracle — the
-    paper measures calls on established bindings, not binding time. *)
+    Binding is where the transport is chosen (§3.1), and {!bind} is the
+    one place that chooses it.  The binder itself is a zero-cost oracle
+    — the paper measures calls on established bindings, not binding
+    time. *)
 
 type t
 
@@ -30,6 +29,30 @@ val export :
     the key at import time.
     @raise Invalid_argument if (name, version) is already exported. *)
 
+val bind :
+  t ->
+  Runtime.t ->
+  server:Runtime.t ->
+  Idl.interface ->
+  ?options:Runtime.call_options ->
+  ?auth:Secure.key ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
+  unit ->
+  Runtime.binding
+(** The §3.1 placement rule, binding a caller runtime to the [server]
+    runtime that exports the interface:
+    - a server on the caller's machine is reached over shared memory,
+      whatever [transport] asks for;
+    - [`Auto] (default) reaches a remote server with the custom
+      IP/UDP/Ethernet packet exchange, via the [resolve] hook;
+    - [`Local] against a remote server raises [Unbound_interface];
+    - [`Decnet] binds a DECNet session to a remote server ([auth] is
+      unsupported — DECNet calls present no key).
+    [options] (default: the caller's {!Runtime.default_options}) is
+    the packet exchange's retransmission schedule.
+    @raise Rpc_error.Rpc ([Unbound_interface]) if [server] does not
+    export the interface. *)
+
 val import :
   t ->
   Runtime.t ->
@@ -37,19 +60,16 @@ val import :
   version:int ->
   ?options:Runtime.call_options ->
   ?auth:Secure.key ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   unit ->
   Runtime.binding
-(** @raise Rpc_error.Rpc ([Unbound_interface]) if nobody exports it.
+(** Looks the exporter up by name and {!bind}s to it.
+    @raise Rpc_error.Rpc ([Unbound_interface]) if nobody exports it.
     Key distribution is out of band: the binder does not check [auth];
-    a missing or wrong key surfaces at call time.
+    a missing or wrong key surfaces at call time. *)
 
-    [transport] is the §3.1 bind-time choice.  [`Auto] (default) picks
-    shared memory for a same-machine exporter and the custom
-    IP/UDP/Ethernet protocol otherwise; [`Local] requires shared memory
-    and fails ([Unbound_interface]) when the exporter is remote; [`Udp]
-    forces the custom protocol; [`Decnet] binds over a DECNet
-    connection (same-machine imports still use shared memory, and
-    [auth] is unsupported — DECNet calls present no key). *)
+val decnet_endpoint : t -> Node.t -> Decnet.endpoint
+(** The node's DECNet engine, made on first use and kept by this
+    binder: one binder per world makes every DECNet binding in it. *)
 
 val exporters : t -> (string * int) list

@@ -383,37 +383,23 @@ let install_handler ep =
         Nub.Bufpool.free (Machine.pool ep.mach);
         Nub.Driver.Consumed)
 
-(* One protocol engine per node: a second endpoint would displace the
-   first's ethertype hook.  The registry is keyed by node identity, so
-   distinct simulations never collide (each builds fresh nodes) — but
-   it is process-global state, so lookups and registrations from
-   parallel worker domains must serialise on a real mutex. *)
-let registry : (Node.t * endpoint) list ref = ref []
-let registry_lock = Stdlib.Mutex.create ()
-
-let endpoint node =
-  Stdlib.Mutex.protect registry_lock @@ fun () ->
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, ep) -> ep
-  | None ->
-    let mach = Node.machine node in
-    let ep =
-      {
-        node;
-        mach;
-        next_id = 1;
-        conns = Hashtbl.create 16;
-        by_remote = Hashtbl.create 16;
-        listeners = Hashtbl.create 4;
-        c_accepted = Sim.Stats.Counter.create ();
-        c_sent = Sim.Stats.Counter.create ();
-        c_retrans = Sim.Stats.Counter.create ();
-        c_cks = Sim.Stats.Counter.create ();
-      }
-    in
-    install_handler ep;
-    registry := (node, ep) :: !registry;
-    ep
+let create node =
+  let ep =
+    {
+      node;
+      mach = Node.machine node;
+      next_id = 1;
+      conns = Hashtbl.create 16;
+      by_remote = Hashtbl.create 16;
+      listeners = Hashtbl.create 4;
+      c_accepted = Sim.Stats.Counter.create ();
+      c_sent = Sim.Stats.Counter.create ();
+      c_retrans = Sim.Stats.Counter.create ();
+      c_cks = Sim.Stats.Counter.create ();
+    }
+  in
+  install_handler ep;
+  ep
 
 let listen ep ~space accept = Hashtbl.replace ep.listeners space accept
 

@@ -26,10 +26,11 @@ type conn
 val ethertype : int
 (** 0x6003. *)
 
-val endpoint : Node.t -> endpoint
-(** The node's DECNet protocol engine; created on first use, registered
-    with the node's interrupt demultiplexer, and memoized — repeated
-    calls return the same engine. *)
+val create : Node.t -> endpoint
+(** A DECNet protocol engine for the node, registered with the node's
+    interrupt demultiplexer.  Create one per node: a second engine
+    displaces the first's ethertype handler.  {!Binder.decnet_endpoint}
+    keeps one per node for the binder's world. *)
 
 val listen : endpoint -> space:int -> (conn -> unit) -> unit
 (** Accept connections addressed to [space]; the callback runs in a

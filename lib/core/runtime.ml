@@ -270,9 +270,43 @@ type decnet_binding = {
 
 type local_binding = { bl_server : t; bl_intf : Idl.interface }
 
-(* The transport implementation modules live below, after the call
-   machinery each one wraps; [bind_ether]/[bind_local]/[bind_decnet]
-   pack them into {!binding}s there. *)
+type binding =
+  | Ether of ether_binding
+  | Local of local_binding
+  | Decnet of decnet_binding
+
+let bind_ether ?auth ~dst ~server_space intf ~options =
+  Ether
+    {
+      be_dst = dst;
+      be_space = server_space;
+      be_intf = intf;
+      be_id = Idl.interface_id intf;
+      be_opts = options;
+      be_auth = auth;
+    }
+
+let bind_local ~server intf = Local { bl_server = server; bl_intf = intf }
+
+let bind_decnet t ~ep ~peer ~server_space intf =
+  Decnet
+    {
+      dn_ep = ep;
+      dn_peer = peer;
+      dn_space = server_space;
+      dn_intf = intf;
+      dn_id = Idl.interface_id intf;
+      dn_lock = Sim.Mutex.create (engine t);
+      dn_conn = None;
+      dn_next_call = 0;
+    }
+
+let binding_interface = function
+  | Ether b -> b.be_intf
+  | Local b -> b.bl_intf
+  | Decnet b -> b.dn_intf
+
+let is_local = function Local _ -> true | Ether _ | Decnet _ -> false
 
 (* {1 The shared Starter prologue}
 
@@ -722,89 +756,6 @@ let call_decnet client ctx (b : decnet_binding) ~proc_idx ~args =
         get_reply ()
       with Rpc_error.Rpc (Rpc_error.Call_failed _) as e -> fail_transport e)
 
-(* {1 The transport personalities}
-
-   Each in-simulator transport is a module satisfying {!Transport.S}
-   over this runtime's [client] and the simulated-CPU context; a
-   {!binding} packs one such module with its per-import state.  The
-   real-socket backend (library [realnet]) satisfies the same signature
-   with its own client/ctx types, outside the simulator. *)
-
-module type SIM_TRANSPORT =
-  Transport.S with type client = client and type ctx = Cpu_set.ctx
-
-module Ether_transport = struct
-  type binding = ether_binding
-  type nonrec client = client
-  type ctx = Cpu_set.ctx
-
-  let kind = Transport.Simulated_ether
-  let name = "sim-ether"
-  let interface b = b.be_intf
-  let invoke b client ctx ~proc_idx ~args = call_ether client ctx b ~proc_idx ~args
-end
-
-module Local_transport = struct
-  type binding = local_binding
-  type nonrec client = client
-  type ctx = Cpu_set.ctx
-
-  let kind = Transport.Shared_memory
-  let name = "local"
-  let interface b = b.bl_intf
-  let invoke b client ctx ~proc_idx ~args = call_local client ctx b ~proc_idx ~args
-end
-
-module Decnet_transport = struct
-  type binding = decnet_binding
-  type nonrec client = client
-  type ctx = Cpu_set.ctx
-
-  let kind = Transport.Session
-  let name = "decnet"
-  let interface b = b.dn_intf
-  let invoke b client ctx ~proc_idx ~args = call_decnet client ctx b ~proc_idx ~args
-end
-
-type binding = B : (module SIM_TRANSPORT with type binding = 'b) * 'b -> binding
-
-let bind_ether ?auth t ~dst ~server_space intf ~options =
-  ignore t;
-  B
-    ( (module Ether_transport),
-      {
-        be_dst = dst;
-        be_space = server_space;
-        be_intf = intf;
-        be_id = Idl.interface_id intf;
-        be_opts = options;
-        be_auth = auth;
-      } )
-
-let bind_local t ~server intf ~options =
-  ignore t;
-  ignore options;
-  B ((module Local_transport), { bl_server = server; bl_intf = intf })
-
-let bind_decnet t ~ep ~peer ~server_space intf =
-  B
-    ( (module Decnet_transport),
-      {
-        dn_ep = ep;
-        dn_peer = peer;
-        dn_space = server_space;
-        dn_intf = intf;
-        dn_id = Idl.interface_id intf;
-        dn_lock = Sim.Mutex.create (engine t);
-        dn_conn = None;
-        dn_next_call = 0;
-      } )
-
-let binding_interface (B ((module T), b)) = T.interface b
-let transport_kind (B ((module T), _)) = T.kind
-let transport_name (B ((module T), _)) = T.name
-let is_local b = transport_kind b = Transport.Shared_memory
-
 (* {1 Export / call} *)
 
 let export ?auth t intf ~impls ~workers =
@@ -827,7 +778,11 @@ let export ?auth t intf ~impls ~workers =
 
 let is_exported t intf = Hashtbl.mem t.rt_exports (Idl.interface_id intf)
 
-let call (B ((module T), b)) client ctx ~proc_idx ~args = T.invoke b client ctx ~proc_idx ~args
+let call binding client ctx ~proc_idx ~args =
+  match binding with
+  | Ether b -> call_ether client ctx b ~proc_idx ~args
+  | Local b -> call_local client ctx b ~proc_idx ~args
+  | Decnet b -> call_decnet client ctx b ~proc_idx ~args
 
 let call_by_name binding client ctx ~proc ~args =
   let intf = binding_interface binding in

@@ -6,13 +6,10 @@
     park themselves in the machine's shared call table (so incoming
     calls are dispatched directly from the Ethernet interrupt routine);
     importing an interface yields a {!binding} whose transport was
-    chosen at bind time — the custom packet-exchange protocol over
-    IP/UDP/Ethernet for a remote server, shared memory for a server on
-    the same machine, a DECNet session otherwise (§3.1).  Each transport
-    is a module satisfying {!Transport.S}; a binding packs the module
-    with its state, and {!call} dispatches through the pack, so further
-    personalities (library [realnet]'s real UDP sockets) implement the
-    same signature without touching this runtime.
+    chosen at bind time (§3.1): shared memory for a server on the same
+    machine, the custom packet-exchange protocol over IP/UDP/Ethernet
+    or a DECNet session for a remote one.  {!Binder} makes that choice;
+    a binding is one of the three, and {!call} matches on it.
 
     {!call} is the generic stub: it performs the five caller-stub steps
     of §3.1.1 (Starter, marshal, Transporter, unmarshal, Ender) with the
@@ -78,19 +75,21 @@ val default_options : t -> call_options
     recovery took ~600 ms), 10 retries, no backoff. *)
 
 type binding
+(** One of the three transports: the packet exchange, shared memory or
+    a DECNet session. *)
 
 val bind_ether :
   ?auth:Secure.key ->
-  t ->
   dst:Frames.endpoint ->
   server_space:int ->
   Idl.interface ->
   options:call_options ->
   binding
-(** Normally obtained via [Binder.import], which resolves the name and
-    picks the transport.  [auth] seals calls under the shared key. *)
+(** Normally obtained via {!Binder}, which resolves the name and picks
+    the transport.  [auth] seals calls under the shared key. *)
 
-val bind_local : t -> server:t -> Idl.interface -> options:call_options -> binding
+val bind_local : server:t -> Idl.interface -> binding
+(** Shared memory with a runtime on the caller's machine. *)
 
 val bind_decnet :
   t -> ep:Decnet.endpoint -> peer:Net.Mac.t -> server_space:int -> Idl.interface -> binding
@@ -104,11 +103,8 @@ val decnet_listen : t -> Decnet.endpoint -> unit
 
 val binding_interface : binding -> Idl.interface
 
-val transport_kind : binding -> Transport.kind
-(** Which {!Transport.S} personality this binding packs. *)
-
-val transport_name : binding -> string
 val is_local : binding -> bool
+(** Whether the binding is the shared-memory transport. *)
 
 val is_exported : t -> Idl.interface -> bool
 (** Whether {!export} has installed this interface on the runtime. *)

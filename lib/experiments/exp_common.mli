@@ -19,7 +19,7 @@ val throughput :
   ?caller_config:Hw.Config.t ->
   ?server_config:Hw.Config.t ->
   ?seed:int ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   threads:int ->
   calls:int ->
   proc:Workload.Driver.proc ->

@@ -182,16 +182,11 @@ let measure_transport ~transport =
   let server_rt =
     match transport with
     | `Local -> w.World.caller_rt (* same machine: binder picks shared memory *)
-    | `Udp | `Decnet -> w.World.server_rt
+    | `Auto | `Decnet -> w.World.server_rt
   in
   Rpc.Binder.export w.World.binder server_rt nullish ~impls:nullish_impls ~workers:2;
-  let tr =
-    match transport with
-    | `Local | `Udp -> `Auto
-    | `Decnet -> `Decnet
-  in
   let binding =
-    Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Nullish" ~version:1 ~transport:tr ()
+    Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Nullish" ~version:1 ~transport ()
   in
   let gate = Sim.Gate.create w.World.eng in
   let lat = ref 0. in
@@ -211,7 +206,7 @@ let measure_transport ~transport =
 let transport_comparison () =
   [
     { transport = "shared memory (same machine)"; null_latency_us = measure_transport ~transport:`Local };
-    { transport = "custom protocol on IP/UDP"; null_latency_us = measure_transport ~transport:`Udp };
+    { transport = "custom protocol on IP/UDP"; null_latency_us = measure_transport ~transport:`Auto };
     { transport = "DECNet session"; null_latency_us = measure_transport ~transport:`Decnet };
   ]
 

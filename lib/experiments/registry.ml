@@ -1,4 +1,4 @@
-type transport = [ `Auto | `Local | `Udp | `Decnet ]
+type transport = [ `Auto | `Local | `Decnet ]
 
 type entry = {
   id : string;

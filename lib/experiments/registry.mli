@@ -1,7 +1,7 @@
 (** The experiment registry: every reproduced table/figure, addressable
     by id from the CLI ([firefly repro]) and the test suite. *)
 
-type transport = [ `Auto | `Local | `Udp | `Decnet ]
+type transport = [ `Auto | `Local | `Decnet ]
 (** The bind-time transport the workload-driving experiments should
     measure over (see {!Workload.World.test_binding}). *)
 

@@ -17,7 +17,7 @@ val paper : row list
 val run :
   ?calls:int ->
   ?metrics:bool ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   unit ->
   row list
 (** [calls] (default 10000) is the per-configuration call budget; the
@@ -30,7 +30,7 @@ val run :
 val table :
   ?calls:int ->
   ?metrics:bool ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   unit ->
   Report.Table.t
 (** Paper-vs-measured, one row per thread count; with [metrics], three

@@ -16,16 +16,17 @@ type t = {
   cl_obs : Obs.Ctx.t;
   cl_switch : Topology.t;
   cl_nodes : node array;
-  cl_names : Nameserv.t;
+  cl_binder : Rpc.Binder.t;
+  mutable cl_binds : int;
   cl_fleet_hist : Obs.Metrics.Histogram.t;
 }
 
-let create ?(seed = 42) ?(queue = `Heap) ?(config = Hw.Config.default) ?config_of
+let create ?(seed = 42) ?(config = Hw.Config.default) ?config_of
     ?switch_latency ?egress_capacity ?(pool_buffers = 64) ?(idle_load = false) ?obs ~nodes () =
   if nodes < 2 then invalid_arg "Cluster.create: need at least 2 nodes";
   if nodes > 200 then invalid_arg "Cluster.create: at most 200 nodes (station addressing)";
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
-  let eng = Engine.create ~seed ~queue () in
+  let eng = Engine.create ~seed () in
   let config_of = match config_of with Some f -> f | None -> fun _ -> config in
   let switch =
     Topology.create ~obs eng ~mbps:config.Hw.Config.ethernet_mbps ?latency:switch_latency
@@ -56,7 +57,8 @@ let create ?(seed = 42) ?(queue = `Heap) ?(config = Hw.Config.default) ?config_o
     cl_obs = obs;
     cl_switch = switch;
     cl_nodes = Array.init nodes mk_node;
-    cl_names = Nameserv.create ();
+    cl_binder = Rpc.Binder.create ();
+    cl_binds = 0;
     cl_fleet_hist =
       Obs.Metrics.Registry.histogram obs.Obs.Ctx.metrics ~site:"fleet" ~name:"rpc.latency_us";
   }
@@ -67,16 +69,16 @@ let node t i =
 
 let nodes t = Array.length t.cl_nodes
 
-let export_service t ~node:i ~service ?(workers = 8) () =
+let export t ~node:i ?(workers = 8) () =
   let n = node t i in
-  if not (Rpc.Runtime.is_exported n.nd_rt Workload.Test_interface.interface) then
-    Rpc.Runtime.export n.nd_rt Workload.Test_interface.interface
-      ~impls:(Workload.Test_interface.impls (Machine.timing n.nd_machine))
-      ~workers;
-  Nameserv.register t.cl_names ~service ~intf:Workload.Test_interface.interface n.nd_rt
+  Rpc.Runtime.export n.nd_rt Workload.Test_interface.interface
+    ~impls:(Workload.Test_interface.impls (Machine.timing n.nd_machine))
+    ~workers
 
-let resolve t ~node:i ~service ?options () =
-  Nameserv.resolve t.cl_names ?options (node t i).nd_rt ~service
+let bind t ~client ~server ?options () =
+  t.cl_binds <- t.cl_binds + 1;
+  Rpc.Binder.bind t.cl_binder (node t client).nd_rt ~server:(node t server).nd_rt
+    Workload.Test_interface.interface ?options ()
 
 let run_until_quiet ?(limit = Time.sec 600) t gate =
   let stop_at = Time.add (Engine.now t.cl_eng) limit in

@@ -1,7 +1,7 @@
 (** An N-node cluster: one engine, a switched topology, N machines each
     on its own switch port with its own RPC node/runtime and receive
-    buffer pool, a shared name service, and per-node + fleet-wide
-    latency histograms in one {!Obs.Ctx}.
+    buffer pool, one {!Rpc.Binder}, and per-node + fleet-wide latency
+    histograms in one {!Obs.Ctx}.
 
     The 2-machine {!Workload.World} remains the paper-reproduction
     path; a cluster is what the fleet scenarios and the scale tests
@@ -22,14 +22,14 @@ type t = {
   cl_obs : Obs.Ctx.t;
   cl_switch : Topology.t;
   cl_nodes : node array;
-  cl_names : Nameserv.t;
+  cl_binder : Rpc.Binder.t;  (** makes every binding in the cluster *)
+  mutable cl_binds : int;  (** how many {!bind} calls were made *)
   cl_fleet_hist : Obs.Metrics.Histogram.t;
       (** every call latency fleet-wide, site ["fleet"] *)
 }
 
 val create :
   ?seed:int ->
-  ?queue:[ `Heap | `Calendar ] ->
   ?config:Hw.Config.t ->
   ?config_of:(int -> Hw.Config.t) ->
   ?switch_latency:Sim.Time.span ->
@@ -40,10 +40,7 @@ val create :
   nodes:int ->
   unit ->
   t
-(** [queue] (default [`Heap]) selects the engine's event-queue
-    discipline (see {!Sim.Engine.create}); same-seed runs render
-    byte-identically under either.  [config_of i] (default: the
-    constant [config], default
+(** [config_of i] (default: the constant [config], default
     {!Hw.Config.default}) picks node [i]'s machine configuration —
     how straggler scenarios slow one server down.  [idle_load] defaults
     to [false]: fleet tails are measured without the paper's background
@@ -54,15 +51,19 @@ val create :
 val node : t -> int -> node
 val nodes : t -> int
 
-val export_service :
-  t -> node:int -> service:string -> ?workers:int -> unit -> unit
+val export : t -> node:int -> ?workers:int -> unit -> unit
 (** Exports the standard {!Workload.Test_interface} from node [node]'s
-    runtime under [service] (default 8 workers) and registers it with
-    the name service. *)
+    runtime (default 8 workers).
+    @raise Invalid_argument if the node already exports it. *)
 
-val resolve :
-  t -> node:int -> service:string -> ?options:Rpc.Runtime.call_options -> unit -> Nameserv.binding
-(** Resolve [service] for a client on node [node]. *)
+val bind :
+  t -> client:int -> server:int -> ?options:Rpc.Runtime.call_options -> unit -> Rpc.Runtime.binding
+(** Binds node [client]'s runtime to node [server]'s Test interface
+    through {!Rpc.Binder.bind}: shared memory when [client = server],
+    the packet exchange across the switch otherwise.  Counted in
+    [cl_binds].
+    @raise Rpc.Rpc_error.Rpc ([Unbound_interface]) if [server] has not
+    exported it. *)
 
 val run_until_quiet : ?limit:Sim.Time.span -> t -> Sim.Gate.t -> unit
 (** Like {!Workload.World.run_until_quiet}: drive the engine until the

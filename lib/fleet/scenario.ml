@@ -28,10 +28,6 @@ type spec = {
   s_straggler_speedup : float;
   s_switch_latency_us : float;
   s_egress_capacity : int;
-  (* Engine event-queue discipline; a pure performance knob.  Kept out
-     of [render] deliberately: same-seed reports must stay
-     byte-identical across queue choices. *)
-  s_queue : [ `Heap | `Calendar ];
 }
 
 let default =
@@ -46,7 +42,6 @@ let default =
     s_straggler_speedup = 0.25;
     s_switch_latency_us = 10.;
     s_egress_capacity = 32;
-    s_queue = `Heap;
   }
 
 type node_report = {
@@ -124,13 +119,12 @@ let args_of spec =
   if spec.s_payload = 0 then []
   else [ Rpc.Marshal.V_int (Int32.of_int spec.s_payload); Rpc.Marshal.V_bytes Bytes.empty ]
 
-(* Placement: which nodes serve (with their service name) and which
-   nodes host client slots. *)
+(* Placement: which nodes serve and which nodes host client slots. *)
 let placement spec =
   let all = List.init spec.s_nodes (fun i -> i) in
   match spec.s_kind with
-  | Incast -> ([ (0, "Test") ], List.filter (fun i -> i <> 0) all)
-  | Uniform | Straggler -> (List.map (fun i -> (i, Printf.sprintf "Test%d" i)) all, all)
+  | Incast -> ([ 0 ], List.filter (fun i -> i <> 0) all)
+  | Uniform | Straggler -> (all, all)
 
 let role spec i =
   match spec.s_kind with
@@ -159,7 +153,7 @@ let run ?(trace = false) spec =
        scaled to fan-in): an incast burst parks in the server's pool and
        drains at CPU 0's interrupt rate instead of being dropped and
        retransmitted into collapse. *)
-    Cluster.create ~seed:spec.s_seed ~queue:spec.s_queue ~config ~config_of
+    Cluster.create ~seed:spec.s_seed ~config ~config_of
       ~switch_latency:(Time.us_f spec.s_switch_latency_us)
       ~egress_capacity:spec.s_egress_capacity
       ~pool_buffers:(max 64 (2 * spec.s_clients))
@@ -172,9 +166,9 @@ let run ?(trace = false) spec =
      first bottleneck under fan-in; Busy replies still appear once the
      fleet genuinely outruns it. *)
   let workers = max 8 (min 128 spec.s_clients) in
-  List.iter (fun (i, service) -> Cluster.export_service cl ~node:i ~service ~workers ()) servers;
-  (* Per-client-node bindings to every service it may call, resolved
-     through the name service in deterministic order. *)
+  List.iter (fun i -> Cluster.export cl ~node:i ~workers ()) servers;
+  (* Per-client-node bindings to every server it may call, made in
+     deterministic order. *)
   let bindings = Hashtbl.create 16 in
   (* Datacenter-style retransmission: the paper's 600 ms first timeout
      would leave the fleet idle for most of a run whenever incast costs
@@ -190,13 +184,11 @@ let run ?(trace = false) spec =
   in
   List.iter
     (fun n ->
-      let targets = List.filter (fun (i, _) -> i <> n) servers in
+      let targets = List.filter (fun i -> i <> n) servers in
       let targets = if targets = [] then servers else targets in
       Hashtbl.replace bindings n
         (Array.of_list
-           (List.map
-              (fun (_, service) -> Cluster.resolve cl ~node:n ~service ~options ())
-              targets)))
+           (List.map (fun server -> Cluster.bind cl ~client:n ~server ~options ()) targets)))
     client_nodes;
   let issued = ref 0 in
   let completed = ref 0 in
@@ -243,8 +235,7 @@ let run ?(trace = false) spec =
   in
   let one_call binding client ctx =
     match
-      Rpc.Runtime.call binding.Nameserv.b_rpc client ctx ~proc_idx:(proc_idx spec)
-        ~args:(args_of spec)
+      Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx spec) ~args:(args_of spec)
     with
     | _ -> incr completed
     | exception Rpc.Rpc_error.Rpc _ -> incr failed
@@ -368,7 +359,6 @@ let run ?(trace = false) spec =
   (* First-bottleneck attribution: score each candidate resource on the
      busiest server node as a saturation fraction and name the largest
      that crosses the threshold. *)
-  let server_ids = List.map fst servers in
   let busiest =
     List.fold_left
       (fun acc i ->
@@ -376,7 +366,7 @@ let run ?(trace = false) spec =
         match acc with
         | None -> Some r
         | Some b -> if r.nr_cpu0_util > b.nr_cpu0_util then Some r else acc)
-      None server_ids
+      None servers
   in
   let bottleneck =
     match busiest with
@@ -418,7 +408,7 @@ let run ?(trace = false) spec =
       r_switch_forwarded = forwarded;
       r_incast_drops = incast_drops;
       r_unknown_drops = Topology.frames_dropped_unknown cl.Cluster.cl_switch;
-      r_lookups = Nameserv.lookups cl.Cluster.cl_names;
+      r_lookups = cl.Cluster.cl_binds;
       r_leaked_sinks = Cluster.leaked_sinks cl;
       r_stuck_callers = Cluster.stuck_callers cl;
       r_events = Engine.events_executed eng;

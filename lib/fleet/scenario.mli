@@ -38,11 +38,6 @@ type spec = {
           (default 0.25); only used by [Straggler] *)
   s_switch_latency_us : float;
   s_egress_capacity : int;
-  s_queue : [ `Heap | `Calendar ];
-      (** engine event-queue discipline (default [`Heap]) — a pure
-          performance knob; same-seed runs render byte-identically
-          under either, and the queue choice is deliberately absent
-          from {!render} *)
 }
 
 val default : spec

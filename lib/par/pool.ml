@@ -12,8 +12,8 @@
    parallel experiment tables byte-identical to serial ones.
 
    [jobs = 1] short-circuits to a plain serial [List.map] on the
-   calling domain: no domains are spawned, no atomics touched, and the
-   evaluation order is exactly the historical one. *)
+   calling domain: no domains are spawned, no atomics touched, and
+   tasks run in input order. *)
 
 let default_jobs () = Domain.recommended_domain_count ()
 

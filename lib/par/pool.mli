@@ -6,8 +6,8 @@
     so a parallel sweep renders byte-identically to a serial one.
 
     With [jobs = 1] (the default) no domain is spawned and the tasks
-    run as a plain serial [List.map] on the calling domain — the exact
-    historical code path, guaranteed identical output. *)
+    run as a plain serial [List.map] on the calling domain, so callers
+    need no serial copy of their loop. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs] defaults to. *)

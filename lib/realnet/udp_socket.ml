@@ -323,21 +323,3 @@ let call c ~proc_idx ~args =
         | Ok parsed -> run (Exchange.Caller.input caller (received parsed)))
   in
   run outputs
-
-(* {1 The TRANSPORT instance}
-
-   The proof that {!Rpc.Transport.S} spans real backends: a connected
-   loopback client packs into the same signature the simulator's three
-   transports satisfy.  [client]/[ctx] are [unit] — a kernel socket
-   needs neither a simulated runtime nor a CPU context. *)
-
-module Socket_transport = struct
-  type binding = client
-  type nonrec client = unit
-  type ctx = unit
-
-  let kind = Rpc.Transport.Real_socket
-  let name = "udp-socket"
-  let interface (b : binding) = b.c_intf
-  let invoke (b : binding) () () ~proc_idx ~args = call b ~proc_idx ~args
-end

@@ -88,9 +88,3 @@ val send_raw : client -> Stdlib.Bytes.t -> unit
     for the conformance suite. *)
 
 val close : client -> unit
-
-module Socket_transport :
-  Rpc.Transport.S with type binding = client and type client = unit and type ctx = unit
-(** The {!Rpc.Transport.S} instance ([kind = Real_socket]): a connected
-    loopback client under the same signature the simulator's three
-    transports satisfy. *)

@@ -87,7 +87,6 @@ let trace t = t.engine_trace
 let events_executed t = t.executed
 let suspended_count t = t.suspended
 let armed_timers t = match t.wheel with None -> 0 | Some wh -> Wheel.size wh
-let queue_kind t = match t.queue with Heap _ -> `Heap | Cal _ -> `Calendar
 
 (* Every event — flat or closure — draws its key here, so the
    (tie, seq) stream is a pure function of the schedule-call sequence,

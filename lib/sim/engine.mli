@@ -148,6 +148,3 @@ val armed_timers : t -> int
 (** Number of timeout timers currently armed on the engine's wheel
     (pending {!suspend_timeout} deadlines not yet fired, cancelled or
     flushed to the main queue). *)
-
-val queue_kind : t -> [ `Heap | `Calendar ]
-(** Which event-queue discipline this engine was created with. *)

@@ -135,9 +135,9 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
    The i-th timed call to start is trace call id i: the allocator
    restarts at the [Sim.Trace.clear], and [Rpc.Runtime.call] takes its
    id before it first yields. *)
-let run_traced (w : World.t) ?options ?transport ?(warmup = 2) ?(threads = 1) ~calls ~proc () =
+let run_traced (w : World.t) ?(threads = 1) ~calls ~proc () =
   if threads < 1 then invalid_arg "Driver.run_traced: threads must be >= 1";
-  let binding = World.test_binding w ?options ?transport () in
+  let binding = World.test_binding w () in
   let eng = w.World.eng in
   let tr = Engine.trace eng in
   let gate = Sim.Gate.create eng in
@@ -164,9 +164,8 @@ let run_traced (w : World.t) ?options ?transport ?(warmup = 2) ?(threads = 1) ~c
   in
   caller (fun client ctx ->
       (* Warm the path: binding established, server threads parked. *)
-      for _ = 1 to warmup do
-        call client ctx
-      done;
+      call client ctx;
+      call client ctx;
       Obs.Journal.clear w.World.obs.Obs.Ctx.journal;
       Sim.Trace.clear tr;
       Sim.Trace.set_enabled tr true;
@@ -177,8 +176,8 @@ let run_traced (w : World.t) ?options ?transport ?(warmup = 2) ?(threads = 1) ~c
   World.run_until_quiet w gate;
   List.sort (fun a b -> compare a.Obs.Attrib.w_call b.Obs.Attrib.w_call) !windows
 
-let measure_single_call (w : World.t) ?options ?transport ~proc () =
-  let binding = World.test_binding w ?options ?transport () in
+let measure_single_call (w : World.t) ~proc () =
+  let binding = World.test_binding w () in
   let gate = Sim.Gate.create w.World.eng in
   let latency = ref Time.zero_span in
   Machine.spawn_thread w.World.caller ~name:"single-call" (fun () ->

@@ -37,7 +37,7 @@ val payload_bytes : proc -> int
 val run :
   World.t ->
   ?options:Rpc.Runtime.call_options ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   threads:int ->
   calls:int ->
   proc:proc ->
@@ -48,19 +48,16 @@ val run :
 
 val run_traced :
   World.t ->
-  ?options:Rpc.Runtime.call_options ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
-  ?warmup:int ->
   ?threads:int ->
   calls:int ->
   proc:proc ->
   unit ->
   Obs.Attrib.window list
-(** The one traced-call runner.  One caller thread makes [warmup]
-    (default 2) untimed calls, then clears the engine's span trace and
-    the world's event journal and enables tracing; [threads] (default
-    1) caller threads then share the [calls] timed calls, so the trace
-    and journal cover exactly those calls.  Returns each timed call's
+(** The one traced-call runner.  One caller thread makes two untimed
+    calls, then clears the engine's span trace and the world's event
+    journal and enables tracing; [threads] (default 1) caller threads
+    then share the [calls] timed calls, so the trace and journal cover
+    exactly those calls.  Returns each timed call's
     measured window, in call-id order: the i-th call to start is trace
     call id i, ready for [Obs.Attrib.attribute].  Read the spans from
     [Sim.Engine.trace] and the journal from the world's {!Obs.Ctx.t}
@@ -69,8 +66,6 @@ val run_traced :
 
 val measure_single_call :
   World.t ->
-  ?options:Rpc.Runtime.call_options ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
   proc:proc ->
   unit ->
   Sim.Time.span

@@ -46,25 +46,22 @@ let create ?(caller_config = Config.default) ?(server_config = Config.default) ?
   { eng; link; binder; caller; server; caller_node; server_node; caller_rt; server_rt; obs }
 
 let test_binding t ?options ?auth ?(transport = `Auto) () =
-  match transport with
-  | `Local ->
-    (* The paper's RPC-on-one-machine row (Table I): the Test interface
-       served from the caller's own address space, so the binder's
-       same-machine rule picks the shared-memory transport.  Exported
-       directly on the caller runtime — the binder's (name, version)
-       slot already belongs to the remote server. *)
-    if not (Rpc.Runtime.is_exported t.caller_rt Test_interface.interface) then
-      Rpc.Runtime.export ?auth t.caller_rt Test_interface.interface
-        ~impls:(Test_interface.impls (Machine.timing t.caller))
-        ~workers:2;
-    let options =
-      match options with
-      | Some o -> o
-      | None -> Rpc.Runtime.default_options t.caller_rt
-    in
-    Rpc.Runtime.bind_local t.caller_rt ~server:t.caller_rt Test_interface.interface ~options
-  | (`Auto | `Udp | `Decnet) as transport ->
-    Rpc.Binder.import t.binder t.caller_rt ~name:"Test" ~version:1 ?options ?auth ~transport ()
+  let server =
+    match transport with
+    | `Local ->
+      (* The paper's RPC-on-one-machine row (Table I): the Test
+         interface served from the caller's own address space.
+         Exported directly on the caller runtime — the binder's (name,
+         version) slot already belongs to the remote server. *)
+      if not (Rpc.Runtime.is_exported t.caller_rt Test_interface.interface) then
+        Rpc.Runtime.export ?auth t.caller_rt Test_interface.interface
+          ~impls:(Test_interface.impls (Machine.timing t.caller))
+          ~workers:2;
+      t.caller_rt
+    | `Auto | `Decnet -> t.server_rt
+  in
+  Rpc.Binder.bind t.binder t.caller_rt ~server Test_interface.interface ?options ?auth
+    ~transport ()
 
 let add_machine t ~name ~config ~station ~ip =
   let m =

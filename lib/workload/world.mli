@@ -43,14 +43,16 @@ val test_binding :
   t ->
   ?options:Rpc.Runtime.call_options ->
   ?auth:Rpc.Secure.key ->
-  ?transport:[ `Auto | `Local | `Udp | `Decnet ] ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   unit ->
   Rpc.Runtime.binding
-(** Imports the Test interface into the caller's address space; [auth]
-    must match the key the world was created with, if any.  [`Local]
-    additionally exports the Test interface from the caller's own
-    runtime (once) and binds it over shared memory — the paper's
-    RPC-on-one-machine configuration. *)
+(** Binds the caller's address space to the Test interface through
+    {!Rpc.Binder.bind}; [auth] must match the key the world was created
+    with, if any.  [`Local] instead exports the Test interface from the
+    caller's own runtime (once) and binds it over shared memory — the
+    paper's RPC-on-one-machine configuration.
+    @raise Rpc.Rpc_error.Rpc ([Unbound_interface]) if the world was
+    created without the Test export and [transport] is not [`Local]. *)
 
 val add_machine :
   t -> name:string -> config:Hw.Config.t -> station:int -> ip:string -> Nub.Machine.t * Rpc.Node.t * Rpc.Runtime.t

@@ -1,5 +1,5 @@
-(* The fleet tier: seeded determinism of whole-cluster runs, the
-   binding service's resolve/rebind/stale contract, arrival-generator
+(* The fleet tier: seeded determinism of whole-cluster runs, node-to-
+   node binding through the cluster's binder, arrival-generator
    statistics, conservation invariants, and the saturation regression —
    CPU 0 interrupt serialization must be the first bottleneck a
    1-server/64-client incast hits at the default constants. *)
@@ -7,7 +7,6 @@
 module Gen = Fleet.Gen
 module Scenario = Fleet.Scenario
 module Cluster = Fleet.Cluster
-module Nameserv = Fleet.Nameserv
 module Topology = Fleet.Topology
 
 (* Small enough for tier-1 time, big enough to exercise every node. *)
@@ -44,16 +43,6 @@ let test_open_loop_deterministic () =
   let r2, _ = Scenario.run spec in
   Alcotest.(check string)
     "open loop is a pure function of the seed" (Scenario.render r1) (Scenario.render r2)
-
-let test_calendar_queue_identical () =
-  (* The engine's queue discipline is a pure performance knob: the same
-     seed through the calendar queue (and the retransmit timer wheel it
-     shares the run with) must render byte-identically to the pairing
-     heap. *)
-  let r1, _ = Scenario.run { small_spec with Scenario.s_queue = `Heap } in
-  let r2, _ = Scenario.run { small_spec with Scenario.s_queue = `Calendar } in
-  Alcotest.(check string)
-    "heap vs calendar, byte-identical report" (Scenario.render r1) (Scenario.render r2)
 
 (* {1 Conservation and quiescence invariants} *)
 
@@ -148,67 +137,34 @@ let test_incast_spans_carry_calls () =
   Alcotest.(check bool) "switch ports queued frames" true
     (List.exists (fun (s : Sim.Trace.span) -> s.label = "Wait for Ethernet medium") spans)
 
-(* {1 The binding service} *)
+(* {1 Binding nodes} *)
 
-let mk_cluster () =
+let test_bind_remote_and_self () =
   let cl = Cluster.create ~nodes:3 () in
-  Cluster.export_service cl ~node:0 ~service:"Alpha" ();
-  Cluster.export_service cl ~node:1 ~service:"Beta" ();
-  cl
+  Cluster.export cl ~node:0 ();
+  Alcotest.(check bool) "another node's bind crosses the switch" false
+    (Rpc.Runtime.is_local (Cluster.bind cl ~client:2 ~server:0 ()));
+  Alcotest.(check bool) "a node's bind to itself is shared memory" true
+    (Rpc.Runtime.is_local (Cluster.bind cl ~client:0 ~server:0 ()));
+  Alcotest.(check int) "binds counted" 2 cl.Cluster.cl_binds
 
-let test_nameserv_resolve () =
-  let cl = mk_cluster () in
-  let b = Cluster.resolve cl ~node:2 ~service:"Alpha" () in
-  Alcotest.(check string) "resolves to the exporting node" "node0" b.Nameserv.b_node_name;
-  Alcotest.(check int) "initial generation" 0 b.Nameserv.b_generation;
-  Alcotest.(check bool) "fresh binding is not stale" false
-    (Nameserv.is_stale cl.Cluster.cl_names b);
-  Alcotest.(check (list string)) "directory is sorted" [ "Alpha"; "Beta" ]
-    (Nameserv.services cl.Cluster.cl_names)
+let test_bind_unexported () =
+  let cl = Cluster.create ~nodes:3 () in
+  Cluster.export cl ~node:0 ();
+  Alcotest.check_raises "a node exporting nothing raises Unbound_interface"
+    (Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Unbound_interface "Test v1"))
+    (fun () -> ignore (Cluster.bind cl ~client:2 ~server:1 ()))
 
-let test_nameserv_unknown () =
-  let cl = mk_cluster () in
-  Alcotest.check_raises "unknown service raises Unbound_interface"
-    (Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Unbound_interface "Gamma"))
-    (fun () -> ignore (Cluster.resolve cl ~node:2 ~service:"Gamma" ()))
-
-let test_nameserv_rebind_stale () =
-  let cl = mk_cluster () in
-  let old = Cluster.resolve cl ~node:2 ~service:"Alpha" () in
-  (* Move Alpha to node1 (which already exports the interface). *)
-  Nameserv.rebind cl.Cluster.cl_names ~service:"Alpha" (Cluster.node cl 1).Cluster.nd_rt;
-  Alcotest.(check bool) "old binding is stale after rebind" true
-    (Nameserv.is_stale cl.Cluster.cl_names old);
-  let fresh = Cluster.resolve cl ~node:2 ~service:"Alpha" () in
-  Alcotest.(check string) "re-resolution lands on the new node" "node1"
-    fresh.Nameserv.b_node_name;
-  Alcotest.(check int) "generation bumped" 1 fresh.Nameserv.b_generation;
-  Alcotest.(check bool) "fresh binding is current" false
-    (Nameserv.is_stale cl.Cluster.cl_names fresh);
-  Alcotest.(check int) "rebinds counted" 1 (Nameserv.rebinds cl.Cluster.cl_names);
-  Alcotest.(check bool) "stale hits counted" true
-    (Nameserv.stale_hits cl.Cluster.cl_names >= 1)
-
-let test_nameserv_register_validation () =
-  let cl = mk_cluster () in
-  (* node2 has not exported the test interface yet: registering its
-     runtime directly must be rejected.  (Checked first — exporting
-     below is sticky.) *)
-  (let raised =
-     try
-       Nameserv.register cl.Cluster.cl_names ~service:"Gamma"
-         ~intf:Workload.Test_interface.interface (Cluster.node cl 2).Cluster.nd_rt;
-       false
-     with Invalid_argument _ -> true
-   in
-   Alcotest.(check bool) "unexported runtime rejected" true raised);
+let test_export_twice () =
+  let cl = Cluster.create ~nodes:3 () in
+  Cluster.export cl ~node:0 ();
   let raised =
     try
-      Cluster.export_service cl ~node:2 ~service:"Alpha" ();
+      Cluster.export cl ~node:0 ();
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "duplicate registration rejected" true raised
+  Alcotest.(check bool) "second export on a node rejected" true raised
 
 (* {1 The switched topology} *)
 
@@ -330,8 +286,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "byte-identical render" `Quick test_render_deterministic;
-          Alcotest.test_case "heap vs calendar identical" `Quick
-            test_calendar_queue_identical;
           Alcotest.test_case "seed changes the run" `Quick test_seed_changes_report;
           Alcotest.test_case "open loop deterministic" `Quick test_open_loop_deterministic;
         ] );
@@ -351,12 +305,11 @@ let () =
       ( "call ids",
         [ Alcotest.test_case "incast spans carry their call" `Quick test_incast_spans_carry_calls ]
       );
-      ( "nameserv",
+      ( "binding",
         [
-          Alcotest.test_case "resolve" `Quick test_nameserv_resolve;
-          Alcotest.test_case "unknown service" `Quick test_nameserv_unknown;
-          Alcotest.test_case "rebind and staleness" `Quick test_nameserv_rebind_stale;
-          Alcotest.test_case "registration validation" `Quick test_nameserv_register_validation;
+          Alcotest.test_case "remote and self binds" `Quick test_bind_remote_and_self;
+          Alcotest.test_case "unexported server" `Quick test_bind_unexported;
+          Alcotest.test_case "export twice rejected" `Quick test_export_twice;
         ] );
       ( "topology",
         [

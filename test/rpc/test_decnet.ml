@@ -24,8 +24,8 @@ let make_rig ?caller_config ?server_config () =
   let w = World.create ?caller_config ?server_config ~export_test:false () in
   {
     w;
-    client_ep = Decnet.endpoint w.World.caller_node;
-    server_ep = Decnet.endpoint w.World.server_node;
+    client_ep = Binder.decnet_endpoint w.World.binder w.World.caller_node;
+    server_ep = Binder.decnet_endpoint w.World.binder w.World.server_node;
   }
 
 (* Echo server on the raw transport: reverses each message. *)
@@ -263,6 +263,25 @@ let test_keyed_export_rejects_decnet () =
   in
   Alcotest.(check bool) "unauthenticated decnet call rejected" true rejected
 
+(* A dropped world must be collectable whatever it bound over: nothing
+   outside the world may keep its nodes alive.  Returns a weak pointer
+   to the caller node of a world that made three calls. *)
+let weak_caller_node transport =
+  let w = World.create () in
+  ignore (Workload.Driver.run w ~transport ~threads:1 ~calls:3 ~proc:Workload.Driver.Null ());
+  let weak = Weak.create 1 in
+  Weak.set weak 0 (Some w.World.caller_node);
+  weak
+
+let test_world_freed () =
+  List.iter
+    (fun (name, transport) ->
+      let weak = (Sys.opaque_identity weak_caller_node) transport in
+      Gc.full_major ();
+      Gc.full_major ();
+      Alcotest.(check bool) (name ^ ": caller node collected") false (Weak.check weak 0))
+    [ ("custom protocol", `Auto); ("DECNet", `Decnet) ]
+
 let suite =
   [
     Alcotest.test_case "connect and echo" `Quick test_connect_and_echo;
@@ -275,4 +294,5 @@ let suite =
       test_decnet_slower_than_udp;
     Alcotest.test_case "keyed export rejects DECNet calls" `Quick
       test_keyed_export_rejects_decnet;
+    Alcotest.test_case "a dropped world is collected" `Quick test_world_freed;
   ]

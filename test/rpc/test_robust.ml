@@ -352,7 +352,7 @@ let test_result_fragment_validation () =
   let outs = ref None in
   run_caller w gate (fun client ctx ->
       let binding =
-        Runtime.bind_ether w.World.caller_rt ~dst:(Rpc.Node.endpoint rogue_node) ~server_space:9
+        Runtime.bind_ether ~dst:(Rpc.Node.endpoint rogue_node) ~server_space:9
           Workload.Test_interface.interface
           ~options:{ Runtime.retransmit_after = Time.ms 50; max_retries = 10; backoff = None }
       in

@@ -1,10 +1,10 @@
 (* Transport conformance: the same obligations checked against every
-   backend behind the TRANSPORT signature — the simulated ether, the
-   same-address-space shared-memory path, and the real loopback UDP
-   socket.  Round trips must complete, multi-packet payloads must
-   reassemble, lost packets must be retransmitted through, and
-   malformed frames (one shared mutation corpus) must be rejected by
-   the frame parser, never crash a receiver.
+   backend — the simulated ether, the same-address-space shared-memory
+   path, and the real loopback UDP socket.  Round trips must complete,
+   multi-packet payloads must reassemble, lost packets must be
+   retransmitted through, and malformed frames (one shared mutation
+   corpus) must be rejected by the frame parser, never crash a
+   receiver.  First, the binder's placement rule picks the transport.
 
    Socket cases skip (not fail) where the environment has no loopback
    sockets. *)
@@ -14,8 +14,61 @@ module World = Workload.World
 module Ti = Workload.Test_interface
 module Us = Realnet.Udp_socket
 
-let sim_transports : (string * [ `Auto | `Local | `Udp | `Decnet ]) list =
+let sim_transports : (string * [ `Auto | `Local | `Decnet ]) list =
   [ ("sim", `Auto); ("local", `Local) ]
+
+(* {1 The placement rule}
+
+   Every pairing of placement and requested transport, one fresh world
+   each: the binding's transport is read from what one call moved —
+   nothing on the wire is shared memory, frames without DECNet segments
+   are the packet exchange, segments are a session. *)
+
+let probe_intf = Rpc.Idl.interface ~name:"Probe" ~version:1 [ Rpc.Idl.proc "null" [] ]
+
+let bound_transport ~same_machine transport =
+  let w = World.create ~idle_load:false ~export_test:false () in
+  let server =
+    if same_machine then Rpc.Runtime.create w.World.caller_node ~space:2 else w.World.server_rt
+  in
+  Rpc.Binder.export w.World.binder server probe_intf ~impls:[| (fun _ _ -> []) |] ~workers:1;
+  match
+    Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Probe" ~version:1 ~transport ()
+  with
+  | exception Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Unbound_interface _) -> "unbound"
+  | binding ->
+    let gate = Sim.Gate.create w.World.eng in
+    Nub.Machine.spawn_thread w.World.caller ~name:"probe" (fun () ->
+        Hw.Cpu_set.with_cpu (Nub.Machine.cpus w.World.caller) (fun ctx ->
+            let client = Rpc.Runtime.new_client w.World.caller_rt in
+            ignore (Rpc.Runtime.call binding client ctx ~proc_idx:0 ~args:[]));
+        Sim.Gate.open_ gate);
+    World.run_until_quiet w gate;
+    let frames = Hw.Ether_link.frames_carried w.World.link in
+    let segments =
+      Rpc.Decnet.segments_sent (Rpc.Binder.decnet_endpoint w.World.binder w.World.caller_node)
+    in
+    (match (Rpc.Runtime.is_local binding, frames > 0, segments > 0) with
+    | true, false, false -> "shared memory"
+    | false, true, false -> "packet exchange"
+    | false, true, true -> "session"
+    | _ -> Printf.sprintf "inconsistent (%d frames, %d segments)" frames segments)
+
+let test_placement_rule () =
+  List.iter
+    (fun (same_machine, transport, name, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s server, %s" (if same_machine then "same-machine" else "remote") name)
+        expected
+        (bound_transport ~same_machine transport))
+    [
+      (true, `Auto, "auto", "shared memory");
+      (true, `Local, "local", "shared memory");
+      (true, `Decnet, "decnet", "shared memory");
+      (false, `Auto, "auto", "packet exchange");
+      (false, `Local, "local", "unbound");
+      (false, `Decnet, "decnet", "session");
+    ]
 
 (* {1 Round trips and reassembly through the simulated runtime} *)
 
@@ -122,8 +175,8 @@ let test_malformed_corpus () =
 (* {1 The same obligations over a 3-node fleet binding}
 
    The pairwise cases above pin the transport between two fixed
-   machines.  A fleet binding goes further: the client resolves servers
-   {e by name} through the binding service and the frames cross a
+   machines.  A fleet binding goes further: the client binds to server
+   nodes through the cluster's binder and the frames cross a
    store-and-forward switch.  Round trips, multi-fragment reassembly
    and the shared mutation corpus must all hold unchanged. *)
 
@@ -166,16 +219,10 @@ let fleet_frame cl =
 
 let test_fleet_binding () =
   let cl = Fc.create ~nodes:3 () in
-  Fc.export_service cl ~node:0 ~service:"Alpha" ();
-  Fc.export_service cl ~node:1 ~service:"Beta" ();
-  let alpha = Fc.resolve cl ~node:2 ~service:"Alpha" () in
-  let beta = Fc.resolve cl ~node:2 ~service:"Beta" () in
-  Alcotest.(check string) "Alpha resolved to node0" "node0"
-    alpha.Fleet.Nameserv.b_node_name;
-  Alcotest.(check string) "Beta resolved to node1" "node1" beta.Fleet.Nameserv.b_node_name;
-  Alcotest.(check bool) "fresh bindings are not stale" false
-    (Fleet.Nameserv.is_stale cl.Fc.cl_names alpha
-    || Fleet.Nameserv.is_stale cl.Fc.cl_names beta);
+  Fc.export cl ~node:0 ();
+  Fc.export cl ~node:1 ();
+  let alpha = Fc.bind cl ~client:2 ~server:0 () in
+  let beta = Fc.bind cl ~client:2 ~server:1 () in
   let client = Fc.node cl 2 in
   let gate = Sim.Gate.create cl.Fc.cl_eng in
   let len = 6000 in
@@ -184,11 +231,10 @@ let test_fleet_binding () =
           let act = Rpc.Runtime.new_client client.Fc.nd_rt in
           for _ = 1 to 10 do
             ignore
-              (Rpc.Runtime.call alpha.Fleet.Nameserv.b_rpc act ctx ~proc_idx:Ti.null_idx
-                 ~args:[])
+              (Rpc.Runtime.call alpha act ctx ~proc_idx:Ti.null_idx ~args:[])
           done;
           match
-            Rpc.Runtime.call beta.Fleet.Nameserv.b_rpc act ctx ~proc_idx:Ti.get_data_idx
+            Rpc.Runtime.call beta act ctx ~proc_idx:Ti.get_data_idx
               ~args:
                 [ Rpc.Marshal.V_int (Int32.of_int len); Rpc.Marshal.V_bytes Bytes.empty ]
           with
@@ -200,8 +246,7 @@ let test_fleet_binding () =
           | _ -> Alcotest.fail "GetData over the fleet: unexpected result shape");
       Sim.Gate.open_ gate);
   Fc.run_until_quiet cl gate;
-  Alcotest.(check int) "two name-service lookups" 2
-    (Fleet.Nameserv.lookups cl.Fc.cl_names);
+  Alcotest.(check int) "two binds" 2 cl.Fc.cl_binds;
   Alcotest.(check bool) "the switch forwarded the conversation" true
     (Fleet.Topology.frames_forwarded cl.Fc.cl_switch > 0);
   Alcotest.(check int) "no unknown-MAC drops" 0
@@ -211,8 +256,8 @@ let test_fleet_binding () =
 
 let test_fleet_malformed () =
   let cl = Fc.create ~nodes:3 () in
-  Fc.export_service cl ~node:0 ~service:"Alpha" ();
-  let binding = Fc.resolve cl ~node:2 ~service:"Alpha" () in
+  Fc.export cl ~node:0 ();
+  let binding = Fc.bind cl ~client:2 ~server:0 () in
   let server = Fc.node cl 0 in
   let client = Fc.node cl 2 in
   let frame = fleet_frame cl in
@@ -247,8 +292,7 @@ let test_fleet_malformed () =
       Hw.Cpu_set.with_cpu (Nub.Machine.cpus client.Fc.nd_machine) (fun ctx ->
           let act = Rpc.Runtime.new_client client.Fc.nd_rt in
           ignore
-            (Rpc.Runtime.call binding.Fleet.Nameserv.b_rpc act ctx ~proc_idx:Ti.null_idx
-               ~args:[]));
+            (Rpc.Runtime.call binding act ctx ~proc_idx:Ti.null_idx ~args:[]));
       Sim.Gate.open_ gate);
   Fc.run_until_quiet cl gate;
   Alcotest.(check bool) "mutants were injected" true (List.length injectable > 0);
@@ -369,8 +413,7 @@ let test_fragmented_call transport () =
     match transport with
     | `Local ->
       Rpc.Runtime.export w.World.caller_rt upload_intf ~impls ~workers:1;
-      Rpc.Runtime.bind_local w.World.caller_rt ~server:w.World.caller_rt upload_intf
-        ~options:(Rpc.Runtime.default_options w.World.caller_rt)
+      Rpc.Binder.bind w.World.binder w.World.caller_rt ~server:w.World.caller_rt upload_intf ()
     | `Auto ->
       Rpc.Binder.export w.World.binder w.World.server_rt upload_intf ~impls ~workers:2;
       Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Upload" ~version:1 ()
@@ -563,17 +606,6 @@ let test_socket_wire_bytes () =
     Alcotest.(check bool) "on-wire bytes identical to the simulated encoder" true
       (Bytes.equal expected got)
 
-let transport_pack () =
-  (* The Transport.S instance dispatches a real call. *)
-  with_socket @@ fun server intf ->
-  let c = connect_exn server intf in
-  Fun.protect ~finally:(fun () -> Us.close c) @@ fun () ->
-  let module T = Us.Socket_transport in
-  Alcotest.(check string) "kind" "socket" (Rpc.Transport.kind_to_string T.kind);
-  Alcotest.(check string) "interface" "Test" (T.interface c).Rpc.Idl.intf_name;
-  Alcotest.(check int) "invoke dispatches" 0
-    (List.length (T.invoke c () () ~proc_idx:Ti.null_idx ~args:[]))
-
 let () =
   let sim_cases =
     List.concat_map
@@ -590,6 +622,7 @@ let () =
   in
   Alcotest.run "transport"
     [
+      ("bind-rule", [ Alcotest.test_case "placement table" `Quick test_placement_rule ]);
       ("conformance-sim", sim_cases @ [ Alcotest.test_case "sim retransmit under loss" `Quick test_retransmit_sim ]);
       ("malformed", [ Alcotest.test_case "shared corpus rejected" `Quick test_malformed_corpus ]);
       ( "conformance-fleet",
@@ -612,6 +645,5 @@ let () =
           Alcotest.test_case "socket call-fragment faults" `Quick test_socket_call_fragment_faults;
           Alcotest.test_case "socket stalled transfer isolated" `Quick
             test_socket_stalled_transfer_isolated;
-          Alcotest.test_case "Transport.S instance" `Quick transport_pack;
         ] );
     ]
