@@ -3,9 +3,8 @@ module Time = Sim.Time
 module Cpu_set = Hw.Cpu_set
 module Machine = Nub.Machine
 module Runtime = Rpc.Runtime
-module Marshal = Rpc.Marshal
 module World = Workload.World
-module Test_interface = Workload.Test_interface
+module Driver = Workload.Driver
 
 type bug = No_bug | No_retransmit
 
@@ -91,25 +90,13 @@ let run_plan ?(trace = false) config ~seed ~plan =
               (* Alternate minimum packets and multi-fragment bulk
                  transfers so both protocol regimes face the plan. *)
               let bulk = config.payload > 0 && i mod 2 = 0 in
-              let idx, args =
-                if bulk then
-                  ( Test_interface.get_data_idx,
-                    [
-                      Marshal.V_int (Int32.of_int config.payload); Marshal.V_bytes Bytes.empty;
-                    ] )
-                else (Test_interface.null_idx, [])
-              in
-              match Runtime.call binding client ctx ~proc_idx:idx ~args with
+              let proc = if bulk then Driver.Get_data config.payload else Driver.Null in
+              match
+                Runtime.call binding client ctx ~proc_idx:(Driver.proc_idx proc)
+                  ~args:(Driver.args_of proc)
+              with
               | outs ->
-                let good =
-                  match (bulk, outs) with
-                  | false, [] -> true
-                  | true, [ Marshal.V_bytes b ] ->
-                    Bytes.length b = config.payload
-                    && Bytes.equal b (Test_interface.pattern config.payload)
-                  | _ -> false
-                in
-                if good then incr ok
+                if Driver.result_ok proc outs then incr ok
                 else
                   Invariant.record monitor ~inv:"result-correctness"
                     ~detail:

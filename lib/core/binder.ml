@@ -69,5 +69,3 @@ let import t runtime ~name ~version ?options ?auth ?transport () =
   | None ->
     Rpc_error.fail (Rpc_error.Unbound_interface (Printf.sprintf "%s v%d" name version))
   | Some ee -> bind t runtime ~server:ee.ee_runtime ee.ee_intf ?options ?auth ?transport ()
-
-let exporters t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table []

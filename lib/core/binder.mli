@@ -71,5 +71,3 @@ val import :
 val decnet_endpoint : t -> Node.t -> Decnet.endpoint
 (** The node's DECNet engine, made on first use and kept by this
     binder: one binder per world makes every DECNet binding in it. *)
-
-val exporters : t -> (string * int) list

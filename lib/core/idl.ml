@@ -74,39 +74,3 @@ let find_proc t name =
     else go (i + 1)
   in
   go 0
-
-let rec pp_ty fmt = function
-  | T_int -> Format.pp_print_string fmt "INTEGER"
-  | T_fixed_bytes n -> Format.fprintf fmt "ARRAY [0..%d] OF CHAR" (n - 1)
-  | T_var_bytes n -> Format.fprintf fmt "ARRAY OF CHAR (max %d)" n
-  | T_text n -> Format.fprintf fmt "Text.T (max %d)" n
-  | T_bool -> Format.pp_print_string fmt "BOOLEAN"
-  | T_int16 -> Format.pp_print_string fmt "INTEGER16"
-  | T_real -> Format.pp_print_string fmt "LONGREAL"
-  | T_record fields ->
-    Format.pp_print_string fmt "RECORD ";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Format.pp_print_string fmt "; ";
-        pp_ty fmt f)
-      fields;
-    Format.pp_print_string fmt " END"
-  | T_seq (elt, max) -> Format.fprintf fmt "SEQUENCE (max %d) OF %a" max pp_ty elt
-
-let pp_mode fmt = function
-  | Value -> ()
-  | Var_in -> Format.pp_print_string fmt "VAR IN "
-  | Var_out -> Format.pp_print_string fmt "VAR OUT "
-
-let pp_interface fmt t =
-  Format.fprintf fmt "INTERFACE %s (v%d);@." t.intf_name t.intf_version;
-  Array.iter
-    (fun p ->
-      Format.fprintf fmt "  PROCEDURE %s(" p.proc_name;
-      List.iteri
-        (fun i a ->
-          if i > 0 then Format.pp_print_string fmt "; ";
-          Format.fprintf fmt "%a%s: %a" pp_mode a.mode a.arg_name pp_ty a.ty)
-        p.args;
-      Format.fprintf fmt ");@.")
-    t.procs

@@ -85,8 +85,6 @@ val set_ethertype_handler :
     the interrupt routine and owns the frame's pool buffer on
     [Consumed]. *)
 
-val space_taken : t -> space:int -> bool
-
 (** {1 Waiting and sending} *)
 
 val wait : t -> Entry.t -> Hw.Cpu_set.ctx -> unit

@@ -120,8 +120,6 @@ let new_client t =
     cl_seq = 0;
   }
 
-let client_activity c = c.cl_act
-
 (* {1 Common helpers} *)
 
 let cat_rt = "runtime"

@@ -34,7 +34,6 @@ val space : t -> int
 type client
 
 val new_client : t -> client
-val client_activity : client -> Proto.Activity.t
 
 (** {1 Server side} *)
 

@@ -14,12 +14,6 @@ let traced proc =
   ( Attrib.attribute ~spans ~windows (),
     Sim.Time.to_us (Hw.Timing.caller_loop (Nub.Machine.timing w.World.caller)) )
 
-(* Domain-safe memo cells, not [lazy]: table 6/7/8 regeneration can run
-   on several worker domains at once, and racing [Lazy.force] calls on
-   one thunk are undefined behaviour. *)
-let null_data = Par.Once.create (fun () -> traced Driver.Null)
-let maxr_data = Par.Once.create (fun () -> traced Driver.Max_result)
-
 (* A service stage's per-call mean; 0 when the call never ran it. *)
 let mean r label =
   match
@@ -42,9 +36,7 @@ type step = {
    1514-byte result.  A span accrues once per packet for each row that
    names it, so dividing a stage mean by the rows naming its span gives
    one row's cost per packet. *)
-let table6 () =
-  let null, _ = Par.Once.force null_data in
-  let maxr, _ = Par.Once.force maxr_data in
+let steps6 ~null ~maxr =
   List.map
     (fun (s : Attrib.table6_row) ->
       let rows =
@@ -60,6 +52,8 @@ let table6 () =
         measured_large_us = (mean maxr s.t6_span /. rows) -. small;
       })
     Attrib.table6_steps
+
+let table6 () = steps6 ~null:(fst (traced Driver.Null)) ~maxr:(fst (traced Driver.Max_result))
 
 type runtime_step = { rt_label : string; rt_paper_us : float; rt_measured_us : float }
 
@@ -77,13 +71,14 @@ let runtime_steps =
     ("Ender", 33.);
   ]
 
-let table7 () =
-  let null, loop_us = Par.Once.force null_data in
+let steps7 (null, loop_us) =
   List.map
     (fun (label, paper) ->
       let loop = if String.equal label "Calling program (loop)" then loop_us else 0. in
       { rt_label = label; rt_paper_us = paper; rt_measured_us = mean null label +. loop })
     runtime_steps
+
+let table7 () = steps7 (traced Driver.Null)
 
 type accounting = {
   what : string;
@@ -96,12 +91,12 @@ type accounting = {
 let sum f l = List.fold_left (fun a s -> a +. f s) 0. l
 
 let table8 () =
-  let t6 = table6 () in
+  let ((null, null_loop) as null_data) = traced Driver.Null in
+  let maxr, maxr_loop = traced Driver.Max_result in
+  let t6 = steps6 ~null ~maxr in
   let sum_small = sum (fun s -> s.measured_small_us) t6 in
   let sum_large = sum (fun s -> s.measured_large_us) t6 in
-  let sum_rt = sum (fun s -> s.rt_measured_us) (table7 ()) in
-  let null, null_loop = Par.Once.force null_data in
-  let maxr, maxr_loop = Par.Once.force maxr_data in
+  let sum_rt = sum (fun s -> s.rt_measured_us) (steps7 null_data) in
   [
     {
       what = "Null()";
@@ -119,74 +114,69 @@ let table8 () =
     };
   ]
 
-let tables () =
+let fmt_opt = function
+  | None -> "-"
+  | Some v -> Report.Table.cell_f ~decimals:0 v
+
+let table6_table () =
   let t6 = table6 () in
+  Report.Table.make ~id:"table6" ~title:"Latency of steps in the send+receive operation"
+    ~columns:[ "action"; "paper 74B"; "sim 74B"; "paper 1514B"; "sim 1514B" ]
+    ~notes:
+      [
+        "74-byte column: traced call packet of a Null() RPC; 1514-byte: traced result packet of MaxResult(b)";
+        "totals: paper 954 / 4414 us";
+      ]
+    (List.map
+       (fun s ->
+         [
+           s.step_label;
+           Report.Table.cell_f ~decimals:0 s.paper_small_us;
+           Report.Table.cell_f ~decimals:0 s.measured_small_us;
+           fmt_opt s.paper_large_us;
+           Report.Table.cell_f ~decimals:0 s.measured_large_us;
+         ])
+       t6
+    @ [
+        [
+          "TOTAL";
+          "954";
+          Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_small_us) t6);
+          "4414";
+          Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_large_us) t6);
+        ];
+      ])
+
+let table7_table () =
   let t7 = table7 () in
-  let t8 = table8 () in
-  let fmt_opt = function
-    | None -> "-"
-    | Some v -> Report.Table.cell_f ~decimals:0 v
-  in
-  [
-    Report.Table.make ~id:"table6" ~title:"Latency of steps in the send+receive operation"
-      ~columns:[ "action"; "paper 74B"; "sim 74B"; "paper 1514B"; "sim 1514B" ]
-      ~notes:
-        [
-          "74-byte column: traced call packet of a Null() RPC; 1514-byte: traced result packet of MaxResult(b)";
-          "totals: paper 954 / 4414 us";
-        ]
-      (List.map
-         (fun s ->
-           [
-             s.step_label;
-             Report.Table.cell_f ~decimals:0 s.paper_small_us;
-             Report.Table.cell_f ~decimals:0 s.measured_small_us;
-             fmt_opt s.paper_large_us;
-             Report.Table.cell_f ~decimals:0 s.measured_large_us;
-           ])
-         t6
-      @ [
-          [
-            "TOTAL";
-            "954";
-            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_small_us) t6);
-            "4414";
-            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.measured_large_us) t6);
-          ];
-        ]);
-    Report.Table.make ~id:"table7" ~title:"Latency of stubs and RPC runtime (Null())"
-      ~columns:[ "procedure"; "paper us"; "sim us" ]
-      ~notes:[ "traced from one simulated call; paper total 606 us" ]
-      (List.map
-         (fun s ->
-           [
-             s.rt_label;
-             Report.Table.cell_f ~decimals:0 s.rt_paper_us;
-             Report.Table.cell_f ~decimals:0 s.rt_measured_us;
-           ])
-         t7
-      @ [
-          [
-            "TOTAL";
-            "606";
-            Report.Table.cell_f ~decimals:0 (sum (fun s -> s.rt_measured_us) t7);
-          ];
-        ]);
-    Report.Table.make ~id:"table8" ~title:"Calculated vs measured latency"
-      ~columns:[ "procedure"; "paper calc"; "sim calc"; "paper measured"; "sim measured" ]
-      ~notes:
-        [
-          "calc = sum of Table VI + Table VII components (+ 550 us marshalling for MaxResult)";
-          "the paper under-accounts Null() by 131 us and over-accounts MaxResult by 177 us; the simulator carries the Null gap as an explicit 'Unattributed' charge";
-        ]
-      (List.map
-         (fun a ->
-           [
-             a.what;
-             Report.Table.cell_f ~decimals:0 a.paper_calc_us;
-             Report.Table.cell_f ~decimals:0 a.measured_calc_us;
-             Report.Table.cell_f ~decimals:0 a.paper_elapsed_us;
-             Report.Table.cell_f ~decimals:0 a.measured_elapsed_us;
-           ])
-         t8);
-  ]
+  Report.Table.make ~id:"table7" ~title:"Latency of stubs and RPC runtime (Null())"
+    ~columns:[ "procedure"; "paper us"; "sim us" ]
+    ~notes:[ "traced from one simulated call; paper total 606 us" ]
+    (List.map
+       (fun s ->
+         [
+           s.rt_label;
+           Report.Table.cell_f ~decimals:0 s.rt_paper_us;
+           Report.Table.cell_f ~decimals:0 s.rt_measured_us;
+         ])
+       t7
+    @ [ [ "TOTAL"; "606"; Report.Table.cell_f ~decimals:0 (sum (fun s -> s.rt_measured_us) t7) ] ])
+
+let table8_table () =
+  Report.Table.make ~id:"table8" ~title:"Calculated vs measured latency"
+    ~columns:[ "procedure"; "paper calc"; "sim calc"; "paper measured"; "sim measured" ]
+    ~notes:
+      [
+        "calc = sum of Table VI + Table VII components (+ 550 us marshalling for MaxResult)";
+        "the paper under-accounts Null() by 131 us and over-accounts MaxResult by 177 us; the simulator carries the Null gap as an explicit 'Unattributed' charge";
+      ]
+    (List.map
+       (fun a ->
+         [
+           a.what;
+           Report.Table.cell_f ~decimals:0 a.paper_calc_us;
+           Report.Table.cell_f ~decimals:0 a.measured_calc_us;
+           Report.Table.cell_f ~decimals:0 a.paper_elapsed_us;
+           Report.Table.cell_f ~decimals:0 a.measured_elapsed_us;
+         ])
+       (table8 ()))

@@ -18,10 +18,14 @@ val table6 : unit -> step list
     call packet of a Null() RPC, the 1514-byte column from the result
     packet of a MaxResult(b) RPC. *)
 
+val table6_table : unit -> Report.Table.t
+
 type runtime_step = { rt_label : string; rt_paper_us : float; rt_measured_us : float }
 
 val table7 : unit -> runtime_step list
 (** Stubs and RPC runtime for a call of Null(). *)
+
+val table7_table : unit -> Report.Table.t
 
 type accounting = {
   what : string;
@@ -33,6 +37,8 @@ type accounting = {
 }
 
 val table8 : unit -> accounting list
-(** Calculated vs measured latency for Null() and MaxResult(b). *)
+(** Calculated vs measured latency for Null() and MaxResult(b), from
+    one traced call of each: the calculation sums their Table VI and
+    Table VII rows. *)
 
-val tables : unit -> Report.Table.t list
+val table8_table : unit -> Report.Table.t

@@ -41,21 +41,8 @@ let multi_client ?(calls_per_client = 800) ~proc () =
                 let client = Rpc.Runtime.new_client rt in
                 for _ = 1 to calls_per_client / threads_per_client do
                   ignore
-                    (Rpc.Runtime.call binding client ctx
-                       ~proc_idx:
-                         (match proc with
-                         | Driver.Null -> Workload.Test_interface.null_idx
-                         | Driver.Max_result -> Workload.Test_interface.max_result_idx
-                         | Driver.Max_arg -> Workload.Test_interface.max_arg_idx
-                         | Driver.Get_data _ -> Workload.Test_interface.get_data_idx)
-                       ~args:
-                         (match proc with
-                         | Driver.Null -> []
-                         | Driver.Max_result -> [ Rpc.Marshal.V_bytes Bytes.empty ]
-                         | Driver.Max_arg ->
-                           [ Rpc.Marshal.V_bytes (Workload.Test_interface.pattern 1440) ]
-                         | Driver.Get_data n ->
-                           [ Rpc.Marshal.V_int (Int32.of_int n); Rpc.Marshal.V_bytes Bytes.empty ]))
+                    (Rpc.Runtime.call binding client ctx ~proc_idx:(Driver.proc_idx proc)
+                       ~args:(Driver.args_of proc))
                 done);
             incr finished;
             if !finished = threads_total then Sim.Gate.open_ gate)
@@ -167,110 +154,79 @@ let latency_tails ?(calls = 4000) () =
 
 type transport_row = { transport : string; null_latency_us : float }
 
-let nullish =
-  Rpc.Idl.interface ~name:"Nullish" ~version:1 [ Rpc.Idl.proc "null" [] ]
-
-let nullish_impls : Rpc.Runtime.impl array =
-  [|
-    (fun ctx _ ->
-      Cpu_set.charge ctx ~cat:"runtime" ~label:"Null (the server procedure)" (Time.us 10);
-      []);
-  |]
-
-let measure_transport ~transport =
-  let w = World.create ~export_test:false () in
-  let server_rt =
-    match transport with
-    | `Local -> w.World.caller_rt (* same machine: binder picks shared memory *)
-    | `Auto | `Decnet -> w.World.server_rt
-  in
-  Rpc.Binder.export w.World.binder server_rt nullish ~impls:nullish_impls ~workers:2;
-  let binding =
-    Rpc.Binder.import w.World.binder w.World.caller_rt ~name:"Nullish" ~version:1 ~transport ()
-  in
-  let gate = Sim.Gate.create w.World.eng in
-  let lat = ref 0. in
-  Machine.spawn_thread w.World.caller ~name:"transport-bench" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
-          let client = Rpc.Runtime.new_client w.World.caller_rt in
-          let once () = ignore (Rpc.Runtime.call_by_name binding client ctx ~proc:"null" ~args:[]) in
-          once ();
-          once ();
-          let t0 = Engine.now w.World.eng in
-          once ();
-          lat := Time.to_us (Time.diff (Engine.now w.World.eng) t0));
-      Sim.Gate.open_ gate);
-  World.run_until_quiet w gate;
-  !lat
-
 let transport_comparison () =
+  let measure transport =
+    Time.to_us (Driver.measure_single_call (World.create ()) ~transport ~proc:Driver.Null ())
+  in
   [
-    { transport = "shared memory (same machine)"; null_latency_us = measure_transport ~transport:`Local };
-    { transport = "custom protocol on IP/UDP"; null_latency_us = measure_transport ~transport:`Auto };
-    { transport = "DECNet session"; null_latency_us = measure_transport ~transport:`Decnet };
+    { transport = "shared memory (same machine)"; null_latency_us = measure `Local };
+    { transport = "custom protocol on IP/UDP"; null_latency_us = measure `Auto };
+    { transport = "DECNet session"; null_latency_us = measure `Decnet };
   ]
 
-let tables ?(quick = false) () =
-  let calls_per_client = if quick then 150 else 800 in
-  let rows = multi_client ~calls_per_client ~proc:Driver.Max_result () in
-  let sat = controller_saturation () in
-  [
-    Report.Table.make ~id:"multi-client"
-      ~title:"Extension: several client machines against one server (MaxResult)"
-      ~columns:[ "clients"; "total RPC/s"; "Mbit/s"; "server CPUs"; "wire util %" ]
-      ~notes:
-        [
-          "each client machine runs 2 caller threads; the server and the shared wire become the bottleneck";
-        ]
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.client_machines;
-             Report.Table.cell_f ~decimals:0 r.total_rps;
-             Report.Table.cell_f ~decimals:2 r.total_mbps;
-             Report.Table.cell_f r.server_busy_cpus;
-             Report.Table.cell_f ~decimals:0 (100. *. r.wire_utilization);
-           ])
-         rows);
-    Report.Table.make ~id:"controller-saturation"
-      ~title:"Extension: DEQNA saturated transmission vs reception (1514-byte frames)"
-      ~columns:[ "direction"; "frames/s" ]
-      ~notes:
-        [
-          Printf.sprintf
-            "reception / transmission = %.2f; the paper's footnote (section 4.1) reports ~1.4 — the model agrees on the direction but overlaps reception more than the real DEQNA did (see Timing.deqna_rx_recovery)"
-            sat.rx_over_tx;
-        ]
+let multi_client_table ~quick =
+  Report.Table.make ~id:"multi-client"
+    ~title:"Extension: several client machines against one server (MaxResult)"
+    ~columns:[ "clients"; "total RPC/s"; "Mbit/s"; "server CPUs"; "wire util %" ]
+    ~notes:
       [
-        [ "transmission (queue drain)"; Report.Table.cell_f ~decimals:0 sat.tx_frames_per_sec ];
-        [ "reception (two senders)"; Report.Table.cell_f ~decimals:0 sat.rx_frames_per_sec ];
-      ];
-    Report.Table.make ~id:"latency-tails"
-      ~title:"Extension: Null() latency distribution under load (ms)"
-      ~columns:[ "threads"; "p50"; "p90"; "p99"; "max" ]
-      ~notes:
-        [
-          "queueing on the serialized CPU-0 interrupt/scheduler work stretches the tail as offered load approaches the ~740/s ceiling";
-        ]
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.tail_threads;
-             Report.Table.cell_f r.p50_ms;
-             Report.Table.cell_f r.p90_ms;
-             Report.Table.cell_f r.p99_ms;
-             Report.Table.cell_f r.max_ms;
-           ])
-         (latency_tails ~calls:(if quick then 600 else 4000) ()));
-    Report.Table.make ~id:"transports"
-      ~title:"Extension: the bind-time transport choice, measured (trivial call)"
-      ~columns:[ "transport"; "latency us" ]
-      ~notes:
-        [
-          "the paper's three transports (section 3.1); its own figures: local 937 us, custom protocol 2660 us";
-          "the general-purpose DECNet path is the baseline the custom fast path was built to beat";
-        ]
-      (List.map
-         (fun r -> [ r.transport; Report.Table.cell_f ~decimals:0 r.null_latency_us ])
-         (transport_comparison ()));
-  ]
+        "each client machine runs 2 caller threads; the server and the shared wire become the bottleneck";
+      ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.client_machines;
+           Report.Table.cell_f ~decimals:0 r.total_rps;
+           Report.Table.cell_f ~decimals:2 r.total_mbps;
+           Report.Table.cell_f r.server_busy_cpus;
+           Report.Table.cell_f ~decimals:0 (100. *. r.wire_utilization);
+         ])
+       (multi_client ~calls_per_client:(if quick then 150 else 800) ~proc:Driver.Max_result ()))
+
+let controller_saturation_table () =
+  let sat = controller_saturation () in
+  Report.Table.make ~id:"controller-saturation"
+    ~title:"Extension: DEQNA saturated transmission vs reception (1514-byte frames)"
+    ~columns:[ "direction"; "frames/s" ]
+    ~notes:
+      [
+        Printf.sprintf
+          "reception / transmission = %.2f; the paper's footnote (section 4.1) reports ~1.4 — the model agrees on the direction but overlaps reception more than the real DEQNA did (see Timing.deqna_rx_recovery)"
+          sat.rx_over_tx;
+      ]
+    [
+      [ "transmission (queue drain)"; Report.Table.cell_f ~decimals:0 sat.tx_frames_per_sec ];
+      [ "reception (two senders)"; Report.Table.cell_f ~decimals:0 sat.rx_frames_per_sec ];
+    ]
+
+let latency_tails_table ~quick =
+  Report.Table.make ~id:"latency-tails"
+    ~title:"Extension: Null() latency distribution under load (ms)"
+    ~columns:[ "threads"; "p50"; "p90"; "p99"; "max" ]
+    ~notes:
+      [
+        "queueing on the serialized CPU-0 interrupt/scheduler work stretches the tail as offered load approaches the ~740/s ceiling";
+      ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.tail_threads;
+           Report.Table.cell_f r.p50_ms;
+           Report.Table.cell_f r.p90_ms;
+           Report.Table.cell_f r.p99_ms;
+           Report.Table.cell_f r.max_ms;
+         ])
+       (latency_tails ~calls:(if quick then 600 else 4000) ()))
+
+let transports_table () =
+  Report.Table.make ~id:"transports"
+    ~title:"Extension: the bind-time transport choice, measured (trivial call)"
+    ~columns:[ "transport"; "latency us" ]
+    ~notes:
+      [
+        "the paper's three transports (section 3.1); its own figures: local 937 us, custom protocol 2660 us";
+        "the general-purpose DECNet path is the baseline the custom fast path was built to beat";
+      ]
+    (List.map
+       (fun r -> [ r.transport; Report.Table.cell_f ~decimals:0 r.null_latency_us ])
+       (transport_comparison ()))

@@ -19,6 +19,9 @@ val multi_client : ?calls_per_client:int -> proc:Workload.Driver.proc -> unit ->
 (** 1–4 client machines, each running 2 caller threads against the one
     server. *)
 
+val multi_client_table : quick:bool -> Report.Table.t
+(** MaxResult(b) at 800 calls per client, or 150 when [quick]. *)
+
 type saturation = {
   tx_frames_per_sec : float;
   rx_frames_per_sec : float;
@@ -28,6 +31,8 @@ type saturation = {
 val controller_saturation : unit -> saturation
 (** Transmission: one DEQNA draining a long queue of 1514-byte frames.
     Reception: two senders saturating one receiver. *)
+
+val controller_saturation_table : unit -> Report.Table.t
 
 type tail_row = {
   tail_threads : int;
@@ -43,12 +48,17 @@ val latency_tails : ?calls:int -> unit -> tail_row list
     moves.  The paper reports only aggregates; this is the modern
     latency-engineering view of the same machine. *)
 
+val latency_tails_table : quick:bool -> Report.Table.t
+(** At 4000 calls per load point, or 600 when [quick]. *)
+
 type transport_row = { transport : string; null_latency_us : float }
 
 val transport_comparison : unit -> transport_row list
 (** The §3.1 bind-time transport choice, measured: the same trivial call
     through shared memory, the custom IP/UDP packet-exchange protocol,
     and a DECNet session.  The ordering (local ≪ custom ≪ general
-    transport) is the design argument for the custom fast path. *)
+    transport) is the design argument for the custom fast path.  Each
+    row is {!Workload.Driver.measure_single_call} of the Test
+    interface's Null() in a fresh world. *)
 
-val tables : ?quick:bool -> unit -> Report.Table.t list
+val transports_table : unit -> Report.Table.t

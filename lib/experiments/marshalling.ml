@@ -54,9 +54,11 @@ let impls : Runtime.impl array =
     nothing;
   |]
 
+type sweep = (string, float) Hashtbl.t
+
 (* One world, one local binding; measure each procedure's warmed-up
    local-call latency. *)
-let measure_all () =
+let measure () =
   let w = World.create ~idle_load:false () in
   Binder.export w.World.binder w.World.caller_rt interface ~impls ~workers:2;
   let binding = Binder.import w.World.binder w.World.caller_rt ~name:"MarshalBench" ~version:1 () in
@@ -96,10 +98,6 @@ let measure_all () =
   World.run_until_quiet w gate;
   results
 
-(* Domain-safe memo (see Breakdown): tables 2-5 share one measurement
-   sweep, possibly forced from several worker domains. *)
-let measured = Par.Once.create measure_all
-
 (* A scenario lookup that cannot fail anonymously: a missing row means
    the measurement sweep and the table definitions disagree, and the
    error should say which scenario is absent and which exist — a bare
@@ -115,34 +113,32 @@ let overhead_of r name =
          "Experiments.Marshalling: no measurement for scenario %S (measured scenarios: %s)"
          name (String.concat ", " have))
 
-let increment name =
-  let r = Par.Once.force measured in
-  overhead_of r name -. overhead_of r "null"
+let increment r name = overhead_of r name -. overhead_of r "null"
 
-let table2 () =
+let table2 r =
   [
-    { label = "1 integer"; paper_us = 8.; measured_us = increment "ints1" };
-    { label = "2 integers"; paper_us = 16.; measured_us = increment "ints2" };
-    { label = "4 integers"; paper_us = 32.; measured_us = increment "ints4" };
+    { label = "1 integer"; paper_us = 8.; measured_us = increment r "ints1" };
+    { label = "2 integers"; paper_us = 16.; measured_us = increment r "ints2" };
+    { label = "4 integers"; paper_us = 32.; measured_us = increment r "ints4" };
   ]
 
-let table3 () =
+let table3 r =
   [
-    { label = "4 bytes"; paper_us = 20.; measured_us = increment "fixed4" };
-    { label = "400 bytes"; paper_us = 140.; measured_us = increment "fixed400" };
+    { label = "4 bytes"; paper_us = 20.; measured_us = increment r "fixed4" };
+    { label = "400 bytes"; paper_us = 140.; measured_us = increment r "fixed400" };
   ]
 
-let table4 () =
+let table4 r =
   [
-    { label = "1 byte"; paper_us = 115.; measured_us = increment "var1" };
-    { label = "1440 bytes"; paper_us = 550.; measured_us = increment "var1440" };
+    { label = "1 byte"; paper_us = 115.; measured_us = increment r "var1" };
+    { label = "1440 bytes"; paper_us = 550.; measured_us = increment r "var1440" };
   ]
 
-let table5 () =
+let table5 r =
   [
-    { label = "NIL"; paper_us = 89.; measured_us = increment "text_nil" };
-    { label = "1 byte"; paper_us = 378.; measured_us = increment "text1" };
-    { label = "128 bytes"; paper_us = 659.; measured_us = increment "text128" };
+    { label = "NIL"; paper_us = 89.; measured_us = increment r "text_nil" };
+    { label = "1 byte"; paper_us = 378.; measured_us = increment r "text1" };
+    { label = "128 bytes"; paper_us = 659.; measured_us = increment r "text128" };
   ]
 
 let to_table ~id ~title rows =
@@ -160,9 +156,10 @@ let to_table ~id ~title rows =
        rows)
 
 let tables () =
+  let r = measure () in
   [
-    to_table ~id:"table2" ~title:"Marshalling: 4-byte integers by value" (table2 ());
-    to_table ~id:"table3" ~title:"Marshalling: fixed-length array, VAR OUT" (table3 ());
-    to_table ~id:"table4" ~title:"Marshalling: variable-length array, VAR OUT" (table4 ());
-    to_table ~id:"table5" ~title:"Marshalling: Text.T argument" (table5 ());
+    to_table ~id:"table2" ~title:"Marshalling: 4-byte integers by value" (table2 r);
+    to_table ~id:"table3" ~title:"Marshalling: fixed-length array, VAR OUT" (table3 r);
+    to_table ~id:"table4" ~title:"Marshalling: variable-length array, VAR OUT" (table4 r);
+    to_table ~id:"table5" ~title:"Marshalling: Text.T argument" (table5 r);
   ]

@@ -12,18 +12,24 @@ type row = {
   measured_us : float;
 }
 
-val increment : string -> float
-(** Measured overhead (µs) of the named scenario over [Null()], from the
-    memoized measurement sweep.
+type sweep
+(** Every scenario's warmed-up local-call latency, from one world. *)
+
+val measure : unit -> sweep
+(** Runs the measurement sweep. *)
+
+val increment : sweep -> string -> float
+(** Measured overhead (µs) of the named scenario over [Null()].
     @raise Invalid_argument naming the missing scenario (and listing the
     measured ones) if it was never measured — a sweep/table mismatch. *)
 
-val table2 : unit -> row list  (** by-value 4-byte integers: 1, 2, 4 *)
+val table2 : sweep -> row list  (** by-value 4-byte integers: 1, 2, 4 *)
 
-val table3 : unit -> row list  (** fixed-length array VAR OUT: 4, 400 bytes *)
+val table3 : sweep -> row list  (** fixed-length array VAR OUT: 4, 400 bytes *)
 
-val table4 : unit -> row list  (** variable-length array VAR OUT: 1, 1440 bytes *)
+val table4 : sweep -> row list  (** variable-length array VAR OUT: 1, 1440 bytes *)
 
-val table5 : unit -> row list  (** Text.T: NIL, 1, 128 bytes *)
+val table5 : sweep -> row list  (** Text.T: NIL, 1, 128 bytes *)
 
 val tables : unit -> Report.Table.t list
+(** Tables II–V from one sweep. *)

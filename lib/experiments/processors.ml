@@ -77,35 +77,32 @@ let table11 ?(calls_per_thread = 1000) () =
         papers)
     table11_points
 
-let tables ?(quick = false) () =
-  let calls = if quick then 200 else 1000 in
-  let t10 = table10 ~calls () in
-  let t11 = table11 ~calls_per_thread:(if quick then 100 else 1000) () in
-  [
-    Report.Table.make ~id:"table10" ~title:"Calls to Null() with varying numbers of processors"
-      ~columns:[ "caller CPUs"; "server CPUs"; "paper s/1000"; "sim s/1000" ]
-      ~notes:[ "RPC Exerciser (hand stubs), swapped-lines fix installed, 1 caller thread" ]
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.caller_cpus;
-             string_of_int r.server_cpus;
-             Report.Table.cell_f r.paper_sec_per_1000;
-             Report.Table.cell_f r.measured_sec_per_1000;
-           ])
-         t10);
-    Report.Table.make ~id:"table11"
-      ~title:"Throughput of MaxResult(b) with varying numbers of processors (Mbit/s)"
-      ~columns:[ "caller CPUs"; "server CPUs"; "threads"; "paper Mbit/s"; "sim Mbit/s" ]
-      ~notes:[ "RPC Exerciser stubs; 1000 calls per thread" ]
-      (List.map
-         (fun r ->
-           [
-             string_of_int r.t_caller_cpus;
-             string_of_int r.t_server_cpus;
-             string_of_int r.t_threads;
-             Report.Table.cell_f ~decimals:1 r.paper_mbps;
-             Report.Table.cell_f ~decimals:1 r.measured_mbps;
-           ])
-         t11);
-  ]
+let table10_table ~quick =
+  Report.Table.make ~id:"table10" ~title:"Calls to Null() with varying numbers of processors"
+    ~columns:[ "caller CPUs"; "server CPUs"; "paper s/1000"; "sim s/1000" ]
+    ~notes:[ "RPC Exerciser (hand stubs), swapped-lines fix installed, 1 caller thread" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.caller_cpus;
+           string_of_int r.server_cpus;
+           Report.Table.cell_f r.paper_sec_per_1000;
+           Report.Table.cell_f r.measured_sec_per_1000;
+         ])
+       (table10 ~calls:(if quick then 200 else 1000) ()))
+
+let table11_table ~quick =
+  Report.Table.make ~id:"table11"
+    ~title:"Throughput of MaxResult(b) with varying numbers of processors (Mbit/s)"
+    ~columns:[ "caller CPUs"; "server CPUs"; "threads"; "paper Mbit/s"; "sim Mbit/s" ]
+    ~notes:[ "RPC Exerciser stubs; 1000 calls per thread" ]
+    (List.map
+       (fun r ->
+         [
+           string_of_int r.t_caller_cpus;
+           string_of_int r.t_server_cpus;
+           string_of_int r.t_threads;
+           Report.Table.cell_f ~decimals:1 r.paper_mbps;
+           Report.Table.cell_f ~decimals:1 r.measured_mbps;
+         ])
+       (table11 ~calls_per_thread:(if quick then 100 else 1000) ()))

@@ -13,6 +13,9 @@ type latency_row = {
 val table10 : ?calls:int -> unit -> latency_row list
 (** One thread calling Null(); seconds per 1000 calls. *)
 
+val table10_table : quick:bool -> Report.Table.t
+(** Table X at 1000 calls per point, or 200 when [quick]. *)
+
 type throughput_row = {
   t_caller_cpus : int;
   t_server_cpus : int;
@@ -24,4 +27,5 @@ type throughput_row = {
 val table11 : ?calls_per_thread:int -> unit -> throughput_row list
 (** MaxResult(b) throughput, 1–5 caller threads, 1000 calls each. *)
 
-val tables : ?quick:bool -> unit -> Report.Table.t list
+val table11_table : quick:bool -> Report.Table.t
+(** Table XI at 1000 calls per thread, or 100 when [quick]. *)

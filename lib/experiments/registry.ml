@@ -24,17 +24,17 @@ let all =
     {
       id = "table6";
       title = "Latency of steps in the send+receive operation";
-      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ List.nth (Breakdown.tables ()) 0 ]);
+      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ Breakdown.table6_table () ]);
     };
     {
       id = "table7";
       title = "Latency of stubs and RPC runtime";
-      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ List.nth (Breakdown.tables ()) 1 ]);
+      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ Breakdown.table7_table () ]);
     };
     {
       id = "table8";
       title = "Calculated vs measured latency";
-      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ List.nth (Breakdown.tables ()) 2 ]);
+      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ Breakdown.table8_table () ]);
     };
     {
       id = "table9";
@@ -44,12 +44,12 @@ let all =
     {
       id = "table10";
       title = "Null() latency with fewer processors";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Processors.tables ~quick ()) 0 ]);
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Processors.table10_table ~quick ]);
     };
     {
       id = "table11";
       title = "MaxResult(b) throughput with fewer processors";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Processors.tables ~quick ()) 1 ]);
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Processors.table11_table ~quick ]);
     };
     {
       id = "table12";
@@ -64,24 +64,22 @@ let all =
     {
       id = "uniproc-bug";
       title = "Section 5: the uniprocessor lost-packet bug";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Section5.tables ~quick ()) 0 ]);
-      (* note: loss events are rare and 600 ms each, so this one is
-         seed-sensitive; the full run uses 1200 calls to stabilize *)
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Section5.uniproc_bug_table ~quick ]);
     };
     {
       id = "streaming";
       title = "Section 5 extension: streamed bulk transfer";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Section5.tables ~quick ()) 1 ]);
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Section5.streaming_table ~quick ]);
     };
     {
       id = "multi-client";
       title = "Extension: several client machines against one server";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Extensions.tables ~quick ()) 0 ]);
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Extensions.multi_client_table ~quick ]);
     };
     {
       id = "controller-saturation";
       title = "Extension: controller saturated tx vs rx rates (section 4.1 footnote)";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Extensions.tables ~quick ()) 1 ]);
+      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ Extensions.controller_saturation_table () ]);
     };
     {
       id = "ablation-demux";
@@ -91,12 +89,12 @@ let all =
     {
       id = "latency-tails";
       title = "Extension: Null() latency distribution under load";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Extensions.tables ~quick ()) 2 ]);
+      run = (fun ~transport:_ ~quick ~metrics:_ -> [ Extensions.latency_tails_table ~quick ]);
     };
     {
       id = "transports";
       title = "Extension: the three bind-time transports, measured";
-      run = (fun ~transport:_ ~quick ~metrics:_ -> [ List.nth (Extensions.tables ~quick ()) 3 ]);
+      run = (fun ~transport:_ ~quick:_ ~metrics:_ -> [ Extensions.transports_table () ]);
     };
   ]
 

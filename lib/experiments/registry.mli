@@ -9,13 +9,16 @@ type entry = {
   id : string;
   title : string;
   run : transport:transport -> quick:bool -> metrics:bool -> Report.Table.t list;
-      (** [quick] trades call counts for speed (used by tests); a
-          full [firefly repro] runs with [quick:false].  [metrics] asks an
-          experiment for extra percentile columns where it supports
-          them (currently Table I); others ignore it.  [transport]
-          re-targets the workload-driving experiments (currently
-          Table I); experiments that measure a fixed configuration
-          ignore it. *)
+      (** Calls the one builder of this id's tables, which measures
+          only what those tables need, in fresh worlds: no entry reruns
+          another's sweep or shares state with it, so entries may run
+          in any order or in parallel.  [quick] trades call counts for
+          speed; a full [firefly repro] runs with [quick:false].
+          [metrics] asks an experiment for extra percentile columns
+          where it supports them (currently Table I); others ignore
+          it.  [transport] re-targets the workload-driving experiments
+          (currently Table I); experiments that measure a fixed
+          configuration ignore it. *)
 }
 
 val all : entry list

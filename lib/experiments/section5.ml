@@ -61,30 +61,27 @@ let streaming ?(calls = 250) () =
     };
   ]
 
-let tables ?(quick = false) () =
-  let bug = uniproc_bug ~calls:(if quick then 60 else 1200) () in
-  let str = streaming ~calls:(if quick then 60 else 250) () in
-  [
-    Report.Table.make ~id:"uniproc-bug" ~title:"Section 5: the uniprocessor lost-packet bug"
-      ~columns:[ "variant"; "mean Null() ms"; "retransmissions" ]
-      ~notes:
-        [
-          "paper: without the fix, uniprocessor Null() averaged ~20 ms from ~600 ms retransmission stalls";
-          "with the fix: 4.81 ms (Table X)";
-        ]
-      (List.map
-         (fun r ->
-           [ r.variant; Report.Table.cell_f r.mean_null_ms; string_of_int r.retransmissions ])
-         bug);
-    Report.Table.make ~id:"streaming"
-      ~title:"Section 5 extension: streamed bulk transfer on uniprocessors"
-      ~columns:[ "strategy"; "Mbit/s"; "approx wakeups/KB" ]
-      ~notes:
-        [
-          "the paper speculates a streaming design (Amoeba, V, Sprite) would beat thread-parallel RPC on a uniprocessor because it needs fewer context switches";
-        ]
-      (List.map
-         (fun r ->
-           [ r.strategy; Report.Table.cell_f ~decimals:1 r.mbps; Report.Table.cell_f r.wakeups_per_kb ])
-         str);
-  ]
+let uniproc_bug_table ~quick =
+  Report.Table.make ~id:"uniproc-bug" ~title:"Section 5: the uniprocessor lost-packet bug"
+    ~columns:[ "variant"; "mean Null() ms"; "retransmissions" ]
+    ~notes:
+      [
+        "paper: without the fix, uniprocessor Null() averaged ~20 ms from ~600 ms retransmission stalls";
+        "with the fix: 4.81 ms (Table X)";
+      ]
+    (List.map
+       (fun r -> [ r.variant; Report.Table.cell_f r.mean_null_ms; string_of_int r.retransmissions ])
+       (uniproc_bug ~calls:(if quick then 60 else 1200) ()))
+
+let streaming_table ~quick =
+  Report.Table.make ~id:"streaming"
+    ~title:"Section 5 extension: streamed bulk transfer on uniprocessors"
+    ~columns:[ "strategy"; "Mbit/s"; "approx wakeups/KB" ]
+    ~notes:
+      [
+        "the paper speculates a streaming design (Amoeba, V, Sprite) would beat thread-parallel RPC on a uniprocessor because it needs fewer context switches";
+      ]
+    (List.map
+       (fun r ->
+         [ r.strategy; Report.Table.cell_f ~decimals:1 r.mbps; Report.Table.cell_f r.wakeups_per_kb ])
+       (streaming ~calls:(if quick then 60 else 250) ()))

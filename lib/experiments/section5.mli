@@ -14,6 +14,10 @@ val uniproc_bug : ?calls:int -> unit -> bug_row list
     each loss costs a ~600 ms retransmission wait; the paper observed
     calls averaging "around 20 milliseconds". *)
 
+val uniproc_bug_table : quick:bool -> Report.Table.t
+(** At 1200 calls per variant, or 60 when [quick]: loss events are rare
+    and 600 ms each, so the full run needs the calls to stabilize. *)
+
 type streaming_row = {
   strategy : string;
   mbps : float;
@@ -26,4 +30,5 @@ val streaming : ?calls:int -> unit -> streaming_row list
     thread fetching 20 KB per call with stop-and-wait fragments vs the
     same with streamed (blast) fragments — Amoeba/V/Sprite style. *)
 
-val tables : ?quick:bool -> unit -> Report.Table.t list
+val streaming_table : quick:bool -> Report.Table.t
+(** At 250 calls, or 60 when [quick]. *)

@@ -113,12 +113,6 @@ let per_slot_arrival spec =
   | Gen.Pareto { alpha; rate_per_sec } -> Gen.Pareto { alpha; rate_per_sec = rate_per_sec /. n }
   | Gen.Closed _ as a -> a
 
-let proc_idx spec = if spec.s_payload = 0 then Ti.null_idx else Ti.get_data_idx
-
-let args_of spec =
-  if spec.s_payload = 0 then []
-  else [ Rpc.Marshal.V_int (Int32.of_int spec.s_payload); Rpc.Marshal.V_bytes Bytes.empty ]
-
 (* Placement: which nodes serve and which nodes host client slots. *)
 let placement spec =
   let all = List.init spec.s_nodes (fun i -> i) in
@@ -233,9 +227,13 @@ let run ?(trace = false) spec =
     Obs.Metrics.Histogram.observe_span node.Cluster.nd_hist d;
     Obs.Metrics.Histogram.observe_span cl.Cluster.cl_fleet_hist d
   in
+  let proc =
+    if spec.s_payload = 0 then Workload.Driver.Null else Workload.Driver.Get_data spec.s_payload
+  in
   let one_call binding client ctx =
     match
-      Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx spec) ~args:(args_of spec)
+      Rpc.Runtime.call binding client ctx ~proc_idx:(Workload.Driver.proc_idx proc)
+        ~args:(Workload.Driver.args_of proc)
     with
     | _ -> incr completed
     | exception Rpc.Rpc_error.Rpc _ -> incr failed

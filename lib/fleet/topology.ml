@@ -16,7 +16,6 @@ type t = {
   egress_cap : int;
   pts : port array;
   macs : (Net.Mac.t, int) Hashtbl.t;
-  mutable injector : (port:int -> Bytes.t -> bool) option;
   c_forwarded : Sim.Stats.Counter.t;
   c_unknown : Sim.Stats.Counter.t;
   c_incast : Sim.Stats.Counter.t;
@@ -45,12 +44,7 @@ let egress_loop pt () =
    retransmit through. *)
 let enqueue_egress t dst_port ~src ~call frame =
   let pt = t.pts.(dst_port) in
-  let forced_drop =
-    match t.injector with
-    | Some f -> f ~port:dst_port frame
-    | None -> false
-  in
-  if forced_drop || Queue.length pt.pt_egress >= t.egress_cap then
+  if Queue.length pt.pt_egress >= t.egress_cap then
     Sim.Stats.Counter.incr t.c_incast
   else begin
     Queue.push { pd_src = src; pd_frame = frame; pd_call = call } pt.pt_egress;
@@ -92,7 +86,6 @@ let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports
               pt_kick = Sim.Condvar.create eng;
             });
       macs = Hashtbl.create 32;
-      injector = None;
       c_forwarded = Sim.Stats.Counter.create ();
       c_unknown = Sim.Stats.Counter.create ();
       c_incast = Sim.Stats.Counter.create ();
@@ -129,7 +122,6 @@ let register_mac t ~mac ~port =
     invalid_arg ("Topology.register_mac: duplicate MAC " ^ Net.Mac.to_string mac);
   Hashtbl.replace t.macs mac port
 
-let set_egress_fault_injector t f = t.injector <- f
 let frames_forwarded t = Sim.Stats.Counter.value t.c_forwarded
 let frames_dropped_unknown t = Sim.Stats.Counter.value t.c_unknown
 let frames_dropped_incast t = Sim.Stats.Counter.value t.c_incast

@@ -47,11 +47,6 @@ val register_mac : t -> mac:Net.Mac.t -> port:int -> unit
     is attached).  @raise Invalid_argument on a duplicate MAC or bad
     port. *)
 
-val set_egress_fault_injector : t -> (port:int -> Bytes.t -> bool) option -> unit
-(** When set, a frame about to be queued at [port]'s egress is dropped
-    (and counted as an incast drop) if the injector returns [true] —
-    lets tests and scenarios force congestion loss deterministically. *)
-
 (** {1 Statistics} *)
 
 val frames_forwarded : t -> int

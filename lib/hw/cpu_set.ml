@@ -45,7 +45,6 @@ let create ?obs eng ~site ~cpus =
   t
 
 let site t = t.name
-let cpu_count t = t.n
 
 let busy_count t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.busy
 

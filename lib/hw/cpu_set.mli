@@ -24,7 +24,6 @@ val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> site:string -> cpus:int -> t
     [cpus.busy] / [cpus.cpu0_busy] under [site]. *)
 
 val site : t -> string
-val cpu_count : t -> int
 
 val with_cpu :
   ?affinity:affinity -> ?priority:priority -> ?call:int -> t -> (ctx -> 'a) -> 'a

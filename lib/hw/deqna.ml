@@ -258,7 +258,6 @@ let queue_tx ?(call = Sim.Trace.no_call) t frame =
   Queue.push (Tx { frame; call; enq_at = Engine.now t.eng }) t.jobs
 let start_transmit t = ignore (Sim.Condvar.signal t.engine_kick)
 let add_rx_credits t n = t.credits <- t.credits + n
-let rx_credits t = t.credits
 let set_interrupt_handler t f = t.irq_handler <- f
 let take_rx t = Queue.take_opt t.rx_done
 let peek_rx t = Queue.peek_opt t.rx_done

@@ -70,8 +70,6 @@ val start_transmit : t -> unit
 val add_rx_credits : t -> int -> unit
 (** Hands [n] free receive buffers to the controller. *)
 
-val rx_credits : t -> int
-
 val set_interrupt_handler : t -> (unit -> unit) -> unit
 (** [f] is invoked (in a fresh process) when the completion queue goes
     non-empty while the interrupt line is clear. *)

@@ -17,11 +17,11 @@ type t = {
   mutable fast : ctx:Cpu_set.ctx -> frame:Bytes.t -> verdict;
   mutable datalink : ctx:Cpu_set.ctx -> frame:Bytes.t -> unit;
   datalink_q : (Bytes.t * int) Sim.Mailbox.t; (* frame, call id *)
-  (* Flat-scheduled IPI prod (registered once in [create]): every [send]
-     raises one, so routing it through the engine's closure-free event
-     path keeps the per-packet cost allocation-free up to the prod
-     process itself. *)
-  mutable ipi_prod : t -> int -> Time.span -> unit;
+  (* Engine handler of the IPI prod (registered once in [create]):
+     every [send] raises one, so routing it through the engine's
+     closure-free event path keeps the per-packet cost allocation-free
+     up to the prod process itself. *)
+  mutable ipi_prod : int;
   c_rx : Sim.Stats.Counter.t;
   c_slow : Sim.Stats.Counter.t;
   c_drop : Sim.Stats.Counter.t;
@@ -72,7 +72,7 @@ let create ?obs eng timing ~cpus ~deqna ~pool =
       fast = (fun ~ctx:_ ~frame:_ -> To_datalink);
       datalink = (fun ~ctx:_ ~frame:_ -> ());
       datalink_q = Sim.Mailbox.create eng;
-      ipi_prod = (fun _ _ _ -> assert false);
+      ipi_prod = -1;
       c_rx = Sim.Stats.Counter.create ();
       c_slow = Sim.Stats.Counter.create ();
       c_drop = Sim.Stats.Counter.create ();
@@ -87,7 +87,7 @@ let create ?obs eng timing ~cpus ~deqna ~pool =
     Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.rx_to_datalink" t.c_slow;
     Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.rx_dropped" t.c_drop;
     Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.interrupts" t.c_irq);
-  t.ipi_prod <- Engine.register eng run_ipi_prod;
+  t.ipi_prod <- Engine.register_handler eng (fun call _ -> run_ipi_prod t call);
   t
 
 let set_fast_handler t f = t.fast <- f
@@ -185,7 +185,7 @@ let send t ~ctx frame =
       ~label:"Interprocessor interrupt to CPU 0" ~start_at:ipi_sent
       ~stop_at:(Time.add ipi_sent ipi)
   end;
-  t.ipi_prod t call ipi
+  Engine.schedule_fn t.eng ~after:ipi ~fn:t.ipi_prod ~a:call ~b:0
 
 let frames_received t = Sim.Stats.Counter.value t.c_rx
 let frames_to_datalink t = Sim.Stats.Counter.value t.c_slow

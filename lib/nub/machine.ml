@@ -101,7 +101,6 @@ let restart t ~down_for =
   Engine.schedule t.eng ~after:down_for (fun () -> power_on t)
 
 let average_busy_cpus t ~upto = Cpu_set.average_busy t.m_cpus ~upto
-let reset_start _ = ()
 
 (* Background load: one thread per machine alternating a CPU burst with
    an exponentially distributed idle gap, tuned to average

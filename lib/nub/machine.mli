@@ -61,7 +61,6 @@ val restart : t -> down_for:Sim.Time.span -> unit
 (** {1 Measurement} *)
 
 val average_busy_cpus : t -> upto:Sim.Time.t -> float
-val reset_start : t -> unit
 
 val start_idle_load : t -> unit
 (** Starts the background threads that draw [idle_load_cpus] processors

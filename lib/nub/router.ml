@@ -19,7 +19,6 @@ type t = {
   pa : port_state;
   pb : port_state;
   mutable routes : route list;
-  forward_cost : Time.span;
   c_fwd : Sim.Stats.Counter.t;
   c_no_route : Sim.Stats.Counter.t;
   c_ttl : Sim.Stats.Counter.t;
@@ -27,12 +26,13 @@ type t = {
   c_not_ip : Sim.Stats.Counter.t;
 }
 
+let forward_cost = Time.us 300
+
 let port_state t = function
   | A -> t.pa
   | B -> t.pb
 
 let port_mac t p = Hw.Deqna.mac (port_state t p).deqna
-let port_ip t p = (port_state t p).p_ip
 
 let mask_of_bits bits =
   if bits = 0 then 0l else Int32.shift_left (-1l) (32 - bits)
@@ -103,7 +103,7 @@ let attach_port t which =
             | Some (frame, call) ->
               if Bufpool.try_alloc t.pool then Hw.Deqna.add_rx_credits p.deqna 1;
               Cpu_set.set_trace_call ctx call;
-              Cpu_set.charge ctx ~cat:"router" ~label:"IP forwarding" t.forward_cost;
+              Cpu_set.charge ctx ~cat:"router" ~label:"IP forwarding" forward_cost;
               forward t ~call frame;
               (* the frame buffer is released once queued out (or dropped) *)
               Bufpool.free t.pool;
@@ -112,8 +112,7 @@ let attach_port t which =
           drain ();
           Hw.Deqna.interrupt_done p.deqna))
 
-let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b
-    ?(forward_cost = Time.us 300) () =
+let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b () =
   let timing = Hw.Timing.create config in
   let mk link station site =
     let qbus = Sim.Resource.create eng ~name:(site ^ "-qbus") ~capacity:1 in
@@ -127,7 +126,6 @@ let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b
       pa = { deqna = mk link_a station_a (name ^ "-a"); p_ip = ip_a; arp = Hashtbl.create 8 };
       pb = { deqna = mk link_b station_b (name ^ "-b"); p_ip = ip_b; arp = Hashtbl.create 8 };
       routes = [];
-      forward_cost;
       c_fwd = Sim.Stats.Counter.create ();
       c_no_route = Sim.Stats.Counter.create ();
       c_ttl = Sim.Stats.Counter.create ();

@@ -29,15 +29,13 @@ val create :
   link_b:Hw.Ether_link.t ->
   station_b:int ->
   ip_b:Net.Ipv4.Addr.t ->
-  ?forward_cost:Sim.Time.span ->
   unit ->
   t
-(** A two-port router with a single forwarding CPU.  [forward_cost]
-    (default 300 µs) is the per-packet software forwarding time, in the
-    range of late-1980s IP routers. *)
+(** A two-port router with a single forwarding CPU, which spends 300 µs
+    of software forwarding time per packet, in the range of late-1980s
+    IP routers. *)
 
 val port_mac : t -> port -> Net.Mac.t
-val port_ip : t -> port -> Net.Ipv4.Addr.t
 
 val add_route : t -> Net.Ipv4.Addr.t -> mask_bits:int -> port -> unit
 (** Longest-prefix-match forwarding entry. *)

@@ -1,6 +1,5 @@
 type t = { metrics : Metrics.Registry.t; journal : Journal.t }
 
-let create ?journal_capacity () =
-  { metrics = Metrics.Registry.create (); journal = Journal.create ?capacity:journal_capacity () }
+let create () = { metrics = Metrics.Registry.create (); journal = Journal.create () }
 
 let record t ~at ~site ev = Journal.record t.journal ~at ~site ev

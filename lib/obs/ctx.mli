@@ -9,7 +9,7 @@
 
 type t = { metrics : Metrics.Registry.t; journal : Journal.t }
 
-val create : ?journal_capacity:int -> unit -> t
+val create : unit -> t
 
 val record : t -> at:Sim.Time.t -> site:string -> Journal.event -> unit
 (** Shorthand for recording into the context's journal. *)

@@ -44,9 +44,6 @@ let render t =
 
 let print t = print_string (render t)
 let cell_f ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
-let cell_us d = Printf.sprintf "%.0f" (Sim.Time.to_us d)
-let cell_ms d = Printf.sprintf "%.2f" (Sim.Time.to_ms d)
-let cell_sec d = Printf.sprintf "%.2f" (Sim.Time.to_sec d)
 let cell_i = string_of_int
 
 let pct_delta ~paper ~measured =

@@ -19,11 +19,6 @@ val print : t -> unit
 (** {1 Cell formatting helpers} *)
 
 val cell_f : ?decimals:int -> float -> string
-val cell_us : Sim.Time.span -> string
-(** Microseconds, no unit suffix. *)
-
-val cell_ms : Sim.Time.span -> string
-val cell_sec : Sim.Time.span -> string
 val cell_i : int -> string
 
 val compare_cell : paper:float -> measured:float -> string

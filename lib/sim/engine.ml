@@ -133,22 +133,6 @@ let register_handler t f =
   t.nhandlers <- id + 1;
   id
 
-(* Typed flat scheduling for callers with a boxed payload: registration
-   allocates one wrapper and one scheduling closure, after which each
-   call moves the payload through a node slot with no allocation. *)
-let register t (f : 'a -> int -> unit) =
-  grow_handlers t;
-  let id = t.nhandlers in
-  t.handlers.(id) <- (fun a _ o0 _ -> f (Obj.obj o0) a);
-  t.nhandlers <- id + 1;
-  fun (x : 'a) (a : int) (after : Time.span) ->
-    if Time.span_is_negative after then invalid_arg "Engine.register: negative delay";
-    let n = alloc_keyed t (Time.add t.clock after) in
-    n.Evnode.fn <- id;
-    n.Evnode.i0 <- a;
-    n.Evnode.o0 <- Obj.repr x;
-    q_insert t n
-
 (* Effects interpreted by the per-process handler.  The engine is carried
    in the payload so a single global handler installation per process
    suffices; the handler checks it owns the effect and re-performs

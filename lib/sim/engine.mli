@@ -84,13 +84,6 @@ val schedule_fn : t -> after:Time.span -> fn:int -> a:int -> b:int -> unit
     @raise Invalid_argument on a negative delay or an unregistered
     [fn]. *)
 
-val register : t -> ('a -> int -> unit) -> 'a -> int -> Time.span -> unit
-(** [register t f] is the flat API for handlers with a boxed payload:
-    it returns a scheduling function [sched] such that [sched x a d]
-    runs [f x a] at [now t + d].  Registration allocates once; each
-    [sched] call moves [x] through a slot of the recycled event node
-    with no per-event allocation. *)
-
 (** {1 Process operations} *)
 
 val delay : t -> Time.span -> unit

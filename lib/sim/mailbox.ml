@@ -25,6 +25,5 @@ let recv_timeout t ~timeout =
   | Some v -> Some v
   | None -> Engine.suspend_timeout t.eng ~timeout (fun w -> Queue.push w t.readers)
 
-let try_recv t = Queue.take_opt t.items
 let length t = Queue.length t.items
 let is_empty t = Queue.is_empty t.items

@@ -15,6 +15,5 @@ val recv : 'a t -> 'a
 (** Dequeues the oldest message, suspending while empty. *)
 
 val recv_timeout : 'a t -> timeout:Time.span -> 'a option
-val try_recv : 'a t -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool

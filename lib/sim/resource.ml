@@ -39,13 +39,6 @@ let acquire ?(priority = Normal) t =
     in
     Engine.suspend t.eng (fun w -> Queue.push w q)
 
-let try_acquire t =
-  if t.busy < t.cap then begin
-    set_busy t (t.busy + 1);
-    true
-  end
-  else false
-
 (* On release, hand the server to the oldest live high-priority waiter,
    else normal-priority; occupancy is unchanged during a handoff. *)
 let release t =
@@ -68,12 +61,6 @@ let use ?priority t d =
 
 let in_use t = t.busy
 
-let live q = Queue.fold (fun n w -> if Engine.waker_dead w then n else n + 1) 0 q
-let queue_length t = live t.hi + live t.lo
-let busy_server_seconds t ~upto = Stats.Level.integral t.level ~upto
-
 let utilization t ~upto =
   let avg = Stats.Level.average t.level ~upto in
   avg /. float_of_int t.cap
-
-let average_busy_servers t ~upto = Stats.Level.average t.level ~upto

@@ -21,8 +21,6 @@ val capacity : t -> int
 val acquire : ?priority:priority -> t -> unit
 (** Takes one server, suspending while all are busy. *)
 
-val try_acquire : t -> bool
-
 val release : t -> unit
 (** @raise Invalid_argument if no server is held. *)
 
@@ -31,14 +29,6 @@ val use : ?priority:priority -> t -> Time.span -> unit
     releases it (also on exception). *)
 
 val in_use : t -> int
-val queue_length : t -> int
-
-val busy_server_seconds : t -> upto:Time.t -> float
-(** Integral of busy servers over time, in server-seconds. *)
 
 val utilization : t -> upto:Time.t -> float
 (** Busy-server integral divided by [capacity * elapsed]; in [0, 1]. *)
-
-val average_busy_servers : t -> upto:Time.t -> float
-(** Time-averaged number of busy servers — the paper's "CPUs being
-    used" metric when the resource models a CPU pool. *)

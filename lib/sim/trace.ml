@@ -17,7 +17,7 @@ type t = {
   mutable on : bool;
   mutable recorded : span list; (* newest first *)
   mutable count : int;
-  mutable capacity : int option;
+  capacity : int option;
   mutable n_dropped : int;
   mutable next_call : int;
 }
@@ -27,7 +27,6 @@ let create ?capacity () =
 
 let enabled t = t.on
 let set_enabled t b = t.on <- b
-let set_capacity t c = t.capacity <- c
 
 let add ?(track = "") ?(kind = Service) ?(call = no_call) t ~cat ~label ~site ~start_at
     ~stop_at =

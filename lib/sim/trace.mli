@@ -55,10 +55,6 @@ val create : ?capacity:int -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-val set_capacity : t -> int option -> unit
-(** Bounds (or, with [None], unbounds) retention for subsequent {!add}s;
-    already-recorded spans are kept even if they exceed a new bound. *)
-
 val add :
   ?track:string ->
   ?kind:kind ->

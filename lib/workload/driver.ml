@@ -16,26 +16,16 @@ type outcome = {
   retransmissions : int;
   mean_latency : Time.span;
   latencies : Time.span array;
-  sorted_latencies : Time.span array Par.Once.t;
+  sorted_latencies : Time.span array;
 }
-
-(* A domain-safe once cell, not [lazy]: the memoized experiment
-   outcomes are shared across worker domains when tables regenerate in
-   parallel, and racing [Lazy.force] calls are undefined. *)
-let sort_lazily latencies =
-  Par.Once.create (fun () ->
-      let sorted = Array.copy latencies in
-      Array.sort Time.span_compare sorted;
-      sorted)
 
 let percentile o p =
   if Array.length o.latencies = 0 then invalid_arg "Driver.percentile: no samples";
-  (* Sorted once per outcome; the latency-tail experiments query four
-     percentiles per row.  Nearest-rank definition — the smallest sample
-     whose cumulative count reaches p*n — matching what
-     [Obs.Metrics.Histogram.percentile] computes on its buckets, so the
-     two views of one latency population agree. *)
-  Sim.Stats.percentile (Par.Once.force o.sorted_latencies) p
+  (* Nearest-rank definition — the smallest sample whose cumulative
+     count reaches p*n — matching what [Obs.Metrics.Histogram.percentile]
+     computes on its buckets, so the two views of one latency population
+     agree. *)
+  Sim.Stats.percentile o.sorted_latencies p
 
 let payload_bytes = function
   | Null -> 0
@@ -54,17 +44,12 @@ let args_of = function
   | Max_arg -> [ Rpc.Marshal.V_bytes (Test_interface.pattern Test_interface.buffer_bytes) ]
   | Get_data n -> [ Rpc.Marshal.V_int (Int32.of_int n); Rpc.Marshal.V_bytes Bytes.empty ]
 
-let validate_result proc outs =
+let result_ok proc outs =
   match proc, outs with
-  | Null, [] | Max_arg, [] -> ()
-  | Max_result, [ Rpc.Marshal.V_bytes b ] ->
-    if Bytes.length b <> Test_interface.buffer_bytes then
-      failwith "Driver: MaxResult returned wrong size"
-  | Get_data n, [ Rpc.Marshal.V_bytes b ] ->
-    if Bytes.length b <> n then failwith "Driver: GetData returned wrong size";
-    if not (Bytes.equal b (Test_interface.pattern n)) then
-      failwith "Driver: GetData returned corrupted data"
-  | _ -> failwith "Driver: unexpected result shape"
+  | (Null | Max_arg), [] -> true
+  | Max_result, [ Rpc.Marshal.V_bytes b ] -> Bytes.length b = Test_interface.buffer_bytes
+  | Get_data n, [ Rpc.Marshal.V_bytes b ] -> Bytes.equal b (Test_interface.pattern n)
+  | _ -> false
 
 let caller_thread (w : World.t) binding proc remaining gate finished samples ~total_threads () =
   let mach = w.World.caller in
@@ -83,7 +68,7 @@ let caller_thread (w : World.t) binding proc remaining gate finished samples ~to
             Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx proc) ~args:(args_of proc)
           in
           samples := Time.diff (Engine.now eng) t0 :: !samples;
-          validate_result proc outs
+          if not (result_ok proc outs) then failwith "Driver: wrong result"
         end
         else continue_ := false
       done);
@@ -108,6 +93,8 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
   let secs = Time.to_sec elapsed in
   let bits = float_of_int (calls * payload_bytes proc * 8) in
   let latencies = Array.of_list (List.rev !samples) in
+  let sorted_latencies = Array.copy latencies in
+  Array.sort Time.span_compare sorted_latencies;
   let hist =
     Obs.Metrics.Registry.histogram w.World.obs.Obs.Ctx.metrics ~site:"caller"
       ~name:"rpc.latency_us"
@@ -127,7 +114,7 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
          Time.us_f (Time.to_us elapsed *. float_of_int threads /. float_of_int calls)
        else Time.zero_span);
     latencies;
-    sorted_latencies = sort_lazily latencies;
+    sorted_latencies;
   }
 
 (* One caller thread warms the path, opens a fresh trace and journal
@@ -176,8 +163,8 @@ let run_traced (w : World.t) ?(threads = 1) ~calls ~proc () =
   World.run_until_quiet w gate;
   List.sort (fun a b -> compare a.Obs.Attrib.w_call b.Obs.Attrib.w_call) !windows
 
-let measure_single_call (w : World.t) ~proc () =
-  let binding = World.test_binding w () in
+let measure_single_call (w : World.t) ?transport ~proc () =
+  let binding = World.test_binding w ?transport () in
   let gate = Sim.Gate.create w.World.eng in
   let latency = ref Time.zero_span in
   Machine.spawn_thread w.World.caller ~name:"single-call" (fun () ->

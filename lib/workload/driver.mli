@@ -21,18 +21,27 @@ type outcome = {
   retransmissions : int;
   mean_latency : Sim.Time.span;  (** elapsed × threads / calls *)
   latencies : Sim.Time.span array;  (** per-call, in completion order *)
-  sorted_latencies : Sim.Time.span array Par.Once.t;
-      (** [latencies] sorted ascending, computed at most once (domain-
-          safely) — the backing store for {!percentile} queries *)
+  sorted_latencies : Sim.Time.span array;
+      (** [latencies] sorted ascending — what {!percentile} reads *)
 }
 
 val percentile : outcome -> float -> Sim.Time.span
 (** [percentile o 0.99] — nearest-rank percentile of the per-call
-    latencies.  The samples are sorted once per outcome (lazily), not
-    per query.  @raise Invalid_argument on an empty outcome or p
+    latencies.  @raise Invalid_argument on an empty outcome or p
     outside [0, 1]. *)
 
 val payload_bytes : proc -> int
+
+val proc_idx : proc -> int
+(** The Test interface's procedure index for [proc]. *)
+
+val args_of : proc -> Rpc.Marshal.value list
+(** The call's arguments: MaxArg sends the 1440-byte pattern, GetData
+    asks for its length. *)
+
+val result_ok : proc -> Rpc.Marshal.value list -> bool
+(** Whether [proc]'s results have the right shape and size; a GetData
+    result must also carry the exact pattern. *)
 
 val run :
   World.t ->
@@ -44,7 +53,8 @@ val run :
   unit ->
   outcome
 (** Runs the workload to completion on the world's engine (which must
-    not have been run to a later time already). *)
+    not have been run to a later time already).
+    @raise Failure if a call returns a result {!result_ok} rejects. *)
 
 val run_traced :
   World.t ->
@@ -66,8 +76,10 @@ val run_traced :
 
 val measure_single_call :
   World.t ->
+  ?transport:[ `Auto | `Local | `Decnet ] ->
   proc:proc ->
   unit ->
   Sim.Time.span
 (** One warmed-up call's latency: makes a few calls to populate the
-    fast path, then times one. *)
+    fast path, then times one.  [transport] is passed to
+    {!World.test_binding}. *)

@@ -17,9 +17,8 @@ type t = {
 }
 
 let create ?(caller_config = Config.default) ?(server_config = Config.default) ?(seed = 42)
-    ?(tie_break = `Fifo) ?(workers = 8) ?(idle_load = true) ?(export_test = true) ?auth ?obs ()
-    =
-  let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
+    ?(tie_break = `Fifo) ?(workers = 8) ?(idle_load = true) ?(export_test = true) ?auth () =
+  let obs = Obs.Ctx.create () in
   let eng = Engine.create ~seed ~tie_break () in
   let link = Hw.Ether_link.create ~obs eng ~mbps:caller_config.Config.ethernet_mbps in
   let caller =

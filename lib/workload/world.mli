@@ -24,7 +24,6 @@ val create :
   ?idle_load:bool ->
   ?export_test:bool ->
   ?auth:Rpc.Secure.key ->
-  ?obs:Obs.Ctx.t ->
   unit ->
   t
 (** [tie_break] (default [`Fifo]) is passed to {!Sim.Engine.create} —

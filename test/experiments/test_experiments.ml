@@ -53,15 +53,16 @@ let check_rows name rows ~tolerance =
     rows
 
 let test_marshalling () =
-  check_rows "table2" (Experiments.Marshalling.table2 ()) ~tolerance:0.05;
-  check_rows "table3" (Experiments.Marshalling.table3 ()) ~tolerance:0.05;
-  check_rows "table4" (Experiments.Marshalling.table4 ()) ~tolerance:0.05;
-  check_rows "table5" (Experiments.Marshalling.table5 ()) ~tolerance:0.05
+  let sweep = Experiments.Marshalling.measure () in
+  check_rows "table2" (Experiments.Marshalling.table2 sweep) ~tolerance:0.05;
+  check_rows "table3" (Experiments.Marshalling.table3 sweep) ~tolerance:0.05;
+  check_rows "table4" (Experiments.Marshalling.table4 sweep) ~tolerance:0.05;
+  check_rows "table5" (Experiments.Marshalling.table5 sweep) ~tolerance:0.05
 
 let test_marshalling_missing_scenario () =
   (* A sweep/table mismatch must fail with the scenario's name, not a
      bare Not_found. *)
-  match Experiments.Marshalling.increment "no-such-scenario" with
+  match Experiments.Marshalling.(increment (measure ()) "no-such-scenario") with
   | _ -> Alcotest.fail "expected Invalid_argument for an unmeasured scenario"
   | exception Invalid_argument msg ->
     let has_sub s sub =
@@ -306,25 +307,6 @@ let test_streaming () =
 
 (* {1 Registry + rendering} *)
 
-let test_registry_runs_everything () =
-  List.iter
-    (fun e ->
-      let tables = e.Experiments.Registry.run ~transport:`Auto ~quick:true ~metrics:false in
-      Alcotest.(check bool)
-        (e.Experiments.Registry.id ^ " produces tables")
-        true
-        (List.length tables > 0);
-      List.iter
-        (fun t ->
-          let s = Report.Table.render t in
-          Alcotest.(check bool) "render non-empty" true (String.length s > 40))
-        tables)
-    (List.filter
-       (fun e ->
-         (* The heavyweight sweeps have dedicated tests above. *)
-         not (List.mem e.Experiments.Registry.id [ "table1"; "table10"; "table11" ]))
-       Experiments.Registry.all)
-
 let test_table1_metrics_columns () =
   let t = Experiments.Table1.table ~calls:120 ~metrics:true () in
   Alcotest.(check int) "metrics adds three percentile columns" 8
@@ -361,9 +343,8 @@ let test_table1_deterministic () =
 
 let test_parallel_registry_identical () =
   (* Regenerating registry entries on a domain pool must render the
-     exact tables the serial sweep does, in the same order.  The cheap
-     breakdown entries share a Par.Once measurement cache, so this also
-     exercises concurrent forcing of that cell. *)
+     exact tables the serial sweep does, in the same order: each entry
+     builds its own worlds and shares no state with its siblings. *)
   let entries =
     List.filter_map Experiments.Registry.find
       [ "tables2-5"; "table6"; "table7"; "table8"; "improvements" ]
@@ -400,7 +381,6 @@ let suite =
     Alcotest.test_case "Section 4.2 deterministic" `Quick test_improvements_deterministic;
     Alcotest.test_case "Section 5 uniprocessor bug" `Quick test_uniproc_bug;
     Alcotest.test_case "Section 5 streaming extension" `Quick test_streaming;
-    Alcotest.test_case "registry runs everything" `Slow test_registry_runs_everything;
     Alcotest.test_case "parallel regeneration identical" `Quick
       test_parallel_registry_identical;
   ]

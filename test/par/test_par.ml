@@ -1,4 +1,4 @@
-(* Tests for the domain pool and the domain-safe once-cell. *)
+(* Tests for the domain pool. *)
 
 let range n = List.init n (fun i -> i)
 
@@ -67,49 +67,6 @@ let test_map_array () =
   let got = Par.Pool.map_array ~jobs:4 (fun i -> i + 10) (Array.of_list (range 5)) in
   Alcotest.(check (array int)) "map_array" [| 10; 11; 12; 13; 14 |] got
 
-let test_once_computes_once () =
-  let count = ref 0 in
-  let cell =
-    Par.Once.create (fun () ->
-        incr count;
-        !count * 100)
-  in
-  Alcotest.(check int) "first force" 100 (Par.Once.force cell);
-  Alcotest.(check int) "second force cached" 100 (Par.Once.force cell);
-  Alcotest.(check int) "computed exactly once" 1 !count
-
-let test_once_under_domains () =
-  (* Many domains racing to force the same cell must all observe the
-     same value and the compute function must run exactly once.  An
-     Atomic counter keeps the check domain-safe. *)
-  let count = Atomic.make 0 in
-  let cell =
-    Par.Once.create (fun () ->
-        Atomic.incr count;
-        (* Widen the race window a little. *)
-        ignore (Sys.opaque_identity (Array.make 1024 0));
-        42)
-  in
-  let values =
-    Par.Pool.map_list ~jobs:8 (fun _ -> Par.Once.force cell) (range 16)
-  in
-  List.iter (fun v -> Alcotest.(check int) "forced value" 42 v) values;
-  Alcotest.(check int) "computed exactly once" 1 (Atomic.get count)
-
-let test_once_retries_after_failure () =
-  let attempts = ref 0 in
-  let cell =
-    Par.Once.create (fun () ->
-        incr attempts;
-        if !attempts = 1 then failwith "transient" else !attempts)
-  in
-  (match Par.Once.force cell with
-  | _ -> Alcotest.fail "expected first force to raise"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "second force retries and caches" 2 (Par.Once.force cell);
-  Alcotest.(check int) "cached thereafter" 2 (Par.Once.force cell);
-  Alcotest.(check int) "two attempts total" 2 !attempts
-
 let suite =
   [
     Alcotest.test_case "map_list preserves input order" `Quick test_map_list_order;
@@ -119,9 +76,6 @@ let suite =
     Alcotest.test_case "jobs < 1 rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "lowest-index failure re-raised" `Quick test_first_failure_wins;
     Alcotest.test_case "map_array" `Quick test_map_array;
-    Alcotest.test_case "once computes once" `Quick test_once_computes_once;
-    Alcotest.test_case "once under racing domains" `Quick test_once_under_domains;
-    Alcotest.test_case "once retries after failure" `Quick test_once_retries_after_failure;
   ]
 
 let () = Alcotest.run "par" [ ("pool", suite) ]
