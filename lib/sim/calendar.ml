@@ -1,5 +1,5 @@
 (* A calendar queue over the shared flat event nodes ({!Evnode}): an
-   alternative to the {!Eventq} pairing heap for the dense-timestamp
+   alternative to the {!Eventq} heaps for the dense-timestamp
    regime that fleet simulations produce, selected per engine.
 
    Think of a desk calendar: an array of [nslots] buckets, each one
@@ -10,7 +10,7 @@
    holds events of exactly one day, kept as a list sorted by the full
    (time, tie, seq) key (with a tail pointer, because the overwhelmingly
    common insert — same instant, rising seq — is an append).  Events
-   beyond the window go to an overflow pairing heap (sharing the same
+   beyond the window go to an overflow {!Eventq} (sharing the same
    node pool) and migrate into buckets as the window slides over them.
 
    Popping scans forward from [cur] for the first non-empty bucket —
@@ -20,7 +20,7 @@
    minimum's day.
 
    The key is a total order, so the pop sequence is byte-identical to
-   the pairing heap's whatever the bucket math does; the engine's
+   {!Eventq}'s whatever the bucket math does; the engine's
    determinism tests and the model property in [test/sim] hold the two
    structures (and a sorted list) to the same sequence.
 

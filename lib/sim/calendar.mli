@@ -1,17 +1,17 @@
 (** A calendar queue over the shared flat event nodes ({!Evnode}): the
-    engine's alternative to the {!Eventq} pairing heap, tuned for the
+    engine's alternative to the {!Eventq} heaps, tuned for the
     dense-timestamp regime that fleet simulations produce.
 
     Events hash by [time asr shift] into a power-of-two array of
     per-"day" buckets (sorted lists with an O(1) append fast path)
     covering a sliding window from the scan position; events beyond the
-    window sit in an overflow pairing heap (same node pool) and migrate
+    window sit in an overflow {!Eventq} (same node pool) and migrate
     in as the window slides.  Bucket count and width auto-resize from
     observed event density.
 
     The [(time, tie, seq)] key is a total order, so the pop sequence is
-    byte-identical to the pairing heap's — simulations render the same
-    output under either queue (tested in [test/sim] and [test/fleet]). *)
+    byte-identical to {!Eventq}'s — simulations render the same output
+    under either queue (tested in [test/sim]). *)
 
 type t
 

@@ -4,8 +4,8 @@
    slots, so the steady state allocates nothing.  Closures remain as the
    cold-path fallback ({!schedule}) and for irregular callers.
 
-   Two interchangeable queue disciplines order the events: the pairing
-   heap ({!Eventq}, the default) and the calendar queue ({!Calendar}).
+   Two interchangeable queue disciplines order the events: the 4-ary
+   heaps ({!Eventq}, the default) and the calendar queue ({!Calendar}).
    Both pop in exact [(time, tie, seq)] order, so the choice is purely a
    performance knob — byte-identical output either way.
 

@@ -36,7 +36,7 @@ val create :
     same instant: FIFO, or a random order drawn from a dedicated
     generator (seeded from [seed], independent of {!rng}).  [queue]
     (default [`Heap]) selects the event-queue discipline — the
-    {!Eventq} pairing heap or the {!Calendar} bucketed queue; both pop
+    {!Eventq} 4-ary heaps or the {!Calendar} bucketed queue; both pop
     in exactly the same [(time, tie, seq)] order, so the choice is a
     pure performance knob and the simulation output is byte-identical
     either way. *)
@@ -80,7 +80,7 @@ val register_handler : t -> (int -> int -> unit) -> int
 val schedule_fn : t -> after:Time.span -> fn:int -> a:int -> b:int -> unit
 (** [schedule_fn t ~after ~fn ~a ~b] runs handler [fn] with payload
     [(a, b)] at [now t + after].  Allocates nothing in steady state
-    (the event node comes off the engine's freelist).
+    (the event node comes off the engine's node pool).
     @raise Invalid_argument on a negative delay or an unregistered
     [fn]. *)
 

@@ -1,102 +1,136 @@
-(* An intrusive pairing heap over the shared flat event nodes
-   ({!Evnode}): the heap node IS the event — one record carrying the
-   ordering key (time, tie, seq), the closure-free payload, and the
-   mutable child/sibling links.  Popped nodes are recycled through the
-   pool's freelist, so a steady-state simulation schedules events with
-   no allocation at all.
+(* The engine's default event queue: two implicit 4-ary min-heaps over
+   the registry ids of the shared flat event nodes ({!Evnode}).
 
-   [link0] = leftmost child, [link1] = next sibling; the shared
-   {!Evnode.null} sentinel stands for the absent link, avoiding an
-   [option] (and its allocation) per link. *)
+   A heap position is four ints in one array: a copy of the node's
+   (time, tie, seq) key followed by its id.  Sifting compares and moves
+   only ints, so inserting and popping make no write-barrier call, and
+   a sift never leaves the heap array to read a node.
+
+   The queue is split by due time.  [near] holds the events due less
+   than [near_span] after the last pop, [far] the rest, and pop takes
+   the smaller of the two heads, so the split decides only which heap
+   an insert pays for: the pop order is the exact total key order
+   either way.  Most events are due within microseconds and meet a
+   near heap a few entries deep, while the deep part of the queue —
+   retained-result reclaims due 5 s out, every served call's — sits in
+   [far], where a new key usually stays at the bottom.
+   With the boundary at two wheel level-0 slots (2^17 ns), the mean
+   depth at each pop was 0.9 near + 53 far on perfbench's pair-bulk
+   (where 41% of inserts go far) and 3.8 near + 1,048 far on its
+   fleet-incast (17% go far). *)
 
 type node = Evnode.t
 
-let is_null = Evnode.is_null
-let null = Evnode.null
+let near_span = 1 lsl 17
+
+type heap = { mutable keys : int array; mutable len : int }
 
 type t = {
-  mutable root : node;
-  mutable size : int;
+  near : heap;
+  far : heap;
+  mutable last : int;  (* due time of the last pop, in ns *)
   pool : Evnode.pool;
 }
 
+let heap () = { keys = Array.make 256 0; len = 0 }
+
 let create ?pool () =
   let pool = match pool with Some p -> p | None -> Evnode.create_pool () in
-  { root = null; size = 0; pool }
+  { near = heap (); far = heap (); last = 0; pool }
 
 let pool t = t.pool
-let size t = t.size
-let is_empty t = t.size = 0
-let leq = Evnode.leq
+let size t = t.near.len + t.far.len
+let is_empty t = t.near.len = 0 && t.far.len = 0
 
-(* Meld two roots (neither null, neither with a live sibling link): the
-   loser becomes the winner's leftmost child. *)
-let[@inline] meld (a : node) (b : node) =
-  if leq a b then begin
-    b.Evnode.link1 <- a.Evnode.link0;
-    a.Evnode.link0 <- b;
-    a
-  end
-  else begin
-    a.Evnode.link1 <- b.Evnode.link0;
-    b.Evnode.link0 <- a;
-    b
+(* Position [i]'s key orders before (time, tie, seq).  Keys are unique
+   (seq is), so "not before" means "after". *)
+let[@inline] before (k : int array) i (time : int) (tie : int) (seq : int) =
+  let j = 4 * i in
+  let x = k.(j) in
+  x < time
+  || x = time
+     && (let y = k.(j + 1) in
+         y < tie || (y = tie && k.(j + 2) < seq))
+
+let[@inline] set (k : int array) i time tie seq id =
+  let j = 4 * i in
+  k.(j) <- time;
+  k.(j + 1) <- tie;
+  k.(j + 2) <- seq;
+  k.(j + 3) <- id
+
+let[@inline] copy (k : int array) ~src ~dst =
+  let s = 4 * src and d = 4 * dst in
+  k.(d) <- k.(s);
+  k.(d + 1) <- k.(s + 1);
+  k.(d + 2) <- k.(s + 2);
+  k.(d + 3) <- k.(s + 3)
+
+let push h time tie seq id =
+  if 4 * h.len = Array.length h.keys then begin
+    let keys = Array.make (2 * Array.length h.keys) 0 in
+    Array.blit h.keys 0 keys 0 (4 * h.len);
+    h.keys <- keys
+  end;
+  let k = h.keys in
+  let i = ref h.len in
+  h.len <- h.len + 1;
+  while !i > 0 && not (before k ((!i - 1) lsr 2) time tie seq) do
+    let p = (!i - 1) lsr 2 in
+    copy k ~src:p ~dst:!i;
+    i := p
+  done;
+  set k !i time tie seq id
+
+(* Drop the root: the last entry sifts down from the top. *)
+let remove_min h =
+  let n = h.len - 1 in
+  h.len <- n;
+  if n > 0 then begin
+    let k = h.keys in
+    let j = 4 * n in
+    let time = k.(j) and tie = k.(j + 1) and seq = k.(j + 2) and id = k.(j + 3) in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let c = (4 * !i) + 1 in
+      if c >= n then sifting := false
+      else begin
+        let m = ref c in
+        for d = c + 1 to if c + 3 < n then c + 3 else n - 1 do
+          let e = 4 * !m in
+          if before k d k.(e) k.(e + 1) k.(e + 2) then m := d
+        done;
+        if before k !m time tie seq then begin
+          copy k ~src:!m ~dst:!i;
+          i := !m
+        end
+        else sifting := false
+      end
+    done;
+    set k !i time tie seq id
   end
 
 let insert t (n : node) =
-  (* Callers hand over nodes with clean links (fresh from [Evnode.alloc],
-     popped, or unlinked by the wheel), so no re-scrub here: redundant
-     pointer stores cost a write-barrier call each on the hottest path. *)
-  t.root <- (if is_null t.root then n else meld t.root n);
-  t.size <- t.size + 1
+  (* The queue hands nodes back by id, so a node from another pool
+     would pop as a stranger. *)
+  if Evnode.node t.pool n.Evnode.id != n then invalid_arg "Eventq.insert: foreign node";
+  let time = Time.since_start_ns n.Evnode.time in
+  push
+    (if time - t.last < near_span then t.near else t.far)
+    time n.Evnode.tie n.Evnode.seq n.Evnode.id
 
 let add t ~time ~tie ~seq run =
   let n = Evnode.alloc t.pool ~time ~tie ~seq in
   n.Evnode.run <- run;
   insert t n
 
-let min_time t = t.root.Evnode.time
-(* Undefined when empty (returns the sentinel's time); callers check
-   {!is_empty} first, as the engine's run loops already must. *)
-
-(* Two-pass pairing over a sibling list, iteratively: pass one melds
-   adjacent pairs and chains the winners in reverse (reusing the
-   sibling links), pass two folds them right-to-left.  No recursion, no
-   allocation. *)
-let combine_siblings (first : node) =
-  if is_null first then null
-  else begin
-    let acc = ref null in
-    let cur = ref first in
-    while not (is_null !cur) do
-      let a = !cur in
-      let b = a.Evnode.link1 in
-      if is_null b then begin
-        a.Evnode.link1 <- !acc;
-        acc := a;
-        cur := null
-      end
-      else begin
-        let next = b.Evnode.link1 in
-        a.Evnode.link1 <- null;
-        b.Evnode.link1 <- null;
-        let m = meld a b in
-        m.Evnode.link1 <- !acc;
-        acc := m;
-        cur := next
-      end
-    done;
-    let root = ref !acc in
-    let rest = ref !root.Evnode.link1 in
-    !root.Evnode.link1 <- null;
-    while not (is_null !rest) do
-      let n = !rest in
-      rest := n.Evnode.link1;
-      n.Evnode.link1 <- null;
-      root := meld !root n
-    done;
-    !root
-  end
+(* Undefined when empty; callers check {!is_empty} first, as the
+   engine's run loops already must. *)
+let min_time t =
+  let a = t.near.keys.(0) and b = t.far.keys.(0) in
+  Time.of_ns_since_start
+    (if t.far.len = 0 then a else if t.near.len = 0 || b < a then b else a)
 
 (* Remove and return the minimum node.  The caller dispatches its
    payload and recycles it (the engine copies the payload to locals,
@@ -104,13 +138,22 @@ let combine_siblings (first : node) =
    events that reuse the node).
    @raise Invalid_argument when empty. *)
 let pop t =
-  if t.size = 0 then invalid_arg "Eventq.pop: empty";
-  let n = t.root in
-  t.root <- combine_siblings n.Evnode.link0;
-  t.size <- t.size - 1;
-  n.Evnode.link0 <- null;
-  n.Evnode.link1 <- null;
-  n
+  let near = t.near and far = t.far in
+  let h =
+    if far.len = 0 then begin
+      if near.len = 0 then invalid_arg "Eventq.pop: empty";
+      near
+    end
+    else if near.len = 0 then far
+    else
+      let k = far.keys in
+      if before near.keys 0 k.(0) k.(1) k.(2) then near else far
+  in
+  let k = h.keys in
+  t.last <- k.(0);
+  let id = k.(3) in
+  remove_min h;
+  Evnode.node t.pool id
 
 (* Closure-mode convenience for tests and cold callers: pop the minimum,
    recycle it, return its closure. *)

@@ -1,12 +1,18 @@
-(** The engine's default event queue: an intrusive pairing heap whose
-    nodes are the shared flat events ({!Evnode}), ordered by
-    [(time, tie, seq)] — the key is a total order (the sequence number
-    is unique), so the pop sequence, and therefore every simulation
-    output, is independent of heap internals.
+(** The engine's default event queue: two implicit 4-ary min-heaps of
+    flat event nodes ({!Evnode}), ordered by [(time, tie, seq)] — the
+    key is a total order (the sequence number is unique), so the pop
+    sequence, and therefore every simulation output, is independent of
+    heap internals.
+
+    Each heap position holds a node's id in its pool and a copy of its
+    key, all ints, so scheduling and popping store no pointers.  One
+    heap holds the events due soon after the last pop and the other the
+    rest; a pop takes the smaller of the two heads.
 
     Scheduling in steady state allocates nothing: nodes recycle through
-    the pool's freelist and the payload is closure-free (a handler index
-    plus immediate slots) unless the caller opts into the closure API.
+    the pool's free stack and the payload is closure-free (a handler
+    index plus immediate slots) unless the caller opts into the closure
+    API.
 
     The {!Calendar} queue is the drop-in alternative for the
     dense-timestamp regime; both pop in exactly the same order. *)
@@ -14,7 +20,7 @@
 type t
 
 val create : ?pool:Evnode.pool -> unit -> t
-(** [pool] (default: a fresh one) is the node freelist — the engine
+(** [pool] (default: a fresh one) is the node registry — the engine
     shares one pool between its queue and its timer wheel so nodes flow
     between them without allocation. *)
 
@@ -23,8 +29,10 @@ val size : t -> int
 val is_empty : t -> bool
 
 val insert : t -> Evnode.t -> unit
-(** [insert t n] links an already-filled node into the heap.  [n.seq]
-    must be unique across live events for the order to be total. *)
+(** [insert t n] queues an already-filled node.  [n] must come from the
+    queue's pool, and [n.seq] must be unique across live events for the
+    order to be total.
+    @raise Invalid_argument when [n] is not registered in the pool. *)
 
 val add : t -> time:Time.t -> tie:int -> seq:int -> (unit -> unit) -> unit
 (** Closure-mode insert: allocates a node off the pool and stores [run]

@@ -1,5 +1,5 @@
 (* The flat event node shared by every scheduling structure in the
-   simulator: the pairing-heap event queue, the calendar queue, and the
+   simulator: the 4-ary-heap event queue, the calendar queue, and the
    retransmit timer wheel.
 
    Historically every scheduled event was a closure, so the busiest path
@@ -12,27 +12,33 @@
    and so allocates zero bytes.  Irregular or cold callers still pass a
    closure ([fn = closure_fn], closure in [run]).
 
-   The two link fields are overloaded by the owning structure:
+   Every node has a fixed [id] into its pool's registry, so the event
+   queue and the free stack hold ints rather than pointers: on the hot
+   path, storing a pointer into a heap block costs an OCaml write
+   barrier ([caml_modify]), several times the cost of an int store.
 
-   - pairing heap: [link0] = leftmost child, [link1] = next sibling;
+   The two link fields belong to the structure currently holding the
+   node:
+
    - calendar queue: [link1] = next in the bucket's sorted list;
    - timer wheel: [link0] = prev, [link1] = next in the slot's circular
-     doubly-linked list (so cancellation is an O(1) unlink);
-   - freelist: [link1] = next free node.
+     doubly-linked list (so cancellation is an O(1) unlink).
 
-   A node moves between structures without copying: the wheel hands an
-   expiring timer node straight to the event queue.  A single sentinel
-   [null] stands for "no node" everywhere, avoiding an [option] per
-   link; nothing ever writes to the sentinel's fields. *)
+   Their contents are unspecified while a node is free or in the event
+   queue.  A node moves between structures without copying: the wheel
+   hands an expiring timer node straight to the event queue.  A single
+   sentinel [null] stands for "no node" in the links, avoiding an
+   [option] per link; nothing ever writes to the sentinel's fields. *)
 
-(* Field order is deliberate: the ordering key and the two links — all
-   a heap meld, a calendar bucket scan or a wheel unlink ever touch —
-   share the node's first cache line; the payload fields live in the
-   second and are read once per event at dispatch. *)
+(* Field order is deliberate: the ordering key, the registry id and the
+   two links — all a heap insert, a calendar bucket scan or a wheel
+   unlink ever touch — share the node's first cache line; the payload
+   fields live in the second and are read once per event at dispatch. *)
 type t = {
   mutable time : Time.t;
   mutable tie : int;
   mutable seq : int;
+  id : int;  (* index in the owning pool's registry; -1 for sentinels *)
   mutable link0 : t;
   mutable link1 : t;
   mutable fn : int;  (* handler-table index, or [closure_fn] for [run] *)
@@ -48,17 +54,40 @@ type t = {
 let closure_fn = -1
 let no_obj = Obj.repr ()
 
-let rec null =
+(* The one scrubbed [run] value, so [recycle] can tell by physical
+   equality that there is nothing to scrub. *)
+let no_run () = ()
+
+let make ~id ~time ~tie ~seq link =
   {
-    time = Time.zero;
-    tie = 0;
-    seq = 0;
+    time;
+    tie;
+    seq;
+    id;
     fn = closure_fn;
     i0 = 0;
     i1 = 0;
     o0 = no_obj;
     o1 = no_obj;
-    run = ignore;
+    run = no_run;
+    home = 0;
+    in_wheel = false;
+    link0 = link;
+    link1 = link;
+  }
+
+let rec null =
+  {
+    time = Time.zero;
+    tie = 0;
+    seq = 0;
+    id = -1;
+    fn = closure_fn;
+    i0 = 0;
+    i1 = 0;
+    o0 = no_obj;
+    o1 = no_obj;
+    run = no_run;
     home = 0;
     in_wheel = false;
     link0 = null;
@@ -70,83 +99,67 @@ let[@inline] is_null n = n == null
 (* Sentinel head of a circular doubly-linked wheel slot: links point at
    itself, never recycled, never dispatched. *)
 let sentinel () =
-  let rec s =
-    {
-      time = Time.zero;
-      tie = 0;
-      seq = 0;
-      fn = closure_fn;
-      i0 = 0;
-      i1 = 0;
-      o0 = no_obj;
-      o1 = no_obj;
-      run = ignore;
-      home = 0;
-      in_wheel = false;
-      link0 = s;
-      link1 = s;
-    }
-  in
+  let s = make ~id:(-1) ~time:Time.zero ~tie:0 ~seq:0 null in
+  s.link0 <- s;
+  s.link1 <- s;
   s
 
-type pool = { mutable free : t; mutable free_len : int }
+(* [nodes.(0 .. count-1)] is every node the pool ever made, each at its
+   own [id]; [free.(0 .. nfree-1)] is a stack of the ids not in use.
+   Nodes are never handed back to the GC, so the registry holds the
+   engine's peak number of pending events. *)
+type pool = {
+  mutable nodes : t array;
+  mutable count : int;
+  mutable free : int array;
+  mutable nfree : int;
+}
 
-(* Bounding the freelist keeps a burst of simultaneous events from
-   pinning memory forever; 1024 covers the steady state of every model
-   in the repo including a fleet's worth of armed retransmit timers. *)
-let max_free = 1024
+let create_pool () = { nodes = Array.make 64 null; count = 0; free = Array.make 64 0; nfree = 0 }
 
-let create_pool () = { free = null; free_len = 0 }
+let[@inline] node pool id = pool.nodes.(id)
+
+(* Cold path: register a new node, doubling the registry when full.
+   The free stack grows with it, since it must be able to hold every
+   id; it is empty whenever this runs, so nothing is copied. *)
+let fresh pool ~time ~tie ~seq =
+  let id = pool.count in
+  if id = Array.length pool.nodes then begin
+    let nodes = Array.make (2 * id) null in
+    Array.blit pool.nodes 0 nodes 0 id;
+    pool.nodes <- nodes;
+    pool.free <- Array.make (2 * id) 0
+  end;
+  let n = make ~id ~time ~tie ~seq null in
+  pool.nodes.(id) <- n;
+  pool.count <- id + 1;
+  n
 
 let alloc pool ~time ~tie ~seq =
-  if is_null pool.free then
-    {
-      time;
-      tie;
-      seq;
-      fn = closure_fn;
-      i0 = 0;
-      i1 = 0;
-      o0 = no_obj;
-      o1 = no_obj;
-      run = ignore;
-      home = 0;
-      in_wheel = false;
-      link0 = null;
-      link1 = null;
-    }
+  if pool.nfree = 0 then fresh pool ~time ~tie ~seq
   else begin
-    (* Free nodes keep [link0] null (recycle invariant), so only the
-       freelist chain in [link1] needs clearing. *)
-    let n = pool.free in
-    pool.free <- n.link1;
-    pool.free_len <- pool.free_len - 1;
+    let k = pool.nfree - 1 in
+    pool.nfree <- k;
+    let n = pool.nodes.(pool.free.(k)) in
     n.time <- time;
     n.tie <- tie;
     n.seq <- seq;
-    n.link1 <- null;
     n
   end
 
 (* Scrub the GC'd slots before recycling so a parked free node cannot
-   keep a closure (and whatever it captured) alive.  The [o0]/[o1]
-   scrubs store a literal immediate so the compiler emits a plain store
-   (no write-barrier call); [link0] is the caller's job — every path
-   that hands a node here (queue pop, wheel unlink) has already cleared
-   it — keeping this, the hottest scrub in the engine, at exactly two
-   barriered stores ([run] and the freelist push). *)
+   keep a closure (and whatever it captured) alive.  Storing into an
+   [Obj.t] or closure field calls [caml_modify] whatever the value, so
+   a slot is only written when it holds something to drop: the flat
+   path (int payload, no closure) recycles with int stores only. *)
 let[@inline] recycle pool n =
   n.fn <- closure_fn;
-  n.o0 <- Obj.repr 0;
-  n.o1 <- Obj.repr 0;
-  n.run <- ignore;
+  if Obj.is_block n.o0 then n.o0 <- no_obj;
+  if Obj.is_block n.o1 then n.o1 <- no_obj;
+  if n.run != no_run then n.run <- no_run;
   n.in_wheel <- false;
-  if pool.free_len < max_free then begin
-    n.link1 <- pool.free;
-    pool.free <- n;
-    pool.free_len <- pool.free_len + 1
-  end
-  else n.link1 <- null
+  pool.free.(pool.nfree) <- n.id;
+  pool.nfree <- pool.nfree + 1
 
 (* The engine's (time, tie, seq) total order: seq is unique across live
    events, so equal keys never happen and pop order is independent of

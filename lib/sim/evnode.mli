@@ -1,21 +1,23 @@
-(** The flat event node shared by the pairing-heap event queue
+(** The flat event node shared by the 4-ary-heap event queue
     ({!Eventq}), the calendar queue ({!Calendar}) and the retransmit
     timer wheel ({!Wheel}).
 
     A node carries the engine's [(time, tie, seq)] ordering key, a
     closure-free payload (a handler-table index [fn] plus two immediate
-    ints and two GC'd slots), and two intrusive links whose meaning
-    depends on the structure currently holding the node.  Nodes are
-    recycled through a bounded per-engine {!pool}, so steady-state
-    scheduling allocates nothing; cold callers set [fn = closure_fn]
-    and put a closure in [run] instead. *)
+    ints and two GC'd slots), a fixed [id] into its pool's registry,
+    and two intrusive links whose meaning depends on the structure
+    currently holding the node.  Nodes are recycled through a per-engine
+    {!pool} whose free list is a stack of ids, so steady-state
+    scheduling allocates nothing and recycling stores only ints; cold
+    callers set [fn = closure_fn] and put a closure in [run] instead. *)
 
 type t = {
   mutable time : Time.t;
   mutable tie : int;
   mutable seq : int;
-  mutable link0 : t;  (** heap child / wheel prev *)
-  mutable link1 : t;  (** heap sibling / calendar next / wheel next / freelist *)
+  id : int;  (** index in the owning pool's registry; [-1] for sentinels *)
+  mutable link0 : t;  (** wheel prev *)
+  mutable link1 : t;  (** calendar next / wheel next *)
   mutable fn : int;  (** handler-table index, or {!closure_fn} *)
   mutable i0 : int;
   mutable i1 : int;
@@ -27,9 +29,10 @@ type t = {
       (** [true] while linked into a wheel slot — the state in which an
           O(1) cancel unlink is legal *)
 }
-(** Field order is deliberate: the ordering key and the two links — all
-    a heap meld, a calendar scan or a wheel unlink ever touch — share
-    the node's first cache line; the payload is read once at dispatch. *)
+(** Field order is deliberate: the ordering key, the id and the two
+    links — all a heap insert, a calendar scan or a wheel unlink ever
+    touch — share the node's first cache line; the payload is read once
+    at dispatch. *)
 
 val closure_fn : int
 (** The [fn] value meaning "dispatch the [run] closure". *)
@@ -47,16 +50,25 @@ val sentinel : unit -> t
 (** A fresh self-linked circular-list head for a wheel slot. *)
 
 type pool
+(** A registry of every node made so far (each at its [id]) and a stack
+    of the free ids.  Nodes are never released to the GC: the registry
+    grows to the peak number of pending events and stays there. *)
 
 val create_pool : unit -> pool
 
+val node : pool -> int -> t
+(** [node pool id] is the node registered at [id]. *)
+
 val alloc : pool -> time:Time.t -> tie:int -> seq:int -> t
-(** A node off the freelist (or fresh when the list is empty) with the
-    key filled in, [fn = closure_fn], payload scrubbed, links null. *)
+(** A free node (or a freshly registered one when none is free) with
+    the key filled in, [fn = closure_fn], and [run], [o0] and [o1]
+    scrubbed.  Its links are unspecified; the structure it joins sets
+    them. *)
 
 val recycle : pool -> t -> unit
-(** Scrubs the GC'd slots and parks the node on the freelist (bounded;
-    excess nodes are dropped for the GC). *)
+(** Scrubs the GC'd slots that hold a pointer and pushes the node's id
+    on the free stack.  The node must be out of every structure and
+    recycled once. *)
 
 val leq : t -> t -> bool
 (** The engine's [(time, tie, seq)] total order. *)

@@ -6,10 +6,10 @@
     rates in the Firefly model are sub-microsecond per byte (e.g. the
     10 Mbit/s Ethernet serializes one byte every 800 ns). *)
 
-type t
+type t [@@immediate]
 (** An absolute instant. *)
 
-type span
+type span [@@immediate]
 (** A signed duration. *)
 
 val zero : t

@@ -108,7 +108,6 @@ let cancel t (n : node) =
     prev.Evnode.link1 <- next;
     next.Evnode.link0 <- prev;
     n.Evnode.in_wheel <- false;
-    n.Evnode.link0 <- Evnode.null;  (* recycle expects a cleared link0 *)
     t.counts.(n.Evnode.home) <- t.counts.(n.Evnode.home) - 1;
     t.size <- t.size - 1;
     Evnode.recycle t.pool n;
@@ -122,8 +121,6 @@ let unlink_all t l b each =
     let n = !cur in
     cur := n.Evnode.link1;
     n.Evnode.in_wheel <- false;
-    n.Evnode.link0 <- Evnode.null;
-    n.Evnode.link1 <- Evnode.null;
     t.counts.(l) <- t.counts.(l) - 1;
     t.size <- t.size - 1;
     each n

@@ -1,10 +1,10 @@
 (* The calendar queue and the timer wheel must be invisible to event
    order: whatever the bucket math, the window resizes or the wheel's
    cascades do, the pop sequence must be the exact (time, tie, seq)
-   total order — the same sequence the pairing heap and a sorted-list
-   model produce.  These tests hold all three structures to one
-   sequence, across random interleavings and across the deterministic
-   resize/overflow boundaries. *)
+   total order — the same sequence the {!Sim.Eventq} heaps and a
+   sorted-list model produce.  These tests hold all three structures to
+   one sequence, across random interleavings and across the
+   deterministic resize/overflow boundaries. *)
 
 module Time = Sim.Time
 module Engine = Sim.Engine
@@ -276,7 +276,9 @@ let test_engine_queue_equivalence () =
    node pool and lets the calendar settle its bucket array; the measured
    pass then runs 64 chains of 2049 events whose delays spread over
    64 ns - 4.2 us, so events land in many buckets and overtake each
-   other constantly. *)
+   other constantly.  A second mix schedules every fourth hop 131 us -
+   197 us out, at or past the {!Sim.Eventq} near/far boundary, so both
+   of its heaps stay busy. *)
 let chains = 64
 let chain_steps = 2048
 
@@ -286,16 +288,22 @@ let run_chains eng fn =
   done;
   Engine.run eng
 
+let near_delay remaining chain = 64 + (((remaining * 37) + (chain * 101)) land 4095)
+
+let far_delay remaining chain =
+  if remaining land 3 = 0 then 131_072 + (((remaining * 37) + (chain * 101)) land 65535)
+  else near_delay remaining chain
+
 let test_flat_loop_zero_alloc () =
   List.iter
-    (fun (name, queue) ->
+    (fun (name, queue, delay) ->
       let eng = Engine.create ~queue () in
       let fn_ref = ref (-1) in
       let fn =
         Engine.register_handler eng (fun remaining chain ->
             if remaining > 0 then
               Engine.schedule_fn eng
-                ~after:(Time.ns (64 + (((remaining * 37) + (chain * 101)) land 4095)))
+                ~after:(Time.ns (delay remaining chain))
                 ~fn:!fn_ref ~a:(remaining - 1) ~b:chain)
       in
       fn_ref := fn;
@@ -310,7 +318,12 @@ let test_flat_loop_zero_alloc () =
         (Engine.events_executed eng - events0);
       Alcotest.(check (float 0.)) (name ^ ": minor words") 0. minor;
       Alcotest.(check (float 0.)) (name ^ ": major words") 0. major)
-    [ ("heap", `Heap); ("calendar", `Calendar) ]
+    [
+      ("heap", `Heap, near_delay);
+      ("calendar", `Calendar, near_delay);
+      ("heap, far hops", `Heap, far_delay);
+      ("calendar, far hops", `Calendar, far_delay);
+    ]
 
 let suite =
   [

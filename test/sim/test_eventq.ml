@@ -62,6 +62,17 @@ let test_pop_empty_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_foreign_node_rejected () =
+  (* The queue pops nodes by their id in its own pool. *)
+  let q = Q.create () in
+  let stranger = Sim.Evnode.alloc (Sim.Evnode.create_pool ()) ~time:Sim.Time.zero ~tie:0 ~seq:0 in
+  Alcotest.(check bool) "insert from another pool raises" true
+    (try
+       Q.insert q stranger;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "nothing queued" true (Q.is_empty q)
+
 let test_reschedule_from_closure () =
   (* The popped closure re-adds events — the recycled-node path the
      engine exercises on every self-rescheduling chain. *)
@@ -87,16 +98,20 @@ let test_reschedule_from_closure () =
 
 (* Model-based property: interleaved adds and pops against a sorted-list
    model.  Commands: [Some (time, tie)] = add (seq assigned in program
-   order, so keys are unique), [None] = pop. *)
+   order, so keys are unique), [None] = pop.  Times cluster within 20 ns
+   of 0, of a few ms and of 5 s, so as pops move forward the same
+   instant is queued both far ahead of the last pop and near it: keys
+   land in both of the queue's heaps and tie across them. *)
 let prop_model =
+  let time =
+    QCheck.Gen.(
+      map2 ( + ) (oneofl [ 0; 1_000_000; 3_000_000; 5_000_000_000 ]) (int_bound 20))
+  in
   let gen =
     QCheck.Gen.(
       list_size (int_bound 200)
         (oneof
-           [
-             map (fun (t, tie) -> Some (t, tie)) (pair (int_bound 20) (int_bound 3));
-             return None;
-           ]))
+           [ map (fun (t, tie) -> Some (t, tie)) (pair time (int_bound 3)); return None ]))
   in
   let print cmds =
     String.concat "; "
@@ -145,6 +160,7 @@ let suite =
     Alcotest.test_case "sorted drain with ties" `Quick test_sorted_drain;
     Alcotest.test_case "min_time tracks the head" `Quick test_min_time_tracks;
     Alcotest.test_case "pop on empty rejected" `Quick test_pop_empty_rejected;
+    Alcotest.test_case "insert of a foreign node rejected" `Quick test_foreign_node_rejected;
     Alcotest.test_case "reschedule from popped closure" `Quick test_reschedule_from_closure;
     QCheck_alcotest.to_alcotest prop_model;
   ]
