@@ -74,7 +74,6 @@ let create ?pool () =
     resizing = false;
   }
 
-let pool t = t.pool
 let size t = t.ndirect + Eventq.size t.overflow
 let is_empty t = size t = 0
 
@@ -220,7 +219,6 @@ let maybe_resize t =
       resize t ~nslots:(t.nslots / 2)
 
 let insert t (n : node) =
-  n.Evnode.link0 <- null;
   n.Evnode.link1 <- null;
   insert_direct t n;
   maybe_resize t
@@ -262,9 +260,3 @@ let pop t =
   t.floor <- n.Evnode.time;
   maybe_resize t;
   n
-
-let pop_run t =
-  let n = pop t in
-  let run = n.Evnode.run in
-  Evnode.recycle t.pool n;
-  run

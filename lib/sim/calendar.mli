@@ -16,11 +16,9 @@
 type t
 
 val create : ?pool:Evnode.pool -> unit -> t
-(** [pool] (default: a fresh one) is shared with the engine's other
-    scheduling structures so nodes flow between them without
-    allocation. *)
+(** [pool] (default: a fresh one) is the node registry the queue's
+    nodes come from; the overflow {!Eventq} shares it. *)
 
-val pool : t -> Evnode.pool
 val size : t -> int
 val is_empty : t -> bool
 
@@ -39,9 +37,4 @@ val min_time : t -> Time.t
 val pop : t -> Evnode.t
 (** Removes and returns the minimum node; the caller dispatches its
     payload and recycles it through the pool.
-    @raise Invalid_argument when empty. *)
-
-val pop_run : t -> unit -> unit
-(** Closure-mode pop: removes the minimum event, recycles the node and
-    returns its closure.  Only meaningful for events added with {!add}.
     @raise Invalid_argument when empty. *)

@@ -9,13 +9,11 @@
    Both pop in exact [(time, tie, seq)] order, so the choice is purely a
    performance knob — byte-identical output either way.
 
-   Timeouts ({!suspend_timeout}) arm a node on a hierarchical timer
-   wheel ({!Wheel}) instead of the main queue: the retransmit pattern
-   cancels nearly every timer, and the wheel makes that an O(1) unlink
-   that recycles the node instead of leaving a dead event to sift
-   through the queue.  The wheel flushes expiring nodes — original keys
-   intact — into the main queue before their deadline, so it is
-   invisible to event order. *)
+   A timeout ({!suspend_timeout}) is an ordinary queued node, which
+   {!Eventq} files in a heap of its own.  The retransmit pattern cancels
+   nearly every one: [wake] marks the node dead in place ([fn_dead]),
+   and when it reaches the head of the queue [dispatch] recycles it
+   without touching the clock or the event count. *)
 
 type queue = Heap of Eventq.t | Cal of Calendar.t
 
@@ -26,11 +24,6 @@ type t = {
   mutable suspended : int;
   queue : queue;
   pool : Evnode.pool;
-  mutable wheel : Wheel.t option;  (* created on first suspend_timeout *)
-  mutable horizon : Time.t;
-      (* cached {!Wheel.horizon}: events strictly before it cannot be
-         affected by the wheel, so the per-event sync is one compare *)
-  mutable enqueue : Evnode.t -> unit;  (* wheel-flush target: the main queue *)
   mutable handlers : (int -> int -> Obj.t -> Obj.t -> unit) array;
   mutable nhandlers : int;
   mutable pending_span : Time.span;
@@ -52,7 +45,8 @@ type t = {
 (* The one-shot guard [cell] is shared between a waker and any waker
    derived from it (see [suspend_timeout]), so racing resumption paths —
    normal wake vs. timeout — cannot both fire the continuation.  [timer]
-   is the armed timeout node, if any, cancelled when the waker fires. *)
+   is the queued timeout node, if any, marked dead when the waker
+   fires. *)
 type fired_cell = { mutable fired : bool; mutable timer : Evnode.t }
 
 type 'a waker = {
@@ -65,10 +59,14 @@ exception Not_in_process
 
 (* Built-in dispatch indices.  [fn_fire]: o0 = the waker's fire closure,
    o1 = the wake value.  [fn_delay]: o0 = the suspended continuation.
-   [fn_timeout]: o0 = the waker to time out. *)
+   [fn_timeout]: o0 = the waker to time out.  [register_handler] hands
+   out indices from [nbuiltin] up.  [fn_dead] marks a cancelled timeout,
+   which is recycled unrun. *)
 let fn_fire = 0
 let fn_delay = 1
 let fn_timeout = 2
+let nbuiltin = 3
+let fn_dead = -2
 
 let q_is_empty t =
   match t.queue with Heap q -> Eventq.is_empty q | Cal c -> Calendar.is_empty c
@@ -79,6 +77,9 @@ let q_min_time t =
 let q_insert t n =
   match t.queue with Heap q -> Eventq.insert q n | Cal c -> Calendar.insert c n
 
+let q_insert_timer t n =
+  match t.queue with Heap q -> Eventq.insert_timer q n | Cal c -> Calendar.insert c n
+
 let q_pop t = match t.queue with Heap q -> Eventq.pop q | Cal c -> Calendar.pop c
 
 let now t = t.clock
@@ -86,7 +87,6 @@ let rng t = t.engine_rng
 let trace t = t.engine_trace
 let events_executed t = t.executed
 let suspended_count t = t.suspended
-let armed_timers t = match t.wheel with None -> 0 | Some wh -> Wheel.size wh
 
 (* Every event — flat or closure — draws its key here, so the
    (tie, seq) stream is a pure function of the schedule-call sequence,
@@ -112,7 +112,7 @@ let schedule t ?(after = Time.zero_span) run =
 
 let schedule_fn t ~after ~fn ~a ~b =
   if Time.span_is_negative after then invalid_arg "Engine.schedule_fn: negative delay";
-  if fn < 0 || fn >= t.nhandlers then invalid_arg "Engine.schedule_fn: unknown handler";
+  if fn < nbuiltin || fn >= t.nhandlers then invalid_arg "Engine.schedule_fn: unknown handler";
   let n = alloc_keyed t (Time.add t.clock after) in
   n.Evnode.fn <- fn;
   n.Evnode.i0 <- a;
@@ -146,13 +146,13 @@ let wake w v =
   else begin
     w.cell.fired <- true;
     let eng = w.owner in
-    if not (Evnode.is_null w.cell.timer) then begin
-      (* O(1) cancel of the pending timeout.  If the node already left
-         the wheel for the main queue it stays there as a dead event —
-         [fn_timeout] on a fired cell is a no-op. *)
-      (match eng.wheel with
-      | Some wh -> ignore (Wheel.cancel wh w.cell.timer)
-      | None -> ());
+    let timer = w.cell.timer in
+    if not (Evnode.is_null timer) then begin
+      (* Cancel the pending timeout: it stays queued under its key, but
+         dispatch will recycle it unrun.  Drop its waker now, so a dead
+         node does not keep this process alive until the deadline. *)
+      timer.Evnode.fn <- fn_dead;
+      timer.Evnode.o0 <- Evnode.no_obj;
       w.cell.timer <- Evnode.null
     end;
     eng.suspended <- eng.suspended - 1;
@@ -180,11 +180,8 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
         | `Heap -> Heap (Eventq.create ~pool ())
         | `Calendar -> Cal (Calendar.create ~pool ()));
       pool;
-      wheel = None;
-      horizon = Time.zero;
-      enqueue = ignore;
       handlers = Array.make 8 unregistered;
-      nhandlers = 3;
+      nhandlers = nbuiltin;
       pending_span = Time.zero_span;
       on_delay = ignore;
       engine_rng = Rng.create ~seed;
@@ -195,7 +192,6 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       engine_trace = Trace.create ();
     }
   in
-  t.enqueue <- (fun n -> q_insert t n);
   t.on_delay <-
     (fun k ->
       let n = alloc_keyed t (Time.add t.clock t.pending_span) in
@@ -209,20 +205,12 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
   t.handlers.(fn_timeout) <-
     (fun _ _ o0 _ ->
       let w : Obj.t waker = Obj.obj o0 in
-      (* This very node is being dispatched (and was recycled by [step]);
-         drop the cell's reference first so [wake] cannot cancel into a
-         reused node. *)
+      (* This very node is being dispatched (and was already recycled);
+         drop the cell's reference first so [wake] cannot mark a reused
+         node dead. *)
       w.cell.timer <- Evnode.null;
       ignore (wake w (Obj.repr None)));
   t
-
-let wheel_of t =
-  match t.wheel with
-  | Some wh -> wh
-  | None ->
-    let wh = Wheel.create ~pool:t.pool () in
-    t.wheel <- Some wh;
-    wh
 
 let run_process t ?(name = "process") fn =
   let open Effect.Deep in
@@ -278,61 +266,33 @@ let suspend_timeout t ~timeout register =
     invalid_arg "Engine.suspend_timeout: negative timeout";
   suspend t (fun w ->
       register { cell = w.cell; fire = (fun v -> w.fire (Some v)); owner = t };
-      (* Arm the timeout on the wheel under the same key a direct
-         schedule would have drawn, so event order is unchanged whether
-         the timer ever fires or not. *)
       let n = alloc_keyed t (Time.add t.clock timeout) in
       n.Evnode.fn <- fn_timeout;
       n.Evnode.o0 <- Obj.repr w;
       w.cell.timer <- n;
-      if not (Wheel.arm (wheel_of t) n) then q_insert t n)
-
-(* Make every timer due by the next queue event visible to the queue;
-   with the queue drained, roll the wheel to its next timer.  After
-   this, the queue minimum is the true next event.  The cached
-   [t.horizon] makes the common case — next event well below the
-   wheel's current slot — a single comparison. *)
-let wheel_sync t wh =
-  if Wheel.size wh > 0 then
-    if q_is_empty t then begin
-      Wheel.flush_earliest wh ~insert:t.enqueue;
-      t.horizon <- Wheel.horizon wh
-    end
-    else begin
-      let m = q_min_time t in
-      if Time.compare m t.horizon >= 0 then begin
-        Wheel.advance wh ~upto:m ~insert:t.enqueue;
-        t.horizon <- Wheel.horizon wh
-      end
-    end
-
-let sync t = match t.wheel with None -> () | Some wh -> wheel_sync t wh
+      q_insert_timer t n)
 
 (* Copy out and recycle before dispatch: the handler may schedule,
    immediately reusing this node.  Branch on the payload style first so
-   each side touches only the fields it dispatches. *)
+   each side touches only the fields it dispatches.  A cancelled timeout
+   is not an event: it leaves the clock and the count alone. *)
 let[@inline] dispatch t (n : Evnode.t) =
-  t.clock <- n.Evnode.time;
-  t.executed <- t.executed + 1;
   let fn = n.Evnode.fn in
-  if fn >= 0 then begin
-    let i0 = n.Evnode.i0 and i1 = n.Evnode.i1 in
-    let o0 = n.Evnode.o0 and o1 = n.Evnode.o1 in
-    Evnode.recycle t.pool n;
-    t.handlers.(fn) i0 i1 o0 o1
-  end
+  if fn = fn_dead then Evnode.recycle t.pool n
   else begin
-    let run = n.Evnode.run in
-    Evnode.recycle t.pool n;
-    run ()
-  end
-
-let step t =
-  sync t;
-  if q_is_empty t then false
-  else begin
-    dispatch t (q_pop t);
-    true
+    t.clock <- n.Evnode.time;
+    t.executed <- t.executed + 1;
+    if fn >= 0 then begin
+      let i0 = n.Evnode.i0 and i1 = n.Evnode.i1 in
+      let o0 = n.Evnode.o0 and o1 = n.Evnode.o1 in
+      Evnode.recycle t.pool n;
+      t.handlers.(fn) i0 i1 o0 o1
+    end
+    else begin
+      let run = n.Evnode.run in
+      Evnode.recycle t.pool n;
+      run ()
+    end
   end
 
 let guard_failed t =
@@ -345,18 +305,6 @@ let run_heap t q ~limit =
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
-    (match t.wheel with
-    | None -> ()
-    | Some wh ->
-      if Wheel.size wh > 0 then
-        if Eventq.is_empty q then begin
-          Wheel.flush_earliest wh ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end
-        else if Time.compare (Eventq.min_time q) t.horizon >= 0 then begin
-          Wheel.advance wh ~upto:(Eventq.min_time q) ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end);
     if Eventq.is_empty q then continue_ := false
     else dispatch t (Eventq.pop q)
   done
@@ -365,18 +313,6 @@ let run_cal t c ~limit =
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
-    (match t.wheel with
-    | None -> ()
-    | Some wh ->
-      if Wheel.size wh > 0 then
-        if Calendar.is_empty c then begin
-          Wheel.flush_earliest wh ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end
-        else if Time.compare (Calendar.min_time c) t.horizon >= 0 then begin
-          Wheel.advance wh ~upto:(Calendar.min_time c) ~insert:t.enqueue;
-          t.horizon <- Wheel.horizon wh
-        end);
     if Calendar.is_empty c then continue_ := false
     else dispatch t (Calendar.pop c)
   done
@@ -390,7 +326,6 @@ let run_until ?max_events t stop =
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
-    sync t;
     if q_is_empty t then continue_ := false
     else if Time.compare (q_min_time t) stop > 0 then continue_ := false
     else dispatch t (q_pop t)
@@ -402,5 +337,6 @@ let run_while ?max_events t p =
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
-    if p () then continue_ := step t else continue_ := false
+    if (not (p ())) || q_is_empty t then continue_ := false
+    else dispatch t (q_pop t)
   done

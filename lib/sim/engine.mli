@@ -49,7 +49,9 @@ val trace : t -> Trace.t
 
 val events_executed : t -> int
 (** Number of events executed so far; a cheap progress/regression
-    metric used by determinism tests. *)
+    metric used by determinism tests.  A {!suspend_timeout} deadline
+    that a {!wake} cancelled is not an event: it never runs and is not
+    counted. *)
 
 (** {1 Scheduling} *)
 
@@ -98,11 +100,10 @@ val suspend : t -> ('a waker -> unit) -> 'a
 
 val suspend_timeout : t -> timeout:Time.span -> ('a waker -> unit) -> 'a option
 (** Like {!suspend} but resumes with [None] after [timeout] if the waker
-    has not fired by then.  The timeout is armed on the engine's timer
-    wheel, so the common case — the waker fires first — cancels it with
-    an O(1) unlink instead of leaving a dead event in the queue; either
-    way the observable event order is exactly as if the timeout had
-    been scheduled on the main queue. *)
+    has not fired by then.  The timeout is a queued event.  In the
+    common case the waker fires first; the timeout then stays queued
+    until its deadline, but it is recycled there without running,
+    moving the clock or counting in {!events_executed}. *)
 
 val wake : 'a waker -> 'a -> bool
 (** [wake w v] resumes the suspended process with value [v].  Returns
@@ -136,8 +137,3 @@ val run_while : ?max_events:int -> t -> (unit -> bool) -> unit
 
 val suspended_count : t -> int
 (** Number of currently suspended processes (waiting on a waker). *)
-
-val armed_timers : t -> int
-(** Number of timeout timers currently armed on the engine's wheel
-    (pending {!suspend_timeout} deadlines not yet fired, cancelled or
-    flushed to the main queue). *)

@@ -1,23 +1,28 @@
-(* The engine's default event queue: two implicit 4-ary min-heaps over
-   the registry ids of the shared flat event nodes ({!Evnode}).
+(* The engine's default event queue: three implicit 4-ary min-heaps
+   over the registry ids of the shared flat event nodes ({!Evnode}).
 
    A heap position is four ints in one array: a copy of the node's
    (time, tie, seq) key followed by its id.  Sifting compares and moves
    only ints, so inserting and popping make no write-barrier call, and
    a sift never leaves the heap array to read a node.
 
-   The queue is split by due time.  [near] holds the events due less
-   than [near_span] after the last pop, [far] the rest, and pop takes
-   the smaller of the two heads, so the split decides only which heap
-   an insert pays for: the pop order is the exact total key order
-   either way.  Most events are due within microseconds and meet a
+   Pop takes the smallest of the three heads, so which heap an event
+   joins decides only what its insert costs: the pop order is the exact
+   total key order either way.  Ordinary events are split by due time.
+   [near] holds those due less than [near_span] after the last pop,
+   [far] the rest.  Most events are due within microseconds and meet a
    near heap a few entries deep, while the deep part of the queue —
    retained-result reclaims due 5 s out, every served call's — sits in
-   [far], where a new key usually stays at the bottom.
-   With the boundary at two wheel level-0 slots (2^17 ns), the mean
-   depth at each pop was 0.9 near + 53 far on perfbench's pair-bulk
-   (where 41% of inserts go far) and 3.8 near + 1,048 far on its
-   fleet-incast (17% go far). *)
+   [far], where a new key usually stays at the bottom.  With the
+   boundary at 2^17 ns, the mean depth at each pop was 0.9 near + 53 far
+   on perfbench's pair-bulk (where 41% of inserts go far) and 3.8 near +
+   1,048 far on its fleet-incast (17% go far).
+
+   [timers] holds the engine's timeouts ({!insert_timer}).  Nearly all
+   are cancelled long before they are due and wait here as dead
+   entries until their deadline.  In a heap of their own they do not
+   deepen [far], and since they are mostly armed in deadline order, a
+   push rarely sifts. *)
 
 type node = Evnode.t
 
@@ -28,6 +33,7 @@ type heap = { mutable keys : int array; mutable len : int }
 type t = {
   near : heap;
   far : heap;
+  timers : heap;
   mutable last : int;  (* due time of the last pop, in ns *)
   pool : Evnode.pool;
 }
@@ -36,11 +42,10 @@ let heap () = { keys = Array.make 256 0; len = 0 }
 
 let create ?pool () =
   let pool = match pool with Some p -> p | None -> Evnode.create_pool () in
-  { near = heap (); far = heap (); last = 0; pool }
+  { near = heap (); far = heap (); timers = heap (); last = 0; pool }
 
-let pool t = t.pool
-let size t = t.near.len + t.far.len
-let is_empty t = t.near.len = 0 && t.far.len = 0
+let size t = t.near.len + t.far.len + t.timers.len
+let is_empty t = t.near.len = 0 && t.far.len = 0 && t.timers.len = 0
 
 (* Position [i]'s key orders before (time, tie, seq).  Keys are unique
    (seq is), so "not before" means "after". *)
@@ -111,26 +116,47 @@ let remove_min h =
     set k !i time tie seq id
   end
 
+(* The queue hands nodes back by id, so a node from another pool
+   would pop as a stranger. *)
+let check_pool t (n : node) =
+  if Evnode.node t.pool n.Evnode.id != n then invalid_arg "Eventq.insert: foreign node"
+
 let insert t (n : node) =
-  (* The queue hands nodes back by id, so a node from another pool
-     would pop as a stranger. *)
-  if Evnode.node t.pool n.Evnode.id != n then invalid_arg "Eventq.insert: foreign node";
+  check_pool t n;
   let time = Time.since_start_ns n.Evnode.time in
   push
     (if time - t.last < near_span then t.near else t.far)
     time n.Evnode.tie n.Evnode.seq n.Evnode.id
+
+let insert_timer t (n : node) =
+  check_pool t n;
+  push t.timers (Time.since_start_ns n.Evnode.time) n.Evnode.tie n.Evnode.seq n.Evnode.id
 
 let add t ~time ~tie ~seq run =
   let n = Evnode.alloc t.pool ~time ~tie ~seq in
   n.Evnode.run <- run;
   insert t n
 
+(* The heap whose head is the queue minimum; an empty heap when the
+   whole queue is empty. *)
+let[@inline] first t =
+  let near = t.near and far = t.far and timers = t.timers in
+  let h =
+    if far.len = 0 then near
+    else if near.len = 0 then far
+    else
+      let k = far.keys in
+      if before near.keys 0 k.(0) k.(1) k.(2) then near else far
+  in
+  if timers.len = 0 then h
+  else if h.len = 0 then timers
+  else
+    let k = timers.keys in
+    if before h.keys 0 k.(0) k.(1) k.(2) then h else timers
+
 (* Undefined when empty; callers check {!is_empty} first, as the
    engine's run loops already must. *)
-let min_time t =
-  let a = t.near.keys.(0) and b = t.far.keys.(0) in
-  Time.of_ns_since_start
-    (if t.far.len = 0 then a else if t.near.len = 0 || b < a then b else a)
+let min_time t = Time.of_ns_since_start (first t).keys.(0)
 
 (* Remove and return the minimum node.  The caller dispatches its
    payload and recycles it (the engine copies the payload to locals,
@@ -138,17 +164,8 @@ let min_time t =
    events that reuse the node).
    @raise Invalid_argument when empty. *)
 let pop t =
-  let near = t.near and far = t.far in
-  let h =
-    if far.len = 0 then begin
-      if near.len = 0 then invalid_arg "Eventq.pop: empty";
-      near
-    end
-    else if near.len = 0 then far
-    else
-      let k = far.keys in
-      if before near.keys 0 k.(0) k.(1) k.(2) then near else far
-  in
+  let h = first t in
+  if h.len = 0 then invalid_arg "Eventq.pop: empty";
   let k = h.keys in
   t.last <- k.(0);
   let id = k.(3) in

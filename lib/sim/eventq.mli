@@ -1,4 +1,4 @@
-(** The engine's default event queue: two implicit 4-ary min-heaps of
+(** The engine's default event queue: three implicit 4-ary min-heaps of
     flat event nodes ({!Evnode}), ordered by [(time, tie, seq)] — the
     key is a total order (the sequence number is unique), so the pop
     sequence, and therefore every simulation output, is independent of
@@ -6,8 +6,9 @@
 
     Each heap position holds a node's id in its pool and a copy of its
     key, all ints, so scheduling and popping store no pointers.  One
-    heap holds the events due soon after the last pop and the other the
-    rest; a pop takes the smaller of the two heads.
+    heap holds the events due soon after the last pop, one the rest,
+    and one the engine's timeouts; a pop takes the smallest of the
+    three heads.
 
     Scheduling in steady state allocates nothing: nodes recycle through
     the pool's free stack and the payload is closure-free (a handler
@@ -20,11 +21,9 @@
 type t
 
 val create : ?pool:Evnode.pool -> unit -> t
-(** [pool] (default: a fresh one) is the node registry — the engine
-    shares one pool between its queue and its timer wheel so nodes flow
-    between them without allocation. *)
+(** [pool] (default: a fresh one) is the node registry the queue's
+    nodes come from; the calendar shares it with its overflow queue. *)
 
-val pool : t -> Evnode.pool
 val size : t -> int
 val is_empty : t -> bool
 
@@ -32,6 +31,14 @@ val insert : t -> Evnode.t -> unit
 (** [insert t n] queues an already-filled node.  [n] must come from the
     queue's pool, and [n.seq] must be unique across live events for the
     order to be total.
+    @raise Invalid_argument when [n] is not registered in the pool. *)
+
+val insert_timer : t -> Evnode.t -> unit
+(** [insert_timer t n] is {!insert} into a third heap kept for the
+    engine's timeouts.  Nearly all of those are cancelled and stay
+    queued until their deadline; in their own heap they do not deepen
+    the one holding the other far-off events.  The pop order does not
+    depend on which insert filed a node.
     @raise Invalid_argument when [n] is not registered in the pool. *)
 
 val add : t -> time:Time.t -> tie:int -> seq:int -> (unit -> unit) -> unit

@@ -1,6 +1,5 @@
-(* The flat event node shared by every scheduling structure in the
-   simulator: the 4-ary-heap event queue, the calendar queue, and the
-   retransmit timer wheel.
+(* The flat event node shared by the simulator's two event queues: the
+   4-ary heaps and the calendar queue.
 
    Historically every scheduled event was a closure, so the busiest path
    in the simulator — schedule, pop, fire, reschedule — allocated a
@@ -17,29 +16,21 @@
    path, storing a pointer into a heap block costs an OCaml write
    barrier ([caml_modify]), several times the cost of an int store.
 
-   The two link fields belong to the structure currently holding the
-   node:
-
-   - calendar queue: [link1] = next in the bucket's sorted list;
-   - timer wheel: [link0] = prev, [link1] = next in the slot's circular
-     doubly-linked list (so cancellation is an O(1) unlink).
-
-   Their contents are unspecified while a node is free or in the event
-   queue.  A node moves between structures without copying: the wheel
-   hands an expiring timer node straight to the event queue.  A single
-   sentinel [null] stands for "no node" in the links, avoiding an
-   [option] per link; nothing ever writes to the sentinel's fields. *)
+   [link1] is the calendar queue's bucket chain (next in the bucket's
+   sorted list); its contents are unspecified while a node is free or
+   in the heaps.  A single sentinel [null] stands for "no node",
+   avoiding an [option] per link; nothing ever writes to the sentinel's
+   fields. *)
 
 (* Field order is deliberate: the ordering key, the registry id and the
-   two links — all a heap insert, a calendar bucket scan or a wheel
-   unlink ever touch — share the node's first cache line; the payload
-   fields live in the second and are read once per event at dispatch. *)
+   link — all a heap insert or a calendar bucket scan ever touch — share
+   the node's first cache line; the payload fields are read once per
+   event at dispatch. *)
 type t = {
   mutable time : Time.t;
   mutable tie : int;
   mutable seq : int;
-  id : int;  (* index in the owning pool's registry; -1 for sentinels *)
-  mutable link0 : t;
+  id : int;  (* index in the owning pool's registry; -1 for [null] *)
   mutable link1 : t;
   mutable fn : int;  (* handler-table index, or [closure_fn] for [run] *)
   mutable i0 : int;
@@ -47,8 +38,6 @@ type t = {
   mutable o0 : Obj.t;
   mutable o1 : Obj.t;
   mutable run : unit -> unit;
-  mutable home : int;  (* wheel level while armed; meaningless elsewhere *)
-  mutable in_wheel : bool;
 }
 
 let closure_fn = -1
@@ -58,51 +47,22 @@ let no_obj = Obj.repr ()
    equality that there is nothing to scrub. *)
 let no_run () = ()
 
-let make ~id ~time ~tie ~seq link =
-  {
-    time;
-    tie;
-    seq;
-    id;
-    fn = closure_fn;
-    i0 = 0;
-    i1 = 0;
-    o0 = no_obj;
-    o1 = no_obj;
-    run = no_run;
-    home = 0;
-    in_wheel = false;
-    link0 = link;
-    link1 = link;
-  }
-
 let rec null =
   {
     time = Time.zero;
     tie = 0;
     seq = 0;
     id = -1;
+    link1 = null;
     fn = closure_fn;
     i0 = 0;
     i1 = 0;
     o0 = no_obj;
     o1 = no_obj;
     run = no_run;
-    home = 0;
-    in_wheel = false;
-    link0 = null;
-    link1 = null;
   }
 
 let[@inline] is_null n = n == null
-
-(* Sentinel head of a circular doubly-linked wheel slot: links point at
-   itself, never recycled, never dispatched. *)
-let sentinel () =
-  let s = make ~id:(-1) ~time:Time.zero ~tie:0 ~seq:0 null in
-  s.link0 <- s;
-  s.link1 <- s;
-  s
 
 (* [nodes.(0 .. count-1)] is every node the pool ever made, each at its
    own [id]; [free.(0 .. nfree-1)] is a stack of the ids not in use.
@@ -130,7 +90,21 @@ let fresh pool ~time ~tie ~seq =
     pool.nodes <- nodes;
     pool.free <- Array.make (2 * id) 0
   end;
-  let n = make ~id ~time ~tie ~seq null in
+  let n =
+    {
+      time;
+      tie;
+      seq;
+      id;
+      link1 = null;
+      fn = closure_fn;
+      i0 = 0;
+      i1 = 0;
+      o0 = no_obj;
+      o1 = no_obj;
+      run = no_run;
+    }
+  in
   pool.nodes.(id) <- n;
   pool.count <- id + 1;
   n
@@ -157,7 +131,6 @@ let[@inline] recycle pool n =
   if Obj.is_block n.o0 then n.o0 <- no_obj;
   if Obj.is_block n.o1 then n.o1 <- no_obj;
   if n.run != no_run then n.run <- no_run;
-  n.in_wheel <- false;
   pool.free.(pool.nfree) <- n.id;
   pool.nfree <- pool.nfree + 1
 

@@ -1,38 +1,31 @@
 (** The flat event node shared by the 4-ary-heap event queue
-    ({!Eventq}), the calendar queue ({!Calendar}) and the retransmit
-    timer wheel ({!Wheel}).
+    ({!Eventq}) and the calendar queue ({!Calendar}).
 
     A node carries the engine's [(time, tie, seq)] ordering key, a
     closure-free payload (a handler-table index [fn] plus two immediate
     ints and two GC'd slots), a fixed [id] into its pool's registry,
-    and two intrusive links whose meaning depends on the structure
-    currently holding the node.  Nodes are recycled through a per-engine
-    {!pool} whose free list is a stack of ids, so steady-state
-    scheduling allocates nothing and recycling stores only ints; cold
-    callers set [fn = closure_fn] and put a closure in [run] instead. *)
+    and the calendar's intrusive bucket link.  Nodes are recycled
+    through a per-engine {!pool} whose free list is a stack of ids, so
+    steady-state scheduling allocates nothing and recycling stores only
+    ints; cold callers set [fn = closure_fn] and put a closure in [run]
+    instead. *)
 
 type t = {
   mutable time : Time.t;
   mutable tie : int;
   mutable seq : int;
-  id : int;  (** index in the owning pool's registry; [-1] for sentinels *)
-  mutable link0 : t;  (** wheel prev *)
-  mutable link1 : t;  (** calendar next / wheel next *)
+  id : int;  (** index in the owning pool's registry; [-1] for {!null} *)
+  mutable link1 : t;  (** next in a calendar bucket *)
   mutable fn : int;  (** handler-table index, or {!closure_fn} *)
   mutable i0 : int;
   mutable i1 : int;
   mutable o0 : Obj.t;
   mutable o1 : Obj.t;
   mutable run : unit -> unit;  (** dispatched when [fn = closure_fn] *)
-  mutable home : int;  (** wheel level while armed *)
-  mutable in_wheel : bool;
-      (** [true] while linked into a wheel slot — the state in which an
-          O(1) cancel unlink is legal *)
 }
-(** Field order is deliberate: the ordering key, the id and the two
-    links — all a heap insert, a calendar scan or a wheel unlink ever
-    touch — share the node's first cache line; the payload is read once
-    at dispatch. *)
+(** Field order is deliberate: the ordering key, the id and the link —
+    all a heap insert or a calendar scan ever touch — share the node's
+    first cache line; the payload is read once at dispatch. *)
 
 val closure_fn : int
 (** The [fn] value meaning "dispatch the [run] closure". *)
@@ -45,9 +38,6 @@ val null : t
     share between engines in different domains. *)
 
 val is_null : t -> bool
-
-val sentinel : unit -> t
-(** A fresh self-linked circular-list head for a wheel slot. *)
 
 type pool
 (** A registry of every node made so far (each at its [id]) and a stack
@@ -62,8 +52,8 @@ val node : pool -> int -> t
 val alloc : pool -> time:Time.t -> tie:int -> seq:int -> t
 (** A free node (or a freshly registered one when none is free) with
     the key filled in, [fn = closure_fn], and [run], [o0] and [o1]
-    scrubbed.  Its links are unspecified; the structure it joins sets
-    them. *)
+    scrubbed.  Its link is unspecified; the calendar sets it on
+    insert. *)
 
 val recycle : pool -> t -> unit
 (** Scrubs the GC'd slots that hold a pointer and pushes the node's id

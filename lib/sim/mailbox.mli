@@ -14,6 +14,5 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 (** Dequeues the oldest message, suspending while empty. *)
 
-val recv_timeout : 'a t -> timeout:Time.span -> 'a option
 val length : 'a t -> int
 val is_empty : 'a t -> bool

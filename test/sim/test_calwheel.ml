@@ -1,17 +1,16 @@
-(* The calendar queue and the timer wheel must be invisible to event
-   order: whatever the bucket math, the window resizes or the wheel's
-   cascades do, the pop sequence must be the exact (time, tie, seq)
-   total order — the same sequence the {!Sim.Eventq} heaps and a
-   sorted-list model produce.  These tests hold all three structures to
-   one sequence, across random interleavings and across the
-   deterministic resize/overflow boundaries. *)
+(* The calendar queue must be invisible to event order: whatever the
+   bucket math or the window resizes do, the pop sequence must be the
+   exact (time, tie, seq) total order — the same sequence the
+   {!Sim.Eventq} heaps and a sorted-list model produce, whichever of
+   its three heaps an event joined.  These tests hold the two queues
+   and the model to one sequence, across random interleavings and
+   across the deterministic resize/overflow boundaries. *)
 
 module Time = Sim.Time
 module Engine = Sim.Engine
 module Evnode = Sim.Evnode
 module Eventq = Sim.Eventq
 module Calendar = Sim.Calendar
-module Wheel = Sim.Wheel
 
 let time_of_ns n = Time.of_ns_since_start n
 
@@ -22,34 +21,48 @@ let key_compare (t1, tie1, seq1) (t2, tie2, seq2) =
 
 let key_of (n : Evnode.t) = (n.Evnode.time, n.Evnode.tie, n.Evnode.seq)
 
-(* {1 Heap vs calendar vs sorted list, random add/pop interleavings} *)
+(* {1 Heap vs calendar vs sorted list, random add/timer/pop interleavings} *)
 
-(* Commands: [Some (dt, tie)] = add at (clock + dt) — the engine never
-   schedules in the past, and both queues assume it; [None] = pop.
-   Offsets span ten bits of ns up to tens of ms, so a single run
-   crosses many calendar days and lands events in the overflow heap. *)
+(* [Add] and [Timer] insert at clock + dt — the engine never schedules
+   in the past, and both queues assume it.  [Add] is an ordinary
+   insert; [Timer] goes through [Eventq.insert_timer] on the heap side
+   (the engine's timeouts) and the ordinary [Calendar.insert] on the
+   calendar side.  Offsets run from ns to seconds, so a single run
+   crosses many calendar days, lands events in the overflow heap and
+   fills the near and far heaps; the round µs, ms and s offsets make
+   keys tie in time across all three heaps. *)
+type cmd = Add of int * int | Timer of int * int | Pop
+
 let prop_three_way_model =
   let gen =
     QCheck.Gen.(
+      let offset =
+        oneof
+          [
+            int_bound 500;
+            int_bound 50_000;
+            int_bound 20_000_000;
+            map (( * ) 1_000) (int_bound 200);
+            map (( * ) 1_000_000) (int_bound 100);
+            map (( * ) 1_000_000_000) (int_bound 2);
+          ]
+      in
+      let keyed f = map (fun (dt, tie) -> f dt tie) (pair offset (int_bound 3)) in
       list_size (int_bound 300)
         (frequency
            [
-             ( 3,
-               map
-                 (fun (dt, tie) -> Some (dt, tie))
-                 (pair
-                    (oneof
-                       [ int_bound 500; int_bound 50_000; int_bound 20_000_000 ])
-                    (int_bound 3)) );
-             (2, return None);
+             (2, keyed (fun dt tie -> Add (dt, tie)));
+             (1, keyed (fun dt tie -> Timer (dt, tie)));
+             (2, return Pop);
            ]))
   in
   let print cmds =
     String.concat "; "
       (List.map
          (function
-           | Some (dt, tie) -> Printf.sprintf "add(+%d,%d)" dt tie
-           | None -> "pop")
+           | Add (dt, tie) -> Printf.sprintf "add(+%d,%d)" dt tie
+           | Timer (dt, tie) -> Printf.sprintf "timer(+%d,%d)" dt tie
+           | Pop -> "pop")
          cmds)
   in
   QCheck.Test.make ~name:"calendar matches heap and sorted-list model" ~count:200
@@ -60,18 +73,20 @@ let prop_three_way_model =
       let model = ref [] in
       let clock = ref 0 in
       let seq = ref 0 in
+      let insert dt tie ~heap_insert =
+        let time = time_of_ns (!clock + dt) in
+        incr seq;
+        heap_insert (Evnode.alloc pool_h ~time ~tie ~seq:!seq);
+        Calendar.insert cal (Evnode.alloc pool_c ~time ~tie ~seq:!seq);
+        model := List.sort key_compare ((time, tie, !seq) :: !model);
+        Eventq.size heap = List.length !model && Calendar.size cal = List.length !model
+      in
       List.for_all
         (fun cmd ->
           match cmd with
-          | Some (dt, tie) ->
-            let t = time_of_ns (!clock + dt) in
-            incr seq;
-            Eventq.add heap ~time:t ~tie ~seq:!seq ignore;
-            Calendar.add cal ~time:t ~tie ~seq:!seq ignore;
-            model := List.sort key_compare ((t, tie, !seq) :: !model);
-            Eventq.size heap = List.length !model
-            && Calendar.size cal = List.length !model
-          | None -> (
+          | Add (dt, tie) -> insert dt tie ~heap_insert:(Eventq.insert heap)
+          | Timer (dt, tie) -> insert dt tie ~heap_insert:(Eventq.insert_timer heap)
+          | Pop -> (
             match !model with
             | [] -> Eventq.is_empty heap && Calendar.is_empty cal
             | expect :: rest ->
@@ -122,122 +137,9 @@ let test_calendar_resize_boundaries () =
   Alcotest.(check bool) "pop sequence equals sorted model" true
     (List.rev !got = expect)
 
-(* {1 Wheel + heap vs direct heap, random arm/cancel/pop interleavings} *)
-
-type wheel_cmd = Arm of int * int | Cancel of int | Pop
-
-(* Drive a heap+wheel pair exactly as the engine does — advance the
-   wheel to the queue minimum before every pop, flush the earliest
-   timers when the queue runs dry — and compare the pop sequence with a
-   sorted-list model of every key armed and not successfully cancelled.
-   A node the wheel already flushed into the queue stays there as a
-   dead event even if "cancelled" afterwards ([Wheel.cancel] returns
-   false), which is precisely the engine's timeout semantics. *)
-let prop_wheel_equiv =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_bound 400)
-        (frequency
-           [
-             ( 3,
-               map
-                 (fun (dt, tie) -> Arm (dt, tie))
-                 (pair
-                    (oneof
-                       [ int_bound 30_000; int_bound 3_000_000; int_bound 400_000_000 ])
-                    (int_bound 3)) );
-             (2, map (fun k -> Cancel k) (int_bound 64));
-             (3, return Pop);
-           ]))
-  in
-  let print cmds =
-    String.concat "; "
-      (List.map
-         (function
-           | Arm (dt, tie) -> Printf.sprintf "arm(+%d,%d)" dt tie
-           | Cancel k -> Printf.sprintf "cancel(%d)" k
-           | Pop -> "pop")
-         cmds)
-  in
-  QCheck.Test.make ~name:"wheel+heap matches direct sorted-list model" ~count:150
-    (QCheck.make ~print gen) (fun cmds ->
-      let pool = Evnode.create_pool () in
-      let q = Eventq.create ~pool () in
-      let wh = Wheel.create ~pool () in
-      let model = ref [] in
-      (* Armed nodes the test may still cancel; entries leave when
-         cancelled or popped so a recycled node cannot alias. *)
-      let candidates = ref [] in
-      let clock = ref 0 in
-      let seq = ref 0 in
-      let sync () =
-        if Wheel.size wh > 0 then
-          if Eventq.is_empty q then Wheel.flush_earliest wh ~insert:(Eventq.insert q)
-          else
-            Wheel.advance wh ~upto:(Eventq.min_time q) ~insert:(Eventq.insert q)
-      in
-      List.for_all
-        (fun cmd ->
-          match cmd with
-          | Arm (dt, tie) ->
-            incr seq;
-            let t = time_of_ns (!clock + dt) in
-            let n = Evnode.alloc pool ~time:t ~tie ~seq:!seq in
-            if Wheel.arm wh n then candidates := n :: !candidates
-            else Eventq.insert q n;
-            model := List.sort key_compare ((t, tie, !seq) :: !model);
-            true
-          | Cancel k -> (
-            match !candidates with
-            | [] -> true
-            | cs ->
-              let n = List.nth cs (k mod List.length cs) in
-              let key = key_of n in
-              candidates := List.filter (fun c -> c != n) cs;
-              if Wheel.cancel wh n then begin
-                (* Still armed: the event must vanish from the model. *)
-                model := List.filter (fun c -> c <> key) !model;
-                true
-              end
-              else
-                (* Already flushed to the queue: stays a (dead) event. *)
-                true)
-          | Pop -> (
-            sync ();
-            match !model with
-            | [] -> Eventq.is_empty q && Wheel.is_empty wh
-            | expect :: rest ->
-              model := rest;
-              let n = Eventq.pop q in
-              let key = key_of n in
-              candidates := List.filter (fun c -> c != n) !candidates;
-              Evnode.recycle pool n;
-              let et, _, _ = expect in
-              clock := Time.since_start_ns et;
-              key = expect))
-        cmds)
-
-(* {1 Engine-level wheel semantics} *)
+(* {1 Engine-level equivalence} *)
 
 let us = Time.us
-
-let test_armed_timer_accounting () =
-  let eng = Engine.create () in
-  let saved = ref None in
-  Engine.spawn eng (fun () ->
-      ignore
-        (Engine.suspend_timeout eng ~timeout:(us 500) (fun w -> saved := Some w)));
-  Engine.schedule eng ~after:(us 1) (fun () ->
-      Alcotest.(check int) "timer armed on the wheel" 1 (Engine.armed_timers eng));
-  Engine.schedule eng ~after:(us 5) (fun () ->
-      match !saved with
-      | Some w -> ignore (Engine.wake w 1)
-      | None -> Alcotest.fail "waker not registered");
-  Engine.schedule eng ~after:(us 10) (fun () ->
-      Alcotest.(check int) "wake cancelled the timer in O(1)" 0
-        (Engine.armed_timers eng));
-  Engine.run eng;
-  Alcotest.(check int) "nothing left armed" 0 (Engine.armed_timers eng)
 
 (* The same mixed workload — chains, timeouts that fire, timeouts that
    are beaten — on both queue disciplines: the dispatch sequence (time
@@ -277,8 +179,8 @@ let test_engine_queue_equivalence () =
    pass then runs 64 chains of 2049 events whose delays spread over
    64 ns - 4.2 us, so events land in many buckets and overtake each
    other constantly.  A second mix schedules every fourth hop 131 us -
-   197 us out, at or past the {!Sim.Eventq} near/far boundary, so both
-   of its heaps stay busy. *)
+   197 us out, at or past the {!Sim.Eventq} near/far boundary, so its
+   near and far heaps both stay busy. *)
 let chains = 64
 let chain_steps = 2048
 
@@ -330,8 +232,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_three_way_model;
     Alcotest.test_case "calendar resize and overflow boundaries" `Quick
       test_calendar_resize_boundaries;
-    QCheck_alcotest.to_alcotest prop_wheel_equiv;
-    Alcotest.test_case "armed-timer accounting" `Quick test_armed_timer_accounting;
     Alcotest.test_case "heap vs calendar engine equivalence" `Quick
       test_engine_queue_equivalence;
     Alcotest.test_case "flat hot loop allocates nothing" `Quick test_flat_loop_zero_alloc;

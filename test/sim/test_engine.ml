@@ -79,6 +79,37 @@ let test_suspend_timeout_beaten () =
   (* The stale timeout event at t=100us must not resume anything. *)
   Alcotest.(check int) "no suspended leftovers" 0 (Engine.suspended_count eng)
 
+(* A timeout whose waker fires first is recycled unrun, however close
+   to its deadline the wake comes: woken 5 us or 99 us into a 100 us
+   timeout, the run executes the spawn, the wake, the resumption and
+   one later event, and nothing else.  Without the later event the
+   clock ends at the wake instant, not at the dead deadline. *)
+let test_beaten_timeout_never_runs () =
+  let run queue ~wake_at ~later =
+    let eng = Engine.create ~queue () in
+    let saved = ref None in
+    Engine.spawn eng (fun () ->
+        ignore (Engine.suspend_timeout eng ~timeout:(us 100) (fun w -> saved := Some w)));
+    Engine.schedule eng ~after:(us wake_at) (fun () ->
+        match !saved with
+        | Some w -> ignore (Engine.wake w 1)
+        | None -> Alcotest.fail "waker not registered");
+    if later then Engine.schedule eng ~after:(us 200) ignore;
+    Engine.run eng;
+    eng
+  in
+  List.iter
+    (fun (name, queue) ->
+      List.iter
+        (fun wake_at ->
+          let case = Printf.sprintf "%s, woken at %d us" name wake_at in
+          Alcotest.(check int) (case ^ ": events") 4
+            (Engine.events_executed (run queue ~wake_at ~later:true));
+          Alcotest.(check int) (case ^ ": clock ends at the wake") (wake_at * 1_000)
+            (Time.since_start_ns (Engine.now (run queue ~wake_at ~later:false))))
+        [ 5; 99 ])
+    [ ("heap", `Heap); ("calendar", `Calendar) ]
+
 let test_not_in_process () =
   let eng = Engine.create () in
   Alcotest.check_raises "delay outside process" Engine.Not_in_process (fun () ->
@@ -95,6 +126,24 @@ let test_negative_delay () =
            false
          with Invalid_argument _ -> true));
   Engine.run eng
+
+(* Indices 0-2 are the engine's own handlers, which expect a waker or a
+   continuation in the event's payload: [schedule_fn] must refuse them
+   like any index [register_handler] never returned. *)
+let test_unregistered_handler () =
+  let eng = Engine.create () in
+  let fn = Engine.register_handler eng (fun _ _ -> ()) in
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "fn %d rejected" bad) true
+        (try
+           Engine.schedule_fn eng ~after:(us 1) ~fn:bad ~a:0 ~b:0;
+           false
+         with Invalid_argument _ -> true))
+    [ -1; 0; 1; 2; fn + 1 ];
+  Engine.schedule_fn eng ~after:(us 1) ~fn ~a:0 ~b:0;
+  Engine.run eng;
+  Alcotest.(check int) "only the registered event ran" 1 (Engine.events_executed eng)
 
 let test_run_until () =
   let eng = Engine.create () in
@@ -188,8 +237,10 @@ let suite =
     Alcotest.test_case "suspend and wake" `Quick test_suspend_wake;
     Alcotest.test_case "suspend timeout fires" `Quick test_suspend_timeout_fires;
     Alcotest.test_case "suspend timeout beaten" `Quick test_suspend_timeout_beaten;
+    Alcotest.test_case "beaten timeout never runs" `Quick test_beaten_timeout_never_runs;
     Alcotest.test_case "effects outside process" `Quick test_not_in_process;
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay;
+    Alcotest.test_case "unregistered handler rejected" `Quick test_unregistered_handler;
     Alcotest.test_case "run_until window" `Quick test_run_until;
     Alcotest.test_case "run_until quiescence" `Quick test_run_until_quiescence;
     Alcotest.test_case "run_while predicate" `Quick test_run_while;

@@ -66,11 +66,14 @@ let test_foreign_node_rejected () =
   (* The queue pops nodes by their id in its own pool. *)
   let q = Q.create () in
   let stranger = Sim.Evnode.alloc (Sim.Evnode.create_pool ()) ~time:Sim.Time.zero ~tie:0 ~seq:0 in
-  Alcotest.(check bool) "insert from another pool raises" true
-    (try
-       Q.insert q stranger;
-       false
-     with Invalid_argument _ -> true);
+  List.iter
+    (fun (name, insert) ->
+      Alcotest.(check bool) (name ^ " from another pool raises") true
+        (try
+           insert q stranger;
+           false
+         with Invalid_argument _ -> true))
+    [ ("insert", Q.insert); ("insert_timer", Q.insert_timer) ];
   Alcotest.(check bool) "nothing queued" true (Q.is_empty q)
 
 let test_reschedule_from_closure () =

@@ -93,19 +93,6 @@ let test_mailbox () =
   Alcotest.(check (list string)) "FIFO delivery" [ "a"; "b"; "c" ] (List.rev !received);
   Alcotest.(check bool) "drained" true (Mailbox.is_empty mb)
 
-let test_mailbox_timeout () =
-  let eng = Engine.create () in
-  let mb : int Mailbox.t = Mailbox.create eng in
-  let first = ref (Some 0) in
-  let second = ref None in
-  Engine.spawn eng (fun () ->
-      first := Mailbox.recv_timeout mb ~timeout:(us 10);
-      second := Mailbox.recv_timeout mb ~timeout:(us 100));
-  Engine.schedule eng ~after:(us 30) (fun () -> Mailbox.send mb 5);
-  Engine.run eng;
-  Alcotest.(check (option int)) "first times out" None !first;
-  Alcotest.(check (option int)) "second delivered" (Some 5) !second
-
 let test_resource_fifo_and_util () =
   let eng = Engine.create () in
   let r = Resource.create eng ~name:"bus" ~capacity:1 in
@@ -163,7 +150,6 @@ let suite =
     Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
     Alcotest.test_case "mutex misuse" `Quick test_mutex_misuse;
     Alcotest.test_case "mailbox FIFO" `Quick test_mailbox;
-    Alcotest.test_case "mailbox timeout" `Quick test_mailbox_timeout;
     Alcotest.test_case "resource FIFO + utilization" `Quick test_resource_fifo_and_util;
     Alcotest.test_case "resource priority" `Quick test_resource_priority;
     Alcotest.test_case "resource capacity" `Quick test_resource_capacity;
