@@ -89,9 +89,6 @@ val matrix_cells : cell list
 
 val cell_to_string : cell -> string
 
-val apply_cell : config -> cell -> config
-(** The base config with the cell's four axes substituted in. *)
-
 val explore_matrix :
   ?progress:(cell -> int -> unit) ->
   ?jobs:int ->

@@ -55,7 +55,5 @@ val install : t -> Workload.World.t -> unit
     for the frame faults and schedules the restarts on the engine.
     Replaces any previously installed injector. *)
 
-val step_to_string : step -> string
-
 val to_string : t -> string
 (** Multi-line rendering: seed, then one indented line per step. *)

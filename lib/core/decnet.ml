@@ -62,7 +62,7 @@ type conn = {
   peer : Net.Mac.t;
   mutable state : conn_state;
   (* sender: stop-and-wait *)
-  send_lock : Sim.Mutex.t;
+  send_lock : Sim.Resource.t;
   mutable send_seq : int;
   mutable awaiting_ack : int option;
   ack_waiter : Nub.Waiter.t;
@@ -122,7 +122,7 @@ let parse_frame frame =
   let r = R.of_bytes frame in
   match Net.Ethernet.decode r with
   | Error e -> Error e
-  | Ok _eth ->
+  | Ok eth ->
     if R.remaining r < header_size then Error "decnet: truncated segment"
     else begin
       let body_pos = Net.Ethernet.header_size in
@@ -153,7 +153,7 @@ let parse_frame frame =
                   more = flags land flag_more <> 0;
                   payload = R.bytes r len;
                 },
-                Net.Mac.read (R.of_bytes frame) (* eth dst... need src *) )
+                eth.Net.Ethernet.src )
       end
     end
 
@@ -202,9 +202,9 @@ let send_segment_reliably conn ctx seg =
 let send_message conn ctx message =
   let ep = conn.ep in
   if conn.state = Closed then fail "decnet: connection closed";
-  Cpu_set.yield_cpu ctx (fun () -> Sim.Mutex.lock conn.send_lock);
+  Cpu_set.yield_cpu ctx (fun () -> Sim.Resource.acquire conn.send_lock);
   Fun.protect
-    ~finally:(fun () -> Sim.Mutex.unlock conn.send_lock)
+    ~finally:(fun () -> Sim.Resource.release conn.send_lock)
     (fun () ->
       let len = Bytes.length message in
       let nsegs = max 1 ((len + max_seg_payload - 1) / max_seg_payload) in
@@ -266,7 +266,7 @@ let make_conn ep ~peer ~retransmit_after ~max_retries ~state =
       remote_id = 0;
       peer;
       state;
-      send_lock = Sim.Mutex.create (eng ep);
+      send_lock = Sim.Resource.create (eng ep);
       send_seq = 0;
       awaiting_ack = None;
       ack_waiter = Machine.new_waiter ep.mach;
@@ -364,11 +364,6 @@ let handle_segment ep ctx (seg : segment) ~src_mac =
       Nub.Waiter.notify conn.msg_waiter ~waker:ctx;
       Nub.Waiter.notify conn.ack_waiter ~waker:ctx)
 
-let frame_src_mac frame =
-  let r = R.of_bytes frame in
-  let _dst = Net.Mac.read r in
-  Net.Mac.read r
-
 let install_handler ep =
   Node.set_ethertype_handler ep.node ~ethertype (fun ~ctx ~frame ->
       match parse_frame frame with
@@ -377,8 +372,7 @@ let install_handler ep =
         | "decnet: bad checksum" -> Sim.Stats.Counter.incr ep.c_cks
         | _ -> ());
         Nub.Driver.Dropped e
-      | Ok (seg, _) ->
-        let src_mac = frame_src_mac frame in
+      | Ok (seg, src_mac) ->
         handle_segment ep ctx seg ~src_mac;
         Nub.Bufpool.free (Machine.pool ep.mach);
         Nub.Driver.Consumed)

@@ -13,8 +13,6 @@
 
 type endpoint = { mac : Net.Mac.t; ip : Net.Ipv4.Addr.t }
 
-val rpc_udp_port : int
-
 val build :
   Hw.Timing.t ->
   src:endpoint ->

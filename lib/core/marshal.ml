@@ -71,24 +71,6 @@ let rec equal_value a b =
       _ ) ->
     false
 
-let rec pp_value fmt = function
-  | V_int v -> Format.fprintf fmt "%ld" v
-  | V_bytes b -> Format.fprintf fmt "<%d bytes>" (Bytes.length b)
-  | V_text None -> Format.pp_print_string fmt "NIL"
-  | V_text (Some s) -> Format.fprintf fmt "%S" s
-  | V_bool b -> Format.pp_print_bool fmt b
-  | V_int16 v -> Format.fprintf fmt "%d" v
-  | V_real v -> Format.fprintf fmt "%g" v
-  | V_record vs ->
-    Format.pp_print_string fmt "{";
-    List.iteri
-      (fun i v ->
-        if i > 0 then Format.pp_print_string fmt "; ";
-        pp_value fmt v)
-      vs;
-    Format.pp_print_string fmt "}"
-  | V_seq vs -> Format.fprintf fmt "seq[%d]" (List.length vs)
-
 type direction = In_call_packet | In_result_packet
 
 let travels mode dir =

@@ -19,11 +19,7 @@ type value =
   | V_record of value list
   | V_seq of value list
 
-val type_check : Idl.ty -> value -> (unit, string) result
-(** Structural check: constructor and size limits. *)
-
 val equal_value : value -> value -> bool
-val pp_value : Format.formatter -> value -> unit
 
 (** Which packet is being built/read, selecting the arguments that
     travel in it. *)

@@ -261,7 +261,7 @@ type decnet_binding = {
   dn_space : int;
   dn_intf : Idl.interface;
   dn_id : int32;
-  dn_lock : Sim.Mutex.t;
+  dn_lock : Sim.Resource.t;
   mutable dn_conn : Decnet.conn option;
   mutable dn_next_call : int;
 }
@@ -294,7 +294,7 @@ let bind_decnet t ~ep ~peer ~server_space intf =
       dn_space = server_space;
       dn_intf = intf;
       dn_id = Idl.interface_id intf;
-      dn_lock = Sim.Mutex.create (engine t);
+      dn_lock = Sim.Resource.create (engine t);
       dn_conn = None;
       dn_next_call = 0;
     }
@@ -711,9 +711,9 @@ let call_decnet client ctx (b : decnet_binding) ~proc_idx ~args =
   Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_call_packet p args;
   charge_rt ctx ~label:"Transporter (send call pkt)" (Timing.transporter_send tmg);
   (* One call at a time on the session. *)
-  Cpu_set.yield_cpu ctx (fun () -> Sim.Mutex.lock b.dn_lock);
+  Cpu_set.yield_cpu ctx (fun () -> Sim.Resource.acquire b.dn_lock);
   Fun.protect
-    ~finally:(fun () -> Sim.Mutex.unlock b.dn_lock)
+    ~finally:(fun () -> Sim.Resource.release b.dn_lock)
     (fun () ->
       let conn =
         match b.dn_conn with
@@ -725,34 +725,35 @@ let call_decnet client ctx (b : decnet_binding) ~proc_idx ~args =
       in
       b.dn_next_call <- b.dn_next_call + 1;
       let call_id = b.dn_next_call in
+      (* Only a failed send, receive or reply decode loses the session;
+         an error reply is the server's answer on a healthy one. *)
       let fail_transport e =
         b.dn_conn <- None;
         raise e
       in
-      try
-        Decnet.send_message conn ctx
-          (encode_dn_request ~intf_id:b.dn_id ~proc_idx ~call_id payload);
-        let rec get_reply () =
-          match Decnet.recv_message conn ctx ~timeout:(Time.sec 60) with
-          | None -> fail_transport (Rpc_error.Rpc (Rpc_error.Call_failed "decnet: session lost"))
-          | Some msg -> (
-            match decode_dn_reply msg with
-            | Error e -> fail_transport (Rpc_error.Rpc (Rpc_error.Protocol_violation e))
-            | Ok (id, _, _) when id <> call_id -> get_reply () (* stale reply *)
-            | Ok (_, false, err) ->
-              Rpc_error.fail (Rpc_error.Call_failed ("server: " ^ V.to_string err))
-            | Ok (_, true, result_payload) ->
-              charge_rt ctx ~label:"Transporter (receive result pkt)"
-                (Timing.transporter_recv tmg);
-              let full =
-                Marshal.decode_args (R.of_view result_payload) Marshal.In_result_packet p
-              in
-              Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_result_packet p full;
-              charge_rt ctx ~label:"Ender" (Timing.ender tmg);
-              Marshal.extract_outs p full)
-        in
-        get_reply ()
-      with Rpc_error.Rpc (Rpc_error.Call_failed _) as e -> fail_transport e)
+      (try
+         Decnet.send_message conn ctx
+           (encode_dn_request ~intf_id:b.dn_id ~proc_idx ~call_id payload)
+       with Rpc_error.Rpc (Rpc_error.Call_failed _) as e -> fail_transport e);
+      let rec get_reply () =
+        match Decnet.recv_message conn ctx ~timeout:(Time.sec 60) with
+        | None -> fail_transport (Rpc_error.Rpc (Rpc_error.Call_failed "decnet: session lost"))
+        | Some msg -> (
+          match decode_dn_reply msg with
+          | Error e -> fail_transport (Rpc_error.Rpc (Rpc_error.Protocol_violation e))
+          | Ok (id, _, _) when id <> call_id -> get_reply () (* stale reply *)
+          | Ok (_, false, err) ->
+            Rpc_error.fail (Rpc_error.Call_failed ("server: " ^ V.to_string err))
+          | Ok (_, true, result_payload) ->
+            charge_rt ctx ~label:"Transporter (receive result pkt)" (Timing.transporter_recv tmg);
+            let full =
+              Marshal.decode_args (R.of_view result_payload) Marshal.In_result_packet p
+            in
+            Marshal.charge_args tmg ctx Marshal.Caller_side Marshal.In_result_packet p full;
+            charge_rt ctx ~label:"Ender" (Timing.ender tmg);
+            Marshal.extract_outs p full)
+      in
+      get_reply ())
 
 (* {1 Export / call} *)
 

@@ -14,7 +14,7 @@ type client_row = {
   wire_utilization : float;
 }
 
-let multi_client ?(calls_per_client = 800) ~proc () =
+let multi_client ~calls_per_client ~proc =
   let threads_per_client = 2 in
   let run n_clients =
     let w = World.create () in
@@ -83,7 +83,7 @@ let controller_saturation () =
   let tx_rate =
     let eng = Engine.create () in
     let link = Hw.Ether_link.create eng ~mbps:10. in
-    let qbus = Sim.Resource.create eng ~name:"qbus" ~capacity:1 in
+    let qbus = Sim.Resource.create eng in
     let a = Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station 1) () in
     (* a sink station so frames are deliverable *)
     ignore
@@ -102,7 +102,7 @@ let controller_saturation () =
     let eng = Engine.create () in
     let link = Hw.Ether_link.create eng ~mbps:10. in
     let mk n =
-      let qbus = Sim.Resource.create eng ~name:(Printf.sprintf "qbus%d" n) ~capacity:1 in
+      let qbus = Sim.Resource.create eng in
       Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station n) ()
     in
     let s1 = mk 1 and s2 = mk 2 and rx = mk 3 in
@@ -144,7 +144,7 @@ type tail_row = {
   max_ms : float;
 }
 
-let latency_tails ?(calls = 4000) () =
+let latency_tails ~calls =
   List.map
     (fun threads ->
       let o = Exp_common.throughput ~threads ~calls ~proc:Driver.Null () in
@@ -181,7 +181,7 @@ let multi_client_table ~quick =
            Report.Table.cell_f r.server_busy_cpus;
            Report.Table.cell_f ~decimals:0 (100. *. r.wire_utilization);
          ])
-       (multi_client ~calls_per_client:(if quick then 150 else 800) ~proc:Driver.Max_result ()))
+       (multi_client ~calls_per_client:(if quick then 150 else 800) ~proc:Driver.Max_result))
 
 let controller_saturation_table () =
   let sat = controller_saturation () in
@@ -216,7 +216,7 @@ let latency_tails_table ~quick =
            Report.Table.cell_f r.p99_ms;
            Report.Table.cell_f r.max_ms;
          ])
-       (latency_tails ~calls:(if quick then 600 else 4000) ()))
+       (latency_tails ~calls:(if quick then 600 else 4000)))
 
 let transports_table () =
   Report.Table.make ~id:"transports"

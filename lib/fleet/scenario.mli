@@ -22,7 +22,6 @@
 
 type kind = Uniform | Incast | Straggler
 
-val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 
 type spec = {

@@ -7,7 +7,7 @@ type port = {
   pt_id : int;
   pt_link : Hw.Ether_link.t;
   pt_egress : pending Queue.t;
-  pt_kick : Sim.Condvar.t;
+  pt_kick : unit Sim.Condvar.t;
 }
 
 type t = {
@@ -50,7 +50,7 @@ let enqueue_egress t dst_port ~src ~call frame =
     Queue.push { pd_src = src; pd_frame = frame; pd_call = call } pt.pt_egress;
     t.max_depth <- max t.max_depth (Queue.length pt.pt_egress);
     Sim.Stats.Counter.incr t.c_forwarded;
-    ignore (Sim.Condvar.signal pt.pt_kick)
+    ignore (Sim.Condvar.signal pt.pt_kick ())
   end
 
 let ingress t ~src ~frame ~call ~wire =
@@ -125,4 +125,3 @@ let register_mac t ~mac ~port =
 let frames_forwarded t = Sim.Stats.Counter.value t.c_forwarded
 let frames_dropped_unknown t = Sim.Stats.Counter.value t.c_unknown
 let frames_dropped_incast t = Sim.Stats.Counter.value t.c_incast
-let max_egress_depth t = t.max_depth

@@ -55,6 +55,3 @@ val frames_dropped_unknown : t -> int
 
 val frames_dropped_incast : t -> int
 (** Egress queue full (or fault-injected) at enqueue time. *)
-
-val max_egress_depth : t -> int
-(** High-water mark across all ports. *)

@@ -42,9 +42,6 @@ val write_failures : dir:string -> report -> string list
     (deterministic names), creating [dir] if missing; returns the
     paths. *)
 
-val replay_file : string -> Oracle.failure option
-(** Re-run the oracle over one persisted reproducer. *)
-
 val replay_dir : dir:string -> (string * Oracle.failure option) list
 (** Replay every [*.bin] file in [dir], sorted by name; an absent
     directory is an empty corpus. *)

@@ -9,9 +9,10 @@ type t = {
   name : string;
   n : int;
   busy : bool array;
-  q0_int : int Engine.waker Queue.t;
-  q0_thread : int Engine.waker Queue.t;
-  q_any : int Engine.waker Queue.t;
+  (* Waiters, woken with the index of the CPU handed to them. *)
+  q0_int : int Sim.Condvar.t;
+  q0_thread : int Sim.Condvar.t;
+  q_any : int Sim.Condvar.t;
   level : Sim.Stats.Level.t;
   cpu0_level : Sim.Stats.Level.t;
   tracks : string array;  (* per-CPU trace track names, "cpu0".."cpuN-1" *)
@@ -28,9 +29,9 @@ let create ?obs eng ~site ~cpus =
       name = site;
       n = cpus;
       busy = Array.make cpus false;
-      q0_int = Queue.create ();
-      q0_thread = Queue.create ();
-      q_any = Queue.create ();
+      q0_int = Sim.Condvar.create eng;
+      q0_thread = Sim.Condvar.create eng;
+      q_any = Sim.Condvar.create eng;
       level = Sim.Stats.Level.create ~initial:0. ~at:now;
       cpu0_level = Sim.Stats.Level.create ~initial:0. ~at:now;
       tracks = Array.init cpus (Printf.sprintf "cpu%d");
@@ -72,9 +73,9 @@ let find_free_any t =
    contention from service time.  The pre-suspend [Engine.now] is a pure
    read and [Sim.Trace.add] no-ops while tracing is off, so the untraced
    path is unchanged. *)
-let suspend_queued t ~call push =
+let suspend_queued t ~call q =
   let start_at = Engine.now t.eng in
-  let idx = Engine.suspend t.eng push in
+  let idx = Sim.Condvar.await q in
   let stop_at = Engine.now t.eng in
   if Time.span_compare (Time.diff stop_at start_at) Time.zero_span > 0 then
     Sim.Trace.add ~track:t.tracks.(idx) ~kind:Sim.Trace.Queue ~call (Engine.trace t.eng)
@@ -94,26 +95,23 @@ let acquire t ~call ~affinity ~priority =
         | Interrupt -> t.q0_int
         | Thread -> t.q0_thread
       in
-      suspend_queued t ~call (fun w -> Queue.push w q)
+      suspend_queued t ~call q
   | Any -> (
     match find_free_any t with
     | Some i ->
       take t i;
       i
-    | None -> suspend_queued t ~call (fun w -> Queue.push w t.q_any))
+    | None -> suspend_queued t ~call t.q_any)
 
 (* Handing a CPU to a waiter keeps it busy; only update levels when it
    actually goes idle. *)
-let rec hand_off_queue q idx =
-  match Queue.take_opt q with
-  | None -> false
-  | Some w -> Engine.wake w idx || hand_off_queue q idx
-
 let release t idx =
   let handed =
     if idx = 0 then
-      hand_off_queue t.q0_int 0 || hand_off_queue t.q0_thread 0 || hand_off_queue t.q_any 0
-    else hand_off_queue t.q_any idx
+      Sim.Condvar.signal t.q0_int 0
+      || Sim.Condvar.signal t.q0_thread 0
+      || Sim.Condvar.signal t.q_any 0
+    else Sim.Condvar.signal t.q_any idx
   in
   if not handed then free_index t idx
 

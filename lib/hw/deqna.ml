@@ -25,7 +25,7 @@ type t = {
   qbus : Sim.Resource.t;
   mutable dev_station : Ether_link.station option;
   jobs : job Queue.t;
-  engine_kick : Sim.Condvar.t;
+  engine_kick : unit Sim.Condvar.t;
   staging_cap : int;
   mutable staging_used : int;
   mutable credits : int;
@@ -63,7 +63,7 @@ let raise_irq t =
 
 let enqueue_job t job =
   Queue.push job t.jobs;
-  ignore (Sim.Condvar.signal t.engine_kick)
+  ignore (Sim.Condvar.signal t.engine_kick ())
 
 (* Reception: the frame streams into staging RAM during its wire time,
    independent of the engine.  Store-and-forward queues the drain job
@@ -256,7 +256,7 @@ let reattach_to_link t =
    there. *)
 let queue_tx ?(call = Sim.Trace.no_call) t frame =
   Queue.push (Tx { frame; call; enq_at = Engine.now t.eng }) t.jobs
-let start_transmit t = ignore (Sim.Condvar.signal t.engine_kick)
+let start_transmit t = ignore (Sim.Condvar.signal t.engine_kick ())
 let add_rx_credits t n = t.credits <- t.credits + n
 let set_interrupt_handler t f = t.irq_handler <- f
 let take_rx t = Queue.take_opt t.rx_done

@@ -41,7 +41,7 @@ let create ?obs eng ~mbps =
     {
       eng;
       mbps;
-      medium = Sim.Resource.create eng ~name:"ethernet" ~capacity:1;
+      medium = Sim.Resource.create eng;
       stations = Hashtbl.create 8;
       uplink = None;
       injector = None;

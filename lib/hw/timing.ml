@@ -132,6 +132,7 @@ let cut_through_setup _ = Sim.Time.us 10
 let deqna_tx_recovery _ = Sim.Time.us 200
 let deqna_rx_recovery _ ~bytes = ignore bytes; Sim.Time.us 100
 let interframe_gap t = Sim.Time.us_f (96. /. t.cfg.Config.ethernet_mbps)
+(* Chosen so the minimum RPC frame is the paper's 74 bytes. *)
 let rpc_header_bytes = 32
 
 let frame_overhead_bytes t =

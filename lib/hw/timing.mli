@@ -234,9 +234,6 @@ val interframe_gap : t -> Sim.Time.span
 (** 9.6 µs Ethernet interframe spacing at 10 Mbit/s; scales inversely
     with [ethernet_mbps]. *)
 
-val rpc_header_bytes : int
-(** 32 — chosen so the minimum RPC frame is the paper's 74 bytes. *)
-
 val frame_overhead_bytes : t -> int
 (** Bytes of header before RPC payload in a frame: Ethernet+IP+UDP+RPC
     (74), or Ethernet+RPC (46) when [raw_ethernet]. *)

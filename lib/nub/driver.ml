@@ -16,7 +16,8 @@ type t = {
   irq_hist : Obs.Metrics.Histogram.t option;
   mutable fast : ctx:Cpu_set.ctx -> frame:Bytes.t -> verdict;
   mutable datalink : ctx:Cpu_set.ctx -> frame:Bytes.t -> unit;
-  datalink_q : (Bytes.t * int) Sim.Mailbox.t; (* frame, call id *)
+  datalink_q : (Bytes.t * int) Queue.t; (* frame, call id *)
+  datalink_kick : unit Sim.Condvar.t;
   (* Engine handler of the IPI prod (registered once in [create]):
      every [send] raises one, so routing it through the engine's
      closure-free event path keeps the per-packet cost allocation-free
@@ -71,7 +72,8 @@ let create ?obs eng timing ~cpus ~deqna ~pool =
       irq_hist;
       fast = (fun ~ctx:_ ~frame:_ -> To_datalink);
       datalink = (fun ~ctx:_ ~frame:_ -> ());
-      datalink_q = Sim.Mailbox.create eng;
+      datalink_q = Queue.create ();
+      datalink_kick = Sim.Condvar.create eng;
       ipi_prod = -1;
       c_rx = Sim.Stats.Counter.create ();
       c_slow = Sim.Stats.Counter.create ();
@@ -126,7 +128,8 @@ let interrupt_body t ctx =
         charge ctx ~label:"Wakeup datalink thread" (Timing.wakeup t.timing);
         charge ctx ~label:"Uniprocessor wakeup path"
           (Timing.uniproc_wakeup_extra t.timing);
-        Sim.Mailbox.send t.datalink_q rx);
+        Queue.push rx t.datalink_q;
+        ignore (Sim.Condvar.signal t.datalink_kick ()));
       (* Context restore and scheduler bookkeeping for this packet:
          serialized on CPU 0 but off an isolated call's latency path. *)
       charge ctx ~label:"Interrupt epilogue" (Timing.interrupt_epilogue t.timing);
@@ -154,14 +157,18 @@ let start t ~rx_buffers =
         (interrupt_body t));
   Engine.spawn t.eng ~name:"datalink" (fun () ->
       let rec loop () =
-        let frame, call = Sim.Mailbox.recv t.datalink_q in
-        Cpu_set.with_cpu ~call t.cpus (fun ctx ->
-            (* Datalink demultiplexing outside the interrupt routine:
-               dispatch + the module walk the fast path avoids. *)
-            charge ctx ~label:"Datalink thread dispatch" (Timing.dispatch t.timing);
-            charge ctx ~label:"Datalink demultiplex" (Time.us 180);
-            t.datalink ~ctx ~frame);
-        loop ()
+        match Queue.take_opt t.datalink_q with
+        | None ->
+          Sim.Condvar.await t.datalink_kick;
+          loop ()
+        | Some (frame, call) ->
+          Cpu_set.with_cpu ~call t.cpus (fun ctx ->
+              (* Datalink demultiplexing outside the interrupt routine:
+                 dispatch + the module walk the fast path avoids. *)
+              charge ctx ~label:"Datalink thread dispatch" (Timing.dispatch t.timing);
+              charge ctx ~label:"Datalink demultiplex" (Time.us 180);
+              t.datalink ~ctx ~frame);
+          loop ()
       in
       loop ())
 

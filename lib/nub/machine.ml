@@ -35,7 +35,7 @@ let create ?obs eng ~name ~config ~link ~station ~ip ?(pool_buffers = 64) () =
         Obs.Ctx.record m_obs ~at:(Engine.now eng) ~site:name Obs.Journal.Bufpool_exhausted)
       ~capacity:pool_buffers ()
   in
-  let qbus = Sim.Resource.create eng ~name:(name ^ "-qbus") ~capacity:1 in
+  let qbus = Sim.Resource.create eng in
   let deqna =
     Hw.Deqna.create eng tmg ~link ~qbus ~mac:(Net.Mac.of_station station) ~site:name ~obs:m_obs ()
   in

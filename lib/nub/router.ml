@@ -115,7 +115,7 @@ let attach_port t which =
 let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b () =
   let timing = Hw.Timing.create config in
   let mk link station site =
-    let qbus = Sim.Resource.create eng ~name:(site ^ "-qbus") ~capacity:1 in
+    let qbus = Sim.Resource.create eng in
     Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station station) ~site ()
   in
   let t =

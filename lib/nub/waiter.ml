@@ -8,7 +8,7 @@ type t = {
   timing : Timing.t;
   cpus : Cpu_set.t;
   mutable pending : int;
-  cv : Sim.Condvar.t;
+  cv : unit Sim.Condvar.t;
   obs : Obs.Ctx.t option;
   wake_hist : Obs.Metrics.Histogram.t option;
   mutable notified_at : Time.t option;
@@ -104,8 +104,8 @@ let wait_common t ctx ~timeout =
             `Ok
           | Some d -> (
             match Sim.Condvar.await_timeout t.cv ~timeout:d with
-            | `Signaled -> `Ok
-            | `Timeout -> `Timeout))
+            | Some () -> `Ok
+            | None -> `Timeout))
     in
     (match outcome with
     | `Ok ->
@@ -140,4 +140,4 @@ let notify t ~waker =
   Cpu_set.charge waker ~cat ~label:"Uniprocessor wakeup path"
     (Timing.uniproc_wakeup_extra t.timing);
   if busy_wait t then t.pending <- t.pending + 1
-  else if not (Sim.Condvar.signal t.cv) then t.pending <- t.pending + 1
+  else if not (Sim.Condvar.signal t.cv ()) then t.pending <- t.pending + 1

@@ -18,8 +18,6 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the full JSON grammar (escapes,
     exponents, nested containers).  Errors carry a character offset. *)

@@ -35,7 +35,6 @@ module Histogram = struct
   let observe_span t d = observe t (Sim.Time.to_us d)
   let count t = t.n
   let sum t = t.total
-  let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
 
   let max_value t =
     if t.n = 0 then invalid_arg "Obs.Metrics.Histogram.max_value: empty";
@@ -58,13 +57,6 @@ module Histogram = struct
       in
       go 0 0
     end
-
-  let reset t =
-    Array.fill t.counts 0 n_buckets 0;
-    t.n <- 0;
-    t.total <- 0.;
-    t.vmin <- infinity;
-    t.vmax <- neg_infinity
 end
 
 type instrument =

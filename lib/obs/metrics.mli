@@ -36,8 +36,6 @@ module Histogram : sig
       RPC phases in this model. *)
 
   val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
 
   val percentile : t -> float -> float
   (** [percentile t q] with [q] in [\[0, 1\]]: nearest-rank quantile,
@@ -47,8 +45,6 @@ module Histogram : sig
 
   val max_value : t -> float
   (** Exact maximum observed; raises [Invalid_argument] if empty. *)
-
-  val reset : t -> unit
 end
 
 module Registry : sig

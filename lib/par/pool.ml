@@ -67,6 +67,3 @@ let map_list ?(jobs = 1) f tasks =
     in
     reraise_first outcomes;
     Array.to_list (Array.map (function Done v -> v | Failed _ -> assert false) outcomes)
-
-let map_array ?(jobs = 1) f tasks =
-  Array.of_list (map_list ~jobs f (Array.to_list tasks))

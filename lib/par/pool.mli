@@ -19,5 +19,3 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     lowest-indexed failing task is re-raised on the caller with its
     original backtrace — deterministic even when several fail.
     @raise Invalid_argument if [jobs < 1]. *)
-
-val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array

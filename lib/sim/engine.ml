@@ -164,8 +164,6 @@ let wake w v =
     true
   end
 
-let waker_dead w = w.cell.fired
-
 let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
   let pool = Evnode.create_pool () in
   let unregistered = fun _ _ _ _ -> assert false in

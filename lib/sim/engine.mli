@@ -96,7 +96,9 @@ val delay : t -> Time.span -> unit
 val suspend : t -> ('a waker -> unit) -> 'a
 (** [suspend t register] suspends the calling process and hands a waker
     for it to [register]; the process resumes when somebody calls
-    {!wake} on it, returning the value passed to {!wake}. *)
+    {!wake} on it, returning the value passed to {!wake}.  Models do not
+    call this directly: every blocked process waits in a {!Condvar},
+    which is built on it, {!suspend_timeout} and {!wake}. *)
 
 val suspend_timeout : t -> timeout:Time.span -> ('a waker -> unit) -> 'a option
 (** Like {!suspend} but resumes with [None] after [timeout] if the waker
@@ -109,10 +111,6 @@ val wake : 'a waker -> 'a -> bool
 (** [wake w v] resumes the suspended process with value [v].  Returns
     [false] (and does nothing) if the waker has already fired — e.g. the
     suspension already timed out. *)
-
-val waker_dead : _ waker -> bool
-(** [waker_dead w] is [true] once [w] has fired; a queue holding wakers
-    can use this to skip stale entries without consuming a wake. *)
 
 (** {1 Running} *)
 

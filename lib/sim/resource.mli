@@ -1,34 +1,25 @@
-(** A k-server FIFO resource with priorities and utilization tracking.
+(** A device with one holder, a FIFO of waiters and a utilization
+    level.
 
-    Models serially-shared hardware: the Ethernet medium (k = 1), the
-    QBus (k = 1), a pool of identical CPUs (k = n; the Firefly CPU set
-    with its CPU-0 affinity rules is a separate, richer model in the
-    [hw] library).  Waiters are served FIFO within a priority class;
-    higher priority classes are served first.
+    Models serially-shared hardware and locks: the QBus, the Ethernet
+    medium, the DECNet session and send locks.  A process that finds the
+    device held waits in a {!Condvar} and is served in arrival order.
+    Release hands the device straight to the oldest waiter, so it never
+    appears free while anybody waits.
 
-    The busy-server integral feeds the utilization figures the paper
-    reports ("about 1.2 CPUs being used on the caller machine"). *)
+    The busy-time integral feeds the [qbus.utilization] and
+    [link.utilization] metrics and the wire load of the extension
+    tables. *)
 
 type t
 
-type priority = High | Normal
+val create : Engine.t -> t
 
-val create : Engine.t -> name:string -> capacity:int -> t
-
-val name : t -> string
-val capacity : t -> int
-
-val acquire : ?priority:priority -> t -> unit
-(** Takes one server, suspending while all are busy. *)
+val acquire : t -> unit
+(** Takes the device, suspending while it is held. *)
 
 val release : t -> unit
-(** @raise Invalid_argument if no server is held. *)
-
-val use : ?priority:priority -> t -> Time.span -> unit
-(** [use t d] acquires a server, holds it for [d] of virtual time, and
-    releases it (also on exception). *)
-
-val in_use : t -> int
+(** @raise Invalid_argument if the device is not held. *)
 
 val utilization : t -> upto:Time.t -> float
-(** Busy-server integral divided by [capacity * elapsed]; in [0, 1]. *)
+(** Fraction of the time up to [upto] the device was held; in [0, 1]. *)

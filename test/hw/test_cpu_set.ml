@@ -79,7 +79,7 @@ let test_yield_cpu () =
       Cpu_set.with_cpu set (fun ctx ->
           got_cpu_while_blocked := true;
           Cpu_set.charge ctx ~cat:"t" ~label:"other" (us 5));
-      ignore (Sim.Condvar.signal cv));
+      ignore (Sim.Condvar.signal cv ()));
   Engine.run eng;
   Alcotest.(check bool) "cpu released during wait" true !got_cpu_while_blocked;
   Alcotest.(check int) "all work completed" 0 (Cpu_set.busy_now set)

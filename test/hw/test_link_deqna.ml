@@ -122,7 +122,7 @@ let make_rig ?(config = Config.default) () =
   let timing = Timing.create config in
   let link = Ether_link.create eng ~mbps:config.Config.ethernet_mbps in
   let mk n =
-    let qbus = Sim.Resource.create eng ~name:(Printf.sprintf "qbus%d" n) ~capacity:1 in
+    let qbus = Sim.Resource.create eng in
     Deqna.create eng timing ~link ~qbus ~mac:(Mac.of_station n) ()
   in
   { eng; link; a = mk 1; b = mk 2 }
@@ -176,7 +176,7 @@ let test_deqna_overrun_drop () =
   let r = make_rig ~config () in
   (* Station 3 also transmits to b. *)
   let timing = Timing.create config in
-  let qbus3 = Sim.Resource.create r.eng ~name:"qbus3" ~capacity:1 in
+  let qbus3 = Sim.Resource.create r.eng in
   let c = Deqna.create r.eng timing ~link:r.link ~qbus:qbus3 ~mac:(Mac.of_station 3) () in
   Deqna.set_interrupt_handler r.b (fun () ->
       let rec drain () =

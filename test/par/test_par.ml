@@ -63,10 +63,6 @@ let test_first_failure_wins () =
           2 i)
     [ 1; 4 ]
 
-let test_map_array () =
-  let got = Par.Pool.map_array ~jobs:4 (fun i -> i + 10) (Array.of_list (range 5)) in
-  Alcotest.(check (array int)) "map_array" [| 10; 11; 12; 13; 14 |] got
-
 let suite =
   [
     Alcotest.test_case "map_list preserves input order" `Quick test_map_list_order;
@@ -75,7 +71,6 @@ let suite =
     Alcotest.test_case "more jobs than tasks" `Quick test_more_jobs_than_tasks;
     Alcotest.test_case "jobs < 1 rejected" `Quick test_invalid_jobs;
     Alcotest.test_case "lowest-index failure re-raised" `Quick test_first_failure_wins;
-    Alcotest.test_case "map_array" `Quick test_map_array;
   ]
 
 let () = Alcotest.run "par" [ ("pool", suite) ]

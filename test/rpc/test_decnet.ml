@@ -165,6 +165,7 @@ let adder =
         [ Idl.arg "x" Idl.T_int; Idl.arg "y" Idl.T_int; Idl.arg ~mode:Idl.Var_out "sum" Idl.T_int ];
       Idl.proc "blob"
         [ Idl.arg "n" Idl.T_int; Idl.arg ~mode:Idl.Var_out "data" (Idl.T_var_bytes 8000) ];
+      Idl.proc "boom" [ Idl.arg "x" Idl.T_int ];
     ]
 
 let adder_impls : Runtime.impl array =
@@ -178,15 +179,22 @@ let adder_impls : Runtime.impl array =
       | [ Marshal.V_int n; _ ] ->
         [ Marshal.V_bytes (Workload.Test_interface.pattern (Int32.to_int n)) ]
       | _ -> Rpc.Rpc_error.fail (Rpc.Rpc_error.Marshal_failure "blob"));
+    (fun _ctx _args -> failwith "boom");
   |]
+
+let import_adder rig =
+  Binder.export rig.w.World.binder rig.w.World.server_rt adder ~impls:adder_impls ~workers:2;
+  Binder.import rig.w.World.binder rig.w.World.caller_rt ~name:"Adder" ~version:1
+    ~transport:`Decnet ()
+
+let add binding client ctx x y =
+  match Runtime.call_by_name binding client ctx ~proc:"add" ~args:[ v_int x; v_int y; v_int 0 ] with
+  | [ Marshal.V_int s ] -> Int32.to_int s
+  | _ -> Alcotest.fail "add shape"
 
 let test_rpc_over_decnet () =
   let rig = make_rig () in
-  Binder.export rig.w.World.binder rig.w.World.server_rt adder ~impls:adder_impls ~workers:2;
-  let binding =
-    Binder.import rig.w.World.binder rig.w.World.caller_rt ~name:"Adder" ~version:1
-      ~transport:`Decnet ()
-  in
+  let binding = import_adder rig in
   Alcotest.(check bool) "not local" false (Runtime.is_local binding);
   let results =
     with_client rig (fun ctx ->
@@ -210,6 +218,58 @@ let test_rpc_over_decnet () =
   Alcotest.(check int) "session reused (one connection)" 1
     (Decnet.connections_accepted rig.server_ep)
 
+(* An error reply is the server's answer on a healthy session: the
+   calls after it reuse the one connection instead of paying a new
+   handshake. *)
+let test_error_reply_keeps_session () =
+  let rig = make_rig () in
+  let binding = import_adder rig in
+  let first, failure, last =
+    with_client rig (fun ctx ->
+        let client = Runtime.new_client rig.w.World.caller_rt in
+        let first = add binding client ctx 1 2 in
+        let failure =
+          match Runtime.call_by_name binding client ctx ~proc:"boom" ~args:[ v_int 0 ] with
+          | _ -> None
+          | exception Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Call_failed msg) -> Some msg
+        in
+        (first, failure, add binding client ctx 3 4))
+  in
+  Alcotest.(check int) "ok before" 3 first;
+  (match failure with
+  | Some msg ->
+    Alcotest.(check bool) ("server error reported: " ^ msg) true
+      (String.starts_with ~prefix:"server: " msg)
+  | None -> Alcotest.fail "boom returned normally");
+  Alcotest.(check int) "ok after" 7 last;
+  Alcotest.(check int) "one connection" 1 (Decnet.connections_accepted rig.server_ep)
+
+(* Several caller threads share one binding, so they queue on its
+   session lock; each call must still get its own reply. *)
+let test_shared_binding () =
+  let rig = make_rig () in
+  let binding = import_adder rig in
+  let threads = 3 and calls = 4 in
+  let finished = ref 0 in
+  let wrong = ref [] in
+  let gate = Sim.Gate.create rig.w.World.eng in
+  for th = 1 to threads do
+    Machine.spawn_thread rig.w.World.caller ~name:"decnet-caller" (fun () ->
+        Cpu_set.with_cpu (Machine.cpus rig.w.World.caller) (fun ctx ->
+            let client = Runtime.new_client rig.w.World.caller_rt in
+            for i = 1 to calls do
+              let x = (100 * th) + i in
+              let got = add binding client ctx x th in
+              if got <> x + th then wrong := (th, i, got) :: !wrong
+            done);
+        incr finished;
+        if !finished = threads then Sim.Gate.open_ gate)
+  done;
+  World.run_until_quiet rig.w gate;
+  Alcotest.(check int) "every thread finished" threads !finished;
+  Alcotest.(check (list (triple int int int))) "every call got its own result" [] !wrong;
+  Alcotest.(check int) "one connection" 1 (Decnet.connections_accepted rig.server_ep)
+
 let test_decnet_slower_than_udp () =
   (* The reason the custom packet-exchange protocol exists: the general
      transport costs more per call. *)
@@ -219,11 +279,7 @@ let test_decnet_slower_than_udp () =
   in
   let decnet =
     let rig = make_rig () in
-    Binder.export rig.w.World.binder rig.w.World.server_rt adder ~impls:adder_impls ~workers:2;
-    let binding =
-      Binder.import rig.w.World.binder rig.w.World.caller_rt ~name:"Adder" ~version:1
-        ~transport:`Decnet ()
-    in
+    let binding = import_adder rig in
     with_client rig (fun ctx ->
         let client = Runtime.new_client rig.w.World.caller_rt in
         let once () =
@@ -290,6 +346,8 @@ let suite =
     Alcotest.test_case "connect without listener" `Quick test_connect_no_listener;
     Alcotest.test_case "disconnect propagation" `Quick test_disconnect;
     Alcotest.test_case "RPC over DECNet" `Quick test_rpc_over_decnet;
+    Alcotest.test_case "an error reply keeps the session" `Quick test_error_reply_keeps_session;
+    Alcotest.test_case "callers share one binding" `Quick test_shared_binding;
     Alcotest.test_case "DECNet slower than the custom protocol" `Quick
       test_decnet_slower_than_udp;
     Alcotest.test_case "keyed export rejects DECNet calls" `Quick
