@@ -266,7 +266,7 @@ type decnet_binding = {
   mutable dn_next_call : int;
 }
 
-type local_binding = { bl_server : t; bl_intf : Idl.interface }
+type local_binding = { bl_server : t; bl_intf : Idl.interface; bl_id : int32 }
 
 type binding =
   | Ether of ether_binding
@@ -284,7 +284,8 @@ let bind_ether ?auth ~dst ~server_space intf ~options =
       be_auth = auth;
     }
 
-let bind_local ~server intf = Local { bl_server = server; bl_intf = intf }
+let bind_local ~server intf =
+  Local { bl_server = server; bl_intf = intf; bl_id = Idl.interface_id intf }
 
 let bind_decnet t ~ep ~peer ~server_space intf =
   Decnet
@@ -606,7 +607,7 @@ let call_local client ctx (b : local_binding) ~proc_idx ~args =
   charge_rt ctx ~label:"Transporter send (local)" (Timing.local_transporter_send tmg);
   let lc =
     {
-      lc_intf_id = Idl.interface_id b.bl_intf;
+      lc_intf_id = b.bl_id;
       lc_proc = proc_idx;
       lc_payload = payload;
       lc_reply = None;

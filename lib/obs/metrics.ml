@@ -26,7 +26,8 @@ module Histogram = struct
 
   let observe t v =
     let v = if v < 0. then 0. else v in
-    t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+    let i = bucket_of v in
+    t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
     t.total <- t.total +. v;
     if v < t.vmin then t.vmin <- v;

@@ -102,6 +102,7 @@ type server = {
   s_sock : Unix.file_descr;
   s_port : int;
   s_intf : Idl.interface;
+  s_id : int32;
   s_impls : impl array;
   s_tmg : Hw.Timing.t;
   s_stop : bool Atomic.t;
@@ -122,7 +123,7 @@ let server_options =
 let stop_poll = 0.02
 
 let dispatch s (h : Proto.header) payload =
-  if h.Proto.interface_id <> Idl.interface_id s.s_intf then
+  if h.Proto.interface_id <> s.s_id then
     Error (Printf.sprintf "no interface %ld exported" h.Proto.interface_id)
   else if h.Proto.proc_idx < 0 || h.Proto.proc_idx >= Array.length s.s_intf.Idl.procs then
     Error (Printf.sprintf "bad procedure index %d" h.Proto.proc_idx)
@@ -222,6 +223,7 @@ let start_server ~intf ~impls () =
           s_sock = sock;
           s_port = port;
           s_intf = intf;
+          s_id = Idl.interface_id intf;
           s_impls = impls;
           s_tmg = timing ();
           s_stop = Atomic.make false;
@@ -244,6 +246,7 @@ type client = {
   c_dst : Unix.sockaddr;
   c_tmg : Hw.Timing.t;
   c_intf : Idl.interface;
+  c_id : int32;
   c_act : Proto.Activity.t;
   mutable c_seq : int;
   c_server_space : int;
@@ -262,6 +265,7 @@ let connect ?capture ?send_filter ?(retransmit_after = 0.05) ?(max_retries = 40)
         c_dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port);
         c_tmg = timing ();
         c_intf = intf;
+        c_id = Idl.interface_id intf;
         c_act = { Proto.Activity.caller_ip = caller_endpoint.Frames.ip; caller_space = 1; thread };
         c_seq = 0;
         c_server_space = 1;
@@ -292,7 +296,7 @@ let call c ~proc_idx ~args =
     Exchange.Caller.start c.c_opts
       ~max_payload:(Hw.Timing.max_payload_bytes c.c_tmg)
       ~peer:c.c_dst ~activity:c.c_act ~seq:c.c_seq ~server_space:c.c_server_space
-      ~interface_id:(Idl.interface_id intf) ~proc_idx ~secured:false
+      ~interface_id:c.c_id ~proc_idx ~secured:false
       (encode_payload p Marshal.In_call_packet args)
   in
   let deadline = ref 0. in

@@ -32,4 +32,5 @@ val impls : Hw.Timing.t -> Rpc.Runtime.impl array
     recognizable pattern; [MaxArg] checks the received pattern. *)
 
 val pattern : int -> Stdlib.Bytes.t
-(** [pattern n] is the deterministic n-byte test payload. *)
+(** [pattern n] is the deterministic n-byte test payload: byte [i] is
+    [(i * 7) land 0xff]. *)

@@ -228,6 +228,64 @@ let prop_header_roundtrip =
         && Wire.Bytebuf.View.equal_bytes p.Frames.p_payload payload
       | Error _ -> false)
 
+(* {1 Known-answer frames}
+
+   Whole call frames of the Test interface, byte for byte: their
+   checksum fields and MD5s were recorded with the pairwise checksum
+   and the per-byte definition of the test pattern.  A checksum or a
+   pattern that changed the same way at both ends would still
+   round-trip and leave every table and digest as it was; these pins
+   would not. *)
+
+module Ti = Workload.Test_interface
+
+let call_frame t ~proc_idx args =
+  let p = Ti.interface.Rpc.Idl.procs.(proc_idx) in
+  let w = Wire.Bytebuf.Writer.create 2048 in
+  Rpc.Marshal.encode_args w Rpc.Marshal.In_call_packet p args;
+  let payload = Wire.Bytebuf.Writer.contents w in
+  let hdr =
+    { (hdr ()) with Proto.seq = 1; interface_id = Rpc.Idl.interface_id Ti.interface; proc_idx }
+  in
+  Frames.build t ~src ~dst ~hdr ~payload ~payload_pos:0 ~payload_len:(Bytes.length payload)
+
+let test_known_answer_frames () =
+  let raw = Timing.create { Config.default with raw_ethernet = true } in
+  let null = (Ti.null_idx, []) in
+  let max_arg = (Ti.max_arg_idx, [ Rpc.Marshal.V_bytes (Ti.pattern Ti.buffer_bytes) ]) in
+  (* The checksum fields: IPv4 header (offset 24) and UDP (40) in the
+     default regime; the RPC header's end-to-end field (44) in raw
+     Ethernet mode. *)
+  List.iter
+    (fun (label, t, (proc_idx, args), size, fields, md5) ->
+      let frame = call_frame t ~proc_idx args in
+      Alcotest.(check int) (label ^ " size") size (Bytes.length frame);
+      List.iter
+        (fun (at, v) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s checksum field at %d" label at)
+            v (Bytes.get_uint16_be frame at))
+        fields;
+      Alcotest.(check string) (label ^ " md5") md5 (Digest.to_hex (Digest.bytes frame)))
+    [
+      ("udp Null()", timing, null, 74, [ (24, 0x7caf); (40, 0x5e8a) ],
+       "19dd71005cccdca0f9adfbbdff5f706d");
+      ("udp MaxArg(1440)", timing, max_arg, 1514, [ (24, 0x770f); (40, 0x9643) ],
+       "2914ceed48698145c4be88a0815e06c3");
+      ("raw Null()", raw, null, 46, [ (44, 0x8312) ], "87886e8cb1fa5daaf217e7d763f13dfb");
+      ("raw MaxArg(1440)", raw, max_arg, 1486, [ (44, 0xc60b) ],
+       "e86eaf75ef9005cfc7d2940046aedea1");
+    ]
+
+let test_pattern_definition () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bytes)
+        (Printf.sprintf "pattern %d" n)
+        (Bytes.init n (fun i -> Char.chr ((i * 7) land 0xff)))
+        (Ti.pattern n))
+    (List.init 601 Fun.id @ [ 6000; 60_000 ])
+
 let suite =
   [
     Alcotest.test_case "paper frame sizes" `Quick test_sizes;
@@ -244,4 +302,6 @@ let suite =
     Alcotest.test_case "trailing link padding tolerated" `Quick test_trailing_padding_tolerated;
     Alcotest.test_case "parse_view matches parse" `Quick test_parse_view_matches_parse;
     QCheck_alcotest.to_alcotest prop_header_roundtrip;
+    Alcotest.test_case "known-answer call frames" `Quick test_known_answer_frames;
+    Alcotest.test_case "test pattern matches its definition" `Quick test_pattern_definition;
   ]

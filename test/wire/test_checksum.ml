@@ -1,5 +1,23 @@
 module C = Wire.Checksum
 
+(* The pairwise definition, one big-endian word per step: the
+   reference the 16-bytes-per-step [Wire.Checksum.sum] must equal for
+   every input. *)
+let reference_sum ?(init = 0) b ~pos ~len =
+  let fold s =
+    let rec go s = if s > 0xffff then go ((s land 0xffff) + (s lsr 16)) else s in
+    go s
+  in
+  let s = ref init in
+  let i = ref pos in
+  let stop = pos + len - 1 in
+  while !i < stop do
+    s := !s + Bytes.get_uint16_be b !i;
+    i := !i + 2
+  done;
+  if len land 1 = 1 then s := !s + (Char.code (Bytes.get b (pos + len - 1)) lsl 8);
+  fold !s
+
 (* RFC 1071 worked example: the sum of 00-01 f2-03 f4-f5 f6-f7 is
    ddf2 before complement, so the checksum is 220d. *)
 let test_rfc1071_example () =
@@ -24,11 +42,14 @@ let test_init_composes () =
   Alcotest.(check int) "split sum equals whole" whole part2
 
 let test_bad_range () =
-  Alcotest.(check bool) "range checked" true
-    (try
-       ignore (C.sum (Bytes.create 4) ~pos:2 ~len:4);
-       false
-     with Invalid_argument _ -> true)
+  (* Including ranges whose end [pos + len] overflows. *)
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d, len %d" pos len)
+        (Invalid_argument "Checksum.sum: bad range")
+        (fun () -> ignore (C.sum (Bytes.create 4) ~pos ~len)))
+    [ (2, 4); (-1, 2); (0, -1); (max_int, 1); (max_int, 2); (1, max_int) ]
 
 let embed_checksum data ~at =
   let b = Bytes.copy data in
@@ -110,6 +131,63 @@ let prop_incremental_equals_full =
       let prefix = C.sum b ~pos:0 ~len:split in
       C.sum ~init:prefix b ~pos:split ~len:(n - split) = C.sum b ~pos:0 ~len:n)
 
+(* Buffers of 0-1600 bytes (a 1514-byte frame and more), summed from
+   any offset, odd ones included, over any length, with an [init] up to
+   four times a folded sum: every path through the 16-byte loop, its
+   16-bit tail and the odd last byte, against the pairwise definition. *)
+let gen_range =
+  QCheck.Gen.(
+    let* s = string_size ~gen:char (int_range 0 1600) in
+    let n = String.length s in
+    let* pos = int_range 0 n in
+    let* len = int_range 0 (n - pos) in
+    let* init = oneof [ return 0; int_range 0 0x3ffff ] in
+    return (Bytes.of_string s, pos, len, init))
+
+let arb_range =
+  QCheck.make
+    ~print:(fun (b, pos, len, init) ->
+      Printf.sprintf "%d-byte buffer, pos %d, len %d, init 0x%x:\n%s" (Bytes.length b) pos len
+        init (Wire.Hexdump.to_string b))
+    gen_range
+
+let prop_equals_pairwise =
+  QCheck.Test.make ~name:"word-wide sum equals the pairwise definition" ~count:1000 arb_range
+    (fun (b, pos, len, init) -> C.sum ~init b ~pos ~len = reference_sum ~init b ~pos ~len)
+
+(* The two ones-complement zeros: an all-0x00 range sums to 0x0000 and
+   an even-length all-0xff one to 0xffff (an odd one leaves its last
+   byte's 0xff00), at every length and alignment the loop's phases can
+   meet. *)
+let test_uniform_buffers () =
+  List.iter
+    (fun byte ->
+      for n = 0 to 40 do
+        let b = Bytes.make (n + 3) byte in
+        for pos = 0 to 3 - 1 do
+          List.iter
+            (fun init ->
+              Alcotest.(check int)
+                (Printf.sprintf "%C x %d at %d, init 0x%x" byte n pos init)
+                (reference_sum ~init b ~pos ~len:n) (C.sum ~init b ~pos ~len:n))
+            [ 0; 1; 0xfffe; 0xffff; 0x3ffff ]
+        done;
+        let expected =
+          if byte = '\x00' || n = 0 then 0 else if n land 1 = 1 then 0xff00 else 0xffff
+        in
+        Alcotest.(check int) (Printf.sprintf "%C x %d" byte n) expected (C.sum b ~pos:0 ~len:n)
+      done)
+    [ '\x00'; '\xff' ]
+
+(* The loop's speed rests on its 64-bit loads staying unboxed. *)
+let test_sum_allocates_nothing () =
+  let b = Bytes.init 1514 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (C.sum b ~pos:34 ~len:1480))
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. minor0)
+
 let suite =
   [
     Alcotest.test_case "RFC 1071 example" `Quick test_rfc1071_example;
@@ -122,4 +200,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_finish_idempotent_range;
     QCheck_alcotest.to_alcotest prop_zero_padding_invariant;
     QCheck_alcotest.to_alcotest prop_incremental_equals_full;
+    QCheck_alcotest.to_alcotest prop_equals_pairwise;
+    Alcotest.test_case "all-0x00 and all-0xff buffers" `Quick test_uniform_buffers;
+    Alcotest.test_case "sum allocates nothing" `Quick test_sum_allocates_nothing;
   ]
