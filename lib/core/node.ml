@@ -76,8 +76,8 @@ let set_ethertype_handler t ~ethertype f = Hashtbl.replace t.alt_handlers ethert
 
 let frame_ethertype frame =
   if Bytes.length frame >= Net.Ethernet.header_size then Bytes.get_uint16_be frame 12 else -1
-let wait t entry ctx = ignore t; Nub.Waiter.wait entry.Entry.waiter ctx
-let wait_timeout t entry ctx ~timeout = ignore t; Nub.Waiter.wait_timeout entry.Entry.waiter ctx ~timeout
+let wait entry ctx = Nub.Waiter.wait entry.Entry.waiter ctx
+let wait_timeout entry ctx ~timeout = Nub.Waiter.wait_timeout entry.Entry.waiter ctx ~timeout
 
 (* {1 Receive: the interrupt-routine demultiplexer} *)
 

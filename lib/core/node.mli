@@ -87,8 +87,8 @@ val set_ethertype_handler :
 
 (** {1 Waiting and sending} *)
 
-val wait : t -> Entry.t -> Hw.Cpu_set.ctx -> unit
-val wait_timeout : t -> Entry.t -> Hw.Cpu_set.ctx -> timeout:Sim.Time.span -> [ `Ok | `Timeout ]
+val wait : Entry.t -> Hw.Cpu_set.ctx -> unit
+val wait_timeout : Entry.t -> Hw.Cpu_set.ctx -> timeout:Sim.Time.span -> [ `Ok | `Timeout ]
 
 val send : t -> ctx:Hw.Cpu_set.ctx -> dst:Frames.endpoint -> hdr:Proto.header ->
   payload:Stdlib.Bytes.t -> payload_pos:int -> payload_len:int -> unit

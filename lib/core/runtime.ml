@@ -390,7 +390,7 @@ let exchange t ctx entry ?(after = ignore) ~input ~expire outputs =
     | None ->
       let now = Engine.now eng in
       if Time.(now < !deadline) then begin
-        ignore (Node.wait_timeout t.rt_node entry ctx ~timeout:(Time.diff !deadline now));
+        ignore (Node.wait_timeout entry ctx ~timeout:(Time.diff !deadline now));
         wait ()
       end
       else run (expire ())
@@ -555,7 +555,7 @@ let worker_loop t ctx =
     | None -> (
       let entry = Node.new_entry t.rt_node in
       Node.join_worker_pool t.rt_node ~space:t.rt_space entry;
-      Node.wait t.rt_node entry ctx;
+      Node.wait entry ctx;
       match Node.Entry.inbox_pop entry with
       | Some d when d.Node.d_hdr.Proto.ptype = Proto.Call -> handle_call t ctx entry d
       | Some _ | None -> ()));

@@ -72,7 +72,7 @@ let nodes t = Array.length t.cl_nodes
 let export t ~node:i ?(workers = 8) () =
   let n = node t i in
   Rpc.Runtime.export n.nd_rt Workload.Test_interface.interface
-    ~impls:(Workload.Test_interface.impls (Machine.timing n.nd_machine))
+    ~impls:(Workload.Test_interface.impls ())
     ~workers
 
 let bind t ~client ~server ?options () =

@@ -4,7 +4,6 @@ type t = {
   cpus : int;
   cpu_speedup : float;
   ethernet_mbps : float;
-  qbus_mbps : float;
   udp_checksums : bool;
   cut_through : bool;
   busy_wait : bool;
@@ -17,7 +16,6 @@ type t = {
   uniproc_fix : bool;
   streaming_results : bool;
   deqna_staging_frames : int;
-  idle_load_cpus : float;
   retransmit_after : Sim.Time.span;
 }
 
@@ -26,7 +24,6 @@ let default =
     cpus = 5;
     cpu_speedup = 1.0;
     ethernet_mbps = 10.0;
-    qbus_mbps = 16.0;
     udp_checksums = true;
     cut_through = false;
     busy_wait = false;
@@ -39,7 +36,6 @@ let default =
     uniproc_fix = false;
     streaming_results = false;
     deqna_staging_frames = 8;
-    idle_load_cpus = 0.15;
     retransmit_after = Sim.Time.ms 600;
   }
 
@@ -49,8 +45,6 @@ let validate t =
   if t.cpus < 1 then Error "cpus must be >= 1"
   else if t.cpu_speedup <= 0. then Error "cpu_speedup must be positive"
   else if t.ethernet_mbps <= 0. then Error "ethernet_mbps must be positive"
-  else if t.qbus_mbps <= 0. then Error "qbus_mbps must be positive"
   else if t.deqna_staging_frames < 1 then Error "deqna_staging_frames must be >= 1"
-  else if t.idle_load_cpus < 0. then Error "idle_load_cpus must be >= 0"
   else if Sim.Time.span_is_negative t.retransmit_after then Error "retransmit_after must be >= 0"
   else Ok t

@@ -22,9 +22,6 @@ type t = {
       (** multiplier on MicroVAX II speed; all software costs divide by
           this (§4.2.3 considers 3.0). *)
   ethernet_mbps : float;  (** network bit rate (§4.2.2 considers 100). *)
-  qbus_mbps : float;
-      (** usable QBus bandwidth for the DEQNA; scales the per-byte part
-          of controller transfer latency. *)
   udp_checksums : bool;  (** software end-to-end checksums (§4.2.4). *)
   cut_through : bool;
       (** controller overlaps QBus transfer with Ethernet transfer
@@ -64,9 +61,6 @@ type t = {
           while the staging RAM is full is lost (receiver overrun).
           Sized so the paper's closed-loop RPC workload runs loss-free,
           as the real system did. *)
-  idle_load_cpus : float;
-      (** background threads' CPU draw; the paper observed 0.15 CPUs on
-          an idle machine. *)
   retransmit_after : Sim.Time.span;
       (** first retransmission timeout; the paper's §5 bug cost "about
           600 milliseconds waiting for a retransmission". *)

@@ -112,7 +112,7 @@ let transmit_traced ~call t frame =
   let after = Engine.now t.eng in
   let wire = Ether_link.wire_span t.link ~bytes:(max len Net.Ethernet.min_frame_size) in
   let neg d = Time.span_scale (-1.) d in
-  let wire_end = Time.add after (neg (Ether_link.interframe_span t.link)) in
+  let wire_end = Time.add after (neg (Ether_link.interframe_gap t.link)) in
   let wire_start = Time.add wire_end (neg wire) in
   trace_span ~track:"wire" ~call t ~label:"Transmission time on Ethernet" ~start_at:wire_start
     ~stop_at:wire_end

@@ -83,7 +83,6 @@ let detach t station = Hashtbl.remove t.stations station.st_mac
 
 let wire_span t ~bytes = Time.us_f (float_of_int (bytes * 8) /. t.mbps)
 let interframe_gap t = Time.us_f (96. /. t.mbps)
-let interframe_span = interframe_gap
 
 let set_fault_injector t f = t.injector <- f
 let set_uplink t f = t.uplink <- f

@@ -23,16 +23,8 @@ let ipi_latency _ = Sim.Time.us 10
 let ipi_handler t = sw t 76.
 let activate_controller t = sw t 22.
 
-let qbus_transmit t ~bytes =
-  let per_byte = 0.5174 *. (16.0 /. t.cfg.Config.qbus_mbps) in
-  Sim.Time.us_f (31.7 +. (per_byte *. float_of_int bytes))
-
-let wire_time t ~bytes =
-  Sim.Time.us_f (float_of_int (bytes * 8) /. t.cfg.Config.ethernet_mbps)
-
-let qbus_receive t ~bytes =
-  let per_byte = 0.5243 *. (16.0 /. t.cfg.Config.qbus_mbps) in
-  Sim.Time.us_f (41.4 +. (per_byte *. float_of_int bytes))
+let qbus_transmit _ ~bytes = Sim.Time.us_f (31.7 +. (0.5174 *. float_of_int bytes))
+let qbus_receive _ ~bytes = Sim.Time.us_f (41.4 +. (0.5243 *. float_of_int bytes))
 
 let io_interrupt t = sw t 14.
 
@@ -131,7 +123,6 @@ let busy_wait_poll t = sw t 5.
 let cut_through_setup _ = Sim.Time.us 10
 let deqna_tx_recovery _ = Sim.Time.us 200
 let deqna_rx_recovery _ ~bytes = ignore bytes; Sim.Time.us 100
-let interframe_gap t = Sim.Time.us_f (96. /. t.cfg.Config.ethernet_mbps)
 (* Chosen so the minimum RPC frame is the paper's 74 bytes. *)
 let rpc_header_bytes = 32
 

@@ -45,13 +45,8 @@ val ipi_handler : t -> Sim.Time.span  (** 76 µs, on CPU 0 *)
 val activate_controller : t -> Sim.Time.span  (** 22 µs, on CPU 0 *)
 
 val qbus_transmit : t -> bytes:int -> Sim.Time.span
-(** 31.7 µs + 0.517 µs/byte at 16 Mbit/s — 70 µs at 74 bytes, 815 µs at
-    1514.  The per-byte part scales with [qbus_mbps]. *)
-
-val wire_time : t -> bytes:int -> Sim.Time.span
-(** 0.8 µs/byte at 10 Mbit/s — 59 µs at 74 bytes, 1211 µs at 1514 (the
-    paper's logic analyzer read 60 and 1230).  Scales with
-    [ethernet_mbps]. *)
+(** 31.7 µs + 0.517 µs/byte over the 16 Mbit/s QBus — 70 µs at 74
+    bytes, 815 µs at 1514. *)
 
 val qbus_receive : t -> bytes:int -> Sim.Time.span
 (** 41.4 µs + 0.524 µs/byte — 80 µs at 74 bytes, 835 µs at 1514. *)
@@ -229,10 +224,6 @@ val deqna_rx_recovery : t -> bytes:int -> Sim.Time.span
     modelled ratio of ~1.8 against the footnote's ~1.4; forcing 1.4
     would require slowing reception enough to move Table I's 4-thread
     saturation point, and Table I wins that trade. *)
-
-val interframe_gap : t -> Sim.Time.span
-(** 9.6 µs Ethernet interframe spacing at 10 Mbit/s; scales inversely
-    with [ethernet_mbps]. *)
 
 val frame_overhead_bytes : t -> int
 (** Bytes of header before RPC payload in a frame: Ethernet+IP+UDP+RPC

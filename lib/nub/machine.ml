@@ -103,13 +103,13 @@ let restart t ~down_for =
 let average_busy_cpus t ~upto = Cpu_set.average_busy t.m_cpus ~upto
 
 (* Background load: one thread per machine alternating a CPU burst with
-   an exponentially distributed idle gap, tuned to average
-   [idle_load_cpus] processors. *)
+   an exponentially distributed idle gap, tuned to average 0.15
+   processors, what the paper's idle machines drew (§2.1). *)
 let start_idle_load t =
-  if (not t.idle_started) && t.cfg.Config.idle_load_cpus > 0. then begin
+  if not t.idle_started then begin
     t.idle_started <- true;
     let burst_us = 150. in
-    let gap_mean_us = burst_us *. ((1. /. t.cfg.Config.idle_load_cpus) -. 1.) in
+    let gap_mean_us = burst_us *. ((1. /. 0.15) -. 1.) in
     spawn_thread t ~name:(t.m_name ^ "-idle") (fun () ->
         let rng = Engine.rng t.eng in
         let rec loop () =

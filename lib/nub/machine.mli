@@ -63,5 +63,5 @@ val restart : t -> down_for:Sim.Time.span -> unit
 val average_busy_cpus : t -> upto:Sim.Time.t -> float
 
 val start_idle_load : t -> unit
-(** Starts the background threads that draw [idle_load_cpus] processors
-    on average (the paper's machines idled at ~0.15 CPUs).  Idempotent. *)
+(** Starts the background threads that draw 0.15 processors on average,
+    as the paper's idle machines did (§2.1).  Idempotent. *)

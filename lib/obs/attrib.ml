@@ -57,13 +57,16 @@ let percentile st p =
 let p50 st = percentile st 0.5
 let p99 st = percentile st 0.99
 
-let classify ~caller_site ~server_site (s : Trace.span) =
+let classify (s : Trace.span) =
   (* The wire and the interprocessor signal are latency no CPU pays
-     for; everything else belongs to the machine it ran on. *)
+     for; everything else belongs to the machine it ran on, one of the
+     standard world's two. *)
   if String.equal s.Trace.track "wire" then Wire
-  else if String.equal s.Trace.site caller_site then Caller
-  else if String.equal s.Trace.site server_site then Server
-  else Wire
+  else
+    match s.Trace.site with
+    | "caller" -> Caller
+    | "server" -> Server
+    | _ -> Wire
 
 (* {1 The exclusive timeline sweep} *)
 
@@ -110,16 +113,43 @@ let sweep spans ~w =
     ca_unattributed_us = us (elapsed - !service - !queue);
   }
 
+(* {1 Grouping a window by call} *)
+
+(* Causal order: by start time; an enclosing span (longer, same start)
+   sorts before the work inside it; remaining ties resolve on the lane
+   and label, then on recording order (the sort is stable). *)
+let causal_compare (a : Trace.span) (b : Trace.span) =
+  let c = Time.compare a.Trace.start_at b.Trace.start_at in
+  if c <> 0 then c
+  else
+    let c = Time.span_compare (Trace.duration b) (Trace.duration a) in
+    if c <> 0 then c
+    else
+      let c = String.compare a.Trace.site b.Trace.site in
+      if c <> 0 then c
+      else
+        let c = String.compare a.Trace.track b.Trace.track in
+        if c <> 0 then c else String.compare a.Trace.label b.Trace.label
+
+(* Every call's spans in causal order, keyed by call id; background
+   spans (no call id) belong to no call and are left out. *)
+let by_call spans =
+  let calls = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Trace.span) ->
+      if s.Trace.call >= 0 then
+        let earlier = Option.value (Hashtbl.find_opt calls s.Trace.call) ~default:[] in
+        Hashtbl.replace calls s.Trace.call (s :: earlier))
+    spans;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.stable_sort causal_compare (List.rev l))) calls;
+  calls
+
 (* {1 Building the report} *)
 
-let attribute ?(caller_site = "caller") ?(server_site = "server") ~spans ~windows () =
+let attribute ~spans ~windows () =
   let windows = List.sort (fun a b -> compare a.w_call b.w_call) windows in
-  let calls = Span.of_spans spans in
-  let spans_of w =
-    match List.find_opt (fun c -> c.Span.id = w.w_call) calls with
-    | Some c -> c.Span.spans
-    | None -> []
-  in
+  let calls = by_call spans in
+  let spans_of w = Option.value (Hashtbl.find_opt calls w.w_call) ~default:[] in
   let n_calls = max 1 (List.length windows) in
   (* Stage rows: raw per-call durations keyed by (label, kind), in order
      of first causal appearance so the table reads like the call. *)
@@ -132,20 +162,20 @@ let attribute ?(caller_site = "caller") ?(server_site = "server") ~spans ~window
     (fun i w ->
       List.iter
         (fun (s : Trace.span) ->
-          let key = (s.Trace.label, s.Trace.kind) in
+          let key = (s.Trace.label, s.Trace.kind) and column = classify s in
           let totals, cols =
             match Hashtbl.find_opt by_stage key with
             | Some v -> v
             | None ->
               let v = (Array.make (List.length windows) 0., Array.make 3 0.) in
               Hashtbl.add by_stage key v;
-              order := (key, classify ~caller_site ~server_site s) :: !order;
+              order := (key, column) :: !order;
               v
           in
           let d = Time.to_us (Trace.duration s) in
           totals.(i) <- totals.(i) +. d;
           let c =
-            match classify ~caller_site ~server_site s with
+            match column with
             | Caller -> 0
             | Server -> 1
             | Wire -> 2
@@ -189,7 +219,11 @@ let attribute ?(caller_site = "caller") ?(server_site = "server") ~spans ~window
       List.fold_left (fun acc c -> Float.min acc (coverage c)) 1. accounts;
   }
 
-let conservation_ok ?(min_coverage = 0.99) r = r.r_min_coverage >= min_coverage
+(* The least attributed fraction of any call's latency that conservation
+   accepts. *)
+let min_coverage = 0.99
+
+let conservation_ok r = r.r_min_coverage >= min_coverage
 
 (* {1 Drift against the paper's calibrated Table VI constants} *)
 
@@ -267,7 +301,12 @@ let drift r ~scenario =
             })
     r.r_stages
 
-let check ?(min_coverage = 0.99) ?(tolerance_frac = 0.25) ?(tolerance_us = 15.) r ~scenario =
+(* A step drifts when it misses its calibrated cost by more than both
+   25% and 15 us. *)
+let tolerance_frac = 0.25
+let tolerance_us = 15.
+
+let check r ~scenario =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
   List.iter

@@ -54,20 +54,16 @@ val p99 : stage -> float
 (** Nearest-rank percentiles of a stage's per-call totals (0 when no
     call touched the stage). *)
 
-val attribute :
-  ?caller_site:string ->
-  ?server_site:string ->
-  spans:Sim.Trace.span list ->
-  windows:window list ->
-  unit ->
-  report
-(** Builds the report.  Sites default to ["caller"]/["server"] (the
-    standard two-machine world); spans on other sites — and spans on the
-    ["wire"] track — land in the wire column. *)
+val attribute : spans:Sim.Trace.span list -> windows:window list -> unit -> report
+(** Builds the report.  A window's spans are those carrying its call
+    id, in causal order (by start, an enclosing span before the work
+    inside it); background spans belong to none.  Spans on sites other
+    than ["caller"] and ["server"], and on the ["wire"] track, land in
+    the wire column. *)
 
-val conservation_ok : ?min_coverage:float -> report -> bool
+val conservation_ok : report -> bool
 (** True when every call's attributed fraction (service + queueing)
-    reaches [min_coverage] (default 0.99) of its measured latency. *)
+    reaches 99% of its measured latency. *)
 
 (** {1 Drift against the calibrated Table VI constants} *)
 
@@ -97,17 +93,10 @@ val drift : report -> scenario:scenario -> drift list
 (** Measured-vs-calibrated comparison for every Table VI stage present
     in the report. *)
 
-val check :
-  ?min_coverage:float ->
-  ?tolerance_frac:float ->
-  ?tolerance_us:float ->
-  report ->
-  scenario:scenario ->
-  (unit, string list) result
+val check : report -> scenario:scenario -> (unit, string list) result
 (** The [--check] gate: conservation on every call, every calibrated
-    step present in the trace, and no step drifting beyond both
-    [tolerance_frac] (default 25%) and [tolerance_us] (default 15 us)
-    from its calibrated per-call cost. *)
+    step present in the trace, and no step drifting beyond both 25% and
+    15 us from its calibrated per-call cost. *)
 
 (** {1 Rendering} *)
 

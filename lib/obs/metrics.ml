@@ -77,15 +77,6 @@ module Registry = struct
       (Printf.sprintf "Obs.Metrics.Registry: %s/%s already bound to a different instrument kind"
          site name)
 
-  let counter t ~site ~name =
-    match Hashtbl.find_opt t.tbl (site, name) with
-    | Some (I_counter c) -> c
-    | Some _ -> kind_error ~site ~name
-    | None ->
-      let c = Sim.Stats.Counter.create () in
-      Hashtbl.replace t.tbl (site, name) (I_counter c);
-      c
-
   let histogram t ~site ~name =
     match Hashtbl.find_opt t.tbl (site, name) with
     | Some (I_hist h) -> h
@@ -153,27 +144,6 @@ module Snapshot = struct
       (fun r -> if String.equal r.site site && String.equal r.name name then Some r.value else None)
       t.rows
 
-  let diff later earlier =
-    let window_sec = Sim.Time.to_sec (Sim.Time.diff later.at earlier.at) in
-    let diff_value v_later v_earlier =
-      match (v_later, v_earlier) with
-      | Count a, Some (Count b) -> Count (a - b)
-      | Dist a, Some (Dist b) ->
-        Dist { a with count = a.count - b.count; sum = a.sum -. b.sum }
-      | Level a, Some (Level b) ->
-        let integral = a.integral -. b.integral in
-        let average = if window_sec <= 0. then 0. else integral /. window_sec in
-        Level { current = a.current; average; integral }
-      | v, _ -> v
-    in
-    let rows =
-      List.map
-        (fun r ->
-          { r with value = diff_value r.value (find earlier ~site:r.site ~name:r.name) })
-        later.rows
-    in
-    { at = later.at; rows }
-
   let fmt_f f =
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
     else Printf.sprintf "%.3f" f
@@ -203,21 +173,4 @@ module Snapshot = struct
         t.rows
     in
     Report.Table.make ~id ~title ~columns:[ "site"; "metric"; "kind"; "value"; "detail" ] rows
-
-  let csv_escape s =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-    else s
-
-  let to_csv t =
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf "site,name,kind,value,extra\n";
-    List.iter
-      (fun r ->
-        let v, extra = render_value r.value in
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,%s,%s,%s\n" (csv_escape r.site) (csv_escape r.name)
-             (kind_of r.value) (csv_escape v) (csv_escape extra)))
-      t.rows;
-    Buffer.contents buf
 end

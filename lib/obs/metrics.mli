@@ -1,23 +1,22 @@
-(** Site-scoped metrics: a registry of named instruments with a
-    snapshot/diff API.
+(** Site-scoped metrics: a registry of named instruments and the
+    snapshots that read it.
 
     The paper is an exercise in accounting — every table is "where did
     the microseconds (or the packets, or the CPUs) go".  The registry
     gives each model component one place to publish its numbers under a
     stable [(site, name)] key, where {e site} is the machine or entity
     ("caller", "server", "ether") and {e name} a dotted metric path
-    ("deqna.tx_frames", "rpc.latency_us").  Experiments snapshot the
-    registry before and after a run and render the difference.
+    ("deqna.tx_frames", "rpc.latency_us").  A report snapshots the
+    registry after a run and renders or queries the rows.
 
     Four instrument shapes cover the codebase:
-    - {b counters} — monotone event counts; either owned
-      {!Sim.Stats.Counter}s or adopted read-closures over counters that
-      model code already maintains;
+    - {b counters} — monotone event counts: adopted
+      {!Sim.Stats.Counter}s or read-closures over counts that model
+      code already maintains;
     - {b gauges} — instantaneous values sampled at snapshot time
-      (queue depths, utilizations), again owned or adopted;
+      (queue depths, utilizations);
     - {b levels} — adopted {!Sim.Stats.Level}s, reported with their
-      time-weighted average and integral so a snapshot diff can compute
-      the average over exactly the diffed window;
+      time-weighted average and integral;
     - {b histograms} — log-bucketed latency distributions with
       p50/p90/p99/max queries (buckets grow by [2^(1/8)] ≈ 9 %, which
       bounds the relative quantile error to one bucket). *)
@@ -52,14 +51,10 @@ module Registry : sig
 
   val create : unit -> t
 
-  (** {2 Owned instruments (get-or-create)}
-
-      Repeated calls with the same key return the same instrument; a
-      key already bound to a different instrument kind raises
-      [Invalid_argument]. *)
-
-  val counter : t -> site:string -> name:string -> Sim.Stats.Counter.t
   val histogram : t -> site:string -> name:string -> Histogram.t
+  (** Get-or-create: repeated calls with the same key return the same
+      histogram; a key already bound to another instrument kind raises
+      [Invalid_argument]. *)
 
   (** {2 Adopted instruments}
 
@@ -89,17 +84,12 @@ module Snapshot : sig
       registry state are byte-identical. *)
 
   val take : Registry.t -> at:Sim.Time.t -> t
-
-  val diff : t -> t -> t
-  (** [diff later earlier]: counters and histogram counts/sums
-      subtract; a level's [average]/[integral] cover exactly the
-      window between the two snapshots; gauges and histogram
-      percentiles report the later snapshot's value.  Rows absent from
-      [earlier] pass through unchanged. *)
+  (** Levels are averaged and integrated up to [at]. *)
 
   val find : t -> site:string -> name:string -> value option
 
   val to_table : ?id:string -> ?title:string -> t -> Report.Table.t
-  val to_csv : t -> string
-  (** Header ["site,name,kind,value,extra"] then one row per metric. *)
+  (** One row per metric: site, name, kind, value and a detail column
+      (a level's average and integral, a histogram's sum and
+      percentiles). *)
 end

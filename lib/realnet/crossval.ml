@@ -15,22 +15,7 @@ module Marshal = Rpc.Marshal
 module Idl = Rpc.Idl
 module Ti = Workload.Test_interface
 
-let test_impls () =
-  let n = Array.length Ti.interface.Idl.procs in
-  let impls = Array.make n (fun _ -> ([] : Marshal.value list)) in
-  impls.(Ti.null_idx) <- (fun _ -> []);
-  impls.(Ti.max_result_idx) <- (fun _ -> [ Marshal.V_bytes (Ti.pattern Ti.buffer_bytes) ]);
-  impls.(Ti.max_arg_idx) <-
-    (fun args ->
-      match args with
-      | [ Marshal.V_bytes b ] when Bytes.equal b (Ti.pattern Ti.buffer_bytes) -> []
-      | _ -> invalid_arg "MaxArg: payload does not match the test pattern");
-  impls.(Ti.get_data_idx) <-
-    (fun args ->
-      match args with
-      | Marshal.V_int len :: _ -> [ Marshal.V_bytes (Ti.pattern (Int32.to_int len)) ]
-      | _ -> invalid_arg "GetData: bad arguments");
-  impls
+let test_impls = Ti.procedures
 
 let wall () = Unix.gettimeofday ()
 

@@ -10,9 +10,9 @@
     1987 latencies. *)
 
 val test_impls : unit -> Udp_socket.impl array
-(** Real (unsimulated) implementations of the paper's Test interface:
-    Null, MaxResult/MaxArg over the deterministic 1440-byte pattern,
-    and GetData — shared with the transport conformance suite. *)
+(** A fresh array of the paper's Test interface procedures,
+    {!Workload.Test_interface.procedures}, without the simulated body
+    charge — shared with the transport conformance suite. *)
 
 val table :
   ?calls:int ->

@@ -39,44 +39,35 @@ let pattern n =
   double 256;
   b
 
-let charge_body ctx span =
-  Hw.Cpu_set.charge ctx ~cat:"runtime" ~label:"Null (the server procedure)" span
+(* MaxArg's argument is checked against this one copy, built once, so a
+   check allocates nothing. *)
+let max_arg_pattern = pattern buffer_bytes
 
-let impls timing =
-  let body_us = Time.us 10 in
-  let null_impl ctx _args =
-    charge_body ctx body_us;
-    []
-  in
-  let max_result_impl ctx args =
-    charge_body ctx body_us;
-    match args with
-    | [ Rpc.Marshal.V_bytes b ] ->
-      (* The server procedure writes the result directly into the
-         result packet buffer (§2.2): same-size pattern, no extra
-         charge beyond the body. *)
-      ignore (Hw.Timing.config timing);
-      [ Rpc.Marshal.V_bytes (pattern (max (Bytes.length b) buffer_bytes)) ]
-    | _ -> [ Rpc.Marshal.V_bytes (pattern buffer_bytes) ]
-  in
-  let max_arg_impl ctx args =
-    charge_body ctx body_us;
-    (match args with
-    | [ Rpc.Marshal.V_bytes b ] ->
-      let expected = pattern (Bytes.length b) in
-      if not (Bytes.equal b expected) then
-        Rpc.Rpc_error.fail (Rpc.Rpc_error.Marshal_failure "MaxArg: payload corrupted in transit")
-    | _ -> ());
-    []
-  in
-  let get_data_impl ctx args =
-    charge_body ctx body_us;
-    match args with
-    | [ Rpc.Marshal.V_int n; Rpc.Marshal.V_bytes _ ] ->
-      let n = Int32.to_int n in
-      if n < 0 || n > get_data_max then
-        Rpc.Rpc_error.fail (Rpc.Rpc_error.Marshal_failure "GetData: length out of range");
-      [ Rpc.Marshal.V_bytes (pattern n) ]
-    | _ -> Rpc.Rpc_error.fail (Rpc.Rpc_error.Marshal_failure "GetData: bad arguments")
-  in
-  [| null_impl; max_result_impl; max_arg_impl; get_data_impl |]
+let fail msg = Rpc.Rpc_error.fail (Rpc.Rpc_error.Marshal_failure msg)
+
+let null _ = []
+
+(* The server procedure writes the result directly into the result
+   packet buffer (§2.2). *)
+let max_result _ = [ Rpc.Marshal.V_bytes (pattern buffer_bytes) ]
+
+let max_arg = function
+  | [ Rpc.Marshal.V_bytes b ] when Bytes.equal b max_arg_pattern -> []
+  | _ -> fail "MaxArg: payload does not match the test pattern"
+
+let get_data = function
+  | [ Rpc.Marshal.V_int n; Rpc.Marshal.V_bytes _ ] ->
+    let n = Int32.to_int n in
+    if n < 0 || n > get_data_max then fail "GetData: length out of range";
+    [ Rpc.Marshal.V_bytes (pattern n) ]
+  | _ -> fail "GetData: bad arguments"
+
+(* In the interface's order. *)
+let procedures () = [| null; max_result; max_arg; get_data |]
+
+let impls () =
+  Array.map
+    (fun proc ctx args ->
+      Hw.Cpu_set.charge ctx ~cat:"runtime" ~label:"Null (the server procedure)" (Time.us 10);
+      proc args)
+    (procedures ())

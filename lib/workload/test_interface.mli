@@ -26,10 +26,16 @@ val get_data_idx : int
 
 val get_data_max : int
 
-val impls : Hw.Timing.t -> Rpc.Runtime.impl array
-(** Server implementations: [Null] burns the measured 10 µs procedure
-    body (Table VII); [MaxResult] fills the result buffer with a
-    recognizable pattern; [MaxArg] checks the received pattern. *)
+val procedures : unit -> (Rpc.Marshal.value list -> Rpc.Marshal.value list) array
+(** A fresh array of the four procedures, by index: [Null] does
+    nothing; [MaxResult] returns the {!buffer_bytes}-byte {!pattern};
+    [MaxArg] accepts only that pattern, and checking it allocates
+    nothing; [GetData] returns the pattern of the requested length.
+    A bad argument raises [Rpc_error.Rpc (Marshal_failure _)]. *)
+
+val impls : unit -> Rpc.Runtime.impl array
+(** The simulated server's {!procedures}: each first burns the measured
+    10 µs procedure body (Table VII). *)
 
 val pattern : int -> Stdlib.Bytes.t
 (** [pattern n] is the deterministic n-byte test payload: byte [i] is

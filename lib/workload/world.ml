@@ -36,7 +36,7 @@ let create ?(caller_config = Config.default) ?(server_config = Config.default) ?
   let binder = Rpc.Binder.create () in
   if export_test then
     Rpc.Binder.export ?auth binder server_rt Test_interface.interface
-      ~impls:(Test_interface.impls (Machine.timing server))
+      ~impls:(Test_interface.impls ())
       ~workers;
   if idle_load then begin
     Machine.start_idle_load caller;
@@ -54,7 +54,7 @@ let test_binding t ?options ?auth ?(transport = `Auto) () =
          version) slot already belongs to the remote server. *)
       if not (Rpc.Runtime.is_exported t.caller_rt Test_interface.interface) then
         Rpc.Runtime.export ?auth t.caller_rt Test_interface.interface
-          ~impls:(Test_interface.impls (Machine.timing t.caller))
+          ~impls:(Test_interface.impls ())
           ~workers:2;
       t.caller_rt
     | `Auto | `Decnet -> t.server_rt

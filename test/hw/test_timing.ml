@@ -6,6 +6,12 @@ let us_of = Time.to_us
 let t0 = Timing.create Config.default
 let check_us name expected span = Alcotest.(check (float 1.0)) name expected (us_of span)
 
+(* The simulator times the wire on the link, at the configured rate. *)
+let wire_time cfg ~bytes =
+  Hw.Ether_link.wire_span
+    (Hw.Ether_link.create (Sim.Engine.create ()) ~mbps:cfg.Config.ethernet_mbps)
+    ~bytes
+
 (* Every fitted curve must reproduce the paper's two measured points. *)
 let test_table6_calibration_points () =
   check_us "checksum @74" 45. (Timing.udp_checksum t0 ~bytes:74);
@@ -14,9 +20,9 @@ let test_table6_calibration_points () =
   check_us "qbus tx @1514" 815. (Timing.qbus_transmit t0 ~bytes:1514);
   check_us "qbus rx @74" 80. (Timing.qbus_receive t0 ~bytes:74);
   check_us "qbus rx @1514" 836. (Timing.qbus_receive t0 ~bytes:1514);
-  check_us "wire @74" 59.2 (Timing.wire_time t0 ~bytes:74);
+  check_us "wire @74" 59.2 (wire_time Config.default ~bytes:74);
   Alcotest.(check (float 25.)) "wire @1514 near paper's 1230" 1230.
-    (us_of (Timing.wire_time t0 ~bytes:1514));
+    (us_of (wire_time Config.default ~bytes:1514));
   check_us "udp header" 59. (Timing.finish_udp_header t0);
   check_us "trap" 37. (Timing.trap_to_nub t0);
   check_us "queue" 39. (Timing.queue_packet t0);
@@ -40,7 +46,7 @@ let test_send_receive_totals () =
         Timing.ipi_handler t0;
         Timing.activate_controller t0;
         Timing.qbus_transmit t0 ~bytes;
-        Timing.wire_time t0 ~bytes;
+        wire_time Config.default ~bytes;
         Timing.qbus_receive t0 ~bytes;
         Timing.io_interrupt t0;
         Timing.rx_demux t0;
@@ -110,15 +116,16 @@ let test_local_rpc_calibration () =
   check_us "local Null total" 937. total
 
 let test_cpu_speedup_scales_software_only () =
-  let fast = Timing.create { Config.default with cpus = 5; cpu_speedup = 3.0 } in
+  let cfg = { Config.default with cpus = 5; cpu_speedup = 3.0 } in
+  let fast = Timing.create cfg in
   check_us "software divides by 3" (177. /. 3.) (Timing.rx_demux fast);
-  check_us "wire unchanged" 59.2 (Timing.wire_time fast ~bytes:74);
+  check_us "wire unchanged" 59.2 (wire_time cfg ~bytes:74);
   check_us "qbus unchanged" 70. (Timing.qbus_transmit fast ~bytes:74)
 
 let test_network_speedup () =
-  let fast = Timing.create { Config.default with ethernet_mbps = 100. } in
-  Alcotest.(check (float 2.)) "wire 10x faster" 121.
-    (us_of (Timing.wire_time fast ~bytes:1514));
+  let cfg = { Config.default with ethernet_mbps = 100. } in
+  let fast = Timing.create cfg in
+  Alcotest.(check (float 2.)) "wire 10x faster" 121. (us_of (wire_time cfg ~bytes:1514));
   check_us "checksum unaffected" 440. (Timing.udp_checksum fast ~bytes:1514)
 
 let test_improvement_flags () =

@@ -1,6 +1,7 @@
 (* Tests for the observability layer: JSON, histograms, the metrics
-   registry and snapshots, the event journal, and the end-to-end
-   Chrome-trace export of a real two-Firefly run. *)
+   registry and snapshots, the event journal, span lanes and latency
+   attribution, and the end-to-end Chrome-trace export of a real
+   two-Firefly run. *)
 
 module Json = Obs.Json
 module Metrics = Obs.Metrics
@@ -76,9 +77,10 @@ let test_histogram_percentiles () =
 
 (* {1 Registry and snapshots} *)
 
-let test_registry_snapshot_diff () =
+let test_registry_snapshot () =
   let reg = Metrics.Registry.create () in
-  let c = Metrics.Registry.counter reg ~site:"caller" ~name:"rpc.calls" in
+  let c = Sim.Stats.Counter.create () in
+  Metrics.Registry.register_counter reg ~site:"caller" ~name:"rpc.calls" c;
   let h = Metrics.Registry.histogram reg ~site:"caller" ~name:"rpc.latency_us" in
   let g = ref 7. in
   Metrics.Registry.register_probe reg ~site:"server" ~name:"queue.depth" (fun () -> !g);
@@ -89,49 +91,49 @@ let test_registry_snapshot_diff () =
   Metrics.Histogram.observe h 200.;
   g := 9.;
   let s1 = Metrics.Snapshot.take reg ~at:(at 1_000_000) in
-  let d = Metrics.Snapshot.diff s1 s0 in
-  (match Metrics.Snapshot.find d ~site:"caller" ~name:"rpc.calls" with
-  | Some (Metrics.Snapshot.Count n) -> Alcotest.(check int) "counter diff" 5 n
-  | _ -> Alcotest.fail "counter row missing");
-  (match Metrics.Snapshot.find d ~site:"caller" ~name:"rpc.latency_us" with
-  | Some (Metrics.Snapshot.Dist { count; sum; _ }) ->
-    Alcotest.(check int) "dist count diff" 1 count;
-    Alcotest.(check (float 1e-9)) "dist sum diff" 200. sum
-  | _ -> Alcotest.fail "histogram row missing");
-  (match Metrics.Snapshot.find d ~site:"server" ~name:"queue.depth" with
-  | Some (Metrics.Snapshot.Gauge v) -> Alcotest.(check (float 0.)) "gauge takes later" 9. v
-  | _ -> Alcotest.fail "gauge row missing");
-  (* Kind mismatch on get-or-create is an error. *)
+  (* A snapshot keeps the values it read: s0 is unchanged by what
+     happened after it. *)
+  List.iter
+    (fun (snap, calls, dist_count, dist_sum, depth) ->
+      (match Metrics.Snapshot.find snap ~site:"caller" ~name:"rpc.calls" with
+      | Some (Metrics.Snapshot.Count n) -> Alcotest.(check int) "counter" calls n
+      | _ -> Alcotest.fail "counter row missing");
+      (match Metrics.Snapshot.find snap ~site:"caller" ~name:"rpc.latency_us" with
+      | Some (Metrics.Snapshot.Dist { count; sum; _ }) ->
+        Alcotest.(check int) "dist count" dist_count count;
+        Alcotest.(check (float 1e-9)) "dist sum" dist_sum sum
+      | _ -> Alcotest.fail "histogram row missing");
+      match Metrics.Snapshot.find snap ~site:"server" ~name:"queue.depth" with
+      | Some (Metrics.Snapshot.Gauge v) -> Alcotest.(check (float 0.)) "gauge" depth v
+      | _ -> Alcotest.fail "gauge row missing")
+    [ (s0, 10, 1, 100., 7.); (s1, 15, 2, 300., 9.) ];
+  Alcotest.(check bool) "get-or-create returns the same histogram" true
+    (h == Metrics.Registry.histogram reg ~site:"caller" ~name:"rpc.latency_us");
   Alcotest.check_raises "kind mismatch"
     (Invalid_argument
        "Obs.Metrics.Registry: caller/rpc.calls already bound to a different instrument kind") (fun () ->
       ignore (Metrics.Registry.histogram reg ~site:"caller" ~name:"rpc.calls"))
 
 let test_snapshot_rendering_deterministic () =
-  let build () =
+  (* Registration order differs between the two registries; rows must
+     not. *)
+  let snapshot names =
     let reg = Metrics.Registry.create () in
-    (* Registration order differs between the two builds; rows must not. *)
-    let names = [ "b.two"; "a.one"; "c.three" ] in
     List.iter
-      (fun n -> Sim.Stats.Counter.add (Metrics.Registry.counter reg ~site:"m" ~name:n) 3)
+      (fun name ->
+        let c = Sim.Stats.Counter.create () in
+        Sim.Stats.Counter.add c 3;
+        Metrics.Registry.register_counter reg ~site:"m" ~name c)
       names;
     Metrics.Snapshot.take reg ~at:(at 42)
   in
-  let reg2 = Metrics.Registry.create () in
-  List.iter
-    (fun n -> Sim.Stats.Counter.add (Metrics.Registry.counter reg2 ~site:"m" ~name:n) 3)
-    [ "c.three"; "a.one"; "b.two" ];
-  let s1 = build () in
-  let s2 = Metrics.Snapshot.take reg2 ~at:(at 42) in
-  Alcotest.(check string) "CSV is order-independent" (Metrics.Snapshot.to_csv s1)
-    (Metrics.Snapshot.to_csv s2);
+  let s1 = snapshot [ "b.two"; "a.one"; "c.three" ] in
+  let s2 = snapshot [ "c.three"; "a.one"; "b.two" ] in
+  Alcotest.(check (list string)) "rows sorted by key" [ "a.one"; "b.two"; "c.three" ]
+    (List.map (fun (r : Metrics.Snapshot.row) -> r.name) s1.Metrics.Snapshot.rows);
   Alcotest.(check string) "table render is order-independent"
     (Report.Table.render (Metrics.Snapshot.to_table s1))
-    (Report.Table.render (Metrics.Snapshot.to_table s2));
-  let csv = Metrics.Snapshot.to_csv s1 in
-  (match String.split_on_char '\n' csv with
-  | header :: _ -> Alcotest.(check string) "csv header" "site,name,kind,value,extra" header
-  | [] -> Alcotest.fail "empty csv")
+    (Report.Table.render (Metrics.Snapshot.to_table s2))
 
 (* {1 Journal} *)
 
@@ -257,7 +259,7 @@ let test_json_string_escaping_roundtrip () =
       | Error e -> Alcotest.failf "emitted string %S does not parse: %s" s e)
     cases
 
-(* {1 Causal span trees (Obs.Span)} *)
+(* {1 The lane rule on traced windows} *)
 
 let span ?(site = "m") ?(track = "cpu0") ?(kind = Sim.Trace.Service) ?(call = 0) ~label a b =
   {
@@ -265,95 +267,91 @@ let span ?(site = "m") ?(track = "cpu0") ?(kind = Sim.Trace.Service) ?(call = 0)
     label;
     site;
     track;
-    start_at = at a;
-    stop_at = at b;
+    start_at = at (1000 * a);
+    stop_at = at (1000 * b);
     kind;
     call;
   }
 
-let test_span_grouping_and_edges_synthetic () =
-  let spans =
-    [
-      span ~label:"outer" 0 100;
-      span ~label:"inner" 10 40;
-      span ~site:"n" ~track:"cpu1" ~label:"remote" 120 180;
-      span ~call:1 ~label:"other call" 50 60;
-      span ~call:(-1) ~label:"background" 0 500;
-    ]
-  in
-  let calls = Obs.Span.of_spans spans in
-  Alcotest.(check (list int)) "calls grouped by id, ascending" [ 0; 1 ]
-    (List.map (fun c -> c.Obs.Span.id) calls);
-  let c0 = List.hd calls in
-  Alcotest.(check int) "call 0 has its three spans" 3 (List.length c0.Obs.Span.spans);
-  (* The forest nests inner under outer on one lane; the remote span is
-     a separate root. *)
-  let root_labels =
-    List.map (fun n -> n.Obs.Span.span.Sim.Trace.label) c0.Obs.Span.roots
-  in
-  Alcotest.(check (list string)) "containment roots" [ "outer"; "remote" ] root_labels;
-  (match c0.Obs.Span.roots with
-  | { Obs.Span.children = [ child ]; _ } :: _ ->
-    Alcotest.(check string) "inner nests under outer" "inner" child.Obs.Span.span.Sim.Trace.label
-  | _ -> Alcotest.fail "expected outer to contain inner");
-  (* One cross-lane edge: the last caller-lane span to the remote one. *)
-  (match c0.Obs.Span.edges with
-  | [ e ] ->
-    Alcotest.(check string) "edge source" "inner" e.Obs.Span.e_from.Sim.Trace.label;
-    Alcotest.(check string) "edge target" "remote" e.Obs.Span.e_to.Sim.Trace.label
-  | es -> Alcotest.failf "expected 1 edge, got %d" (List.length es));
-  Alcotest.(check int) "cross-machine edge subset" 1
-    (List.length (Obs.Span.cross_machine_edges c0));
-  (match (Obs.Span.check_tree c0, Obs.Span.check_edges c0) with
-  | Ok (), Ok () -> ()
-  | Error m, _ | _, Error m -> Alcotest.failf "well-formed call rejected: %s" m);
-  Alcotest.(check int) "background span is unattributed" 1
-    (List.length (Obs.Span.unattributed spans))
+let describe (s : Sim.Trace.span) =
+  Printf.sprintf "%s/%s %S [%d, %d] ns" s.site s.track s.label
+    (Time.since_start_ns s.start_at) (Time.since_start_ns s.stop_at)
 
-let test_span_balance_detects_partial_overlap () =
-  (* Two spans on one lane that interleave like misnested brackets:
-     open A, open B, close A, close B.  The balance check must flag it. *)
-  let ill = [ span ~label:"A" 0 50; span ~label:"B" 30 80 ] in
-  match Obs.Span.of_spans ill with
-  | [ c ] -> (
-    match Obs.Span.check_tree c with
-    | Error _ -> ()
-    | Ok () -> Alcotest.fail "partial overlap on one lane passed the balance check")
-  | _ -> Alcotest.fail "expected one call"
-
-(* The real thing: trace a breakdown window and require every call's
-   tree and edge set to be well-formed, with cross-machine edges
-   stitching caller and server. *)
-let test_span_properties_on_real_trace () =
-  let w = Workload.World.create ~idle_load:false () in
-  let windows = Workload.Driver.run_traced w ~calls:3 ~proc:Workload.Driver.Null () in
-  Alcotest.(check int) "three windows" 3 (List.length windows);
-  let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
-  let calls = Obs.Span.of_spans spans in
-  Alcotest.(check (list int)) "call ids 0..2" [ 0; 1; 2 ]
-    (List.map (fun c -> c.Obs.Span.id) calls);
+(* The first pair of Service spans on one (site, track) lane that
+   partially overlap.  One resource does one piece of work at a time,
+   so its Service spans must be disjoint or nested, like brackets.
+   Queue spans are exempt: a wait for a CPU may overlap the work
+   running on it. *)
+let partial_overlap spans =
+  let lanes = Hashtbl.create 16 in
   List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "call %d has spans" c.Obs.Span.id)
-        true
-        (List.length c.Obs.Span.spans > 10);
+    (fun (s : Sim.Trace.span) ->
+      if s.kind = Sim.Trace.Service then
+        let key = (s.site, s.track) in
+        Hashtbl.replace lanes key (s :: Option.value (Hashtbl.find_opt lanes key) ~default:[]))
+    spans;
+  let enclosing_first (a : Sim.Trace.span) (b : Sim.Trace.span) =
+    match Time.compare a.start_at b.start_at with
+    | 0 -> Time.compare b.stop_at a.stop_at
+    | c -> c
+  in
+  (* [open_] holds the spans still open at [s]'s start, innermost
+     first; [s] must close no later than the innermost one. *)
+  let rec scan open_ = function
+    | [] -> None
+    | (s : Sim.Trace.span) :: rest -> (
+      match
+        List.filter (fun (o : Sim.Trace.span) -> Time.compare o.stop_at s.start_at > 0) open_
+      with
+      | o :: _ when Time.compare o.stop_at s.stop_at < 0 -> Some (o, s)
+      | open_ -> scan (s :: open_) rest)
+  in
+  Hashtbl.fold
+    (fun _ lane found ->
+      match found with
+      | Some _ -> found
+      | None -> scan [] (List.sort enclosing_first lane))
+    lanes None
+
+let test_lane_rule_flags_partial_overlap () =
+  let overlaps spans = Option.is_some (partial_overlap spans) in
+  Alcotest.(check bool) "open A, open B, close A, close B" true
+    (overlaps [ span ~label:"A" 0 50; span ~label:"B" 30 80 ]);
+  Alcotest.(check bool) "nested and disjoint pass" false
+    (overlaps [ span ~label:"A" 0 50; span ~label:"B" 10 50; span ~label:"C" 50 60 ]);
+  Alcotest.(check bool) "other lanes may overlap" false
+    (overlaps [ span ~label:"A" 0 50; span ~track:"cpu1" ~label:"B" 30 80 ]);
+  Alcotest.(check bool) "a queue wait may overlap service" false
+    (overlaps [ span ~label:"A" 0 50; span ~kind:Sim.Trace.Queue ~label:"wait" 30 80 ])
+
+(* Traced windows of one and of several callers, and of multi-packet
+   results: no lane runs two pieces of work at once, and every timed
+   call runs on both machines. *)
+let test_lane_rule_on_real_traces () =
+  List.iter
+    (fun (name, threads, proc) ->
+      let w = Workload.World.create ~idle_load:false () in
+      let windows = Workload.Driver.run_traced w ~threads ~calls:50 ~proc () in
+      let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
+      (match partial_overlap spans with
+      | None -> ()
+      | Some (a, b) -> Alcotest.failf "%s: %s partially overlaps %s" name (describe a) (describe b));
       List.iter
-        (fun (s : Sim.Trace.span) ->
-          Alcotest.(check int) "span carries its call id" c.Obs.Span.id s.Sim.Trace.call)
-        c.Obs.Span.spans;
-      (match Obs.Span.check_tree c with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "call %d tree ill-formed: %s" c.Obs.Span.id m);
-      (match Obs.Span.check_edges c with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "call %d edges ill-formed: %s" c.Obs.Span.id m);
-      (* An RPC necessarily hops machines: caller -> server -> caller. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "call %d crosses machines" c.Obs.Span.id)
-        true
-        (List.length (Obs.Span.cross_machine_edges c) >= 2))
-    calls
+        (fun (win : Obs.Attrib.window) ->
+          let runs_on site =
+            List.exists
+              (fun (s : Sim.Trace.span) -> s.call = win.w_call && String.equal s.site site)
+              spans
+          in
+          if not (runs_on "caller" && runs_on "server") then
+            Alcotest.failf "%s: call %d lacks spans on caller or server" name win.w_call)
+        windows)
+    Workload.Driver.
+      [
+        ("Null() x 1", 1, Null);
+        ("Null() x 3", 3, Null);
+        ("GetData(6000) x 2", 2, Get_data 6000);
+      ]
 
 (* {1 Attribution and conservation (Obs.Attrib)} *)
 
@@ -362,6 +360,45 @@ let breakdown_report ~proc ~calls =
   let windows = Workload.Driver.run_traced w ~calls ~proc () in
   let spans = Sim.Trace.spans (Sim.Engine.trace w.Workload.World.eng) in
   Obs.Attrib.attribute ~spans ~windows ()
+
+(* Two interleaved calls and a background span, recorded out of causal
+   order: each account sees only its own call's spans, windows come
+   back in id order, and stage rows follow first causal appearance. *)
+let test_attrib_groups_interleaved_calls () =
+  let spans =
+    [
+      span ~call:1 ~site:"server" ~track:"cpu1" ~label:"ack" 110 115;
+      span ~call:1 ~site:"server" ~label:"reply" 70 110;
+      span ~call:0 ~site:"server" ~label:"reply" 40 70;
+      span ~call:0 ~site:"caller" ~label:"send" 0 30;
+      span ~call:1 ~site:"caller" ~track:"cpu1" ~label:"send" 10 40;
+      span ~call:(-1) ~site:"caller" ~track:"cpu2" ~label:"background" 0 200;
+      span ~call:0 ~site:"caller" ~track:"wire" ~label:"wire" 30 40;
+    ]
+  in
+  let window w_call a b = { Obs.Attrib.w_call; w_start = at (1000 * a); w_stop = at (1000 * b) } in
+  let r = Obs.Attrib.attribute ~spans ~windows:[ window 1 10 120; window 0 0 80 ] () in
+  Alcotest.(check (list string)) "stages in first causal appearance"
+    [ "send"; "wire"; "reply"; "ack" ]
+    (List.map (fun (st : Obs.Attrib.stage) -> st.st_label) r.Obs.Attrib.r_stages);
+  Alcotest.(check (list int)) "accounts in call order" [ 0; 1 ]
+    (List.map (fun (c : Obs.Attrib.call_account) -> c.ca_call) r.Obs.Attrib.r_calls);
+  (* Call 0 is busy 70 of its 80 us; call 1's reply or the background
+     span would cover the rest.  Call 1 is busy 75 of 110 us; call 0's
+     reply would add 30. *)
+  List.iter2
+    (fun (c : Obs.Attrib.call_account) (service, residual) ->
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "call %d service" c.ca_call) service
+        c.ca_service_us;
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "call %d residual" c.ca_call) residual
+        c.ca_unattributed_us)
+    r.Obs.Attrib.r_calls [ (70., 10.); (75., 35.) ];
+  match r.Obs.Attrib.r_stages with
+  | [ send; wire; reply; _ ] ->
+    Alcotest.(check (float 1e-9)) "send: 30 us on the caller per call" 30. send.st_caller_us;
+    Alcotest.(check (float 1e-9)) "wire track lands in the wire column" 5. wire.st_wire_us;
+    Alcotest.(check (float 1e-9)) "reply: mean of 30 and 40 us" 35. reply.st_server_us
+  | _ -> Alcotest.fail "expected four stages"
 
 let test_attrib_conservation_null () =
   let r = breakdown_report ~proc:Workload.Driver.Null ~calls:4 in
@@ -580,15 +617,14 @@ let () =
         ] );
       ( "span",
         [
-          Alcotest.test_case "grouping, nesting and edges" `Quick
-            test_span_grouping_and_edges_synthetic;
           Alcotest.test_case "balance flags partial overlap" `Quick
-            test_span_balance_detects_partial_overlap;
-          Alcotest.test_case "well-formed on a real trace" `Quick
-            test_span_properties_on_real_trace;
+            test_lane_rule_flags_partial_overlap;
+          Alcotest.test_case "well-formed on a real trace" `Quick test_lane_rule_on_real_traces;
         ] );
       ( "attrib",
         [
+          Alcotest.test_case "groups interleaved calls by id" `Quick
+            test_attrib_groups_interleaved_calls;
           Alcotest.test_case "conservation on Null()" `Quick test_attrib_conservation_null;
           Alcotest.test_case "drift gate on MaxArg(b)" `Quick test_attrib_drift_and_check_maxarg;
           Alcotest.test_case "table and CSV rendering" `Quick test_attrib_rendering;
@@ -610,7 +646,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
-          Alcotest.test_case "registry snapshot diff" `Quick test_registry_snapshot_diff;
+          Alcotest.test_case "registry snapshot" `Quick test_registry_snapshot;
           Alcotest.test_case "deterministic rendering" `Quick
             test_snapshot_rendering_deterministic;
         ] );

@@ -286,6 +286,32 @@ let test_pattern_definition () =
         (Ti.pattern n))
     (List.init 601 Fun.id @ [ 6000; 60_000 ])
 
+let test_max_arg_check () =
+  let max_arg = (Ti.procedures ()).(Ti.max_arg_idx) in
+  let accepts b =
+    match max_arg [ Rpc.Marshal.V_bytes b ] with
+    | [] -> true
+    | _ -> Alcotest.fail "MaxArg returned results"
+    | exception Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Marshal_failure _) -> false
+  in
+  let good = Ti.pattern Ti.buffer_bytes in
+  Alcotest.(check bool) "the pattern is accepted" true (accepts good);
+  List.iter
+    (fun i ->
+      let b = Bytes.copy good in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+      Alcotest.(check bool) (Printf.sprintf "byte %d flipped" i) false (accepts b))
+    [ 0; 255; 256; 1439 ];
+  List.iter
+    (fun n -> Alcotest.(check bool) (Printf.sprintf "%d bytes" n) false (accepts (Ti.pattern n)))
+    [ 0; 1439; 1441 ];
+  let args = [ Rpc.Marshal.V_bytes good ] in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (max_arg args))
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. minor0)
+
 let suite =
   [
     Alcotest.test_case "paper frame sizes" `Quick test_sizes;
@@ -304,4 +330,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_header_roundtrip;
     Alcotest.test_case "known-answer call frames" `Quick test_known_answer_frames;
     Alcotest.test_case "test pattern matches its definition" `Quick test_pattern_definition;
+    Alcotest.test_case "MaxArg checks the pattern in place" `Quick test_max_arg_check;
   ]

@@ -61,7 +61,7 @@ let test_pool_exhaustion_recovers () =
   let server_rt = Runtime.create (Rpc.Node.create server) ~space:1 in
   let binder = Binder.create () in
   Binder.export binder server_rt Workload.Test_interface.interface
-    ~impls:(Workload.Test_interface.impls (Machine.timing server))
+    ~impls:(Workload.Test_interface.impls ())
     ~workers:8;
   let binding = Binder.import binder caller_rt ~name:"Test" ~version:1 () in
   let gate = Sim.Gate.create eng in
@@ -396,7 +396,7 @@ let test_retained_gc_races () =
       let entry = Rpc.Node.new_entry w.World.caller_node in
       Rpc.Node.register_caller w.World.caller_node act entry;
       send 2;
-      (match Rpc.Node.wait_timeout w.World.caller_node entry ctx ~timeout:(Time.ms 100) with
+      (match Rpc.Node.wait_timeout entry ctx ~timeout:(Time.ms 100) with
       | `Ok | `Timeout -> ());
       (match Rpc.Node.Entry.inbox_pop entry with
       | Some d -> got_reply := d.Rpc.Node.d_hdr.Rpc.Proto.ptype = Rpc.Proto.Result
