@@ -73,16 +73,23 @@ module Collector = struct
     end
 
   (* Once every fragment is in, one fragment is handed over as is (no
-     copy); several are concatenated. *)
+     copy); several are copied once, each into its place in a buffer of
+     exactly their summed length. *)
   let payload c =
     if Array.length c.slots = 0 || not (Array.for_all Option.is_some c.slots) then None
     else
       match c.slots with
       | [| only |] -> only
       | slots ->
-        let buf = Buffer.create 256 in
-        Array.iter (Option.iter (fun v -> V.add_to_buffer v buf)) slots;
-        Some (V.of_bytes (Buffer.to_bytes buf))
+        let frags = Array.map Option.get slots in
+        let buf = Bytes.create (Array.fold_left (fun n v -> n + V.length v) 0 frags) in
+        ignore
+          (Array.fold_left
+             (fun pos v ->
+               V.blit v ~dst:buf ~dst_pos:pos;
+               pos + V.length v)
+             0 frags);
+        Some (V.of_bytes buf)
 end
 
 module Caller = struct

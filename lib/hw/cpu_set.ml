@@ -9,6 +9,7 @@ type t = {
   name : string;
   n : int;
   busy : bool array;
+  mutable nbusy : int;  (* how many of [busy] are set *)
   (* Waiters, woken with the index of the CPU handed to them. *)
   q0_int : int Sim.Condvar.t;
   q0_thread : int Sim.Condvar.t;
@@ -29,6 +30,7 @@ let create ?obs eng ~site ~cpus =
       name = site;
       n = cpus;
       busy = Array.make cpus false;
+      nbusy = 0;
       q0_int = Sim.Condvar.create eng;
       q0_thread = Sim.Condvar.create eng;
       q_any = Sim.Condvar.create eng;
@@ -47,19 +49,19 @@ let create ?obs eng ~site ~cpus =
 
 let site t = t.name
 
-let busy_count t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t.busy
-
 let note_levels t =
   let now = Engine.now t.eng in
-  Sim.Stats.Level.set t.level (float_of_int (busy_count t)) ~at:now;
+  Sim.Stats.Level.set t.level (float_of_int t.nbusy) ~at:now;
   Sim.Stats.Level.set t.cpu0_level (if t.busy.(0) then 1. else 0.) ~at:now
 
 let take t idx =
   t.busy.(idx) <- true;
+  t.nbusy <- t.nbusy + 1;
   note_levels t
 
 let free_index t idx =
   t.busy.(idx) <- false;
+  t.nbusy <- t.nbusy - 1;
   note_levels t
 
 (* Prefer the highest-numbered free CPU for Any requests so CPU 0 stays
@@ -153,4 +155,4 @@ let yield_cpu ctx f =
 let average_busy t ~upto = Sim.Stats.Level.average t.level ~upto
 let utilization t ~upto = average_busy t ~upto /. float_of_int t.n
 let cpu0_utilization t ~upto = Sim.Stats.Level.average t.cpu0_level ~upto
-let busy_now t = busy_count t
+let busy_now t = t.nbusy

@@ -27,9 +27,12 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity 8192; raises [Invalid_argument] if < 1. *)
 
 val record : t -> at:Sim.Time.t -> site:string -> event -> unit
+(** Allocates nothing: the ring stores the event's fields, not the
+    event, and keeps [site] itself (pass a long-lived string).  A
+    [bytes] or [seq] argument must lie in [[-2^58, 2^58)]. *)
 
 val entries : t -> entry list
-(** Oldest first. *)
+(** Oldest first, each rebuilt from the ring's fields. *)
 
 val length : t -> int
 

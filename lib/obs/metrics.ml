@@ -6,50 +6,55 @@ module Histogram = struct
   let n_buckets = 256
   let buckets_per_octave = 8.
 
-  type t = {
-    counts : int array;
-    mutable n : int;
-    mutable total : float;
-    mutable vmin : float;
-    mutable vmax : float;
-  }
+  (* The running sum and extremes sit in an all-float record, stored
+     flat, so an observation writes them in place instead of boxing a
+     float into a long-lived block (see [Sim.Stats.Level]). *)
+  type floats = { mutable total : float; mutable vmin : float; mutable vmax : float }
+
+  type t = { counts : int array; mutable n : int; v : floats }
 
   let create () =
-    { counts = Array.make n_buckets 0; n = 0; total = 0.; vmin = infinity; vmax = neg_infinity }
+    {
+      counts = Array.make n_buckets 0;
+      n = 0;
+      v = { total = 0.; vmin = infinity; vmax = neg_infinity };
+    }
 
-  let bucket_of v =
+  let[@inline] bucket_of v =
     if v < 1. then 0
     else Stdlib.min (n_buckets - 1) (int_of_float (Float.floor (buckets_per_octave *. Float.log2 v)))
 
   (* Geometric midpoint of bucket [i]. *)
   let representative i = Float.pow 2. ((float_of_int i +. 0.5) /. buckets_per_octave)
 
-  let observe t v =
+  (* Inlined into [observe_span], so its float is never boxed. *)
+  let[@inline] observe t v =
     let v = if v < 0. then 0. else v in
     let i = bucket_of v in
     t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
-    t.total <- t.total +. v;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
+    let f = t.v in
+    f.total <- f.total +. v;
+    if v < f.vmin then f.vmin <- v;
+    if v > f.vmax then f.vmax <- v
 
   let observe_span t d = observe t (Sim.Time.to_us d)
   let count t = t.n
-  let sum t = t.total
+  let sum t = t.v.total
 
   let max_value t =
     if t.n = 0 then invalid_arg "Obs.Metrics.Histogram.max_value: empty";
-    t.vmax
+    t.v.vmax
 
   let percentile t q =
     if t.n = 0 then invalid_arg "Obs.Metrics.Histogram.percentile: empty";
     if q < 0. || q > 1. then invalid_arg "Obs.Metrics.Histogram.percentile: q outside [0,1]";
-    if q >= 1. then t.vmax
+    if q >= 1. then t.v.vmax
     else begin
       let target = q *. float_of_int t.n in
-      let clamp v = Float.min t.vmax (Float.max t.vmin v) in
+      let clamp v = Float.min t.v.vmax (Float.max t.v.vmin v) in
       let rec go i cum =
-        if i >= n_buckets then t.vmax
+        if i >= n_buckets then t.v.vmax
         else begin
           let cum = cum + t.counts.(i) in
           if t.counts.(i) > 0 && float_of_int cum >= target then clamp (representative i)

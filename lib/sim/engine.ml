@@ -13,7 +13,17 @@
    {!Eventq} files in a heap of its own.  The retransmit pattern cancels
    nearly every one: [wake] marks the node dead in place ([fn_dead]),
    and when it reaches the head of the queue [dispatch] recycles it
-   without touching the clock or the event count. *)
+   without touching the clock or the event count.
+
+   Most events resume a {!delay}, and a third of those (on perfbench's
+   pair-bulk) resume the very process that just yielded, because its
+   wake-up sorts before everything queued.  Such a delay resumes in
+   place: [delay] advances the clock, draws the key and counts the event
+   exactly as the run loop's next pop and dispatch would, and returns —
+   no effect, no node, no heap round trip.  The test for "would be next"
+   reads what the innermost run loop publishes ([loop_limit],
+   [loop_stop], [loop_pred]) and whether a process of this engine is
+   what is running ([in_process]). *)
 
 type queue = Heap of Eventq.t | Cal of Calendar.t
 
@@ -27,11 +37,22 @@ type t = {
   mutable handlers : (int -> int -> Obj.t -> Obj.t -> unit) array;
   mutable nhandlers : int;
   mutable pending_span : Time.span;
-      (* argument drop-box for [on_delay]: the effect handler stashes the
-         span here and returns the one preallocated closure, instead of
-         allocating a fresh closure per [delay] — the busiest effect in
-         every model (cpu charges, wire times) *)
-  mutable on_delay : (unit, unit) Effect.Deep.continuation -> unit;
+      (* argument drop-box for [on_delay]: [delay] stashes the span here
+         and performs the one preallocated [delay_eff], whose handler arm
+         returns the one preallocated [on_delay], instead of allocating
+         an effect, a closure and an option per [delay] — the busiest
+         effect in every model (cpu charges, wire times) *)
+  delay_eff : unit Effect.t;
+  on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  (* A process of this engine is running: set when one starts or is
+     resumed, cleared when it yields or ends, and cleared (then put
+     back) by a run loop entered from inside a process. *)
+  mutable in_process : bool;
+  (* The innermost active run loop's [max_events], [run_until] stop and
+     [run_while] predicate; meaningful only while [in_process]. *)
+  mutable loop_limit : int;
+  mutable loop_stop : Time.t;
+  mutable loop_pred : unit -> bool;
   engine_rng : Rng.t;
   (* [None] = FIFO ties (the historical order); [Some rng] draws a
      random tie key per event, so same-instant events interleave in a
@@ -82,6 +103,11 @@ let q_insert_timer t n =
 
 let q_pop t = match t.queue with Heap q -> Eventq.pop q | Cal c -> Calendar.pop c
 
+(* What a pop of an event due at [time] would leave behind, without the
+   event: the heaps' near/far split keys off the last pop; the
+   calendar's scan just starts further back at its next pop. *)
+let q_advance t time = match t.queue with Heap q -> Eventq.advance q time | Cal _ -> ()
+
 let now t = t.clock
 let rng t = t.engine_rng
 let trace t = t.engine_trace
@@ -91,14 +117,15 @@ let suspended_count t = t.suspended
 (* Every event — flat or closure — draws its key here, so the
    (tie, seq) stream is a pure function of the schedule-call sequence,
    identical whichever queue or payload style the caller uses. *)
+let[@inline] draw_tie t =
+  t.seq <- t.seq + 1;
+  match t.tie_rng with
+  | None -> 0
+  | Some rng -> Rng.int rng 0x3fffffff
+
 let alloc_keyed t time =
   if Time.compare time t.clock < 0 then invalid_arg "Engine.schedule_at: instant in the past";
-  t.seq <- t.seq + 1;
-  let tie =
-    match t.tie_rng with
-    | None -> 0
-    | Some rng -> Rng.int rng 0x3fffffff
-  in
+  let tie = draw_tie t in
   Evnode.alloc t.pool ~time ~tie ~seq:t.seq
 
 let schedule_at t time run =
@@ -136,9 +163,10 @@ let register_handler t f =
 (* Effects interpreted by the per-process handler.  The engine is carried
    in the payload so a single global handler installation per process
    suffices; the handler checks it owns the effect and re-performs
-   otherwise (supporting nested engines, which tests use). *)
+   otherwise (supporting nested engines).  Each engine preallocates its
+   one [Delay] value ([delay_eff]); the span travels in [pending_span]. *)
 type _ Effect.t +=
-  | Delay : t * Time.span -> unit Effect.t
+  | Delay : t -> unit Effect.t
   | Suspend : t * ('a waker -> unit) -> 'a Effect.t
 
 let wake w v =
@@ -164,10 +192,13 @@ let wake w v =
     true
   end
 
+let always () = true
+let forever = Time.of_ns_since_start max_int
+
 let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
   let pool = Evnode.create_pool () in
   let unregistered = fun _ _ _ _ -> assert false in
-  let t =
+  let rec t =
     {
       clock = Time.zero;
       seq = 0;
@@ -181,7 +212,18 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       handlers = Array.make 8 unregistered;
       nhandlers = nbuiltin;
       pending_span = Time.zero_span;
-      on_delay = ignore;
+      delay_eff = Delay t;
+      on_delay =
+        Some
+          (fun k ->
+            let n = alloc_keyed t (Time.add t.clock t.pending_span) in
+            n.Evnode.fn <- fn_delay;
+            n.Evnode.o0 <- Obj.repr k;
+            q_insert t n);
+      in_process = false;
+      loop_limit = 0;
+      loop_stop = Time.zero;
+      loop_pred = always;
       engine_rng = Rng.create ~seed;
       tie_rng =
         (match tie_break with
@@ -190,15 +232,13 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       engine_trace = Trace.create ();
     }
   in
-  t.on_delay <-
-    (fun k ->
-      let n = alloc_keyed t (Time.add t.clock t.pending_span) in
-      n.Evnode.fn <- fn_delay;
-      n.Evnode.o0 <- Obj.repr k;
-      q_insert t n);
-  t.handlers.(fn_fire) <- (fun _ _ o0 o1 -> (Obj.obj o0 : Obj.t -> unit) o1);
+  t.handlers.(fn_fire) <-
+    (fun _ _ o0 o1 ->
+      t.in_process <- true;
+      (Obj.obj o0 : Obj.t -> unit) o1);
   t.handlers.(fn_delay) <-
     (fun _ _ o0 _ ->
+      t.in_process <- true;
       Effect.Deep.continue (Obj.obj o0 : (unit, unit) Effect.Deep.continuation) ());
   t.handlers.(fn_timeout) <-
     (fun _ _ o0 _ ->
@@ -213,6 +253,7 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
 let run_process t ?(name = "process") fn =
   let open Effect.Deep in
   let handle_exn exn =
+    t.in_process <- false;
     let bt = Printexc.get_raw_backtrace () in
     (match exn with
      | Stdlib.Exit -> ()
@@ -220,21 +261,23 @@ let run_process t ?(name = "process") fn =
        Printf.eprintf "[sim] process %S died: %s\n%!" name (Printexc.to_string exn);
        Printexc.raise_with_backtrace exn bt)
   in
+  t.in_process <- true;
   match_with fn ()
     {
-      retc = ignore;
+      retc = (fun () -> t.in_process <- false);
       exnc = handle_exn;
       effc =
         (fun (type a) (eff : a Effect.t) :
              (((a, unit) continuation -> unit) option) ->
           match eff with
-          | Delay (t', span) when t' == t ->
-            (* The preallocated [on_delay] (span via [pending_span]) runs
-               synchronously as soon as this returns — nothing can
-               overwrite the drop-box in between. *)
-            t.pending_span <- span;
-            Some t.on_delay
+          | Delay t' when t' == t ->
+            (* [on_delay] reads the span [delay] left in [pending_span];
+               it runs synchronously as soon as this returns, so nothing
+               can overwrite the drop-box in between. *)
+            t.in_process <- false;
+            t.on_delay
           | Suspend (t', register) when t' == t ->
+            t.in_process <- false;
             Some
               (fun (k : (a, unit) continuation) ->
                 t.suspended <- t.suspended + 1;
@@ -252,9 +295,35 @@ let run_process t ?(name = "process") fn =
 let spawn t ?(after = Time.zero_span) ?name fn =
   schedule t ~after (fun () -> run_process t ?name fn)
 
+(* A delay resumes in place when its wake-up would be the run loop's
+   very next dispatch: a process of [t] is running (so a stray [delay]
+   from a scheduled closure still raises [Not_in_process]), the loop
+   would go on (guard, stop instant and predicate, checked at the clock
+   and state the loop would check them at), and nothing queued is due
+   at or before the wake-up.  An equal instant takes the queue: under
+   FIFO ties a new key never precedes a queued one, and under random
+   ties only strictly earlier instants qualify, so the tie never decides
+   eligibility.  A dead timeout counts as queued.  The key is still
+   drawn, so the (tie, seq) stream stays what the queue path draws. *)
 let delay t span =
   if Time.span_is_negative span then invalid_arg "Engine.delay: negative span";
-  try Effect.perform (Delay (t, span)) with Effect.Unhandled _ -> raise Not_in_process
+  let at = Time.add t.clock span in
+  if
+    t.in_process
+    && t.executed < t.loop_limit
+    && Time.compare at t.loop_stop <= 0
+    && (q_is_empty t || Time.compare at (q_min_time t) < 0)
+    && t.loop_pred ()
+  then begin
+    ignore (draw_tie t : int);
+    t.clock <- at;
+    t.executed <- t.executed + 1;
+    q_advance t at
+  end
+  else begin
+    t.pending_span <- span;
+    try Effect.perform t.delay_eff with Effect.Unhandled _ -> raise Not_in_process
+  end
 
 let suspend t register =
   try Effect.perform (Suspend (t, register)) with Effect.Unhandled _ -> raise Not_in_process
@@ -296,45 +365,69 @@ let[@inline] dispatch t (n : Evnode.t) =
 let guard_failed t =
   failwith (Printf.sprintf "Engine.run: exceeded %d events (runaway model?)" t.executed)
 
-(* The run loops are specialized per queue discipline so the hot loop
-   calls the queue directly instead of re-matching the variant on every
-   event; [max_events] is hoisted to one integer compare. *)
-let run_heap t q ~limit =
+(* The run loops read their bounds from what [in_loop] published;
+   [max_events] is hoisted to one integer compare.  [run]'s loop is
+   specialized per queue discipline so it calls the queue directly
+   instead of re-matching the variant on every event. *)
+let drain t =
+  let limit = t.loop_limit in
   let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    if Eventq.is_empty q then continue_ := false
-    else dispatch t (Eventq.pop q)
-  done
+  match t.queue with
+  | Heap q ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if Eventq.is_empty q then continue_ := false else dispatch t (Eventq.pop q)
+    done
+  | Cal c ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if Calendar.is_empty c then continue_ := false else dispatch t (Calendar.pop c)
+    done
 
-let run_cal t c ~limit =
-  let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    if Calendar.is_empty c then continue_ := false
-    else dispatch t (Calendar.pop c)
-  done
-
-let run ?max_events t =
-  let limit = match max_events with None -> max_int | Some n -> n in
-  match t.queue with Heap q -> run_heap t q ~limit | Cal c -> run_cal t c ~limit
-
-let run_until ?max_events t stop =
-  let limit = match max_events with None -> max_int | Some n -> n in
+let drain_until t =
+  let limit = t.loop_limit and stop = t.loop_stop in
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
     if q_is_empty t then continue_ := false
     else if Time.compare (q_min_time t) stop > 0 then continue_ := false
     else dispatch t (q_pop t)
-  done;
-  if Time.compare t.clock stop < 0 then t.clock <- stop
+  done
 
-let run_while ?max_events t p =
-  let limit = match max_events with None -> max_int | Some n -> n in
+let drain_while t =
+  let limit = t.loop_limit and p = t.loop_pred in
   let continue_ = ref true in
   while !continue_ do
     if t.executed >= limit then guard_failed t;
     if (not (p ())) || q_is_empty t then continue_ := false
     else dispatch t (q_pop t)
   done
+
+let set_loop t ~limit ~stop ~pred ~in_process =
+  t.loop_limit <- limit;
+  t.loop_stop <- stop;
+  t.loop_pred <- pred;
+  t.in_process <- in_process
+
+(* Publish this loop's bounds for [delay], and put the enclosing loop's
+   back (with its [in_process]) however this one ends.  Allocates
+   nothing: [body] is one of the top-level drains above. *)
+let in_loop t ?max_events ~stop ~pred body =
+  let limit = match max_events with None -> max_int | Some n -> n in
+  let limit0 = t.loop_limit and stop0 = t.loop_stop and pred0 = t.loop_pred in
+  let in_process0 = t.in_process in
+  set_loop t ~limit ~stop ~pred ~in_process:false;
+  match body t with
+  | () -> set_loop t ~limit:limit0 ~stop:stop0 ~pred:pred0 ~in_process:in_process0
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    set_loop t ~limit:limit0 ~stop:stop0 ~pred:pred0 ~in_process:in_process0;
+    Printexc.raise_with_backtrace e bt
+
+let run ?max_events t = in_loop t ?max_events ~stop:forever ~pred:always drain
+
+let run_until ?max_events t stop =
+  in_loop t ?max_events ~stop ~pred:always drain_until;
+  if Time.compare t.clock stop < 0 then t.clock <- stop
+
+let run_while ?max_events t p = in_loop t ?max_events ~stop:forever ~pred:p drain_while

@@ -91,6 +91,13 @@ val schedule_fn : t -> after:Time.span -> fn:int -> a:int -> b:int -> unit
 val delay : t -> Time.span -> unit
 (** [delay t d] suspends the calling process for [d] of virtual time.
     [delay t Time.zero_span] yields to other events at the same instant.
+    When the wake-up would be the running loop's very next event —
+    nothing queued is due at or before [now t + d], and the loop's
+    [max_events], [run_until] stop and [run_while] predicate would let
+    it run — the process resumes in place, without leaving the call:
+    the clock, the event count and the same-instant tie draw move
+    exactly as if the wake-up had been queued and popped, so no output
+    can tell the difference, and nothing is allocated.
     @raise Invalid_argument if [d] is negative. *)
 
 val suspend : t -> ('a waker -> unit) -> 'a
@@ -131,7 +138,10 @@ val run_while : ?max_events:int -> t -> (unit -> bool) -> unit
 (** [run_while t p] executes events while [p ()] holds and the queue is
     non-empty.  The predicate is evaluated before each event — use with
     a completion {!Gate} to run a workload to its finish amid daemon
-    processes. *)
+    processes.  [p] should only read the model: before an in-place
+    {!delay} it runs inside the delaying process, and when it turns
+    false there it is evaluated again, at the same clock and state, by
+    the loop. *)
 
 val suspended_count : t -> int
 (** Number of currently suspended processes (waiting on a waker). *)

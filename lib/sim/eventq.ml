@@ -172,6 +172,8 @@ let pop t =
   remove_min h;
   Evnode.node t.pool id
 
+let advance t time = t.last <- Time.since_start_ns time
+
 (* Closure-mode convenience for tests and cold callers: pop the minimum,
    recycle it, return its closure. *)
 let pop_run t =

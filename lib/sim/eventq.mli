@@ -54,6 +54,13 @@ val pop : t -> Evnode.t
     payload and recycles it through the pool.
     @raise Invalid_argument when empty. *)
 
+val advance : t -> Time.t -> unit
+(** [advance t time] records [time] as the last instant popped, as a
+    {!pop} of an event due then would, without any event.  The engine
+    calls it when a delay resumes in place; every queued event must be
+    due after [time].  Only which heap later inserts join depends on
+    it, never the pop order. *)
+
 val pop_run : t -> unit -> unit
 (** Closure-mode pop: removes the minimum event, recycles the node and
     returns its closure (which the caller then runs).  Only meaningful

@@ -16,33 +16,40 @@ let percentile sorted p =
   sorted.(max 0 (min (n - 1) (rank - 1)))
 
 module Level = struct
-  type t = {
-    start_at : Time.t;
+  (* [level] and [area] live in an all-float record, which OCaml stores
+     flat: a [set] writes both floats in place.  As float fields of the
+     mixed record [t] they would be boxed, and each [set] would allocate
+     two floats and [caml_modify] them into this long-lived block. *)
+  type floats = {
     mutable level : float;
-    mutable changed_at : Time.t;
     mutable area : float;  (* level-seconds accumulated up to [changed_at] *)
   }
 
-  let create ~initial ~at = { start_at = at; level = initial; changed_at = at; area = 0. }
+  type t = { start_at : Time.t; mutable changed_at : Time.t; v : floats }
+
+  let create ~initial ~at = { start_at = at; changed_at = at; v = { level = initial; area = 0. } }
 
   (* An out-of-order timestamp (earlier than the last change) must not
      rewind the integral: the segment already accumulated stands, and
      the change takes effect at [changed_at]. *)
-  let accumulate t ~upto =
+  let[@inline] accumulate t ~upto =
     if Time.compare upto t.changed_at > 0 then begin
-      t.area <- t.area +. (t.level *. Time.to_sec (Time.diff upto t.changed_at));
+      let v = t.v in
+      v.area <- v.area +. (v.level *. Time.to_sec (Time.diff upto t.changed_at));
       t.changed_at <- upto
     end
 
-  let set t v ~at =
+  (* Inlined, so a caller's computed level reaches the record unboxed. *)
+  let[@inline] set t x ~at =
     accumulate t ~upto:at;
-    t.level <- v
+    t.v.level <- x
 
-  let current t = t.level
+  let current t = t.v.level
 
   let integral t ~upto =
-    if Time.compare upto t.changed_at <= 0 then t.area
-    else t.area +. (t.level *. Time.to_sec (Time.diff upto t.changed_at))
+    let v = t.v in
+    if Time.compare upto t.changed_at <= 0 then v.area
+    else v.area +. (v.level *. Time.to_sec (Time.diff upto t.changed_at))
 
   let average t ~upto =
     let dur = Time.to_sec (Time.diff upto t.start_at) in

@@ -103,7 +103,6 @@ module View = struct
 
   let to_bytes t = Bytes.sub t.v_buf t.v_pos t.v_len
   let to_string t = Bytes.sub_string t.v_buf t.v_pos t.v_len
-  let add_to_buffer t buf = Buffer.add_subbytes buf t.v_buf t.v_pos t.v_len
   let blit t ~dst ~dst_pos = Bytes.blit t.v_buf t.v_pos dst dst_pos t.v_len
 
   let equal_bytes t b =

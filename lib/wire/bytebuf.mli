@@ -100,11 +100,9 @@ module View : sig
 
   val to_string : t -> string  (** copies *)
 
-  val add_to_buffer : t -> Stdlib.Buffer.t -> unit
-  (** Append the window to a [Buffer.t] — fragment reassembly's single
-      copy per fragment. *)
-
   val blit : t -> dst:Stdlib.Bytes.t -> dst_pos:int -> unit
+  (** Copy the window to [dst] at [dst_pos] — fragment reassembly's
+      single copy per fragment. *)
 
   val equal_bytes : t -> Stdlib.Bytes.t -> bool
   (** Content equality against owned bytes, without copying the view. *)

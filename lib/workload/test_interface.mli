@@ -40,3 +40,7 @@ val impls : unit -> Rpc.Runtime.impl array
 val pattern : int -> Stdlib.Bytes.t
 (** [pattern n] is the deterministic n-byte test payload: byte [i] is
     [(i * 7) land 0xff]. *)
+
+val max_arg_pattern : Stdlib.Bytes.t
+(** [pattern buffer_bytes], built once: MaxArg's argument.  Shared, so
+    it must never be written. *)

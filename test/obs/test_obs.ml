@@ -161,6 +161,84 @@ let test_journal_ring () =
     (Invalid_argument "Obs.Journal.create: capacity must be >= 1") (fun () ->
       ignore (Journal.create ~capacity:0 ()))
 
+(* Every kind comes back from [entries] as recorded, in order, also
+   after the ring wraps: the columns hold each slot's latest event
+   only, so an overwritten [Mark]'s text must not resurface. *)
+let test_journal_round_trip () =
+  let evs =
+    [
+      Journal.Packet_tx { bytes = 1518 };
+      Journal.Packet_rx { bytes = 0 };
+      Journal.Retransmit { seq = 0x7fff_ffff };
+      Journal.Ack { seq = -3 };
+      Journal.Interrupt;
+      Journal.Ipi;
+      Journal.Thread_wakeup;
+      Journal.Bufpool_exhausted;
+      Journal.Mark "phase 1";
+      Journal.Mark "";
+    ]
+  in
+  let n = List.length evs in
+  let j = Journal.create ~capacity:n () in
+  let record k ev = Journal.record j ~at:(at (1_000 * k)) ~site:(Printf.sprintf "s%d" (k mod 3)) ev in
+  let expect k0 evs =
+    List.mapi
+      (fun i ev ->
+        let k = k0 + i in
+        { Journal.at = at (1_000 * k); site = Printf.sprintf "s%d" (k mod 3); ev })
+      evs
+  in
+  let check msg expected =
+    Alcotest.(check bool) msg true (Journal.entries j = expected)
+  in
+  List.iteri record evs;
+  check "every kind, in order" (expect 0 evs);
+  (* Wrap: the three oldest slots now hold an interrupt, an IPI and a
+     new mark. *)
+  let later = [ Journal.Interrupt; Journal.Ipi; Journal.Mark "phase 2" ] in
+  List.iteri (fun i ev -> record (n + i) ev) later;
+  check "after a partial wrap"
+    (expect 3 (List.filteri (fun i _ -> i >= 3) evs) @ expect n later);
+  (* Twice round: every slot, the marks' included, is overwritten by a
+     wakeup at least once, and some wakeups' slots by a mark. *)
+  let again =
+    List.init (2 * n) (fun i -> if i mod 4 = 0 then Journal.Mark "x" else Journal.Thread_wakeup)
+  in
+  List.iteri (fun i ev -> record (n + 3 + i) ev) again;
+  check "after wrapping twice" (expect (2 * n + 3) (List.filteri (fun i _ -> i >= n) again));
+  Alcotest.(check int) "length" n (Journal.length j);
+  Alcotest.(check int) "total" (n + 3 + (2 * n)) (Journal.total j);
+  Alcotest.(check int) "dropped" (3 + (2 * n)) (Journal.dropped j);
+  Journal.clear j;
+  Journal.record j ~at:(at 5) ~site:"a" Journal.Ipi;
+  check "after clear" [ { Journal.at = at 5; site = "a"; ev = Journal.Ipi } ]
+
+(* Per-event bookkeeping is written in place: with constant arguments
+   (statically allocated) neither an observation nor a journal record
+   allocates a word. *)
+let test_bookkeeping_zero_alloc () =
+  let h = Metrics.Histogram.create () in
+  let j = Journal.create ~capacity:64 () in
+  let measure f =
+    for i = 1 to 10 do
+      f i
+    done;
+    let minor0 = Gc.minor_words () in
+    for i = 1 to 1_000 do
+      f i
+    done;
+    Gc.minor_words () -. minor0
+  in
+  Alcotest.(check (float 0.)) "Histogram.observe" 0.
+    (measure (fun i -> Metrics.Histogram.observe h (if i land 1 = 0 then 3.5 else 812.25)));
+  Alcotest.(check (float 0.)) "Histogram.observe_span" 0.
+    (measure (fun i -> Metrics.Histogram.observe_span h (Time.ns (1_000 * i))));
+  Alcotest.(check (float 0.)) "Journal.record" 0.
+    (measure (fun i -> Journal.record j ~at:(at i) ~site:"server" Journal.Interrupt));
+  Alcotest.(check int) "observations" 2_020 (Metrics.Histogram.count h);
+  Alcotest.(check (float 1e-6)) "max" 1_000. (Metrics.Histogram.max_value h)
+
 (* {1 Driver percentile caching} *)
 
 let test_percentile_repeated_queries () =
@@ -650,7 +728,14 @@ let () =
           Alcotest.test_case "deterministic rendering" `Quick
             test_snapshot_rendering_deterministic;
         ] );
-      ("journal", [ Alcotest.test_case "bounded ring" `Quick test_journal_ring ]);
+      ( "journal",
+        [
+          Alcotest.test_case "bounded ring" `Quick test_journal_ring;
+          Alcotest.test_case "every kind round-trips, also after wrapping" `Quick
+            test_journal_round_trip;
+          Alcotest.test_case "observe and record allocate nothing" `Quick
+            test_bookkeeping_zero_alloc;
+        ] );
       ( "driver",
         [
           Alcotest.test_case "percentile caching" `Quick test_percentile_repeated_queries;

@@ -25,7 +25,10 @@ let test_delay () =
       stamps := Engine.now eng :: !stamps);
   Engine.run eng;
   let ns = List.rev_map Time.since_start_ns !stamps in
-  Alcotest.(check (list int)) "delay advances clock" [ 0; 5_000; 12_000 ] ns
+  Alcotest.(check (list int)) "delay advances clock" [ 0; 5_000; 12_000 ] ns;
+  (* Both delays resume in place (nothing else is queued), and each is
+     still one event. *)
+  Alcotest.(check int) "events: the spawn and 2 delays" 3 (Engine.events_executed eng)
 
 let test_zero_delay_yields () =
   let eng = Engine.create () in
@@ -115,7 +118,35 @@ let test_not_in_process () =
   Alcotest.check_raises "delay outside process" Engine.Not_in_process (fun () ->
       Engine.delay eng (us 1));
   Alcotest.check_raises "suspend outside process" Engine.Not_in_process (fun () ->
-      ignore (Engine.suspend eng (fun (_ : unit Engine.waker) -> ())))
+      ignore (Engine.suspend eng (fun (_ : unit Engine.waker) -> ())));
+  (* A scheduled closure is not a process either, whether it runs
+     before any process, while one waits out a delay or a suspension,
+     or after all have ended, and even when nothing queued would come
+     before its wake-up (so the delay would qualify to resume in
+     place). *)
+  let raised = ref [] in
+  let try_delay tag () =
+    match Engine.delay eng (us 1) with
+    | () -> raised := (tag, false) :: !raised
+    | exception Engine.Not_in_process -> raised := (tag, true) :: !raised
+  in
+  Engine.schedule eng (try_delay "before");
+  Engine.spawn eng ~after:(us 1) (fun () ->
+      Engine.delay eng (us 1);
+      Engine.delay eng (us 10));
+  Engine.schedule eng ~after:(us 5) (try_delay "delayed");
+  let saved = ref None in
+  Engine.spawn eng ~after:(us 15) (fun () ->
+      ignore (Engine.suspend eng (fun w -> saved := Some w)));
+  Engine.schedule eng ~after:(us 16) (try_delay "suspended");
+  Engine.schedule eng ~after:(us 30) (fun () ->
+      Option.iter (fun w -> ignore (Engine.wake w ())) !saved);
+  Engine.schedule eng ~after:(us 40) (try_delay "ended");
+  Engine.run eng;
+  Alcotest.(check (list (pair string bool)))
+    "every closure's delay raised"
+    [ ("before", true); ("delayed", true); ("suspended", true); ("ended", true) ]
+    (List.rev !raised)
 
 let test_negative_delay () =
   let eng = Engine.create () in
@@ -145,6 +176,14 @@ let test_unregistered_handler () =
   Engine.run eng;
   Alcotest.(check int) "only the registered event ran" 1 (Engine.events_executed eng)
 
+(* A process that delays 1 us [limit] times.  Alone on the queue, every
+   delay resumes in place, so only the run loop's bounds can stop it. *)
+let ticker eng ?(limit = max_int) count () =
+  while !count < limit do
+    Engine.delay eng (us 1);
+    incr count
+  done
+
 let test_run_until () =
   let eng = Engine.create () in
   let count = ref 0 in
@@ -155,7 +194,19 @@ let test_run_until () =
   Engine.schedule eng ~after:(us 10) tick;
   Engine.run_until ~max_events:1_000 eng (Time.add Time.zero (us 55));
   Alcotest.(check int) "ticks within window" 5 !count;
-  Alcotest.(check int) "clock at stop" 55_000 (Time.since_start_ns (Engine.now eng))
+  Alcotest.(check int) "clock at stop" 55_000 (Time.since_start_ns (Engine.now eng));
+  (* The same window for a process whose delays resume in place;
+     [max_events] turns a missed stop into a failure, not a hang. *)
+  let eng = Engine.create () in
+  let count = ref 0 in
+  Engine.spawn eng (ticker eng count);
+  let stop = Time.add Time.zero (Time.ns 50_500) in
+  Engine.run_until ~max_events:1_000 eng stop;
+  Alcotest.(check int) "process ticks within the window" 50 !count;
+  Alcotest.(check int) "events: the spawn and 50 ticks" 51 (Engine.events_executed eng);
+  Alcotest.(check int) "process clock at stop" 50_500 (Time.since_start_ns (Engine.now eng));
+  Engine.run_until ~max_events:1_000 eng (Time.add stop (us 10));
+  Alcotest.(check int) "the next window picks up the queued tick" 60 !count
 
 let test_run_until_quiescence () =
   let eng = Engine.create () in
@@ -175,20 +226,28 @@ let test_run_while () =
   in
   Engine.schedule eng ~after:(us 10) tick;
   Engine.run_while eng (fun () -> !count < 7);
-  Alcotest.(check int) "stopped by predicate" 7 !count
+  Alcotest.(check int) "stopped by predicate" 7 !count;
+  let eng = Engine.create () in
+  let count = ref 0 in
+  Engine.spawn eng (ticker eng count);
+  Engine.run_while ~max_events:1_000 eng (fun () -> !count < 7);
+  Alcotest.(check int) "process stopped on the event where p turned false" 7 !count;
+  Alcotest.(check int) "events: the spawn and 7 ticks" 8 (Engine.events_executed eng);
+  Alcotest.(check int) "clock at the last tick" 7_000 (Time.since_start_ns (Engine.now eng))
 
+(* The process would stop by itself after 10,000 ticks, so a guard that
+   let it run on in place would show as a normal return. *)
 let test_max_events_guard () =
   let eng = Engine.create () in
-  let rec loop () =
-    Engine.delay eng (us 1);
-    loop ()
-  in
-  Engine.spawn eng loop;
+  let count = ref 0 in
+  Engine.spawn eng (ticker eng ~limit:10_000 count);
   Alcotest.(check bool) "runaway guarded" true
     (try
        Engine.run ~max_events:100 eng;
        false
-     with Failure _ -> true)
+     with Failure _ -> true);
+  Alcotest.(check int) "stopped at the guard" 99 !count;
+  Alcotest.(check int) "events at the guard" 100 (Engine.events_executed eng)
 
 (* Two engines built the same way must produce identical schedules. *)
 let deterministic_run () =
@@ -229,6 +288,61 @@ let test_spawn_nested () =
   Alcotest.(check (list string))
     "nested spawn interleaves" [ "parent"; "child"; "parent-end" ] (List.rev !order)
 
+(* {1 Delays that resume in place}
+
+   A delay whose wake-up sorts before everything queued resumes the
+   process where it stands: no effect, no queue node.  These pin down
+   that it is still exactly the event the run loop would have popped. *)
+
+(* A lone process on an empty queue: every delay qualifies, and after
+   a warm-up none of them allocates (a queued delay allocates at least
+   its continuation). *)
+let test_in_place_zero_alloc () =
+  let eng = Engine.create () in
+  let minor = ref nan in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to 100 do
+        Engine.delay eng (us 1)
+      done;
+      let minor0 = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        Engine.delay eng (us 1)
+      done;
+      minor := Gc.minor_words () -. minor0);
+  Engine.run eng;
+  Alcotest.(check int) "events" 1_101 (Engine.events_executed eng);
+  Alcotest.(check (float 0.)) "minor words" 0. !minor
+
+(* Three processes whose delays both tie and interleave, under random
+   ties: the (process, step, time in us) order was recorded before
+   delays could resume in place, so it checks that an in-place
+   resumption draws exactly the (tie, seq) a queued one would. *)
+let random_tie_schedule () =
+  let eng = Engine.create ~seed:7 ~tie_break:`Random () in
+  let log = ref [] in
+  let delays = [| [ 1; 1; 0; 2; 3; 1 ]; [ 2; 0; 1; 1; 1; 4 ]; [ 1; 3; 0; 0; 2; 1 ] |] in
+  Array.iteri
+    (fun p ds ->
+      Engine.spawn eng (fun () ->
+          List.iteri
+            (fun step d ->
+              Engine.delay eng (us d);
+              log := (p, step, Time.since_start_ns (Engine.now eng) / 1_000) :: !log)
+            ds))
+    delays;
+  Engine.run eng;
+  List.rev !log
+
+let test_in_place_random_ties () =
+  let show (p, s, t) = Printf.sprintf "p%d.%d@%d" p s t in
+  Alcotest.(check (list string))
+    "schedule"
+    [
+      "p0.0@1"; "p2.0@1"; "p1.0@2"; "p1.1@2"; "p0.1@2"; "p0.2@2"; "p1.2@3"; "p1.3@4"; "p2.1@4";
+      "p0.3@4"; "p2.2@4"; "p2.3@4"; "p1.4@5"; "p2.4@6"; "p0.4@7"; "p2.5@7"; "p0.5@8"; "p1.5@9";
+    ]
+    (List.map show (random_tie_schedule ()))
+
 let suite =
   [
     Alcotest.test_case "schedule ordering" `Quick test_schedule_order;
@@ -248,4 +362,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "process exception escapes" `Quick test_exception_escapes;
     Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
+    Alcotest.test_case "in-place delay allocates nothing" `Quick test_in_place_zero_alloc;
+    Alcotest.test_case "random-tie schedule known answer" `Quick test_in_place_random_ties;
   ]

@@ -48,6 +48,87 @@ let test_level_out_of_order () =
   Alcotest.(check (float 1e-9)) "average over full window" (4. /. 3.)
     (Stats.Level.average l ~upto:(at 3_000_000_000))
 
+(* [set] writes both floats in place: with constant levels (statically
+   allocated, so the call boxes nothing) no set allocates a word. *)
+let test_level_set_zero_alloc () =
+  let l = Stats.Level.create ~initial:0. ~at:Time.zero in
+  let set i = Stats.Level.set l (if i land 1 = 0 then 1. else 0.) ~at:(Time.of_ns_since_start i) in
+  for i = 1 to 10 do
+    set i
+  done;
+  let minor0 = Gc.minor_words () in
+  for i = 11 to 1_010 do
+    set i
+  done;
+  let minor = Gc.minor_words () -. minor0 in
+  Alcotest.(check (float 0.)) "minor words" 0. minor;
+  (* Level 1 for 1 ns after each even instant from 2 to 1,008. *)
+  Alcotest.(check (float 1e-15)) "integral" 504e-9
+    (Stats.Level.integral l ~upto:(Time.of_ns_since_start 1_010))
+
+(* The level arithmetic as it stood with [level] and [area] as float
+   fields of the mixed record: the flat record must give the same IEEE
+   results, bit for bit. *)
+module Level_reference = struct
+  type t = {
+    start_at : Time.t;
+    mutable level : float;
+    mutable changed_at : Time.t;
+    mutable area : float;
+  }
+
+  let create ~initial ~at = { start_at = at; level = initial; changed_at = at; area = 0. }
+
+  let accumulate t ~upto =
+    if Time.compare upto t.changed_at > 0 then begin
+      t.area <- t.area +. (t.level *. Time.to_sec (Time.diff upto t.changed_at));
+      t.changed_at <- upto
+    end
+
+  let set t v ~at =
+    accumulate t ~upto:at;
+    t.level <- v
+
+  let integral t ~upto =
+    if Time.compare upto t.changed_at <= 0 then t.area
+    else t.area +. (t.level *. Time.to_sec (Time.diff upto t.changed_at))
+
+  let average t ~upto =
+    let dur = Time.to_sec (Time.diff upto t.start_at) in
+    if dur <= 0. then 0. else integral t ~upto /. dur
+end
+
+(* Steps move the clock back as well as forward (out-of-order sets),
+   and levels include fractions, so rounding is exercised. *)
+let prop_level_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      pair (float_bound_inclusive 8.)
+        (list_size (int_range 0 60)
+           (triple (int_range (-2_000) 1_000_000) (float_bound_inclusive 8.) (int_bound 3_000_000))))
+  in
+  QCheck.Test.make ~name:"level integral and average match the mixed-record arithmetic" ~count:500
+    (QCheck.make gen) (fun (initial, steps) ->
+      let start = Time.of_ns_since_start 1_000 in
+      let l = Stats.Level.create ~initial ~at:start in
+      let r = Level_reference.create ~initial ~at:start in
+      let clock = ref 1_000 in
+      List.for_all
+        (fun (step, v, ahead) ->
+          clock := max 0 (!clock + step);
+          let at = Time.of_ns_since_start !clock in
+          Stats.Level.set l v ~at;
+          Level_reference.set r v ~at;
+          let upto = Time.of_ns_since_start (!clock + ahead - 1_000) in
+          Int64.equal
+            (Int64.bits_of_float (Stats.Level.integral l ~upto))
+            (Int64.bits_of_float (Level_reference.integral r ~upto))
+          && Int64.equal
+               (Int64.bits_of_float (Stats.Level.average l ~upto))
+               (Int64.bits_of_float (Level_reference.average r ~upto))
+          && Stats.Level.current l = v)
+        steps)
+
 (* Summed duration (ns) of the recorded spans satisfying [p]. *)
 let total_ns tr p =
   List.fold_left
@@ -143,6 +224,8 @@ let suite =
     Alcotest.test_case "percentile nearest rank" `Quick test_percentile;
     Alcotest.test_case "level integral" `Quick test_level;
     Alcotest.test_case "level out-of-order timestamps" `Quick test_level_out_of_order;
+    Alcotest.test_case "level set allocates nothing" `Quick test_level_set_zero_alloc;
+    QCheck_alcotest.to_alcotest prop_level_matches_reference;
     Alcotest.test_case "trace empty and disabled" `Quick test_trace_empty;
     Alcotest.test_case "trace spans and filters" `Quick test_trace;
     Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;

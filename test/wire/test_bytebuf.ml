@@ -192,11 +192,12 @@ let test_view_sub () =
      with Invalid_argument _ -> true)
 
 let test_view_reassembly () =
-  (* add_to_buffer is the single copy fragment reassembly performs. *)
-  let buf = Buffer.create 16 in
-  V.add_to_buffer (V.of_bytes ~pos:0 ~len:3 (Bytes.of_string "abcXX")) buf;
-  V.add_to_buffer (V.of_bytes ~pos:2 ~len:3 (Bytes.of_string "XXdef")) buf;
-  Alcotest.(check string) "reassembled" "abcdef" (Buffer.contents buf);
+  (* blit is the single copy fragment reassembly performs: each fragment
+     goes to its offset in one exact-size buffer. *)
+  let buf = Bytes.create 6 in
+  V.blit (V.of_bytes ~pos:0 ~len:3 (Bytes.of_string "abcXX")) ~dst:buf ~dst_pos:0;
+  V.blit (V.of_bytes ~pos:2 ~len:3 (Bytes.of_string "XXdef")) ~dst:buf ~dst_pos:3;
+  Alcotest.(check string) "reassembled" "abcdef" (Bytes.to_string buf);
   let dst = Bytes.make 6 '.' in
   V.blit (V.of_bytes ~pos:1 ~len:4 (Bytes.of_string "_wxyz_")) ~dst ~dst_pos:1;
   Alcotest.(check string) "blit" ".wxyz." (Bytes.to_string dst)
