@@ -9,107 +9,100 @@
    `firefly call` exposes the configuration knobs (§4.2's improvements,
    processor counts, loss injection...) so any what-if can be run from
    the shell; `firefly check` runs the deterministic simulation-testing
-   harness of library `check`. *)
+   harness of library `check`.
+
+   A run's configuration is a library record: the flags take their
+   defaults from it and its [validate] is the only range check.  Other
+   values are checked as they are parsed, so a bad value is a usage
+   error (exit 124) before anything runs. *)
 
 open Cmdliner
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* {1 Ranges of values that belong to no record} *)
+
+let restrict conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg ("invalid value '" ^ s ^ "', expected " ^ expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least n = restrict Arg.int ~expected:(Printf.sprintf "an integer >= %d" n) (( <= ) n)
+
+let int_within lo hi =
+  restrict Arg.int
+    ~expected:(Printf.sprintf "an integer from %d to %d" lo hi)
+    (fun v -> lo <= v && v <= hi)
+
+let probability = restrict Arg.float ~expected:"a number in [0, 1)" (fun p -> 0. <= p && p < 1.)
+
+let percent = restrict Arg.float ~expected:"a number from 0 to 100" (fun p -> 0. <= p && p <= 100.)
+
 (* {1 Shared configuration flags} *)
 
-type cfg_flags = {
-  cpus : int;
-  caller_cpus : int option;
-  server_cpus : int option;
-  mbps : float;
-  cpu_speedup : float;
-  no_checksums : bool;
-  cut_through : bool;
-  busy_wait : bool;
-  hand_stubs : bool;
-  hand_runtime : bool;
-  raw_ethernet : bool;
-  redesigned_header : bool;
-  streaming : bool;
-  no_uniproc_fix : bool;
-  interrupt_code : string;
-  seed : int;
-}
-
-let cfg_term =
-  let open Term in
+(* The caller's and the server's Hw.Config.t.  One deliberate departure
+   from Hw.Config.default: the section-5 swapped-lines fix is installed
+   unless --no-uniproc-fix is given, so `call` and `breakdown` charge its
+   100 us "Multiprocessor fix" stage, which `repro`'s tables do not. *)
+let configs_term =
+  let d = Hw.Config.default in
   let docs = "CONFIGURATION" in
   let flag name doc = Arg.(value & flag & info [ name ] ~docs ~doc) in
-  let make cpus caller_cpus server_cpus mbps cpu_speedup no_checksums cut_through busy_wait
-      hand_stubs hand_runtime raw_ethernet redesigned_header streaming no_uniproc_fix
-      interrupt_code seed =
-    {
-      cpus;
-      caller_cpus;
-      server_cpus;
-      mbps;
-      cpu_speedup;
-      no_checksums;
-      cut_through;
-      busy_wait;
-      hand_stubs;
-      hand_runtime;
-      raw_ethernet;
-      redesigned_header;
-      streaming;
-      no_uniproc_fix;
-      interrupt_code;
-      seed;
-    }
+  let opt parse default name doc = Arg.(value & opt parse default & info [ name ] ~docs ~doc) in
+  let make cpus caller_cpus server_cpus ethernet_mbps cpu_speedup no_checksums cut_through
+      busy_wait hand_stubs hand_runtime raw_ethernet redesigned_header streaming_results
+      no_uniproc_fix interrupt_code =
+    let config side cpus_flag =
+      Hw.Config.validate
+        {
+          d with
+          Hw.Config.cpus = Option.value cpus_flag ~default:cpus;
+          cpu_speedup;
+          ethernet_mbps;
+          udp_checksums = not no_checksums;
+          cut_through;
+          busy_wait;
+          hand_stubs;
+          hand_runtime;
+          raw_ethernet;
+          redesigned_header;
+          streaming_results;
+          uniproc_fix = not no_uniproc_fix;
+          interrupt_code;
+        }
+      |> Result.map_error (fun e -> side ^ " configuration: " ^ e)
+    in
+    Result.bind (config "caller" caller_cpus) (fun caller ->
+        Result.map (fun server -> (caller, server)) (config "server" server_cpus))
   in
-  const make
-  $ Arg.(value & opt int 5 & info [ "cpus" ] ~docs ~doc:"Processors per machine (both).")
-  $ Arg.(value & opt (some int) None & info [ "caller-cpus" ] ~docs ~doc:"Caller processors.")
-  $ Arg.(value & opt (some int) None & info [ "server-cpus" ] ~docs ~doc:"Server processors.")
-  $ Arg.(value & opt float 10. & info [ "mbps" ] ~docs ~doc:"Ethernet bit rate (Mbit/s).")
-  $ Arg.(value & opt float 1. & info [ "cpu-speedup" ] ~docs ~doc:"CPU speed vs MicroVAX II.")
-  $ flag "no-checksums" "Omit software UDP checksums (paper 4.2.4)."
-  $ flag "cut-through" "Controller overlaps QBus and Ethernet transfers (4.2.1)."
-  $ flag "busy-wait" "Threads spin for packets instead of blocking (4.2.7)."
-  $ flag "hand-stubs" "RPC Exerciser hand-produced stubs (section 5)."
-  $ flag "hand-runtime" "RPC runtime recoded in machine code (4.2.8)."
-  $ flag "raw-ethernet" "RPC directly on Ethernet datagrams, no IP/UDP (4.2.6)."
-  $ flag "redesigned-header" "Easier-to-parse RPC header (4.2.5)."
-  $ flag "streaming" "Blast multi-packet results without per-fragment acks."
-  $ flag "no-uniproc-fix" "Leave the section-5 uniprocessor scheduling bug in place."
-  $ Arg.(
-      value
-      & opt (enum [ ("assembly", "assembly"); ("modula2", "modula2"); ("original", "original") ])
-          "assembly"
-      & info [ "interrupt-code" ] ~docs ~doc:"Interrupt routine version (Table IX).")
-  $ Arg.(value & opt int 42 & info [ "seed" ] ~docs ~doc:"Simulation seed.")
+  Term.(
+    term_result' ~usage:true
+      (const make
+      $ opt Arg.int d.cpus "cpus" "Processors per machine (both)."
+      $ opt Arg.(some int) None "caller-cpus" "Caller processors."
+      $ opt Arg.(some int) None "server-cpus" "Server processors."
+      $ opt Arg.float d.ethernet_mbps "mbps" "Ethernet bit rate (Mbit/s)."
+      $ opt Arg.float d.cpu_speedup "cpu-speedup" "CPU speed vs MicroVAX II."
+      $ flag "no-checksums" "Omit software UDP checksums (paper 4.2.4)."
+      $ flag "cut-through" "Controller overlaps QBus and Ethernet transfers (4.2.1)."
+      $ flag "busy-wait" "Threads spin for packets instead of blocking (4.2.7)."
+      $ flag "hand-stubs" "RPC Exerciser hand-produced stubs (section 5)."
+      $ flag "hand-runtime" "RPC runtime recoded in machine code (4.2.8)."
+      $ flag "raw-ethernet" "RPC directly on Ethernet datagrams, no IP/UDP (4.2.6)."
+      $ flag "redesigned-header" "Easier-to-parse RPC header (4.2.5)."
+      $ flag "streaming" "Blast multi-packet results without per-fragment acks."
+      $ flag "no-uniproc-fix" "Leave the section-5 uniprocessor scheduling bug in place."
+      $ opt
+          (Arg.enum
+             Hw.Config.
+               [ ("assembly", Assembly); ("modula2", Final_modula2); ("original", Original_modula2) ])
+          d.interrupt_code "interrupt-code" "Interrupt routine version (Table IX)."))
 
-let build_config flags ~cpus =
-  {
-    Hw.Config.default with
-    Hw.Config.cpus;
-    cpu_speedup = flags.cpu_speedup;
-    ethernet_mbps = flags.mbps;
-    udp_checksums = not flags.no_checksums;
-    cut_through = flags.cut_through;
-    busy_wait = flags.busy_wait;
-    hand_stubs = flags.hand_stubs;
-    hand_runtime = flags.hand_runtime;
-    raw_ethernet = flags.raw_ethernet;
-    redesigned_header = flags.redesigned_header;
-    streaming_results = flags.streaming;
-    uniproc_fix = not flags.no_uniproc_fix;
-    interrupt_code =
-      (match flags.interrupt_code with
-      | "modula2" -> Hw.Config.Final_modula2
-      | "original" -> Hw.Config.Original_modula2
-      | _ -> Hw.Config.Assembly);
-  }
-
-let configs flags =
-  let caller = build_config flags ~cpus:(Option.value flags.caller_cpus ~default:flags.cpus) in
-  let server = build_config flags ~cpus:(Option.value flags.server_cpus ~default:flags.cpus) in
-  (caller, server)
+let seed_term =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docs:"CONFIGURATION" ~doc:"Simulation seed.")
 
 (* {1 firefly list} *)
 
@@ -126,7 +119,7 @@ let list_cmd =
 let jobs_term =
   Arg.(
     value
-    & opt int (Par.Pool.default_jobs ())
+    & opt (int_at_least 1) (Par.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for independent simulations (default: the machine's recommended \
@@ -134,7 +127,8 @@ let jobs_term =
            everything on the calling domain.")
 
 let repro_cmd =
-  let regenerate ~quick ~metrics ~jobs ~transport entries =
+  let run quick metrics jobs transport entries =
+    let entries = match entries with [] -> Experiments.Registry.all | es -> es in
     (* Each entry regenerates on a worker domain (every simulation owns
        its engine); rendering to strings and printing afterwards in
        registry order keeps the output independent of [jobs]. *)
@@ -151,17 +145,6 @@ let repro_cmd =
         say "### %s — %s" e.Experiments.Registry.id e.Experiments.Registry.title;
         print_string body)
       entries rendered
-  in
-  let run quick metrics jobs transport ids =
-    match List.find_opt (fun id -> Option.is_none (Experiments.Registry.find id)) ids with
-    | Some id -> Error (`Msg (Printf.sprintf "unknown experiment %S (try `firefly list`)" id))
-    | None ->
-      let entries =
-        if ids = [] then Experiments.Registry.all
-        else List.filter_map Experiments.Registry.find ids
-      in
-      regenerate ~quick ~metrics ~jobs ~transport entries;
-      Ok ()
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced call counts.") in
   let metrics =
@@ -182,24 +165,25 @@ let repro_cmd =
              $(b,sim) (default) measures over the simulated Ethernet, $(b,local) over \
              same-machine shared memory — the paper's RPC-on-one-machine row.")
   in
-  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
+  let experiment =
+    let parse id =
+      Option.to_result (Experiments.Registry.find id)
+        ~none:(`Msg (Printf.sprintf "unknown experiment %S (try `firefly list`)" id))
+    in
+    Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf e.Experiments.Registry.id)
+  in
+  let entries = Arg.(value & pos_all experiment [] & info [] ~docv:"ID") in
   Cmd.v
     (Cmd.info "repro" ~doc:"Regenerate the paper's tables (all, or the given IDs).")
-    Term.(term_result ~usage:true (const run $ quick $ metrics $ jobs_term $ transport $ ids))
+    Term.(const run $ quick $ metrics $ jobs_term $ transport $ entries)
 
 (* {1 firefly call} *)
 
 let proc_conv =
-  Arg.enum
-    [
-      ("null", Workload.Driver.Null);
-      ("maxresult", Workload.Driver.Max_result);
-      ("maxarg", Workload.Driver.Max_arg);
-    ]
+  Arg.enum Workload.Driver.[ ("null", Null); ("maxresult", Max_result); ("maxarg", Max_arg) ]
 
 let call_cmd =
-  let run flags proc threads calls bulk loss transport metrics =
-    let caller_config, server_config = configs flags in
+  let run (caller_config, server_config) seed proc threads calls bulk loss transport metrics =
     let proc =
       match bulk with
       | Some n -> Workload.Driver.Get_data n
@@ -217,10 +201,7 @@ let call_cmd =
            real-socket run"
       else begin
         let sim_us proc =
-          let w =
-            Workload.World.create ~caller_config ~server_config ~seed:flags.seed
-              ~idle_load:false ()
-          in
+          let w = Workload.World.create ~caller_config ~server_config ~seed ~idle_load:false () in
           Sim.Time.to_us (Workload.Driver.measure_single_call w ~proc ())
         in
         let sim_null_us = sim_us Workload.Driver.Null in
@@ -230,9 +211,7 @@ let call_cmd =
         | Ok t -> print_string (Report.Table.render t)
       end
     | (`Auto | `Local | `Decnet) as transport ->
-    let w =
-      Workload.World.create ~caller_config ~server_config ~seed:flags.seed ()
-    in
+    let w = Workload.World.create ~caller_config ~server_config ~seed () in
     if loss > 0. then begin
       let rng = Sim.Engine.rng w.Workload.World.eng in
       Hw.Ether_link.set_fault_injector w.Workload.World.link
@@ -260,11 +239,8 @@ let call_cmd =
     say "CPUs busy:        caller %.2f, server %.2f" o.Workload.Driver.caller_busy_cpus
       o.Workload.Driver.server_busy_cpus;
     say "retransmissions:  %d" o.Workload.Driver.retransmissions;
-    if Array.length o.Workload.Driver.latencies > 0 then begin
-      let p q = Sim.Time.span_to_string (Workload.Driver.percentile o q) in
-      say "latency:          p50 %s   p90 %s   p99 %s   max %s" (p 0.50) (p 0.90) (p 0.99)
-        (p 1.0)
-    end;
+    let p q = Sim.Time.span_to_string (Workload.Driver.percentile o q) in
+    say "latency:          p50 %s   p90 %s   p99 %s   max %s" (p 0.50) (p 0.90) (p 0.99) (p 1.0);
     if metrics then begin
       say "";
       let snap =
@@ -279,16 +255,22 @@ let call_cmd =
   let proc =
     Arg.(value & opt proc_conv Workload.Driver.Null & info [ "proc" ] ~doc:"Procedure to call.")
   in
-  let threads = Arg.(value & opt int 1 & info [ "threads" ] ~doc:"Caller threads.") in
-  let calls = Arg.(value & opt int 1000 & info [ "calls" ] ~doc:"Total calls.") in
+  let threads = Arg.(value & opt (int_at_least 1) 1 & info [ "threads" ] ~doc:"Caller threads.") in
+  let calls = Arg.(value & opt (int_at_least 1) 1000 & info [ "calls" ] ~doc:"Total calls.") in
   let bulk =
+    let max = Workload.Test_interface.get_data_max in
     Arg.(
       value
-      & opt (some int) None
-      & info [ "bulk" ] ~docv:"BYTES" ~doc:"Call GetData(BYTES) instead (multi-packet results).")
+      & opt (some (int_within 0 max)) None
+      & info [ "bulk" ] ~docv:"BYTES"
+          ~doc:
+            (Printf.sprintf "Call GetData(BYTES) instead (multi-packet results), at most %d." max))
   in
   let loss =
-    Arg.(value & opt float 0. & info [ "loss" ] ~doc:"Packet loss probability on the wire.")
+    Arg.(
+      value
+      & opt probability 0.
+      & info [ "loss" ] ~doc:"Packet loss probability on the wire, in [0, 1).")
   in
   let transport =
     Arg.(
@@ -313,7 +295,9 @@ let call_cmd =
   in
   Cmd.v
     (Cmd.info "call" ~doc:"Run an ad-hoc RPC workload under a chosen configuration.")
-    Term.(const run $ cfg_term $ proc $ threads $ calls $ bulk $ loss $ transport $ metrics)
+    Term.(
+      const run $ configs_term $ seed_term $ proc $ threads $ calls $ bulk $ loss $ transport
+      $ metrics)
 
 (* {1 firefly breakdown} *)
 
@@ -356,61 +340,52 @@ let print_timeline ~journal ~windows spans =
     spans
 
 let breakdown_cmd =
-  let run flags proc calls threads pctl check out format =
-    if calls < 1 then Error (`Msg "--calls must be >= 1")
-    else if threads < 1 then Error (`Msg "--threads must be >= 1")
-    else begin
-      let caller_config, server_config = configs flags in
-      let w =
-        Workload.World.create ~caller_config ~server_config ~seed:flags.seed ~idle_load:false ()
+  let run (caller_config, server_config) seed proc calls threads pctl check out format =
+    let w = Workload.World.create ~caller_config ~server_config ~seed ~idle_load:false () in
+    let windows = Workload.Driver.run_traced w ~threads ~calls ~proc () in
+    let tr = Sim.Engine.trace w.Workload.World.eng in
+    let spans = Sim.Trace.spans tr in
+    let journal = w.Workload.World.obs.Obs.Ctx.journal in
+    let percentile = Option.map (fun p -> p /. 100.) pctl in
+    let r = Obs.Attrib.attribute ~spans ~windows () in
+    warn_trace_loss tr;
+    (match (out, format) with
+    | Some path, _ ->
+      Obs.Trace_export.write_file ~path (Obs.Trace_export.chrome_trace ~journal ~spans ());
+      say "wrote %d spans (%d calls) to %s — open at https://ui.perfetto.dev" (List.length spans)
+        calls path
+    | None, `Table -> print_string (Report.Table.render (Obs.Attrib.table ?percentile r))
+    | None, `Csv -> print_string (Obs.Attrib.to_csv ?percentile r)
+    | None, `Timeline -> print_timeline ~journal ~windows spans);
+    if check then begin
+      (* The gate: conservation on every call, plus (for the two
+         calibrated scenarios) drift against the Table VI constants. *)
+      let scenario =
+        match proc with
+        | Workload.Driver.Null -> Some Obs.Attrib.Null_call
+        | Workload.Driver.Max_arg -> Some Obs.Attrib.Max_arg_call
+        | _ -> None
       in
-      let windows = Workload.Driver.run_traced w ~threads ~calls ~proc () in
-      let tr = Sim.Engine.trace w.Workload.World.eng in
-      let spans = Sim.Trace.spans tr in
-      let journal = w.Workload.World.obs.Obs.Ctx.journal in
-      let percentile = Option.map (fun p -> p /. 100.) pctl in
-      let r = Obs.Attrib.attribute ~spans ~windows () in
-      warn_trace_loss tr;
-      (match (out, format) with
-      | Some path, _ ->
-        Obs.Trace_export.write_file ~path (Obs.Trace_export.chrome_trace ~journal ~spans ());
-        say "wrote %d spans (%d calls) to %s — open at https://ui.perfetto.dev" (List.length spans)
-          calls path
-      | None, `Table -> print_string (Report.Table.render (Obs.Attrib.table ?percentile r))
-      | None, `Csv -> print_string (Obs.Attrib.to_csv ?percentile r)
-      | None, `Timeline -> print_timeline ~journal ~windows spans);
-      if not check then Ok ()
-      else begin
-        (* The gate: conservation on every call, plus (for the two
-           calibrated scenarios) drift against the Table VI constants. *)
-        let scenario =
-          match proc with
-          | Workload.Driver.Null -> Some Obs.Attrib.Null_call
-          | Workload.Driver.Max_arg -> Some Obs.Attrib.Max_arg_call
-          | _ -> None
-        in
-        let result =
-          match scenario with
-          | Some scenario -> Obs.Attrib.check r ~scenario
-          | None ->
-            if Obs.Attrib.conservation_ok r then Ok ()
-            else
-              Error
-                [
-                  Printf.sprintf "conservation: worst call attributed only %.2f%% of its latency"
-                    (100. *. r.Obs.Attrib.r_min_coverage);
-                ]
-        in
-        match result with
-        | Ok () ->
-          say "check: OK — %.2f%% of end-to-end latency attributed (worst call %.2f%%)"
-            (100. *. r.Obs.Attrib.r_coverage)
-            (100. *. r.Obs.Attrib.r_min_coverage);
-          Ok ()
-        | Error msgs ->
-          List.iter (fun m -> say "check: FAIL — %s" m) msgs;
-          Stdlib.exit 1
-      end
+      let result =
+        match scenario with
+        | Some scenario -> Obs.Attrib.check r ~scenario
+        | None ->
+          if Obs.Attrib.conservation_ok r then Ok ()
+          else
+            Error
+              [
+                Printf.sprintf "conservation: worst call attributed only %.2f%% of its latency"
+                  (100. *. r.Obs.Attrib.r_min_coverage);
+              ]
+      in
+      match result with
+      | Ok () ->
+        say "check: OK — %.2f%% of end-to-end latency attributed (worst call %.2f%%)"
+          (100. *. r.Obs.Attrib.r_coverage)
+          (100. *. r.Obs.Attrib.r_min_coverage)
+      | Error msgs ->
+        List.iter (fun m -> say "check: FAIL — %s" m) msgs;
+        Stdlib.exit 1
     end
   in
   let proc =
@@ -418,21 +393,24 @@ let breakdown_cmd =
       value & opt proc_conv Workload.Driver.Null & info [ "proc" ] ~doc:"Procedure to attribute.")
   in
   let calls =
-    Arg.(value & opt int 20 & info [ "calls" ] ~docv:"N" ~doc:"Timed calls to aggregate over.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 20
+      & info [ "calls" ] ~docv:"N" ~doc:"Timed calls to aggregate over.")
   in
   let threads =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "threads" ] ~docv:"N"
           ~doc:"Caller threads sharing the timed calls; above 1, queueing stages appear.")
   in
   let pctl =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some percent) None
       & info [ "percentile" ] ~docv:"P"
-          ~doc:"Add a per-stage percentile column, e.g. $(b,--percentile 95).")
+          ~doc:"Add a per-stage percentile column, P from 0 to 100, e.g. $(b,--percentile 95).")
   in
   let check =
     Arg.(
@@ -472,37 +450,12 @@ let breakdown_cmd =
           $(b,--format) picks the view, $(b,--out) exports the span timeline and $(b,--check) \
           enforces conservation and calibration drift bounds.")
     Term.(
-      term_result ~usage:true
-        (const run $ cfg_term $ proc $ calls $ threads $ pctl $ check $ out $ format))
+      const run $ configs_term $ seed_term $ proc $ calls $ threads $ pctl $ check $ out $ format)
 
 (* {1 firefly check} *)
 
 let check_cmd =
-  let run seeds base_seed threads calls payload bug fifo max_steps matrix uniproc streaming
-      secured out_dir verbose jobs =
-    if seeds < 1 then Error (`Msg "--seeds must be >= 1")
-    else if threads < 1 then Error (`Msg "--threads must be >= 1")
-    else if calls < 1 then Error (`Msg "--calls must be >= 1")
-    else if payload < 0 then Error (`Msg "--payload must be >= 0")
-    else if max_steps < 1 then Error (`Msg "--max-steps must be >= 1")
-    else if jobs < 1 then Error (`Msg "--jobs must be >= 1")
-    else begin
-    let config =
-      {
-        Check.Explorer.threads;
-        calls_per_thread = calls;
-        payload;
-        bug =
-          (match bug with
-          | "no-retransmit" -> Check.Explorer.No_retransmit
-          | _ -> Check.Explorer.No_bug);
-        tie_break = (if fifo then `Fifo else `Random);
-        max_steps;
-        uniproc;
-        streaming;
-        secured;
-      }
-    in
+  let run config seeds base_seed matrix out_dir verbose jobs =
     let summary =
       if matrix then begin
         let progress cell seed =
@@ -541,30 +494,37 @@ let check_cmd =
           say "artifacts: %s-plan.txt, %s-trace.json" base base)
         failures
     | Some _ | None -> ());
-    if failures <> [] then Stdlib.exit 1;
-    Ok ()
-    end
+    if failures <> [] then Stdlib.exit 1
   in
-  let seeds =
-    Arg.(
-      value
-      & opt int 20
-      & info [ "seeds" ]
-          ~doc:"Number of seeds to explore (with $(b,--matrix): seeds per matrix cell).")
+  (* The explored workload: a Check.Explorer.config whose fields' defaults
+     are [default_config]'s, checked by [Explorer.validate]. *)
+  let d = Check.Explorer.default_config in
+  let config threads calls_per_thread payload bug fifo max_steps uniproc streaming secured =
+    Check.Explorer.validate
+      {
+        Check.Explorer.threads;
+        calls_per_thread;
+        payload;
+        bug;
+        tie_break = (if fifo then `Fifo else d.tie_break);
+        max_steps;
+        uniproc;
+        streaming;
+        secured;
+      }
   in
-  let base_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First seed.") in
-  let threads = Arg.(value & opt int 3 & info [ "threads" ] ~doc:"Caller threads per run.") in
-  let calls = Arg.(value & opt int 4 & info [ "calls" ] ~doc:"Calls per thread.") in
+  let threads = Arg.(value & opt int d.threads & info [ "threads" ] ~doc:"Caller threads per run.") in
+  let calls = Arg.(value & opt int d.calls_per_thread & info [ "calls" ] ~doc:"Calls per thread.") in
   let payload =
     Arg.(
       value
-      & opt int 4000
+      & opt int d.payload
       & info [ "payload" ] ~docv:"BYTES" ~doc:"GetData result size for the bulk calls.")
   in
   let bug =
     Arg.(
       value
-      & opt (enum [ ("none", "none"); ("no-retransmit", "no-retransmit") ]) "none"
+      & opt (enum Check.Explorer.[ ("none", No_bug); ("no-retransmit", No_retransmit) ]) d.bug
       & info [ "bug" ]
           ~doc:
             "Intentionally cripple the protocol to demonstrate detection: $(b,no-retransmit) \
@@ -578,18 +538,7 @@ let check_cmd =
           ~doc:"Use FIFO ordering for same-instant events instead of seeded random tie-breaking.")
   in
   let max_steps =
-    Arg.(value & opt int 6 & info [ "max-steps" ] ~doc:"Maximum fault-plan length.")
-  in
-  let matrix =
-    Arg.(
-      value
-      & flag
-      & info [ "matrix" ]
-          ~doc:
-            "Sweep the full configuration matrix — uniprocessor/multiprocessor, \
-             stop-and-wait/streaming results, clear/secured calls, three payload regimes — \
-             running $(b,--seeds) fault plans in each of the 24 cells.  Overrides \
-             $(b,--uniproc), $(b,--streaming), $(b,--secured) and $(b,--payload).")
+    Arg.(value & opt int d.max_steps & info [ "max-steps" ] ~doc:"Maximum fault-plan length.")
   in
   let uniproc =
     Arg.(value & flag & info [ "uniproc" ] ~doc:"Run single-CPU machines (with the section-5 scheduling fix).")
@@ -602,6 +551,25 @@ let check_cmd =
   in
   let secured =
     Arg.(value & flag & info [ "secured" ] ~doc:"Seal every call under a shared key.")
+  in
+  let seeds =
+    Arg.(
+      value
+      & opt (int_at_least 1) 20
+      & info [ "seeds" ]
+          ~doc:"Number of seeds to explore (with $(b,--matrix): seeds per matrix cell).")
+  in
+  let base_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First seed.") in
+  let matrix =
+    Arg.(
+      value
+      & flag
+      & info [ "matrix" ]
+          ~doc:
+            "Sweep the full configuration matrix — uniprocessor/multiprocessor, \
+             stop-and-wait/streaming results, clear/secured calls, three payload regimes — \
+             running $(b,--seeds) fault plans in each of the 24 cells.  Overrides \
+             $(b,--uniproc), $(b,--streaming), $(b,--secured) and $(b,--payload).")
   in
   let out_dir =
     Arg.(
@@ -621,101 +589,94 @@ let check_cmd =
           conservation, monotonic virtual time, completion under recoverable faults).  On a \
           violation, prints the seed and a shrunk minimal fault plan that replays it.")
     Term.(
-      term_result ~usage:true
-        (const run $ seeds $ base_seed $ threads $ calls $ payload $ bug $ fifo $ max_steps
-        $ matrix $ uniproc $ streaming $ secured $ out_dir $ verbose $ jobs_term))
+      const run
+      $ term_result' ~usage:true
+          (const config $ threads $ calls $ payload $ bug $ fifo $ max_steps $ uniproc
+          $ streaming $ secured)
+      $ seeds $ base_seed $ matrix $ out_dir $ verbose $ jobs_term)
 
 (* {1 firefly fleet} *)
 
 let fleet_cmd =
-  let run nodes clients calls arrival rate alpha think scenario seed seeds jobs payload
-      straggler_speedup switch_latency egress_capacity check trace out =
-    if nodes < 2 then Error (`Msg "--nodes must be >= 2")
-    else if clients < 1 then Error (`Msg "--clients must be >= 1")
-    else if calls < 1 then Error (`Msg "--calls must be >= 1")
-    else if seeds < 1 then Error (`Msg "--seeds must be >= 1")
-    else if jobs < 1 then Error (`Msg "--jobs must be >= 1")
-    else if rate <= 0. then Error (`Msg "--rate must be > 0")
-    else begin
-      let arrival =
-        match arrival with
-        | `Poisson -> Fleet.Gen.Poisson { rate_per_sec = rate }
-        | `Pareto -> Fleet.Gen.Pareto { alpha; rate_per_sec = rate }
-        | `Closed -> Fleet.Gen.Closed { think_us = think }
+  let run spec seeds jobs check trace out =
+    let seed = spec.Fleet.Scenario.s_seed in
+    let run_one seed =
+      let report, artifacts =
+        Fleet.Scenario.run ~trace:(trace || out <> None) { spec with Fleet.Scenario.s_seed = seed }
       in
-      let kind =
-        match Fleet.Scenario.kind_of_string scenario with
-        | Some k -> k
-        | None -> assert false
+      (report, artifacts, Fleet.Scenario.render report)
+    in
+    let results =
+      (* Each seed's cluster owns its engine, so seeds fan out over
+         worker domains; rendering to strings and printing in seed
+         order keeps the output independent of [jobs]. *)
+      Par.Pool.map_list ~jobs run_one (List.init seeds (fun i -> seed + i))
+    in
+    List.iteri
+      (fun i (_, _, body) ->
+        if i > 0 then say "";
+        if seeds > 1 then say "### seed %d" (seed + i);
+        print_string body)
+      results;
+    (match out with
+    | Some path ->
+      let _, artifacts, _ = List.hd results in
+      let json =
+        Obs.Trace_export.chrome_trace
+          ~journal:artifacts.Fleet.Scenario.a_obs.Obs.Ctx.journal
+          ~spans:artifacts.Fleet.Scenario.a_spans ()
       in
-      let spec =
-        {
-          Fleet.Scenario.s_nodes = nodes;
-          s_clients = clients;
-          s_calls = calls;
-          s_arrival = arrival;
-          s_kind = kind;
-          s_seed = seed;
-          s_payload = payload;
-          s_straggler_speedup = straggler_speedup;
-          s_switch_latency_us = switch_latency;
-          s_egress_capacity = egress_capacity;
-        }
+      Obs.Trace_export.write_file ~path json;
+      say "wrote %d spans to %s — open at https://ui.perfetto.dev"
+        (List.length artifacts.Fleet.Scenario.a_spans)
+        path
+    | None -> ());
+    if check then begin
+      let failures =
+        List.concat_map
+          (fun (report, _, _) ->
+            match Fleet.Scenario.check report with Ok () -> [] | Error es -> es)
+          results
       in
-      let run_one seed =
-        let spec = { spec with Fleet.Scenario.s_seed = seed } in
-        let trace = trace || out <> None in
-        let report, artifacts = Fleet.Scenario.run ~trace spec in
-        (report, artifacts, Fleet.Scenario.render report)
-      in
-      let results =
-        (* Each seed's cluster owns its engine, so seeds fan out over
-           worker domains; rendering to strings and printing in seed
-           order keeps the output independent of [jobs]. *)
-        Par.Pool.map_list ~jobs run_one (List.init seeds (fun i -> seed + i))
-      in
-      List.iteri
-        (fun i (_, _, body) ->
-          if i > 0 then say "";
-          if seeds > 1 then say "### seed %d" (seed + i);
-          print_string body)
-        results;
-      (match out with
-      | Some path ->
-        let _, artifacts, _ = List.hd results in
-        let json =
-          Obs.Trace_export.chrome_trace
-            ~journal:artifacts.Fleet.Scenario.a_obs.Obs.Ctx.journal
-            ~spans:artifacts.Fleet.Scenario.a_spans ()
-        in
-        Obs.Trace_export.write_file ~path json;
-        say "wrote %d spans to %s — open at https://ui.perfetto.dev"
-          (List.length artifacts.Fleet.Scenario.a_spans)
-          path
-      | None -> ());
-      if not check then Ok ()
-      else begin
-        let failures =
-          List.concat_map
-            (fun (report, _, _) ->
-              match Fleet.Scenario.check report with Ok () -> [] | Error es -> es)
-            results
-        in
-        match failures with
-        | [] ->
-          say "check: OK — conservation, quiescence and concurrency invariants hold";
-          Ok ()
-        | es ->
-          List.iter (fun m -> say "check: FAIL — %s" m) es;
-          Stdlib.exit 1
-      end
+      match failures with
+      | [] -> say "check: OK — conservation, quiescence and concurrency invariants hold"
+      | es ->
+        List.iter (fun m -> say "check: FAIL — %s" m) es;
+        Stdlib.exit 1
     end
   in
-  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Machines in the cluster.") in
-  let clients =
-    Arg.(value & opt int 16 & info [ "clients" ] ~doc:"Client slots fleet-wide.")
+  (* The scenario: a Fleet.Scenario.spec whose fields' defaults are
+     [Scenario.default]'s, checked by [Scenario.validate].  The record
+     holds one arrival (closed, zero think time); --arrival picks its
+     kind and --rate, --alpha or --think fill it in. *)
+  let d = Fleet.Scenario.default in
+  let spec s_nodes s_clients s_calls arrival rate alpha think s_kind s_seed s_payload
+      s_straggler_speedup s_switch_latency_us s_egress_capacity =
+    let s_arrival =
+      match arrival with
+      | `Poisson -> Fleet.Gen.Poisson { rate_per_sec = rate }
+      | `Pareto -> Fleet.Gen.Pareto { alpha; rate_per_sec = rate }
+      | `Closed -> Fleet.Gen.Closed { think_us = think }
+    in
+    Fleet.Scenario.validate
+      {
+        Fleet.Scenario.s_nodes;
+        s_clients;
+        s_calls;
+        s_arrival;
+        s_kind;
+        s_seed;
+        s_payload;
+        s_straggler_speedup;
+        s_switch_latency_us;
+        s_egress_capacity;
+      }
   in
-  let calls = Arg.(value & opt int 400 & info [ "calls" ] ~doc:"Total calls to issue.") in
+  let nodes = Arg.(value & opt int d.s_nodes & info [ "nodes" ] ~doc:"Machines in the cluster.") in
+  let clients =
+    Arg.(value & opt int d.s_clients & info [ "clients" ] ~doc:"Client slots fleet-wide.")
+  in
+  let calls = Arg.(value & opt int d.s_calls & info [ "calls" ] ~doc:"Total calls to issue.") in
   let arrival =
     Arg.(
       value
@@ -751,44 +712,46 @@ let fleet_cmd =
   let scenario =
     Arg.(
       value
-      & opt (enum [ ("uniform", "uniform"); ("incast", "incast"); ("straggler", "straggler") ])
-          "uniform"
+      & opt
+          (enum
+             Fleet.Scenario.[ ("uniform", Uniform); ("incast", Incast); ("straggler", Straggler) ])
+          d.s_kind
       & info [ "scenario" ]
           ~doc:
             "Placement: $(b,uniform) (every node serves and calls), $(b,incast) (node 0 is the \
              only server) or $(b,straggler) (uniform with the last node's CPUs slowed).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"First simulation seed.") in
+  let seed = Arg.(value & opt int d.s_seed & info [ "seed" ] ~doc:"First simulation seed.") in
   let seeds =
     Arg.(
       value
-      & opt int 1
+      & opt (int_at_least 1) 1
       & info [ "seeds" ] ~docv:"N" ~doc:"Run N seeds (seed, seed+1, ...) and print each report.")
   in
   let payload =
     Arg.(
       value
-      & opt int 0
+      & opt int d.s_payload
       & info [ "payload" ] ~docv:"BYTES"
           ~doc:"Result payload: 0 calls Null(), otherwise GetData($(docv)).")
   in
   let straggler_speedup =
     Arg.(
       value
-      & opt float 0.25
+      & opt float d.s_straggler_speedup
       & info [ "straggler-speedup" ]
           ~doc:"Straggler node CPU speed relative to the rest (only with --scenario straggler).")
   in
   let switch_latency =
     Arg.(
       value
-      & opt float 10.
+      & opt float d.s_switch_latency_us
       & info [ "switch-latency" ] ~docv:"US" ~doc:"Switch fabric latency (microseconds).")
   in
   let egress_capacity =
     Arg.(
       value
-      & opt int 32
+      & opt int d.s_egress_capacity
       & info [ "egress-capacity" ] ~docv:"FRAMES"
           ~doc:"Per-port egress queue bound; overflow frames are dropped (incast loss).")
   in
@@ -821,67 +784,65 @@ let fleet_cmd =
           placement, open-loop (Poisson/Pareto) or closed-loop clients, per-node and fleet-wide \
           p50/p99/p99.9 and a saturation breakdown naming the first bottleneck.")
     Term.(
-      term_result ~usage:true
-        (const run $ nodes $ clients $ calls $ arrival $ rate $ alpha $ think $ scenario $ seed
-        $ seeds $ jobs_term $ payload $ straggler_speedup $ switch_latency $ egress_capacity
-        $ check $ trace $ out))
+      const run
+      $ term_result' ~usage:true
+          (const spec $ nodes $ clients $ calls $ arrival $ rate $ alpha $ think $ scenario
+          $ seed $ payload $ straggler_speedup $ switch_latency $ egress_capacity)
+      $ seeds $ jobs_term $ check $ trace $ out)
 
 (* {1 firefly fuzz} *)
 
 let fuzz_cmd =
   let run seed iters corpus_dir canary no_sweep =
-    if iters < 1 then Error (`Msg "--iters must be >= 1")
-    else if seed < 0 then Error (`Msg "--seed must be >= 0")
-    else begin
-      if canary then begin
-        (* Self-test: plant a known trust-the-length bug in Udp.decode
-           and require the fuzzer to rediscover it. *)
-        let found, report = Fuzz.Driver.canary ~seed ~iters () in
-        print_string (Fuzz.Driver.to_string report);
-        if found then begin
-          say "canary: the planted Udp.decode length bug WAS found — the fuzzer sees real bugs.";
-          Ok ()
-        end
-        else begin
-          say "canary: the planted Udp.decode length bug was NOT found within %d iterations."
-            iters;
-          Stdlib.exit 1
-        end
-      end
+    if canary then begin
+      (* Self-test: plant a known trust-the-length bug in Udp.decode
+         and require the fuzzer to rediscover it. *)
+      let found, report = Fuzz.Driver.canary ~seed ~iters () in
+      print_string (Fuzz.Driver.to_string report);
+      if found then
+        say "canary: the planted Udp.decode length bug WAS found — the fuzzer sees real bugs."
       else begin
-        (* Replay any persisted reproducers first: a corpus failure is a
-           regression even before new fuzzing starts. *)
-        let replay_failures =
-          match corpus_dir with
-          | None -> []
-          | Some dir ->
-            let results = Fuzz.Driver.replay_dir ~dir in
-            List.iter
-              (fun (path, f) ->
-                match f with
-                | None -> say "replay %s: ok" path
-                | Some f -> say "replay %s: %s" path (Fuzz.Oracle.to_string f))
-              results;
-            List.filter (fun (_, f) -> f <> None) results
-        in
-        let report = Fuzz.Driver.run ~sweep:(not no_sweep) ~seed ~iters () in
-        print_string (Fuzz.Driver.to_string report);
-        (match corpus_dir with
-        | Some dir when report.Fuzz.Driver.r_failures <> [] ->
-          List.iter (fun p -> say "reproducer written: %s" p)
-            (Fuzz.Driver.write_failures ~dir report);
-          say "replay later with: firefly fuzz --corpus-dir %s --iters 1" dir
-        | Some _ | None -> ());
-        if report.Fuzz.Driver.r_failures <> [] || replay_failures <> [] then Stdlib.exit 1;
-        Ok ()
+        say "canary: the planted Udp.decode length bug was NOT found within %d iterations." iters;
+        Stdlib.exit 1
       end
     end
+    else begin
+      (* Replay any persisted reproducers first: a corpus failure is a
+         regression even before new fuzzing starts. *)
+      let replay_failures =
+        match corpus_dir with
+        | None -> []
+        | Some dir ->
+          let results = Fuzz.Driver.replay_dir ~dir in
+          List.iter
+            (fun (path, f) ->
+              match f with
+              | None -> say "replay %s: ok" path
+              | Some f -> say "replay %s: %s" path (Fuzz.Oracle.to_string f))
+            results;
+          List.filter (fun (_, f) -> f <> None) results
+      in
+      let report = Fuzz.Driver.run ~sweep:(not no_sweep) ~seed ~iters () in
+      print_string (Fuzz.Driver.to_string report);
+      (match corpus_dir with
+      | Some dir when report.Fuzz.Driver.r_failures <> [] ->
+        List.iter (fun p -> say "reproducer written: %s" p)
+          (Fuzz.Driver.write_failures ~dir report);
+        say "replay later with: firefly fuzz --corpus-dir %s --iters 1" dir
+      | Some _ | None -> ());
+      if report.Fuzz.Driver.r_failures <> [] || replay_failures <> [] then Stdlib.exit 1
+    end
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fuzz seed (the whole run is a pure function of it).") in
+  let seed =
+    Arg.(
+      value
+      & opt (int_at_least 0) 1
+      & info [ "seed" ] ~doc:"Fuzz seed, >= 0 (the whole run is a pure function of it).")
+  in
   let iters =
     Arg.(
       value
-      & opt int 10_000
+      & opt (int_at_least 1) 10_000
       & info [ "iters" ] ~docv:"N"
           ~doc:
             "Mutated inputs to execute, including the systematic truncation sweep that runs \
@@ -920,8 +881,7 @@ let fuzz_cmd =
           frame parser, checking that no exception escapes, that accepted headers re-encode \
           round-trip, and that the zero-copy view path decodes byte-identically to the \
           copying path.  Failures are shrunk to minimized reproducers.")
-    Term.(
-      term_result ~usage:true (const run $ seed $ iters $ corpus_dir $ canary $ no_sweep))
+    Term.(const run $ seed $ iters $ corpus_dir $ canary $ no_sweep)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -33,6 +33,14 @@ let default_config =
     secured = false;
   }
 
+let validate config =
+  if config.threads < 1 then Error "threads must be >= 1"
+  else if config.calls_per_thread < 1 then Error "calls_per_thread must be >= 1"
+  else if config.payload < 0 || config.payload > Workload.Test_interface.get_data_max then
+    Error (Printf.sprintf "payload must be 0 to %d bytes" Workload.Test_interface.get_data_max)
+  else if config.max_steps < 1 then Error "max_steps must be >= 1"
+  else Ok config
+
 type outcome = {
   seed : int;
   plan : Fault_plan.t;
@@ -68,7 +76,7 @@ let settle_window = Time.sec 12
 let matrix_key = Rpc.Secure.key_of_string "check-harness"
 
 let run_plan ?(trace = false) config ~seed ~plan =
-  if config.threads < 1 then invalid_arg "Explorer.run_plan: threads must be >= 1";
+  (match validate config with Ok _ -> () | Error e -> invalid_arg ("Explorer.run_plan: " ^ e));
   let base = if config.uniproc then Hw.Config.uniprocessor else Hw.Config.default in
   let mc = { base with Hw.Config.streaming_results = config.streaming } in
   let auth = if config.secured then Some matrix_key else None in

@@ -39,6 +39,10 @@ val default_config : config
     tie-breaking, plans of up to 6 steps, multiprocessor, stop-and-wait,
     unsecured. *)
 
+val validate : config -> (config, string) result
+(** Rejects fewer than 1 thread, call per thread or plan step, and a
+    payload outside [0 .. Workload.Test_interface.get_data_max]. *)
+
 type outcome = {
   seed : int;
   plan : Fault_plan.t;
@@ -54,7 +58,8 @@ val run_plan : ?trace:bool -> config -> seed:int -> plan:Fault_plan.t -> outcome
 (** One simulation of the workload under the given plan.  Deterministic:
     the same [(config, seed, plan)] always yields the same outcome.
     [trace] (default false) enables span tracing for the whole run and
-    returns the log in [spans]. *)
+    returns the log in [spans].
+    @raise Invalid_argument on a config {!validate} rejects. *)
 
 val run_seed : config -> seed:int -> outcome
 (** [run_plan] with the plan generated from [seed]. *)

@@ -21,10 +21,13 @@ type t = {
   cl_fleet_hist : Obs.Metrics.Histogram.t;
 }
 
+let max_nodes = 200
+
 let create ?(seed = 42) ?(config = Hw.Config.default) ?config_of
     ?switch_latency ?egress_capacity ?(pool_buffers = 64) ?(idle_load = false) ?obs ~nodes () =
   if nodes < 2 then invalid_arg "Cluster.create: need at least 2 nodes";
-  if nodes > 200 then invalid_arg "Cluster.create: at most 200 nodes (station addressing)";
+  if nodes > max_nodes then
+    invalid_arg (Printf.sprintf "Cluster.create: at most %d nodes (station addressing)" max_nodes);
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
   let eng = Engine.create ~seed () in
   let config_of = match config_of with Some f -> f | None -> fun _ -> config in

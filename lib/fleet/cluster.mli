@@ -28,6 +28,9 @@ type t = {
       (** every call latency fleet-wide, site ["fleet"] *)
 }
 
+val max_nodes : int
+(** 200: the station-addressing limit on a cluster's size. *)
+
 val create :
   ?seed:int ->
   ?config:Hw.Config.t ->
@@ -45,8 +48,7 @@ val create :
     how straggler scenarios slow one server down.  [idle_load] defaults
     to [false]: fleet tails are measured without the paper's background
     load unless asked for.
-    @raise Invalid_argument if [nodes < 2] or above the addressing
-    limit (200). *)
+    @raise Invalid_argument if [nodes < 2] or [nodes > max_nodes]. *)
 
 val node : t -> int -> node
 val nodes : t -> int

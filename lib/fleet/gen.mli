@@ -25,11 +25,14 @@ val pareto : Sim.Rng.t -> alpha:float -> xm:float -> float
 (** One Pareto(alpha, xm) draw by inverse CDF: [xm * u^(-1/alpha)].
     @raise Invalid_argument unless [alpha > 0.] and [xm > 0.]. *)
 
+val validate : arrival -> (arrival, string) result
+(** Rejects a rate that is not positive, a Pareto [alpha] that is not
+    above 1, a negative think time, and any non-finite value. *)
+
 val interarrival_us : Sim.Rng.t -> arrival -> float
 (** The next inter-arrival gap (or think gap, for [Closed]) in
     microseconds.
-    @raise Invalid_argument on non-positive rates, [alpha <= 1.] for
-    [Pareto], or negative think times. *)
+    @raise Invalid_argument on an arrival {!validate} rejects. *)
 
 val is_open_loop : arrival -> bool
 

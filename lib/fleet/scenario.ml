@@ -11,12 +11,6 @@ let kind_to_string = function
   | Incast -> "incast"
   | Straggler -> "straggler"
 
-let kind_of_string = function
-  | "uniform" -> Some Uniform
-  | "incast" -> Some Incast
-  | "straggler" -> Some Straggler
-  | _ -> None
-
 type spec = {
   s_nodes : int;
   s_clients : int;
@@ -95,14 +89,22 @@ type report = {
 type artifacts = { a_obs : Obs.Ctx.t; a_spans : Sim.Trace.span list }
 
 let validate spec =
-  if spec.s_nodes < 2 then invalid_arg "Scenario: need at least 2 nodes";
-  if spec.s_clients < 1 then invalid_arg "Scenario: need at least 1 client";
-  if spec.s_calls < 1 then invalid_arg "Scenario: need at least 1 call";
-  if spec.s_payload < 0 then invalid_arg "Scenario: negative payload";
-  if spec.s_payload > Ti.get_data_max then invalid_arg "Scenario: payload too large";
-  if spec.s_straggler_speedup <= 0. then invalid_arg "Scenario: straggler speedup must be > 0";
-  if spec.s_switch_latency_us < 0. then invalid_arg "Scenario: negative switch latency";
-  if spec.s_egress_capacity < 1 then invalid_arg "Scenario: egress capacity must be >= 1"
+  if spec.s_nodes < 2 then Error "need at least 2 nodes"
+  else if spec.s_nodes > Cluster.max_nodes then
+    Error (Printf.sprintf "at most %d nodes (station addressing)" Cluster.max_nodes)
+  else if spec.s_clients < 1 then Error "need at least 1 client"
+  else if spec.s_calls < 1 then Error "need at least 1 call"
+  else if spec.s_payload < 0 || spec.s_payload > Ti.get_data_max then
+    Error (Printf.sprintf "payload must be 0 to %d bytes" Ti.get_data_max)
+  else if not (Float.is_finite spec.s_straggler_speedup && spec.s_straggler_speedup > 0.) then
+    Error "straggler speedup must be finite and > 0"
+  else if not (Float.is_finite spec.s_switch_latency_us && spec.s_switch_latency_us >= 0.) then
+    Error "switch latency must be finite and >= 0"
+  else if spec.s_egress_capacity < 1 then Error "egress capacity must be >= 1"
+  else
+    match Gen.validate spec.s_arrival with
+    | Ok _ -> Ok spec
+    | Error e -> Error ("arrival: " ^ e)
 
 (* The fleet-wide arrival rate is split evenly over the client slots,
    so [s_clients] scales parallelism without changing offered load. *)
@@ -134,7 +136,7 @@ let snapshot_count snap ~site ~name =
 let hist_pct h q = if Obs.Metrics.Histogram.count h = 0 then 0. else Obs.Metrics.Histogram.percentile h q
 
 let run ?(trace = false) spec =
-  validate spec;
+  (match validate spec with Ok _ -> () | Error e -> invalid_arg ("Scenario.run: " ^ e));
   let servers, client_nodes = placement spec in
   let config = Hw.Config.default in
   let config_of i =

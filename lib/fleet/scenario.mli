@@ -22,8 +22,6 @@
 
 type kind = Uniform | Incast | Straggler
 
-val kind_of_string : string -> kind option
-
 type spec = {
   s_nodes : int;  (** machines in the cluster, >= 2 *)
   s_clients : int;  (** client slots fleet-wide, >= 1 *)
@@ -42,6 +40,14 @@ type spec = {
 val default : spec
 (** 4 nodes, 16 clients, 400 calls, closed loop with zero think time,
     uniform placement, seed 42, Null(). *)
+
+val validate : spec -> (spec, string) result
+(** Rejects a spec {!run} cannot drive: fewer than 2 or more than
+    {!Cluster.max_nodes} nodes, no clients, no calls, a payload outside
+    [0 .. Workload.Test_interface.get_data_max], a straggler speedup
+    that is not positive, a negative switch latency, an egress capacity
+    below 1, any non-finite value, or an arrival {!Gen.validate}
+    rejects. *)
 
 type node_report = {
   nr_name : string;
@@ -98,8 +104,8 @@ type artifacts = {
 
 val run : ?trace:bool -> spec -> report * artifacts
 (** Builds the cluster, drives the workload to completion and collects
-    the report.  @raise Invalid_argument on a malformed spec (too few
-    nodes for the placement, no clients, no calls). *)
+    the report.  @raise Invalid_argument on a spec {!validate}
+    rejects. *)
 
 val render : report -> string
 (** The deterministic fleet report: spec echo, conservation and switch

@@ -7,25 +7,22 @@ type event =
   | Ipi
   | Thread_wakeup
   | Bufpool_exhausted
-  | Mark of string
 
 type entry = { at : Sim.Time.t; site : string; ev : event }
 
 (* The ring is stored column-wise, so recording an event allocates
    nothing: slot [i] is the instant in [ats.(i)], the event's kind and
    argument packed into [codes.(i)], and the site (a long-lived string
-   the caller already holds) in [sites.(i)].  A [Mark]'s text is kept
-   aside in [marks], which exists only once a [Mark] has been recorded.
-   A ring of entry records would allocate one per event and keep it
-   alive until it is promoted: on perfbench's pair-bulk, half of all
-   the words promoted.  At capacity the columns take three words a slot
-   (four with marks), a ring of entries one plus four to six. *)
+   the caller already holds) in [sites.(i)].  A ring of entry records
+   would allocate one per event and keep it alive until it is promoted:
+   on perfbench's pair-bulk, half of all the words promoted.  At
+   capacity the columns take three words a slot, a ring of entries one
+   plus four to six. *)
 type t = {
   cap : int;
   ats : int array;
   codes : int array;
   sites : string array;
-  mutable marks : string array;
   mutable start : int;  (* slot of the oldest entry *)
   mutable len : int;
   mutable n_dropped : int;
@@ -39,7 +36,6 @@ let create ?(capacity = 8192) () =
     ats = Array.make capacity 0;
     codes = Array.make capacity 0;
     sites = Array.make capacity "";
-    marks = [||];
     start = 0;
     len = 0;
     n_dropped = 0;
@@ -60,7 +56,6 @@ let code = function
   | Ipi -> 5
   | Thread_wakeup -> 6
   | Bufpool_exhausted -> 7
-  | Mark _ -> 8
 
 let event_at t i =
   let c = t.codes.(i) in
@@ -73,20 +68,7 @@ let event_at t i =
   | 4 -> Interrupt
   | 5 -> Ipi
   | 6 -> Thread_wakeup
-  | 7 -> Bufpool_exhausted
-  | _ -> Mark t.marks.(i)
-
-let no_text = ""
-
-(* A slot's text is dropped when another event takes the slot, so an
-   overwritten [Mark] neither leaks into the next event nor stays
-   reachable. *)
-let set_text t i ev =
-  match ev with
-  | Mark s ->
-    if Array.length t.marks = 0 then t.marks <- Array.make t.cap no_text;
-    t.marks.(i) <- s
-  | _ -> if Array.length t.marks > 0 && t.marks.(i) != no_text then t.marks.(i) <- no_text
+  | _ -> Bufpool_exhausted
 
 let record t ~at ~site ev =
   let i =
@@ -105,7 +87,6 @@ let record t ~at ~site ev =
   t.ats.(i) <- Sim.Time.since_start_ns at;
   t.codes.(i) <- code ev;
   t.sites.(i) <- site;
-  set_text t i ev;
   t.n_total <- t.n_total + 1
 
 let entries t =
@@ -118,7 +99,6 @@ let total t = t.n_total
 let dropped t = t.n_dropped
 
 let clear t =
-  t.marks <- [||];
   t.start <- 0;
   t.len <- 0;
   t.n_dropped <- 0;
@@ -133,4 +113,3 @@ let event_label = function
   | Ipi -> "ipi"
   | Thread_wakeup -> "thread wakeup"
   | Bufpool_exhausted -> "bufpool exhausted"
-  | Mark s -> s

@@ -17,7 +17,6 @@ type event =
   | Ipi
   | Thread_wakeup
   | Bufpool_exhausted
-  | Mark of string  (** free-form annotation, e.g. phase boundaries *)
 
 type entry = { at : Sim.Time.t; site : string; ev : event }
 

@@ -48,26 +48,11 @@ let args_of = function
   | Max_arg -> max_arg_args
   | Get_data n -> [ Rpc.Marshal.V_int (Int32.of_int n); Rpc.Marshal.V_bytes Bytes.empty ]
 
-(* The last GetData pattern built, kept while the length asked for stays
-   the same (a run asks for one), so checking a result is one
-   [Bytes.equal].  Atomic: repro jobs share it across domains, and the
-   bytes are never written once published. *)
-let get_data_expected = Atomic.make Bytes.empty
-
-let get_data_pattern n =
-  let p = Atomic.get get_data_expected in
-  if Bytes.length p = n then p
-  else begin
-    let p = Test_interface.pattern n in
-    Atomic.set get_data_expected p;
-    p
-  end
-
 let result_ok proc outs =
   match proc, outs with
   | (Null | Max_arg), [] -> true
   | Max_result, [ Rpc.Marshal.V_bytes b ] -> Bytes.length b = Test_interface.buffer_bytes
-  | Get_data n, [ Rpc.Marshal.V_bytes b ] -> Bytes.equal b (get_data_pattern n)
+  | Get_data n, [ Rpc.Marshal.V_bytes b ] -> Bytes.equal b (Test_interface.payload n)
   | _ -> false
 
 let caller_thread (w : World.t) binding proc remaining gate finished samples ~total_threads () =

@@ -28,10 +28,11 @@ val get_data_max : int
 
 val procedures : unit -> (Rpc.Marshal.value list -> Rpc.Marshal.value list) array
 (** A fresh array of the four procedures, by index: [Null] does
-    nothing; [MaxResult] returns the {!buffer_bytes}-byte {!pattern};
-    [MaxArg] accepts only that pattern, and checking it allocates
-    nothing; [GetData] returns the pattern of the requested length.
-    A bad argument raises [Rpc_error.Rpc (Marshal_failure _)]. *)
+    nothing; [MaxResult] returns {!max_arg_pattern}; [MaxArg] accepts
+    only that pattern, and checking it allocates nothing; [GetData]
+    returns the {!payload} of the requested length.  The results are
+    shared, never fresh.  A bad argument raises
+    [Rpc_error.Rpc (Marshal_failure _)]. *)
 
 val impls : unit -> Rpc.Runtime.impl array
 (** The simulated server's {!procedures}: each first burns the measured
@@ -42,5 +43,10 @@ val pattern : int -> Stdlib.Bytes.t
     [(i * 7) land 0xff]. *)
 
 val max_arg_pattern : Stdlib.Bytes.t
-(** [pattern buffer_bytes], built once: MaxArg's argument.  Shared, so
-    it must never be written. *)
+(** [pattern buffer_bytes], built once: MaxArg's argument and
+    MaxResult's result.  Shared, so it must never be written. *)
+
+val payload : int -> Stdlib.Bytes.t
+(** [payload n] equals [pattern n]: GetData's result.  The last one
+    built is kept and returned again while the same length is asked
+    for, so it is shared and must never be written. *)

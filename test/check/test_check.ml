@@ -182,6 +182,36 @@ let test_parallel_matrix_identical () =
   Alcotest.(check string) "matrix sweep identical" (render_summary serial)
     (render_summary par)
 
+(* [validate] accepts the default and the largest payload, and rejects
+   each field's first value outside its range; [run_plan] refuses what
+   it rejects before building a world. *)
+let test_config_validation () =
+  let d = Explorer.default_config in
+  let max = Workload.Test_interface.get_data_max in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ " accepted") true (Result.is_ok (Explorer.validate c)))
+    [
+      ("default", d);
+      ("payload 0", { d with Explorer.payload = 0 });
+      ("largest payload", { d with Explorer.payload = max });
+    ];
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool) (name ^ " rejected") true (Result.is_error (Explorer.validate c));
+      Alcotest.(check bool) (name ^ " refused by run_plan") true
+        (try
+           ignore (Explorer.run_plan c ~seed:1 ~plan:(Fault_plan.generate ~seed:1 ()));
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("payload above the maximum", { d with Explorer.payload = max + 1 });
+      ("negative payload", { d with Explorer.payload = -1 });
+      ("0 threads", { d with Explorer.threads = 0 });
+      ("0 calls", { d with Explorer.calls_per_thread = 0 });
+      ("0 max steps", { d with Explorer.max_steps = 0 });
+    ]
+
 let suite =
   [
     Alcotest.test_case "plan generation deterministic" `Quick test_plan_generation_deterministic;
@@ -197,6 +227,7 @@ let suite =
       test_parallel_explore_identical;
     Alcotest.test_case "parallel matrix identical to serial" `Quick
       test_parallel_matrix_identical;
+    Alcotest.test_case "config validation" `Quick test_config_validation;
   ]
 
 let () = Alcotest.run "check" [ ("explorer", suite) ]

@@ -264,7 +264,22 @@ let test_generator_validation () =
   Alcotest.(check bool) "negative think rejected" true
     (invalid (fun () -> Gen.interarrival_us rng (Gen.Closed { think_us = -1. })));
   Alcotest.(check bool) "pareto xm <= 0 rejected" true
-    (invalid (fun () -> Gen.pareto rng ~alpha:2. ~xm:0.))
+    (invalid (fun () -> Gen.pareto rng ~alpha:2. ~xm:0.));
+  (* [validate] accepts exactly what [interarrival_us] draws from. *)
+  let values = [ -1.; 0.; 0.5; 1.; 1.0001; 1.5; 200.; Float.nan; Float.infinity ] in
+  let arrivals =
+    List.concat_map
+      (fun x ->
+        Gen.Poisson { rate_per_sec = x } :: Gen.Closed { think_us = x }
+        :: List.map (fun alpha -> Gen.Pareto { alpha; rate_per_sec = x }) values)
+      values
+  in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (Gen.to_string a)
+        (not (invalid (fun () -> Gen.interarrival_us rng a)))
+        (Result.is_ok (Gen.validate a)))
+    arrivals
 
 (* {1 Spec validation} *)
 
@@ -277,7 +292,40 @@ let test_spec_validation () =
   Alcotest.(check bool) "0 calls rejected" true
     (invalid { small_spec with Scenario.s_calls = 0 });
   Alcotest.(check bool) "negative payload rejected" true
-    (invalid { small_spec with Scenario.s_payload = -1 })
+    (invalid { small_spec with Scenario.s_payload = -1 });
+  (* [validate] decides without running: the default, perfbench's
+     fleet-incast spec and the CI smoke pass, and each field's first
+     value outside its range fails. *)
+  let d = Scenario.default in
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check bool) (name ^ " accepted") true (Result.is_ok (Scenario.validate spec)))
+    [
+      ("default", d);
+      ( "fleet-incast",
+        { d with Scenario.s_nodes = 8; s_clients = 64; s_calls = 2000; s_kind = Scenario.Incast } );
+      ( "CI smoke",
+        { d with Scenario.s_nodes = 4; s_clients = 16; s_calls = 200; s_kind = Scenario.Incast } );
+      ("200 nodes", { d with Scenario.s_nodes = Cluster.max_nodes });
+      ( "largest payload",
+        { d with Scenario.s_payload = Workload.Test_interface.get_data_max } );
+    ];
+  List.iter
+    (fun (name, spec) ->
+      Alcotest.(check bool) (name ^ " rejected") true (Result.is_error (Scenario.validate spec)))
+    [
+      ( "Pareto alpha 1",
+        { d with Scenario.s_arrival = Gen.Pareto { alpha = 1.; rate_per_sec = 200. } } );
+      ("think -1", { d with Scenario.s_arrival = Gen.Closed { think_us = -1. } });
+      ("Poisson rate 0", { d with Scenario.s_arrival = Gen.Poisson { rate_per_sec = 0. } });
+      ("201 nodes", { d with Scenario.s_nodes = Cluster.max_nodes + 1 });
+      ("egress capacity 0", { d with Scenario.s_egress_capacity = 0 });
+      ( "payload above the maximum",
+        { d with Scenario.s_payload = Workload.Test_interface.get_data_max + 1 } );
+      ("straggler speedup 0", { d with Scenario.s_straggler_speedup = 0. });
+      ("switch latency -1", { d with Scenario.s_switch_latency_us = -1. });
+      ("switch latency nan", { d with Scenario.s_switch_latency_us = Float.nan });
+    ]
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

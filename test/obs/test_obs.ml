@@ -162,8 +162,8 @@ let test_journal_ring () =
       ignore (Journal.create ~capacity:0 ()))
 
 (* Every kind comes back from [entries] as recorded, in order, also
-   after the ring wraps: the columns hold each slot's latest event
-   only, so an overwritten [Mark]'s text must not resurface. *)
+   after the ring wraps, with arguments at both ends of the packed
+   range. *)
 let test_journal_round_trip () =
   let evs =
     [
@@ -175,8 +175,8 @@ let test_journal_round_trip () =
       Journal.Ipi;
       Journal.Thread_wakeup;
       Journal.Bufpool_exhausted;
-      Journal.Mark "phase 1";
-      Journal.Mark "";
+      Journal.Retransmit { seq = (1 lsl 58) - 1 };
+      Journal.Ack { seq = -(1 lsl 58) };
     ]
   in
   let n = List.length evs in
@@ -195,15 +195,16 @@ let test_journal_round_trip () =
   List.iteri record evs;
   check "every kind, in order" (expect 0 evs);
   (* Wrap: the three oldest slots now hold an interrupt, an IPI and a
-     new mark. *)
-  let later = [ Journal.Interrupt; Journal.Ipi; Journal.Mark "phase 2" ] in
+     received packet. *)
+  let later = [ Journal.Interrupt; Journal.Ipi; Journal.Packet_rx { bytes = 64 } ] in
   List.iteri (fun i ev -> record (n + i) ev) later;
   check "after a partial wrap"
     (expect 3 (List.filteri (fun i _ -> i >= 3) evs) @ expect n later);
-  (* Twice round: every slot, the marks' included, is overwritten by a
-     wakeup at least once, and some wakeups' slots by a mark. *)
+  (* Twice round: every slot is overwritten by a wakeup at least once,
+     and some wakeups' slots by a packet. *)
   let again =
-    List.init (2 * n) (fun i -> if i mod 4 = 0 then Journal.Mark "x" else Journal.Thread_wakeup)
+    List.init (2 * n) (fun i ->
+        if i mod 4 = 0 then Journal.Packet_tx { bytes = i } else Journal.Thread_wakeup)
   in
   List.iteri (fun i ev -> record (n + 3 + i) ev) again;
   check "after wrapping twice" (expect (2 * n + 3) (List.filteri (fun i _ -> i >= n) again));
