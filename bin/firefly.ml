@@ -232,15 +232,24 @@ let call_cmd =
       | Workload.Driver.Max_arg -> "MaxArg(b)"
       | Workload.Driver.Get_data n -> Printf.sprintf "GetData(%d)" n)
       o.Workload.Driver.threads;
+    (* A run without failures prints as it always has; the latency
+       lines cover the calls that completed. *)
+    let failed = o.Workload.Driver.failed in
+    let completed = o.Workload.Driver.calls - failed in
+    if failed > 0 then say "failed calls:     %d (completed %d)" failed completed;
     say "elapsed:          %s of simulated time" (Sim.Time.span_to_string o.Workload.Driver.elapsed);
     say "rate:             %.0f RPC/s" o.Workload.Driver.rpcs_per_sec;
-    say "mean latency:     %s" (Sim.Time.span_to_string o.Workload.Driver.mean_latency);
+    if completed = 0 then say "mean latency:     no call completed"
+    else say "mean latency:     %s" (Sim.Time.span_to_string o.Workload.Driver.mean_latency);
     say "throughput:       %.2f Mbit/s of payload" o.Workload.Driver.megabits_per_sec;
     say "CPUs busy:        caller %.2f, server %.2f" o.Workload.Driver.caller_busy_cpus
       o.Workload.Driver.server_busy_cpus;
     say "retransmissions:  %d" o.Workload.Driver.retransmissions;
-    let p q = Sim.Time.span_to_string (Workload.Driver.percentile o q) in
-    say "latency:          p50 %s   p90 %s   p99 %s   max %s" (p 0.50) (p 0.90) (p 0.99) (p 1.0);
+    if completed = 0 then say "latency:          no call completed"
+    else begin
+      let p q = Sim.Time.span_to_string (Workload.Driver.percentile o q) in
+      say "latency:          p50 %s   p90 %s   p99 %s   max %s" (p 0.50) (p 0.90) (p 0.99) (p 1.0)
+    end;
     if metrics then begin
       say "";
       let snap =

@@ -43,8 +43,10 @@ let uniprocessor = { default with cpus = 1; uniproc_fix = true }
 
 let validate t =
   if t.cpus < 1 then Error "cpus must be >= 1"
-  else if t.cpu_speedup <= 0. then Error "cpu_speedup must be positive"
-  else if t.ethernet_mbps <= 0. then Error "ethernet_mbps must be positive"
+  else if not (Float.is_finite t.cpu_speedup && t.cpu_speedup > 0.) then
+    Error "cpu_speedup must be finite and positive"
+  else if not (Float.is_finite t.ethernet_mbps && t.ethernet_mbps > 0.) then
+    Error "ethernet_mbps must be finite and positive"
   else if t.deqna_staging_frames < 1 then Error "deqna_staging_frames must be >= 1"
   else if Sim.Time.span_is_negative t.retransmit_after then Error "retransmit_after must be >= 0"
   else Ok t

@@ -72,4 +72,5 @@ val uniprocessor : t
 (** [default] with a single CPU and the §5 fix applied. *)
 
 val validate : t -> (t, string) result
-(** Rejects nonsensical values (zero CPUs, non-positive rates...). *)
+(** Rejects nonsensical values (zero CPUs, rates that are not finite
+    and positive...). *)

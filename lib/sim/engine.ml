@@ -10,7 +10,8 @@
    performance knob — byte-identical output either way.
 
    A timeout ({!suspend_timeout}) is an ordinary queued node, which
-   {!Eventq} files in a heap of its own.  The retransmit pattern cancels
+   {!Eventq} files in a class of its own (a sorted run, and a heap for
+   the few armed out of deadline order).  The retransmit pattern cancels
    nearly every one: [wake] marks the node dead in place ([fn_dead]),
    and when it reaches the head of the queue [dispatch] recycles it
    without touching the clock or the event count.
@@ -20,10 +21,11 @@
    wake-up sorts before everything queued.  Such a delay resumes in
    place: [delay] advances the clock, draws the key and counts the event
    exactly as the run loop's next pop and dispatch would, and returns —
-   no effect, no node, no heap round trip.  The test for "would be next"
-   reads what the innermost run loop publishes ([loop_limit],
-   [loop_stop], [loop_pred]) and whether a process of this engine is
-   what is running ([in_process]). *)
+   no effect, no node, no queue round trip.  The test for "would be
+   next" reads what the innermost run loop publishes ([loop_limit],
+   [loop_stop], [loop_pred]), whether a process of this engine is what
+   is running ([in_process]), and one probe of the queue's heads
+   ([q_all_after]). *)
 
 type queue = Heap of Eventq.t | Cal of Calendar.t
 
@@ -89,11 +91,11 @@ let fn_timeout = 2
 let nbuiltin = 3
 let fn_dead = -2
 
-let q_is_empty t =
-  match t.queue with Heap q -> Eventq.is_empty q | Cal c -> Calendar.is_empty c
-
-let q_min_time t =
-  match t.queue with Heap q -> Eventq.min_time q | Cal c -> Calendar.min_time c
+(* Every queued event is due strictly after [time]. *)
+let q_all_after t time =
+  match t.queue with
+  | Heap q -> Eventq.all_after q time
+  | Cal c -> Calendar.is_empty c || Time.(time < Calendar.min_time c)
 
 let q_insert t n =
   match t.queue with Heap q -> Eventq.insert q n | Cal c -> Calendar.insert c n
@@ -101,10 +103,8 @@ let q_insert t n =
 let q_insert_timer t n =
   match t.queue with Heap q -> Eventq.insert_timer q n | Cal c -> Calendar.insert c n
 
-let q_pop t = match t.queue with Heap q -> Eventq.pop q | Cal c -> Calendar.pop c
-
 (* What a pop of an event due at [time] would leave behind, without the
-   event: the heaps' near/far split keys off the last pop; the
+   event: the heap queue's near/far split keys off the last pop; the
    calendar's scan just starts further back at its next pop. *)
 let q_advance t time = match t.queue with Heap q -> Eventq.advance q time | Cal _ -> ()
 
@@ -311,8 +311,8 @@ let delay t span =
   if
     t.in_process
     && t.executed < t.loop_limit
-    && Time.compare at t.loop_stop <= 0
-    && (q_is_empty t || Time.compare at (q_min_time t) < 0)
+    && Time.(at <= t.loop_stop)
+    && q_all_after t at
     && t.loop_pred ()
   then begin
     ignore (draw_tie t : int);
@@ -366,7 +366,7 @@ let guard_failed t =
   failwith (Printf.sprintf "Engine.run: exceeded %d events (runaway model?)" t.executed)
 
 (* The run loops read their bounds from what [in_loop] published;
-   [max_events] is hoisted to one integer compare.  [run]'s loop is
+   [max_events] is hoisted to one integer compare.  Each loop is
    specialized per queue discipline so it calls the queue directly
    instead of re-matching the variant on every event. *)
 let drain t =
@@ -387,21 +387,35 @@ let drain t =
 let drain_until t =
   let limit = t.loop_limit and stop = t.loop_stop in
   let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    if q_is_empty t then continue_ := false
-    else if Time.compare (q_min_time t) stop > 0 then continue_ := false
-    else dispatch t (q_pop t)
-  done
+  match t.queue with
+  | Heap q ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if Eventq.all_after q stop then continue_ := false else dispatch t (Eventq.pop q)
+    done
+  | Cal c ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if Calendar.is_empty c || Time.(stop < Calendar.min_time c) then continue_ := false
+      else dispatch t (Calendar.pop c)
+    done
 
 let drain_while t =
   let limit = t.loop_limit and p = t.loop_pred in
   let continue_ = ref true in
-  while !continue_ do
-    if t.executed >= limit then guard_failed t;
-    if (not (p ())) || q_is_empty t then continue_ := false
-    else dispatch t (q_pop t)
-  done
+  match t.queue with
+  | Heap q ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if (not (p ())) || Eventq.is_empty q then continue_ := false
+      else dispatch t (Eventq.pop q)
+    done
+  | Cal c ->
+    while !continue_ do
+      if t.executed >= limit then guard_failed t;
+      if (not (p ())) || Calendar.is_empty c then continue_ := false
+      else dispatch t (Calendar.pop c)
+    done
 
 let set_loop t ~limit ~stop ~pred ~in_process =
   t.loop_limit <- limit;

@@ -1,14 +1,15 @@
-(** The engine's default event queue: three implicit 4-ary min-heaps of
-    flat event nodes ({!Evnode}), ordered by [(time, tie, seq)] — the
-    key is a total order (the sequence number is unique), so the pop
-    sequence, and therefore every simulation output, is independent of
-    heap internals.
+(** The engine's default event queue: three implicit 4-ary min-heaps and
+    two sorted runs of flat event nodes ({!Evnode}), ordered by
+    [(time, tie, seq)] — the key is a total order (the sequence number
+    is unique), so the pop sequence, and therefore every simulation
+    output, is independent of the queue's internals.
 
-    Each heap position holds a node's id in its pool and a copy of its
-    key, all ints, so scheduling and popping store no pointers.  One
-    heap holds the events due soon after the last pop, one the rest,
-    and one the engine's timeouts; a pop takes the smallest of the
-    three heads.
+    Each position holds a node's id in its pool and a copy of its key,
+    all ints, so scheduling and popping store no pointers.  One heap
+    holds the events due soon after the last pop.  The other events,
+    and apart from them the engine's timeouts, each go to a sorted run
+    when their key comes after the run's last one, and to a heap of
+    their class otherwise.  A pop takes the smallest of the five heads.
 
     Scheduling in steady state allocates nothing: nodes recycle through
     the pool's free stack and the payload is closure-free (a handler
@@ -34,11 +35,13 @@ val insert : t -> Evnode.t -> unit
     @raise Invalid_argument when [n] is not registered in the pool. *)
 
 val insert_timer : t -> Evnode.t -> unit
-(** [insert_timer t n] is {!insert} into a third heap kept for the
-    engine's timeouts.  Nearly all of those are cancelled and stay
-    queued until their deadline; in their own heap they do not deepen
-    the one holding the other far-off events.  The pop order does not
-    depend on which insert filed a node.
+(** [insert_timer t n] is {!insert} into the class kept for the
+    engine's timeouts: a sorted run that takes each timeout due after
+    the last one it holds, and a heap for the rest.  Nearly all
+    timeouts are cancelled and stay queued until their deadline; in a
+    class of their own they do not deepen the part holding the other
+    far-off events.  The pop order does not depend on which insert
+    filed a node.
     @raise Invalid_argument when [n] is not registered in the pool. *)
 
 val add : t -> time:Time.t -> tie:int -> seq:int -> (unit -> unit) -> unit
@@ -49,6 +52,11 @@ val min_time : t -> Time.t
 (** Time of the next event.  Meaningless when {!is_empty}; callers must
     check first. *)
 
+val all_after : t -> Time.t -> bool
+(** [all_after t time] is whether every queued event is due strictly
+    after [time]: true when [t] is empty.  One probe of the heads,
+    where {!is_empty} then {!min_time} would find the minimum twice. *)
+
 val pop : t -> Evnode.t
 (** Removes and returns the minimum node; the caller dispatches its
     payload and recycles it through the pool.
@@ -58,7 +66,7 @@ val advance : t -> Time.t -> unit
 (** [advance t time] records [time] as the last instant popped, as a
     {!pop} of an event due then would, without any event.  The engine
     calls it when a delay resumes in place; every queued event must be
-    due after [time].  Only which heap later inserts join depends on
+    due after [time].  Only which part later inserts join depends on
     it, never the pop order. *)
 
 val pop_run : t -> unit -> unit

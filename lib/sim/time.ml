@@ -23,10 +23,10 @@ let span_compare = Int.compare
 let span_is_negative d = d < 0
 let compare = Int.compare
 let equal = Int.equal
-let ( <= ) a b = Stdlib.( <= ) a b
-let ( < ) a b = Stdlib.( < ) a b
-let min = Stdlib.min
-let max = Stdlib.max
+let ( <= ) (a : int) b = a <= b
+let ( < ) (a : int) b = a < b
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
 let to_ns d = d
 let to_us d = float_of_int d /. 1e3
 let to_ms d = float_of_int d /. 1e6

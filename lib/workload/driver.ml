@@ -8,6 +8,7 @@ type proc = Null | Max_result | Max_arg | Get_data of int
 type outcome = {
   threads : int;
   calls : int;
+  failed : int;
   elapsed : Time.span;
   rpcs_per_sec : float;
   megabits_per_sec : float;
@@ -55,7 +56,11 @@ let result_ok proc outs =
   | Get_data n, [ Rpc.Marshal.V_bytes b ] -> Bytes.equal b (Test_interface.payload n)
   | _ -> false
 
-let caller_thread (w : World.t) binding proc remaining gate finished samples ~total_threads () =
+(* A call that ends in an RPC error counts as failed, and its caller
+   goes on to the next call; a wrong result is a correctness failure
+   and ends the run. *)
+let caller_thread (w : World.t) binding proc remaining gate finished samples failed
+    ~total_threads () =
   let mach = w.World.caller in
   let eng = w.World.eng in
   let timing = Machine.timing mach in
@@ -68,11 +73,13 @@ let caller_thread (w : World.t) binding proc remaining gate finished samples ~to
           Cpu_set.charge ctx ~cat:"runtime" ~label:"Calling program (loop)"
             (Hw.Timing.caller_loop timing);
           let t0 = Engine.now eng in
-          let outs =
+          match
             Rpc.Runtime.call binding client ctx ~proc_idx:(proc_idx proc) ~args:(args_of proc)
-          in
-          samples := Time.diff (Engine.now eng) t0 :: !samples;
-          if not (result_ok proc outs) then failwith "Driver: wrong result"
+          with
+          | outs ->
+            samples := Time.diff (Engine.now eng) t0 :: !samples;
+            if not (result_ok proc outs) then failwith "Driver: wrong result"
+          | exception Rpc.Rpc_error.Rpc _ -> incr failed
         end
         else continue_ := false
       done);
@@ -85,17 +92,19 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
   let gate = Sim.Gate.create w.World.eng in
   let remaining = ref calls in
   let finished = ref 0 in
-  let samples = ref [] in
+  let samples = ref [] and failed = ref 0 in
   let started_at = Engine.now w.World.eng in
   for _ = 1 to threads do
     Machine.spawn_thread w.World.caller ~name:"rpc-caller"
-      (caller_thread w binding proc remaining gate finished samples ~total_threads:threads)
+      (caller_thread w binding proc remaining gate finished samples failed
+         ~total_threads:threads)
   done;
   World.run_until_quiet w gate;
   let finished_at = Engine.now w.World.eng in
   let elapsed = Time.diff finished_at started_at in
   let secs = Time.to_sec elapsed in
-  let bits = float_of_int (calls * payload_bytes proc * 8) in
+  let completed = calls - !failed in
+  let bits = float_of_int (completed * payload_bytes proc * 8) in
   let latencies = Array.of_list (List.rev !samples) in
   let sorted_latencies = Array.copy latencies in
   Array.sort Time.span_compare sorted_latencies;
@@ -107,15 +116,16 @@ let run (w : World.t) ?options ?transport ~threads ~calls ~proc () =
   {
     threads;
     calls;
+    failed = !failed;
     elapsed;
-    rpcs_per_sec = (if secs > 0. then float_of_int calls /. secs else 0.);
+    rpcs_per_sec = (if secs > 0. then float_of_int completed /. secs else 0.);
     megabits_per_sec = (if secs > 0. then bits /. secs /. 1e6 else 0.);
     caller_busy_cpus = Machine.average_busy_cpus w.World.caller ~upto:finished_at;
     server_busy_cpus = Machine.average_busy_cpus w.World.server ~upto:finished_at;
     retransmissions = Rpc.Runtime.retransmissions w.World.caller_rt;
     mean_latency =
-      (if calls > 0 then
-         Time.us_f (Time.to_us elapsed *. float_of_int threads /. float_of_int calls)
+      (if completed > 0 then
+         Time.us_f (Time.to_us elapsed *. float_of_int threads /. float_of_int completed)
        else Time.zero_span);
     latencies;
     sorted_latencies;

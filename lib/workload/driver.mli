@@ -12,15 +12,18 @@ type proc = Null | Max_result | Max_arg | Get_data of int
 
 type outcome = {
   threads : int;
-  calls : int;
+  calls : int;  (** issued: the completed calls plus [failed] *)
+  failed : int;  (** calls that ended in an [Rpc.Rpc_error.Rpc] *)
   elapsed : Sim.Time.span;
-  rpcs_per_sec : float;
-  megabits_per_sec : float;  (** payload bits transferred per second *)
+  rpcs_per_sec : float;  (** completed calls per second *)
+  megabits_per_sec : float;  (** payload bits of completed calls per second *)
   caller_busy_cpus : float;  (** time-averaged busy CPUs, caller machine *)
   server_busy_cpus : float;
   retransmissions : int;
-  mean_latency : Sim.Time.span;  (** elapsed × threads / calls *)
-  latencies : Sim.Time.span array;  (** per-call, in completion order *)
+  mean_latency : Sim.Time.span;
+      (** elapsed × threads / completed calls; zero when none completed *)
+  latencies : Sim.Time.span array;
+      (** per completed call, in completion order *)
   sorted_latencies : Sim.Time.span array;
       (** [latencies] sorted ascending — what {!percentile} reads *)
 }
@@ -53,7 +56,9 @@ val run :
   unit ->
   outcome
 (** Runs the workload to completion on the world's engine (which must
-    not have been run to a later time already).
+    not have been run to a later time already).  A call that raises
+    [Rpc.Rpc_error.Rpc] (say, no response within the retry budget)
+    counts in [failed], and its caller goes on to the next call.
     @raise Failure if a call returns a result {!result_ok} rejects. *)
 
 val run_traced :

@@ -40,6 +40,10 @@ call --caller-cpus 0
 call --server-cpus 0
 call --mbps 0
 call --cpu-speedup 0
+call --cpu-speedup nan
+call --cpu-speedup inf
+call --mbps nan
+breakdown --mbps inf
 breakdown --cpus 0
 breakdown --caller-cpus 0
 breakdown --server-cpus 0

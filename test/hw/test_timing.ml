@@ -183,9 +183,25 @@ let test_config_validate () =
   (match Config.validate { Config.default with cpus = 0 } with
   | Ok _ -> Alcotest.fail "accepted 0 cpus"
   | Error _ -> ());
-  match Config.validate { Config.default with ethernet_mbps = -1. } with
+  (match Config.validate { Config.default with ethernet_mbps = -1. } with
   | Ok _ -> Alcotest.fail "accepted negative rate"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A NaN passes a [<= 0.] test, and an infinite rate or speedup makes
+     the scaled times zero: both fields must be finite. *)
+  let set_speedup x = { Config.default with cpu_speedup = x }
+  and set_mbps x = { Config.default with ethernet_mbps = x } in
+  List.iter
+    (fun (field, set) ->
+      List.iter
+        (fun x ->
+          match Config.validate (set x) with
+          | Ok _ -> Alcotest.failf "accepted %s = %h" field x
+          | Error _ -> ())
+        [ Float.nan; Float.infinity; Float.neg_infinity ];
+      match Config.validate (set 1e12) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "rejected %s = 1e12: %s" field e)
+    [ ("cpu_speedup", set_speedup); ("ethernet_mbps", set_mbps) ]
 
 let suite =
   [

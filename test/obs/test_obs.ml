@@ -262,6 +262,24 @@ let test_percentile_repeated_queries () =
   (* The original completion-order array is untouched by sorting. *)
   Alcotest.(check int) "latencies length unchanged" 30 (Array.length o.Workload.Driver.latencies)
 
+(* A lossy world whose calls may run out of retries: a failed call is
+   counted and its caller goes on to the next one, so every issued
+   call either completes, with a latency sample, or fails. *)
+let test_failed_calls_counted () =
+  let w = Workload.World.create ~idle_load:false () in
+  let rng = Sim.Engine.rng w.Workload.World.eng in
+  Hw.Ether_link.set_fault_injector w.Workload.World.link
+    (Some
+       (fun _ -> if Sim.Rng.bool rng ~p:0.6 then Hw.Ether_link.Drop else Hw.Ether_link.Deliver));
+  let options = { Rpc.Runtime.retransmit_after = Time.ms 50; max_retries = 2; backoff = None } in
+  let o = Workload.Driver.run w ~options ~threads:2 ~calls:40 ~proc:Workload.Driver.Null () in
+  let completed = Array.length o.Workload.Driver.latencies in
+  Alcotest.(check int) "issued = completed + failed" 40 (completed + o.Workload.Driver.failed);
+  Alcotest.(check bool) "some calls failed" true (o.Workload.Driver.failed > 0);
+  Alcotest.(check bool) "some calls completed" true (completed > 0);
+  Alcotest.(check int) "one sorted sample per completed call" completed
+    (Array.length o.Workload.Driver.sorted_latencies)
+
 (* An outcome carrying exactly the given latency samples; only the
    fields [percentile] reads matter. *)
 let outcome_of_latencies latencies =
@@ -270,6 +288,7 @@ let outcome_of_latencies latencies =
   {
     Workload.Driver.threads = 1;
     calls = Array.length latencies;
+    failed = 0;
     elapsed = Time.zero_span;
     rpcs_per_sec = 0.;
     megabits_per_sec = 0.;
@@ -742,6 +761,7 @@ let () =
           Alcotest.test_case "percentile caching" `Quick test_percentile_repeated_queries;
           Alcotest.test_case "percentile nearest-rank agreement" `Quick
             test_percentile_agreement;
+          Alcotest.test_case "failed calls are counted" `Quick test_failed_calls_counted;
         ] );
       ( "export",
         [ Alcotest.test_case "chrome trace end-to-end" `Quick test_chrome_trace_export ] );

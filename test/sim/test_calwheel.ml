@@ -1,10 +1,10 @@
 (* The calendar queue must be invisible to event order: whatever the
    bucket math or the window resizes do, the pop sequence must be the
    exact (time, tie, seq) total order — the same sequence the
-   {!Sim.Eventq} heaps and a sorted-list model produce, whichever of
-   its three heaps an event joined.  These tests hold the two queues
-   and the model to one sequence, across random interleavings and
-   across the deterministic resize/overflow boundaries. *)
+   {!Sim.Eventq} queue and a sorted-list model produce, whichever of
+   its heaps and sorted runs an event joined.  These tests hold the two
+   queues and the model to one sequence, across random interleavings
+   and across the deterministic resize/overflow boundaries. *)
 
 module Time = Sim.Time
 module Engine = Sim.Engine
@@ -29,9 +29,18 @@ let key_of (n : Evnode.t) = (n.Evnode.time, n.Evnode.tie, n.Evnode.seq)
    (the engine's timeouts) and the ordinary [Calendar.insert] on the
    calendar side.  Offsets run from ns to seconds, so a single run
    crosses many calendar days, lands events in the overflow heap and
-   fills the near and far heaps; the round µs, ms and s offsets make
-   keys tie in time across all three heaps. *)
-type cmd = Add of int * int | Timer of int * int | Pop
+   fills every part of the heap queue; the round µs, ms and s offsets
+   make keys tie in time across the parts.  [Reclaim] and [Timeout] are
+   the engine's two ordered streams, an ordinary insert at clock + 5 s
+   (a retained-result reclaim) and a timeout at clock + 600 ms: their
+   keys mostly arrive in order and extend the sorted runs, while the
+   random tie of two at one instant sends the later one to the heap
+   behind its run when it orders first.  [Drain] pops everything, so
+   the runs empty and refill. *)
+type cmd = Add of int * int | Timer of int * int | Reclaim of int | Timeout of int | Pop | Drain
+
+let reclaim_after = 5_000_000_000
+let timeout_after = 600_000_000
 
 let prop_three_way_model =
   let gen =
@@ -51,9 +60,12 @@ let prop_three_way_model =
       list_size (int_bound 300)
         (frequency
            [
-             (2, keyed (fun dt tie -> Add (dt, tie)));
-             (1, keyed (fun dt tie -> Timer (dt, tie)));
-             (2, return Pop);
+             (8, keyed (fun dt tie -> Add (dt, tie)));
+             (4, keyed (fun dt tie -> Timer (dt, tie)));
+             (4, map (fun tie -> Reclaim tie) (int_bound 3));
+             (4, map (fun tie -> Timeout tie) (int_bound 3));
+             (10, return Pop);
+             (1, return Drain);
            ]))
   in
   let print cmds =
@@ -62,7 +74,10 @@ let prop_three_way_model =
          (function
            | Add (dt, tie) -> Printf.sprintf "add(+%d,%d)" dt tie
            | Timer (dt, tie) -> Printf.sprintf "timer(+%d,%d)" dt tie
-           | Pop -> "pop")
+           | Reclaim tie -> Printf.sprintf "reclaim(%d)" tie
+           | Timeout tie -> Printf.sprintf "timeout(%d)" tie
+           | Pop -> "pop"
+           | Drain -> "drain")
          cmds)
   in
   QCheck.Test.make ~name:"calendar matches heap and sorted-list model" ~count:200
@@ -81,24 +96,33 @@ let prop_three_way_model =
         model := List.sort key_compare ((time, tie, !seq) :: !model);
         Eventq.size heap = List.length !model && Calendar.size cal = List.length !model
       in
+      let pop () =
+        match !model with
+        | [] -> Eventq.is_empty heap && Calendar.is_empty cal
+        | expect :: rest ->
+          model := rest;
+          let nh = Eventq.pop heap and nc = Calendar.pop cal in
+          let kh = key_of nh and kc = key_of nc in
+          Evnode.recycle pool_h nh;
+          Evnode.recycle pool_c nc;
+          let et, _, _ = expect in
+          clock := Time.since_start_ns et;
+          kh = expect && kc = expect
+      in
+      let rec drain () = !model = [] || (pop () && drain ()) in
       List.for_all
         (fun cmd ->
           match cmd with
           | Add (dt, tie) -> insert dt tie ~heap_insert:(Eventq.insert heap)
           | Timer (dt, tie) -> insert dt tie ~heap_insert:(Eventq.insert_timer heap)
-          | Pop -> (
-            match !model with
-            | [] -> Eventq.is_empty heap && Calendar.is_empty cal
-            | expect :: rest ->
-              model := rest;
-              let nh = Eventq.pop heap and nc = Calendar.pop cal in
-              let kh = key_of nh and kc = key_of nc in
-              Evnode.recycle pool_h nh;
-              Evnode.recycle pool_c nc;
-              let et, _, _ = expect in
-              clock := Time.since_start_ns et;
-              kh = expect && kc = expect))
-        cmds)
+          | Reclaim tie -> insert reclaim_after tie ~heap_insert:(Eventq.insert heap)
+          | Timeout tie -> insert timeout_after tie ~heap_insert:(Eventq.insert_timer heap)
+          | Pop -> pop ()
+          | Drain -> drain ())
+        cmds
+      && drain ()
+      && Eventq.is_empty heap
+      && Calendar.is_empty cal)
 
 (* {1 Calendar resize and overflow boundaries, deterministically} *)
 
@@ -180,7 +204,8 @@ let test_engine_queue_equivalence () =
    64 ns - 4.2 us, so events land in many buckets and overtake each
    other constantly.  A second mix schedules every fourth hop 131 us -
    197 us out, at or past the {!Sim.Eventq} near/far boundary, so its
-   near and far heaps both stay busy. *)
+   near heap and both far parts (the sorted run and the heap behind
+   it) stay busy. *)
 let chains = 64
 let chain_steps = 2048
 

@@ -99,12 +99,108 @@ let test_reschedule_from_closure () =
     (List.init 101 (fun i -> i * 7))
     (List.rev !popped)
 
+(* Filing nodes by hand, as the engine does: [file pool q insert ns tie]
+   queues a node due [ns] ns after the start with the next seq and
+   returns its key. *)
+let seq = ref 0
+
+let file pool q insert ns tie =
+  incr seq;
+  insert q (Sim.Evnode.alloc pool ~time:(time_of_ns ns) ~tie ~seq:!seq);
+  (ns, tie, !seq)
+
+let pop_key pool q =
+  let n = Q.pop q in
+  let key = (Sim.Time.since_start_ns n.Sim.Evnode.time, n.Sim.Evnode.tie, n.Sim.Evnode.seq) in
+  Sim.Evnode.recycle pool n;
+  key
+
+let sorted keys = List.sort compare keys
+
+(* Far keys and timeouts that arrive in order extend their sorted runs,
+   whose rings start at 64 positions.  Pops move each run's head on,
+   so later appends wrap around the ring, and both rings fill and
+   double while wrapped.  Far keys and timeouts alternate in time, so
+   pops take from both runs. *)
+let test_run_grows_wrapped () =
+  let pool = Sim.Evnode.create_pool () in
+  let q = Q.create ~pool () in
+  let file = file pool q and pop_key () = pop_key pool q in
+  let next = ref 0 in
+  let append k =
+    List.concat
+      (List.init k (fun _ ->
+           let i = !next in
+           incr next;
+           [
+             file Q.insert (1_000_000_000 + (2_000_000 * i)) 0;
+             file Q.insert_timer (1_001_000_000 + (2_000_000 * i)) 0;
+           ]))
+  in
+  let first = append 48 in
+  let popped = List.init 80 (fun _ -> pop_key ()) in
+  Alcotest.(check (list (triple int int int))) "first pops in order"
+    (List.filteri (fun i _ -> i < 80) (sorted first))
+    popped;
+  let rest = append 100 in
+  Alcotest.(check int) "size" 216 (Q.size q);
+  let drained = List.init 216 (fun _ -> pop_key ()) in
+  Alcotest.(check (list (triple int int int))) "wrapped and grown runs pop in order"
+    (sorted (first @ rest))
+    (popped @ drained);
+  Alcotest.(check bool) "empty" true (Q.is_empty q)
+
+(* A far key or a timeout that orders before its run's last key goes
+   to the heap behind the run, whether it is earlier in time or ties in
+   time with a smaller tie.  Every head still takes its turn: before
+   each pop, [all_after] holds just before the minimum and fails at
+   it. *)
+let test_out_of_order_keys () =
+  let pool = Sim.Evnode.create_pool () in
+  let q = Q.create ~pool () in
+  let file = file pool q in
+  let ms n = n * 1_000_000 in
+  let keys =
+    [
+      file Q.insert (ms 2000) 0;
+      file Q.insert (ms 3000) 5;
+      file Q.insert (ms 2500) 0 (* earlier than the far run's last *);
+      file Q.insert (ms 3000) 2 (* same instant, smaller tie *);
+      file Q.insert (ms 3000) 9;
+      file Q.insert (ms 1000) 0;
+      file Q.insert_timer (ms 600) 0;
+      file Q.insert_timer (ms 900) 1;
+      file Q.insert_timer (ms 700) 0 (* earlier than the timer run's last *);
+      file Q.insert_timer (ms 900) 0 (* same instant, smaller tie *);
+      file Q.insert_timer (ms 1000) 0 (* ties a far key in time *);
+      file Q.insert 10_000 0;
+      file Q.insert 50_000 3;
+    ]
+  in
+  let probes_ok = ref true in
+  let popped =
+    List.map
+      (fun _ ->
+        let t = Sim.Time.since_start_ns (Q.min_time q) in
+        probes_ok :=
+          !probes_ok
+          && Q.all_after q (time_of_ns (t - 1))
+          && not (Q.all_after q (time_of_ns t));
+        pop_key pool q)
+      keys
+  in
+  Alcotest.(check (list (triple int int int))) "pops in key order" (sorted keys) popped;
+  Alcotest.(check bool) "all_after brackets each minimum" true !probes_ok;
+  Alcotest.(check bool) "all_after on empty" true (Q.all_after q Sim.Time.zero)
+
 (* Model-based property: interleaved adds and pops against a sorted-list
    model.  Commands: [Some (time, tie)] = add (seq assigned in program
    order, so keys are unique), [None] = pop.  Times cluster within 20 ns
    of 0, of a few ms and of 5 s, so as pops move forward the same
    instant is queued both far ahead of the last pop and near it: keys
-   land in both of the queue's heaps and tie across them. *)
+   land in the near heap, the far run and the far heap, and tie across
+   them.  Before each pop, [all_after] must hold just before the
+   model's minimum and fail at it. *)
 let prop_model =
   let time =
     QCheck.Gen.(
@@ -146,10 +242,11 @@ let prop_model =
             | true, _ :: _ | false, [] -> false
             | false, expect :: rest ->
               model := rest;
+              let t, _, _ = expect in
               let min_ok =
-                Sim.Time.equal (Q.min_time q)
-                  (let t, _, _ = expect in
-                   t)
+                Sim.Time.equal (Q.min_time q) t
+                && Q.all_after q (Sim.Time.add t (Sim.Time.ns (-1)))
+                && not (Q.all_after q t)
               in
               popped := None;
               (Q.pop_run q) ();
@@ -165,5 +262,7 @@ let suite =
     Alcotest.test_case "pop on empty rejected" `Quick test_pop_empty_rejected;
     Alcotest.test_case "insert of a foreign node rejected" `Quick test_foreign_node_rejected;
     Alcotest.test_case "reschedule from popped closure" `Quick test_reschedule_from_closure;
+    Alcotest.test_case "a run grows while wrapped" `Quick test_run_grows_wrapped;
+    Alcotest.test_case "out-of-order far keys and timeouts" `Quick test_out_of_order_keys;
     QCheck_alcotest.to_alcotest prop_model;
   ]
