@@ -83,10 +83,10 @@ and endpoint = {
   (* server-side dedup of retransmitted Connect_inits *)
   by_remote : (string * int, conn) Hashtbl.t;
   listeners : (int, conn -> unit) Hashtbl.t;
-  c_accepted : Sim.Stats.Counter.t;
-  c_sent : Sim.Stats.Counter.t;
-  c_retrans : Sim.Stats.Counter.t;
-  c_cks : Sim.Stats.Counter.t;
+  mutable c_accepted : int;
+  mutable c_sent : int;
+  mutable c_retrans : int;
+  mutable c_cks : int;
 }
 
 let eng ep = Machine.engine ep.mach
@@ -160,7 +160,7 @@ let parse_frame frame =
 (* {1 Sending} *)
 
 let transmit ep ctx ~dst seg =
-  Sim.Stats.Counter.incr ep.c_sent;
+  ep.c_sent <- ep.c_sent + 1;
   let frame = build_frame ep ~dst seg in
   Cpu_set.charge ctx ~cat:"decnet" ~label:"Software checksum"
     (Timing.udp_checksum (timing ep) ~bytes:(Bytes.length frame));
@@ -171,37 +171,38 @@ let fail msg = Rpc_error.fail (Rpc_error.Call_failed msg)
 let blank_seg ~s_type ~src_conn ~dst_conn =
   { s_type; src_conn; dst_conn; seq = 0; ack = 0; more = false; payload = Bytes.empty }
 
-(* Send one segment stop-and-wait: retransmit on a deadline until the
-   cumulative ack covers it. *)
-let send_segment_reliably conn ctx seg =
+(* Stop-and-wait, for a data segment and for a connect alike: send
+   [seg], then resend it after each [retransmit_after] that passes
+   without a wakeup on the ack waiter, at most [max_retries] times, and
+   close the connection with [give_up] after that.  [settled ()] is
+   true once the wait is over and raises once it can no longer end
+   well. *)
+let send_reliably conn ctx seg ~settled ~give_up =
   let ep = conn.ep in
-  conn.awaiting_ack <- Some seg.seq;
   transmit ep ctx ~dst:conn.peer seg;
-  let tries = ref 0 in
-  let rec wait () =
-    if conn.state = Closed then fail "decnet: connection closed";
-    match conn.awaiting_ack with
-    | None -> ()
-    | Some _ -> (
+  let rec wait resends =
+    if not (settled ()) then
       match Nub.Waiter.wait_timeout conn.ack_waiter ctx ~timeout:conn.retransmit_after with
-      | `Ok -> wait ()
+      | `Ok -> wait resends
       | `Timeout ->
-        incr tries;
-        if !tries > conn.max_retries then begin
+        if resends >= conn.max_retries then begin
           conn.state <- Closed;
-          fail "decnet: retransmission limit reached"
-        end
-        else begin
-          Sim.Stats.Counter.incr ep.c_retrans;
-          transmit ep ctx ~dst:conn.peer seg;
-          wait ()
-        end)
+          fail give_up
+        end;
+        ep.c_retrans <- ep.c_retrans + 1;
+        transmit ep ctx ~dst:conn.peer seg;
+        wait (resends + 1)
   in
-  wait ()
+  wait 0
 
 let send_message conn ctx message =
   let ep = conn.ep in
   if conn.state = Closed then fail "decnet: connection closed";
+  (* A data segment is settled once the cumulative ack covers it. *)
+  let acked () =
+    if conn.state = Closed then fail "decnet: connection closed";
+    conn.awaiting_ack = None
+  in
   Cpu_set.yield_cpu ctx (fun () -> Sim.Resource.acquire conn.send_lock);
   Fun.protect
     ~finally:(fun () -> Sim.Resource.release conn.send_lock)
@@ -213,7 +214,8 @@ let send_message conn ctx message =
         let slice_len = if len = 0 then 0 else min max_seg_payload (len - pos) in
         charge ep ctx ~label:"Segment send processing" seg_send_us;
         conn.send_seq <- conn.send_seq + 1;
-        send_segment_reliably conn ctx
+        conn.awaiting_ack <- Some conn.send_seq;
+        send_reliably conn ctx ~settled:acked ~give_up:"decnet: retransmission limit reached"
           {
             s_type = Data;
             src_conn = conn.local_id;
@@ -305,7 +307,7 @@ let handle_segment ep ctx (seg : segment) ~src_mac =
         in
         conn.remote_id <- seg.src_conn;
         Hashtbl.replace ep.by_remote key conn;
-        Sim.Stats.Counter.incr ep.c_accepted;
+        ep.c_accepted <- ep.c_accepted + 1;
         transmit ep ctx ~dst:src_mac
           (blank_seg ~s_type:Connect_confirm ~src_conn:conn.local_id ~dst_conn:seg.src_conn);
         Machine.spawn_thread ep.mach ~name:"decnet-server-conn" (fun () -> accept conn)))
@@ -369,7 +371,7 @@ let install_handler ep =
       match parse_frame frame with
       | Error e ->
         (match e with
-        | "decnet: bad checksum" -> Sim.Stats.Counter.incr ep.c_cks
+        | "decnet: bad checksum" -> ep.c_cks <- ep.c_cks + 1
         | _ -> ());
         Nub.Driver.Dropped e
       | Ok (seg, src_mac) ->
@@ -386,10 +388,10 @@ let create node =
       conns = Hashtbl.create 16;
       by_remote = Hashtbl.create 16;
       listeners = Hashtbl.create 4;
-      c_accepted = Sim.Stats.Counter.create ();
-      c_sent = Sim.Stats.Counter.create ();
-      c_retrans = Sim.Stats.Counter.create ();
-      c_cks = Sim.Stats.Counter.create ();
+      c_accepted = 0;
+      c_sent = 0;
+      c_retrans = 0;
+      c_cks = 0;
     }
   in
   install_handler ep;
@@ -403,36 +405,18 @@ let connect ep ctx ~peer ~space ?(retransmit_after = default_retransmit)
   charge ep ctx ~label:"Connection handshake" handshake_us;
   let payload = Bytes.create 2 in
   Bytes.set_uint16_be payload 0 space;
-  let init =
+  (* The confirm is signalled through the ack waiter. *)
+  send_reliably conn ctx
     { (blank_seg ~s_type:Connect_init ~src_conn:conn.local_id ~dst_conn:0) with payload }
-  in
-  transmit ep ctx ~dst:peer init;
-  (* Await the confirm (signalled through the ack waiter), retransmitting
-     the init on timeout. *)
-  let tries = ref 0 in
-  let rec await_confirm () =
-    match conn.state with
-    | Established -> ()
-    | Closed -> fail "decnet: connect refused"
-    | Connecting -> (
-      match Nub.Waiter.wait_timeout conn.ack_waiter ctx ~timeout:retransmit_after with
-      | `Ok -> await_confirm ()
-      | `Timeout ->
-        incr tries;
-        if !tries > max_retries then begin
-          conn.state <- Closed;
-          fail "decnet: no response to connect"
-        end
-        else begin
-          Sim.Stats.Counter.incr ep.c_retrans;
-          transmit ep ctx ~dst:peer init;
-          await_confirm ()
-        end)
-  in
-  await_confirm ();
+    ~give_up:"decnet: no response to connect"
+    ~settled:(fun () ->
+      match conn.state with
+      | Established -> true
+      | Closed -> fail "decnet: connect refused"
+      | Connecting -> false);
   conn
 
-let connections_accepted ep = Sim.Stats.Counter.value ep.c_accepted
-let segments_sent ep = Sim.Stats.Counter.value ep.c_sent
-let segments_retransmitted ep = Sim.Stats.Counter.value ep.c_retrans
-let checksum_rejects ep = Sim.Stats.Counter.value ep.c_cks
+let connections_accepted ep = ep.c_accepted
+let segments_sent ep = ep.c_sent
+let segments_retransmitted ep = ep.c_retrans
+let checksum_rejects ep = ep.c_cks

@@ -32,10 +32,10 @@ type t = {
   worker_pools : (int, Entry.t Queue.t) Hashtbl.t;
   slow_sinks : (int, delivery -> unit) Hashtbl.t;
   alt_handlers : (int, ctx:Cpu_set.ctx -> frame:Bytes.t -> Driver.verdict) Hashtbl.t;
-  c_stale : Sim.Stats.Counter.t;
-  c_cks_reject : Sim.Stats.Counter.t;
-  c_fast : Sim.Stats.Counter.t;
-  c_slow : Sim.Stats.Counter.t;
+  mutable c_stale : int;
+  mutable c_cks_reject : int;
+  mutable c_fast : int;
+  mutable c_slow : int;
 }
 
 let machine t = t.mach
@@ -115,16 +115,16 @@ let demux t ctx (p : Frames.parsed) =
       let pool = worker_pool t hdr.Proto.server_space in
       match Queue.take_opt pool with
       | Some entry ->
-        Sim.Stats.Counter.incr t.c_fast;
+        t.c_fast <- t.c_fast + 1;
         consume entry
       | None ->
-        Sim.Stats.Counter.incr t.c_slow;
+        t.c_slow <- t.c_slow + 1;
         Driver.To_datalink))
   | Proto.Result | Proto.Busy | Proto.Error_reply -> (
     match Hashtbl.find_opt t.callers hdr.Proto.activity with
     | Some entry -> consume entry
     | None ->
-      Sim.Stats.Counter.incr t.c_stale;
+      t.c_stale <- t.c_stale + 1;
       Driver.Dropped "no caller waiting")
   | Proto.Ack -> (
     (* Fragment acks go to whichever side is mid-transfer: a server
@@ -136,7 +136,7 @@ let demux t ctx (p : Frames.parsed) =
       match Hashtbl.find_opt t.callers hdr.Proto.activity with
       | Some entry -> consume entry
       | None ->
-        Sim.Stats.Counter.incr t.c_stale;
+        t.c_stale <- t.c_stale + 1;
         Driver.Dropped "stale ack"))
 
 let traditional t = (Timing.config t.tmg).Hw.Config.traditional_demux
@@ -151,7 +151,7 @@ let charge_receive t ctx ~label frame =
   Cpu_set.charge ctx ~cat ~label:"Uniprocessor receive path" (Timing.uniproc_rx_extra t.tmg ~bytes)
 
 let count_reject t = function
-  | "udp: bad checksum" | "rpc: bad end-to-end checksum" -> Sim.Stats.Counter.incr t.c_cks_reject
+  | "udp: bad checksum" | "rpc: bad end-to-end checksum" -> t.c_cks_reject <- t.c_cks_reject + 1
   | _ -> ()
 
 let fast_handler_rpc t ~ctx ~frame =
@@ -198,7 +198,7 @@ let datalink_handler t ~ctx ~frame =
       free_buffer ();
       match Hashtbl.find_opt t.slow_sinks hdr.Proto.server_space with
       | Some sink -> sink (delivery ctx parsed)
-      | None -> Sim.Stats.Counter.incr t.c_stale))
+      | None -> t.c_stale <- t.c_stale + 1))
 
 let create mach =
   let t =
@@ -210,10 +210,10 @@ let create mach =
       worker_pools = Hashtbl.create 4;
       slow_sinks = Hashtbl.create 4;
       alt_handlers = Hashtbl.create 4;
-      c_stale = Sim.Stats.Counter.create ();
-      c_cks_reject = Sim.Stats.Counter.create ();
-      c_fast = Sim.Stats.Counter.create ();
-      c_slow = Sim.Stats.Counter.create ();
+      c_stale = 0;
+      c_cks_reject = 0;
+      c_fast = 0;
+      c_slow = 0;
     }
   in
   Driver.set_fast_handler (Machine.driver mach) (fun ~ctx ~frame -> fast_handler t ~ctx ~frame);
@@ -238,7 +238,7 @@ let send t ~ctx ~dst ~hdr ~payload ~payload_pos ~payload_len =
   if bug_p > 0. && Sim.Rng.bool (Engine.rng (Machine.engine t.mach)) ~p:bug_p then ()
   else Driver.send (Machine.driver t.mach) ~ctx frame
 
-let stale_packets t = Sim.Stats.Counter.value t.c_stale
-let checksum_rejects t = Sim.Stats.Counter.value t.c_cks_reject
-let calls_fast_path t = Sim.Stats.Counter.value t.c_fast
-let calls_slow_path t = Sim.Stats.Counter.value t.c_slow
+let stale_packets t = t.c_stale
+let checksum_rejects t = t.c_cks_reject
+let calls_fast_path t = t.c_fast
+let calls_slow_path t = t.c_slow

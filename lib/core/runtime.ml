@@ -42,11 +42,11 @@ type t = {
   mutable rt_scratch : Bytes.t;
   mutable rt_next_thread : int;
   mutable rt_exec_probe : (Activity.t -> int -> unit) option;
-  c_calls : Sim.Stats.Counter.t;
-  c_served : Sim.Stats.Counter.t;
-  c_retrans : Sim.Stats.Counter.t;
-  c_dups : Sim.Stats.Counter.t;
-  c_busy : Sim.Stats.Counter.t;
+  mutable c_calls : int;
+  mutable c_served : int;
+  mutable c_retrans : int;
+  mutable c_dups : int;
+  mutable c_busy : int;
 }
 
 let node t = t.rt_node
@@ -83,11 +83,11 @@ let create nd ~space =
       rt_scratch = Bytes.create 2048;
       rt_next_thread = 1;
       rt_exec_probe = None;
-      c_calls = Sim.Stats.Counter.create ();
-      c_served = Sim.Stats.Counter.create ();
-      c_retrans = Sim.Stats.Counter.create ();
-      c_dups = Sim.Stats.Counter.create ();
-      c_busy = Sim.Stats.Counter.create ();
+      c_calls = 0;
+      c_served = 0;
+      c_retrans = 0;
+      c_dups = 0;
+      c_busy = 0;
     }
   in
   (* Packets the datalink demultiplexer could not hand to a parked
@@ -96,11 +96,14 @@ let create nd ~space =
   let reg = (Machine.obs (machine t)).Obs.Ctx.metrics in
   let site = Machine.name (machine t) in
   let metric what = Printf.sprintf "rpc.s%d.%s" space what in
-  Obs.Metrics.Registry.register_counter reg ~site ~name:(metric "calls") t.c_calls;
-  Obs.Metrics.Registry.register_counter reg ~site ~name:(metric "served") t.c_served;
-  Obs.Metrics.Registry.register_counter reg ~site ~name:(metric "retransmissions") t.c_retrans;
-  Obs.Metrics.Registry.register_counter reg ~site ~name:(metric "duplicates") t.c_dups;
-  Obs.Metrics.Registry.register_counter reg ~site ~name:(metric "busy_rejects") t.c_busy;
+  let counter what read =
+    Obs.Metrics.Registry.register_counter_fn reg ~site ~name:(metric what) read
+  in
+  counter "calls" (fun () -> t.c_calls);
+  counter "served" (fun () -> t.c_served);
+  counter "retransmissions" (fun () -> t.c_retrans);
+  counter "duplicates" (fun () -> t.c_dups);
+  counter "busy_rejects" (fun () -> t.c_busy);
   t
 
 let journal t ev =
@@ -222,7 +225,7 @@ let dispatch t ctx ~intf_id ~proc_idx ~payload ~secured ~seq ~trusted :
                  procedure — no server-side copy (§2.2); Value/Text
                  server marshalling costs are charged here. *)
               Marshal.charge_args tmg ctx Marshal.Server_side Marshal.In_result_packet p full;
-              Sim.Stats.Counter.incr t.c_served;
+              t.c_served <- t.c_served + 1;
               match ex.ex_auth with
               | Some key when secured ->
                 charge_security t ctx ~bytes:(Bytes.length result);
@@ -324,7 +327,7 @@ let start_call client ctx intf ~proc_idx body =
   if proc_idx < 0 || proc_idx >= Array.length intf.Idl.procs then
     Rpc_error.fail (Rpc_error.Bad_procedure proc_idx);
   let p = intf.Idl.procs.(proc_idx) in
-  Sim.Stats.Counter.incr t.c_calls;
+  t.c_calls <- t.c_calls + 1;
   let prev_call = Cpu_set.trace_call ctx in
   Cpu_set.set_trace_call ctx (Sim.Trace.new_call (Engine.trace (engine t)));
   Fun.protect ~finally:(fun () -> Cpu_set.set_trace_call ctx prev_call) @@ fun () ->
@@ -350,13 +353,13 @@ let perform t ctx = function
     Node.send t.rt_node ~ctx ~dst ~hdr ~payload:(V.buffer v) ~payload_pos:(V.offset v)
       ~payload_len:(V.length v)
   | Exchange.Note (Exchange.Retransmit seq) ->
-    Sim.Stats.Counter.incr t.c_retrans;
+    t.c_retrans <- t.c_retrans + 1;
     journal t (Obs.Journal.Retransmit { seq })
   | Exchange.Note (Exchange.Ack seq) -> journal t (Obs.Journal.Ack { seq })
   | Exchange.Note (Exchange.Duplicate seq) ->
-    Sim.Stats.Counter.incr t.c_dups;
+    t.c_dups <- t.c_dups + 1;
     journal t (Obs.Journal.Retransmit { seq })
-  | Exchange.Note (Exchange.Busy _) -> Sim.Stats.Counter.incr t.c_busy
+  | Exchange.Note (Exchange.Busy _) -> t.c_busy <- t.c_busy + 1
   | Exchange.Note (Exchange.Released frames) -> free_bufs t frames
   | Exchange.Note (Exchange.Transmit { frames; _ }) ->
     alloc_bufs t ctx frames;
@@ -793,10 +796,10 @@ let call_by_name binding client ctx ~proc ~args =
 
 (* {1 Statistics} *)
 
-let calls_made t = Sim.Stats.Counter.value t.c_calls
+let calls_made t = t.c_calls
 let set_execution_probe t probe = t.rt_exec_probe <- probe
-let calls_served t = Sim.Stats.Counter.value t.c_served
-let retransmissions t = Sim.Stats.Counter.value t.c_retrans
-let duplicates_suppressed t = Sim.Stats.Counter.value t.c_dups
-let busy_replies t = Sim.Stats.Counter.value t.c_busy
+let calls_served t = t.c_served
+let retransmissions t = t.c_retrans
+let duplicates_suppressed t = t.c_dups
+let busy_replies t = t.c_busy
 let server_activities t = Exchange.Server.activities t.rt_server

@@ -8,8 +8,8 @@ let single_call ?caller_config ?server_config ~proc () =
 
 (* The tables' runs are lossless, so a failed call is a fault of the
    model, not a figure to report. *)
-let throughput ?caller_config ?server_config ?seed ?transport ~threads ~calls ~proc () =
-  let w = Workload.World.create ?caller_config ?server_config ?seed () in
+let throughput ?caller_config ?server_config ?transport ~threads ~calls ~proc () =
+  let w = Workload.World.create ?caller_config ?server_config () in
   let o = Workload.Driver.run w ?transport ~threads ~calls ~proc () in
   if o.Workload.Driver.failed > 0 then
     failwith (Printf.sprintf "Exp_common.throughput: %d of %d calls failed" o.failed calls);

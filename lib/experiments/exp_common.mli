@@ -18,7 +18,6 @@ val single_call :
 val throughput :
   ?caller_config:Hw.Config.t ->
   ?server_config:Hw.Config.t ->
-  ?seed:int ->
   ?transport:[ `Auto | `Local | `Decnet ] ->
   threads:int ->
   calls:int ->

@@ -40,9 +40,12 @@ let multi_client ~calls_per_client ~proc =
             Cpu_set.with_cpu (Machine.cpus machine) (fun ctx ->
                 let client = Rpc.Runtime.new_client rt in
                 for _ = 1 to calls_per_client / threads_per_client do
-                  ignore
-                    (Rpc.Runtime.call binding client ctx ~proc_idx:(Driver.proc_idx proc)
-                       ~args:(Driver.args_of proc))
+                  let outs =
+                    Rpc.Runtime.call binding client ctx ~proc_idx:(Driver.proc_idx proc)
+                      ~args:(Driver.args_of proc)
+                  in
+                  if not (Driver.result_ok proc outs) then
+                    failwith "Extensions.multi_client: wrong result"
                 done);
             incr finished;
             if !finished = threads_total then Sim.Gate.open_ gate)
@@ -84,7 +87,8 @@ let controller_saturation () =
     let eng = Engine.create () in
     let link = Hw.Ether_link.create eng ~mbps:10. in
     let qbus = Sim.Resource.create eng in
-    let a = Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station 1) () in
+    let obs = Obs.Ctx.create () in
+    let a = Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station 1) ~obs () in
     (* a sink station so frames are deliverable *)
     ignore
       (Hw.Ether_link.attach link ~mac:(Net.Mac.of_station 2)
@@ -101,9 +105,10 @@ let controller_saturation () =
   let rx_rate =
     let eng = Engine.create () in
     let link = Hw.Ether_link.create eng ~mbps:10. in
+    let obs = Obs.Ctx.create () in
     let mk n =
       let qbus = Sim.Resource.create eng in
-      Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station n) ()
+      Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station n) ~obs ()
     in
     let s1 = mk 1 and s2 = mk 2 and rx = mk 3 in
     let drained = ref 0 in

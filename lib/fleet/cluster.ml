@@ -24,11 +24,11 @@ type t = {
 let max_nodes = 200
 
 let create ?(seed = 42) ?(config = Hw.Config.default) ?config_of
-    ?switch_latency ?egress_capacity ?(pool_buffers = 64) ?(idle_load = false) ?obs ~nodes () =
+    ?switch_latency ?egress_capacity ?(pool_buffers = 64) ~nodes () =
   if nodes < 2 then invalid_arg "Cluster.create: need at least 2 nodes";
   if nodes > max_nodes then
     invalid_arg (Printf.sprintf "Cluster.create: at most %d nodes (station addressing)" max_nodes);
-  let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
+  let obs = Obs.Ctx.create () in
   let eng = Engine.create ~seed () in
   let config_of = match config_of with Some f -> f | None -> fun _ -> config in
   let switch =
@@ -44,7 +44,6 @@ let create ?(seed = 42) ?(config = Hw.Config.default) ?config_of
         ~pool_buffers ()
     in
     Topology.register_mac switch ~mac:(Machine.mac machine) ~port:i;
-    if idle_load then Machine.start_idle_load machine;
     let rpc = Rpc.Node.create machine in
     {
       nd_id = i;
@@ -83,8 +82,8 @@ let bind t ~client ~server ?options () =
   Rpc.Binder.bind t.cl_binder (node t client).nd_rt ~server:(node t server).nd_rt
     Workload.Test_interface.interface ?options ()
 
-let run_until_quiet ?(limit = Time.sec 600) t gate =
-  let stop_at = Time.add (Engine.now t.cl_eng) limit in
+let run_until_quiet t gate =
+  let stop_at = Time.add (Engine.now t.cl_eng) (Time.sec 600) in
   Engine.run_while t.cl_eng (fun () ->
       (not (Sim.Gate.is_open gate)) && Time.(Engine.now t.cl_eng < stop_at));
   if not (Sim.Gate.is_open gate) then

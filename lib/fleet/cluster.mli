@@ -38,16 +38,14 @@ val create :
   ?switch_latency:Sim.Time.span ->
   ?egress_capacity:int ->
   ?pool_buffers:int ->
-  ?idle_load:bool ->
-  ?obs:Obs.Ctx.t ->
   nodes:int ->
   unit ->
   t
 (** [config_of i] (default: the constant [config], default
     {!Hw.Config.default}) picks node [i]'s machine configuration —
-    how straggler scenarios slow one server down.  [idle_load] defaults
-    to [false]: fleet tails are measured without the paper's background
-    load unless asked for.
+    how straggler scenarios slow one server down.  The cluster makes its
+    own {!Obs.Ctx} ([cl_obs]), and its machines draw no background
+    load: fleet tails are measured without the paper's idle load.
     @raise Invalid_argument if [nodes < 2] or [nodes > max_nodes]. *)
 
 val node : t -> int -> node
@@ -67,9 +65,9 @@ val bind :
     @raise Rpc.Rpc_error.Rpc ([Unbound_interface]) if [server] has not
     exported it. *)
 
-val run_until_quiet : ?limit:Sim.Time.span -> t -> Sim.Gate.t -> unit
+val run_until_quiet : t -> Sim.Gate.t -> unit
 (** Like {!Workload.World.run_until_quiet}: drive the engine until the
-    gate opens, failing after [limit] (default 600 simulated seconds). *)
+    gate opens, failing after 600 simulated seconds. *)
 
 val leaked_sinks : t -> int
 (** Sum of registered fragment sinks across all nodes — nonzero at

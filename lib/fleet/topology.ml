@@ -16,9 +16,9 @@ type t = {
   egress_cap : int;
   pts : port array;
   macs : (Net.Mac.t, int) Hashtbl.t;
-  c_forwarded : Sim.Stats.Counter.t;
-  c_unknown : Sim.Stats.Counter.t;
-  c_incast : Sim.Stats.Counter.t;
+  mutable c_forwarded : int;
+  mutable c_unknown : int;
+  mutable c_incast : int;
   mutable max_depth : int;
 }
 
@@ -45,18 +45,18 @@ let egress_loop pt () =
 let enqueue_egress t dst_port ~src ~call frame =
   let pt = t.pts.(dst_port) in
   if Queue.length pt.pt_egress >= t.egress_cap then
-    Sim.Stats.Counter.incr t.c_incast
+    t.c_incast <- t.c_incast + 1
   else begin
     Queue.push { pd_src = src; pd_frame = frame; pd_call = call } pt.pt_egress;
     t.max_depth <- max t.max_depth (Queue.length pt.pt_egress);
-    Sim.Stats.Counter.incr t.c_forwarded;
+    t.c_forwarded <- t.c_forwarded + 1;
     ignore (Sim.Condvar.signal pt.pt_kick ())
   end
 
 let ingress t ~src ~frame ~call ~wire =
   let dst = Net.Mac.read (Wire.Bytebuf.Reader.of_bytes frame) in
   match Hashtbl.find_opt t.macs dst with
-  | None -> Sim.Stats.Counter.incr t.c_unknown
+  | None -> t.c_unknown <- t.c_unknown + 1
   | Some dst_port ->
     (* Store-and-forward: the frame is only complete at the switch after
        its ingress wire time; the fabric adds [latency] on top. *)
@@ -64,7 +64,7 @@ let ingress t ~src ~frame ~call ~wire =
       ~after:(Time.span_add wire t.latency)
       (fun () -> enqueue_egress t dst_port ~src ~call frame)
 
-let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports () =
+let create ~obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports () =
   if ports < 1 then invalid_arg "Topology.create: ports must be >= 1";
   if egress_capacity < 1 then invalid_arg "Topology.create: egress_capacity must be >= 1";
   if Time.span_is_negative latency then invalid_arg "Topology.create: negative latency";
@@ -86,9 +86,9 @@ let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports
               pt_kick = Sim.Condvar.create eng;
             });
       macs = Hashtbl.create 32;
-      c_forwarded = Sim.Stats.Counter.create ();
-      c_unknown = Sim.Stats.Counter.create ();
-      c_incast = Sim.Stats.Counter.create ();
+      c_forwarded = 0;
+      c_unknown = 0;
+      c_incast = 0;
       max_depth = 0;
     }
   in
@@ -98,16 +98,14 @@ let create ?obs eng ~mbps ?(latency = Time.us 10) ?(egress_capacity = 32) ~ports
         (Some (fun ~src ~frame ~call ~wire -> ingress t ~src ~frame ~call ~wire));
       Engine.spawn eng ~name:(Printf.sprintf "switch-egress-%d" pt.pt_id) (egress_loop pt))
     t.pts;
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = o.Obs.Ctx.metrics in
-    let site = "switch" in
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"switch.forwarded" t.c_forwarded;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"switch.dropped_unknown" t.c_unknown;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"switch.dropped_incast" t.c_incast;
-    Obs.Metrics.Registry.register_probe reg ~site ~name:"switch.max_egress_depth" (fun () ->
-        float_of_int t.max_depth));
+  let reg = obs.Obs.Ctx.metrics in
+  let site = "switch" in
+  let counter name read = Obs.Metrics.Registry.register_counter_fn reg ~site ~name read in
+  counter "switch.forwarded" (fun () -> t.c_forwarded);
+  counter "switch.dropped_unknown" (fun () -> t.c_unknown);
+  counter "switch.dropped_incast" (fun () -> t.c_incast);
+  Obs.Metrics.Registry.register_probe reg ~site ~name:"switch.max_egress_depth" (fun () ->
+      float_of_int t.max_depth);
   t
 
 let ports t = Array.length t.pts
@@ -122,6 +120,6 @@ let register_mac t ~mac ~port =
     invalid_arg ("Topology.register_mac: duplicate MAC " ^ Net.Mac.to_string mac);
   Hashtbl.replace t.macs mac port
 
-let frames_forwarded t = Sim.Stats.Counter.value t.c_forwarded
-let frames_dropped_unknown t = Sim.Stats.Counter.value t.c_unknown
-let frames_dropped_incast t = Sim.Stats.Counter.value t.c_incast
+let frames_forwarded t = t.c_forwarded
+let frames_dropped_unknown t = t.c_unknown
+let frames_dropped_incast t = t.c_incast

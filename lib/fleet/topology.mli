@@ -18,7 +18,7 @@
 type t
 
 val create :
-  ?obs:Obs.Ctx.t ->
+  obs:Obs.Ctx.t ->
   Sim.Engine.t ->
   mbps:float ->
   ?latency:Sim.Time.span ->
@@ -29,9 +29,9 @@ val create :
 (** [create eng ~mbps ~ports ()] builds [ports] per-port segments and
     starts one egress process per port.  [latency] (default 10 us) is
     the fabric forwarding delay per frame; [egress_capacity] (default
-    32 frames) bounds each port's egress queue.  With [?obs] the
-    aggregate forwarded/dropped counters are registered under site
-    ["switch"].
+    32 frames) bounds each port's egress queue.  The aggregate
+    forwarded/dropped counters are registered in [obs] under site
+    ["switch"]; the per-port links publish nothing.
     @raise Invalid_argument on a non-positive port count, rate,
     capacity, or a negative latency. *)
 

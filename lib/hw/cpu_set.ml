@@ -21,7 +21,7 @@ type t = {
 
 type ctx = { set : t; affinity : affinity; mutable idx : int; mutable trace_id : int }
 
-let create ?obs eng ~site ~cpus =
+let create ~obs eng ~site ~cpus =
   if cpus < 1 then invalid_arg "Cpu_set.create: need at least one CPU";
   let now = Engine.now eng in
   let t =
@@ -39,12 +39,9 @@ let create ?obs eng ~site ~cpus =
       tracks = Array.init cpus (Printf.sprintf "cpu%d");
     }
   in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = o.Obs.Ctx.metrics in
-    Obs.Metrics.Registry.register_level reg ~site ~name:"cpus.busy" t.level;
-    Obs.Metrics.Registry.register_level reg ~site ~name:"cpus.cpu0_busy" t.cpu0_level);
+  let reg = obs.Obs.Ctx.metrics in
+  Obs.Metrics.Registry.register_level reg ~site ~name:"cpus.busy" t.level;
+  Obs.Metrics.Registry.register_level reg ~site ~name:"cpus.cpu0_busy" t.cpu0_level;
   t
 
 let site t = t.name
@@ -122,18 +119,14 @@ let with_cpu ?(affinity = Any) ?(priority = Thread) ?(call = Sim.Trace.no_call) 
   let ctx = { set = t; affinity; idx; trace_id = call } in
   Fun.protect ~finally:(fun () -> release t ctx.idx) (fun () -> f ctx)
 
-let charge ?kind ?call ctx ~cat ~label d =
+let charge ctx ~cat ~label d =
   if Time.span_compare d Time.zero_span > 0 then begin
     let t = ctx.set in
-    let call =
-      match call with
-      | Some c -> c
-      | None -> ctx.trace_id
-    in
+    let call = ctx.trace_id in
     let start_at = Engine.now t.eng in
     Engine.delay t.eng d;
-    Sim.Trace.add ~track:t.tracks.(ctx.idx) ?kind ~call (Engine.trace t.eng) ~cat ~label
-      ~site:t.name ~start_at ~stop_at:(Engine.now t.eng)
+    Sim.Trace.add ~track:t.tracks.(ctx.idx) ~call (Engine.trace t.eng) ~cat ~label ~site:t.name
+      ~start_at ~stop_at:(Engine.now t.eng)
   end
 
 let cpu_index ctx = ctx.idx

@@ -19,9 +19,9 @@ type ctx
 type affinity = Any | Cpu0
 type priority = Interrupt | Thread
 
-val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> site:string -> cpus:int -> t
-(** With [?obs], the set's busy-CPU levels are registered as
-    [cpus.busy] / [cpus.cpu0_busy] under [site]. *)
+val create : obs:Obs.Ctx.t -> Sim.Engine.t -> site:string -> cpus:int -> t
+(** The set's busy-CPU levels are registered in [obs] as [cpus.busy] /
+    [cpus.cpu0_busy] under [site]. *)
 
 val site : t -> string
 
@@ -35,12 +35,11 @@ val with_cpu :
     {!Sim.Trace.no_call}) is charged for the wait and is the context's
     starting trace call ({!set_trace_call}). *)
 
-val charge :
-  ?kind:Sim.Trace.kind -> ?call:int -> ctx -> cat:string -> label:string -> Sim.Time.span -> unit
+val charge : ctx -> cat:string -> label:string -> Sim.Time.span -> unit
 (** [charge ctx ~cat ~label d] keeps the CPU busy for [d] and records a
-    trace span.  Zero-length charges are skipped entirely.  The span is
-    attributed to [call] when given, otherwise to the context's current
-    trace call ({!set_trace_call}); [kind] defaults to service time. *)
+    service-time trace span.  Zero-length charges are skipped entirely.
+    The span is attributed to the context's trace call
+    ({!set_trace_call}) as it stood when the charge began. *)
 
 val cpu_index : ctx -> int
 

@@ -33,17 +33,14 @@ type t = {
   mutable irq_asserted : bool;
   mutable irq_raised_at : Time.t;
   mutable irq_handler : unit -> unit;
-  obs : Obs.Ctx.t option;
-  c_tx : Sim.Stats.Counter.t;
-  c_rx : Sim.Stats.Counter.t;
-  c_overrun : Sim.Stats.Counter.t;
-  c_no_buffer : Sim.Stats.Counter.t;
+  obs : Obs.Ctx.t;
+  mutable c_tx : int;
+  mutable c_rx : int;
+  mutable c_overrun : int;
+  mutable c_no_buffer : int;
 }
 
-let journal t ev =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs.Ctx.record o ~at:(Engine.now t.eng) ~site:t.site ev
+let journal t ev = Obs.Ctx.record t.obs ~at:(Engine.now t.eng) ~site:t.site ev
 
 let cut_through t = (Timing.config t.timing).Config.cut_through
 
@@ -71,7 +68,7 @@ let enqueue_job t job =
    the memory write immediately, overlapping it with reception, and
    completes at whichever of the two transfers finishes last. *)
 let on_frame_start t ~frame ~call ~wire =
-  if t.staging_used >= t.staging_cap then Sim.Stats.Counter.incr t.c_overrun
+  if t.staging_used >= t.staging_cap then t.c_overrun <- t.c_overrun + 1
   else begin
     t.staging_used <- t.staging_used + 1;
     let ready_at = Time.add (Engine.now t.eng) wire in
@@ -137,14 +134,14 @@ let do_tx t frame ~call ~enq_at =
     use_qbus ~call t qspan ~label:qlabel;
     transmit_traced ~call t frame
   end;
-  Sim.Stats.Counter.incr t.c_tx;
+  t.c_tx <- t.c_tx + 1;
   journal t (Obs.Journal.Packet_tx { bytes = Bytes.length frame });
   Engine.delay t.eng (jitter t (Timing.deqna_tx_recovery t.timing))
 
 let do_rx_drain t frame ~call ~ready_at ~enq_at =
   let len = Bytes.length frame in
   if t.credits = 0 then begin
-    Sim.Stats.Counter.incr t.c_no_buffer;
+    t.c_no_buffer <- t.c_no_buffer + 1;
     t.staging_used <- t.staging_used - 1
   end
   else begin
@@ -160,7 +157,7 @@ let do_rx_drain t frame ~call ~ready_at ~enq_at =
     if Time.(now < ready_at) then Engine.delay t.eng (Time.diff ready_at now);
     t.staging_used <- t.staging_used - 1;
     Queue.push (frame, call) t.rx_done;
-    Sim.Stats.Counter.incr t.c_rx;
+    t.c_rx <- t.c_rx + 1;
     journal t (Obs.Journal.Packet_rx { bytes = len });
     raise_irq t;
     Engine.delay t.eng (jitter t (Timing.deqna_rx_recovery t.timing ~bytes:len))
@@ -181,7 +178,7 @@ let engine_loop t () =
   in
   loop ()
 
-let create eng timing ~link ~qbus ~mac ?site ?obs () =
+let create eng timing ~link ~qbus ~mac ?site ~obs () =
   let t =
     {
       eng;
@@ -201,23 +198,21 @@ let create eng timing ~link ~qbus ~mac ?site ?obs () =
       irq_raised_at = Time.zero;
       irq_handler = ignore;
       obs;
-      c_tx = Sim.Stats.Counter.create ();
-      c_rx = Sim.Stats.Counter.create ();
-      c_overrun = Sim.Stats.Counter.create ();
-      c_no_buffer = Sim.Stats.Counter.create ();
+      c_tx = 0;
+      c_rx = 0;
+      c_overrun = 0;
+      c_no_buffer = 0;
     }
   in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = o.Obs.Ctx.metrics in
-    let site = t.site in
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"deqna.tx_frames" t.c_tx;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"deqna.rx_frames" t.c_rx;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"deqna.rx_overruns" t.c_overrun;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"deqna.rx_no_buffer" t.c_no_buffer;
-    Obs.Metrics.Registry.register_probe reg ~site ~name:"deqna.queue_depth" (fun () ->
-        float_of_int (Queue.length t.jobs + t.staging_used)));
+  let reg = obs.Obs.Ctx.metrics in
+  let site = t.site in
+  let counter name read = Obs.Metrics.Registry.register_counter_fn reg ~site ~name read in
+  counter "deqna.tx_frames" (fun () -> t.c_tx);
+  counter "deqna.rx_frames" (fun () -> t.c_rx);
+  counter "deqna.rx_overruns" (fun () -> t.c_overrun);
+  counter "deqna.rx_no_buffer" (fun () -> t.c_no_buffer);
+  Obs.Metrics.Registry.register_probe reg ~site ~name:"deqna.queue_depth" (fun () ->
+      float_of_int (Queue.length t.jobs + t.staging_used));
   let station =
     Ether_link.attach link ~mac ~on_frame_start:(fun ~frame ~call ~wire ->
         on_frame_start t ~frame ~call ~wire)
@@ -267,7 +262,7 @@ let interrupt_done t =
   if not (Queue.is_empty t.rx_done) then raise_irq t
 
 let last_irq_at t = t.irq_raised_at
-let tx_frames t = Sim.Stats.Counter.value t.c_tx
-let rx_frames t = Sim.Stats.Counter.value t.c_rx
-let rx_overruns t = Sim.Stats.Counter.value t.c_overrun
-let rx_no_buffer t = Sim.Stats.Counter.value t.c_no_buffer
+let tx_frames t = t.c_tx
+let rx_frames t = t.c_rx
+let rx_overruns t = t.c_overrun
+let rx_no_buffer t = t.c_no_buffer

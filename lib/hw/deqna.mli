@@ -35,15 +35,15 @@ val create :
   qbus:Sim.Resource.t ->
   mac:Net.Mac.t ->
   ?site:string ->
-  ?obs:Obs.Ctx.t ->
+  obs:Obs.Ctx.t ->
   unit ->
   t
 (** [site] names the machine in trace spans (defaults to the MAC
     address); the controller records the Table VI hardware steps —
     QBus transfers and Ethernet transmission time — when tracing is
-    enabled.  With [?obs], the frame counters and a queue-depth probe
-    are registered under [deqna.*] and every completed tx/rx frame is
-    journalled. *)
+    enabled.  The frame counters and a queue-depth probe are registered
+    in [obs] under [deqna.*], and every completed tx/rx frame is
+    journalled there. *)
 
 val mac : t -> Net.Mac.t
 val station : t -> Ether_link.station

@@ -26,13 +26,13 @@ type t = {
   mutable injector : (Bytes.t -> fault) option;
   mutable held : held_frame option;
   mutable held_gen : int;
-  frames : Sim.Stats.Counter.t;
-  bytes : Sim.Stats.Counter.t;
-  dropped : Sim.Stats.Counter.t;
-  corrupted : Sim.Stats.Counter.t;
-  duplicated : Sim.Stats.Counter.t;
-  delayed : Sim.Stats.Counter.t;
-  reordered : Sim.Stats.Counter.t;
+  mutable frames : int;
+  mutable bytes : int;
+  mutable dropped : int;
+  mutable corrupted : int;
+  mutable duplicated : int;
+  mutable delayed : int;
+  mutable reordered : int;
 }
 
 let create ?obs eng ~mbps =
@@ -47,13 +47,13 @@ let create ?obs eng ~mbps =
       injector = None;
       held = None;
       held_gen = 0;
-      frames = Sim.Stats.Counter.create ();
-      bytes = Sim.Stats.Counter.create ();
-      dropped = Sim.Stats.Counter.create ();
-      corrupted = Sim.Stats.Counter.create ();
-      duplicated = Sim.Stats.Counter.create ();
-      delayed = Sim.Stats.Counter.create ();
-      reordered = Sim.Stats.Counter.create ();
+      frames = 0;
+      bytes = 0;
+      dropped = 0;
+      corrupted = 0;
+      duplicated = 0;
+      delayed = 0;
+      reordered = 0;
     }
   in
   (match obs with
@@ -61,13 +61,14 @@ let create ?obs eng ~mbps =
   | Some o ->
     let reg = o.Obs.Ctx.metrics in
     let site = "ether" in
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.frames" t.frames;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.bytes" t.bytes;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.dropped" t.dropped;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.corrupted" t.corrupted;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.duplicated" t.duplicated;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.delayed" t.delayed;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"link.reordered" t.reordered;
+    let counter name read = Obs.Metrics.Registry.register_counter_fn reg ~site ~name read in
+    counter "link.frames" (fun () -> t.frames);
+    counter "link.bytes" (fun () -> t.bytes);
+    counter "link.dropped" (fun () -> t.dropped);
+    counter "link.corrupted" (fun () -> t.corrupted);
+    counter "link.duplicated" (fun () -> t.duplicated);
+    counter "link.delayed" (fun () -> t.delayed);
+    counter "link.reordered" (fun () -> t.reordered);
     Obs.Metrics.Registry.register_probe reg ~site ~name:"link.utilization" (fun () ->
         Sim.Resource.utilization t.medium ~upto:(Engine.now t.eng)));
   t
@@ -142,8 +143,8 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
     ~finally:(fun () -> Sim.Resource.release t.medium)
     (fun () ->
       let wire = wire_span t ~bytes:(max len Net.Ethernet.min_frame_size) in
-      Sim.Stats.Counter.incr t.frames;
-      Sim.Stats.Counter.add t.bytes len;
+      t.frames <- t.frames + 1;
+      t.bytes <- t.bytes + len;
       let fate =
         match t.injector with
         | None -> Deliver
@@ -154,15 +155,15 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
         deliver t ~src frame ~call ~wire;
         release_held t
       | Drop ->
-        Sim.Stats.Counter.incr t.dropped;
+        t.dropped <- t.dropped + 1;
         release_held t
       | Corrupt ->
-        Sim.Stats.Counter.incr t.corrupted;
+        t.corrupted <- t.corrupted + 1;
         deliver t ~src (corrupt_copy t frame ~lo:Net.Ethernet.header_size) ~call ~wire;
         release_held t
       | Corrupt_payload ->
         if len > 74 then begin
-          Sim.Stats.Counter.incr t.corrupted;
+          t.corrupted <- t.corrupted + 1;
           deliver t ~src (corrupt_copy t frame ~lo:74) ~call ~wire
         end
         else deliver t ~src frame ~call ~wire;
@@ -171,18 +172,18 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
         (* The frame arrives twice back to back, as if the controller
            retransmitted it; the medium is occupied for both copies, so
            the sender blocks for two frame times. *)
-        Sim.Stats.Counter.incr t.duplicated;
+        t.duplicated <- t.duplicated + 1;
         deliver t ~src frame ~call ~wire;
         release_held t;
         Engine.delay t.eng (Time.span_add wire (interframe_gap t));
-        Sim.Stats.Counter.incr t.frames;
-        Sim.Stats.Counter.add t.bytes len;
+        t.frames <- t.frames + 1;
+        t.bytes <- t.bytes + len;
         deliver t ~src (Bytes.copy frame) ~call ~wire
       | Delay hold ->
         if Time.span_is_negative hold then invalid_arg "Ether_link: negative Delay fault";
         (* The frame sits in limbo (a congested bridge, a slow repeater)
            and arrives [hold] later; the sender's occupancy is normal. *)
-        Sim.Stats.Counter.incr t.delayed;
+        t.delayed <- t.delayed + 1;
         let copy = Bytes.copy frame in
         release_held t;
         Engine.schedule t.eng ~after:hold (fun () -> deliver t ~src copy ~call ~wire)
@@ -191,7 +192,7 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
            store-and-forward bridge draining out of order): it is held
            and released right after the next frame's delivery, or after
            [reorder_backstop] if the segment goes quiet. *)
-        Sim.Stats.Counter.incr t.reordered;
+        t.reordered <- t.reordered + 1;
         release_held t;
         t.held <-
           Some { hf_src = src; hf_frame = Bytes.copy frame; hf_call = call; hf_wire = wire };
@@ -201,11 +202,11 @@ let transmit ?(call = Sim.Trace.no_call) t ~src frame =
             if t.held_gen = gen then release_held t));
       Engine.delay t.eng (Time.span_add wire (interframe_gap t)))
 
-let frames_carried t = Sim.Stats.Counter.value t.frames
-let bytes_carried t = Sim.Stats.Counter.value t.bytes
-let frames_dropped t = Sim.Stats.Counter.value t.dropped
-let frames_corrupted t = Sim.Stats.Counter.value t.corrupted
-let frames_duplicated t = Sim.Stats.Counter.value t.duplicated
-let frames_delayed t = Sim.Stats.Counter.value t.delayed
-let frames_reordered t = Sim.Stats.Counter.value t.reordered
+let frames_carried t = t.frames
+let bytes_carried t = t.bytes
+let frames_dropped t = t.dropped
+let frames_corrupted t = t.corrupted
+let frames_duplicated t = t.duplicated
+let frames_delayed t = t.delayed
+let frames_reordered t = t.reordered
 let utilization t ~upto = Sim.Resource.utilization t.medium ~upto

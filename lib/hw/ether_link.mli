@@ -40,7 +40,10 @@ type station
 
 val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> mbps:float -> t
 (** With [?obs], the carried/fault counters and a medium-utilization
-    probe are registered under site ["ether"]. *)
+    probe are registered under site ["ether"].  Without it the link
+    publishes nothing: a switch's per-port links (library [fleet]) must
+    not collide on that one site, and the switch publishes its own
+    aggregates instead. *)
 
 val attach :
   t ->

@@ -1,13 +1,13 @@
 type t = {
   cap : int;
   mutable avail : int;
-  failed : Sim.Stats.Counter.t;
+  mutable failed : int;
   on_exhausted : unit -> unit;
 }
 
 let create ?(on_exhausted = ignore) ~capacity () =
   if capacity < 1 then invalid_arg "Bufpool.create: capacity must be positive";
-  { cap = capacity; avail = capacity; failed = Sim.Stats.Counter.create (); on_exhausted }
+  { cap = capacity; avail = capacity; failed = 0; on_exhausted }
 
 let capacity t = t.cap
 let available t = t.avail
@@ -18,7 +18,7 @@ let try_alloc t =
     true
   end
   else begin
-    Sim.Stats.Counter.incr t.failed;
+    t.failed <- t.failed + 1;
     t.on_exhausted ();
     false
   end
@@ -28,4 +28,4 @@ let free t =
   t.avail <- t.avail + 1
 
 let in_use t = t.cap - t.avail
-let exhaustions t = Sim.Stats.Counter.value t.failed
+let exhaustions t = t.failed

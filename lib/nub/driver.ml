@@ -12,8 +12,8 @@ type t = {
   cpus : Cpu_set.t;
   deqna : Deqna.t;
   pool : Bufpool.t;
-  obs : Obs.Ctx.t option;
-  irq_hist : Obs.Metrics.Histogram.t option;
+  obs : Obs.Ctx.t;
+  irq_hist : Obs.Metrics.Histogram.t;
   mutable fast : ctx:Cpu_set.ctx -> frame:Bytes.t -> verdict;
   mutable datalink : ctx:Cpu_set.ctx -> frame:Bytes.t -> unit;
   datalink_q : (Bytes.t * int) Queue.t; (* frame, call id *)
@@ -23,20 +23,17 @@ type t = {
      closure-free event path keeps the per-packet cost allocation-free
      up to the prod process itself. *)
   mutable ipi_prod : int;
-  c_rx : Sim.Stats.Counter.t;
-  c_slow : Sim.Stats.Counter.t;
-  c_drop : Sim.Stats.Counter.t;
-  c_irq : Sim.Stats.Counter.t;
+  mutable c_rx : int;
+  mutable c_slow : int;
+  mutable c_drop : int;
+  mutable c_irq : int;
 }
 
 let cat = "send+receive"
 
 let charge ctx ~label span = Cpu_set.charge ctx ~cat ~label span
 
-let journal t ev =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs.Ctx.record o ~at:(Engine.now t.eng) ~site:(Cpu_set.site t.cpus) ev
+let journal t ev = Obs.Ctx.record t.obs ~at:(Engine.now t.eng) ~site:(Cpu_set.site t.cpus) ev
 
 (* The CPU-0 prod raised by [send] once the IPI signalling latency has
    elapsed: activate the controller at interrupt priority. *)
@@ -54,13 +51,9 @@ let run_ipi_prod t call =
              but the packet is already on its way. *)
           charge ctx ~label:"Interrupt epilogue" (Timing.interrupt_epilogue t.timing)))
 
-let create ?obs eng timing ~cpus ~deqna ~pool =
+let create ~obs eng timing ~cpus ~deqna ~pool =
   let site = Cpu_set.site cpus in
-  let irq_hist =
-    Option.map
-      (fun o -> Obs.Metrics.Registry.histogram o.Obs.Ctx.metrics ~site ~name:"interrupt_latency_us")
-      obs
-  in
+  let reg = obs.Obs.Ctx.metrics in
   let t =
     {
       eng;
@@ -69,26 +62,23 @@ let create ?obs eng timing ~cpus ~deqna ~pool =
       deqna;
       pool;
       obs;
-      irq_hist;
+      irq_hist = Obs.Metrics.Registry.histogram reg ~site ~name:"interrupt_latency_us";
       fast = (fun ~ctx:_ ~frame:_ -> To_datalink);
       datalink = (fun ~ctx:_ ~frame:_ -> ());
       datalink_q = Queue.create ();
       datalink_kick = Sim.Condvar.create eng;
       ipi_prod = -1;
-      c_rx = Sim.Stats.Counter.create ();
-      c_slow = Sim.Stats.Counter.create ();
-      c_drop = Sim.Stats.Counter.create ();
-      c_irq = Sim.Stats.Counter.create ();
+      c_rx = 0;
+      c_slow = 0;
+      c_drop = 0;
+      c_irq = 0;
     }
   in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = o.Obs.Ctx.metrics in
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.rx_frames" t.c_rx;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.rx_to_datalink" t.c_slow;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.rx_dropped" t.c_drop;
-    Obs.Metrics.Registry.register_counter reg ~site ~name:"driver.interrupts" t.c_irq);
+  let counter name read = Obs.Metrics.Registry.register_counter_fn reg ~site ~name read in
+  counter "driver.rx_frames" (fun () -> t.c_rx);
+  counter "driver.rx_to_datalink" (fun () -> t.c_slow);
+  counter "driver.rx_dropped" (fun () -> t.c_drop);
+  counter "driver.interrupts" (fun () -> t.c_irq);
   t.ipi_prod <- Engine.register_handler eng (fun call _ -> run_ipi_prod t call);
   t
 
@@ -96,22 +86,19 @@ let set_fast_handler t f = t.fast <- f
 let set_datalink_handler t f = t.datalink <- f
 
 let interrupt_body t ctx =
-  Sim.Stats.Counter.incr t.c_irq;
+  t.c_irq <- t.c_irq + 1;
   journal t Obs.Journal.Interrupt;
   (* Interrupt service latency: from the controller asserting the line
      to the handler actually running on CPU 0. *)
-  (match t.irq_hist with
-  | None -> ()
-  | Some h ->
-    Obs.Metrics.Histogram.observe_span h
-      (Time.diff (Engine.now t.eng) (Deqna.last_irq_at t.deqna)));
+  Obs.Metrics.Histogram.observe_span t.irq_hist
+    (Time.diff (Engine.now t.eng) (Deqna.last_irq_at t.deqna));
   charge ctx ~label:"General I/O interrupt handler" (Timing.io_interrupt t.timing);
   charge ctx ~label:"Uniprocessor interrupt entry" (Timing.uniproc_interrupt_entry t.timing);
   let rec drain () =
     match Deqna.take_rx t.deqna with
     | None -> ()
     | Some ((frame, call) as rx) ->
-      Sim.Stats.Counter.incr t.c_rx;
+      t.c_rx <- t.c_rx + 1;
       Cpu_set.set_trace_call ctx call;
       (* On-the-fly receive buffer replacement: hand the controller a
          fresh buffer before processing this one (§3.2).  If the pool is
@@ -120,10 +107,10 @@ let interrupt_body t ctx =
       (match t.fast ~ctx ~frame with
       | Consumed -> ()
       | Dropped _ ->
-        Sim.Stats.Counter.incr t.c_drop;
+        t.c_drop <- t.c_drop + 1;
         Bufpool.free t.pool
       | To_datalink ->
-        Sim.Stats.Counter.incr t.c_slow;
+        t.c_slow <- t.c_slow + 1;
         (* The traditional path costs a second wakeup (§3.2). *)
         charge ctx ~label:"Wakeup datalink thread" (Timing.wakeup t.timing);
         charge ctx ~label:"Uniprocessor wakeup path"
@@ -194,7 +181,7 @@ let send t ~ctx frame =
   end;
   Engine.schedule_fn t.eng ~after:ipi ~fn:t.ipi_prod ~a:call ~b:0
 
-let frames_received t = Sim.Stats.Counter.value t.c_rx
-let frames_to_datalink t = Sim.Stats.Counter.value t.c_slow
-let frames_dropped t = Sim.Stats.Counter.value t.c_drop
-let interrupts_taken t = Sim.Stats.Counter.value t.c_irq
+let frames_received t = t.c_rx
+let frames_to_datalink t = t.c_slow
+let frames_dropped t = t.c_drop
+let interrupts_taken t = t.c_irq

@@ -32,17 +32,17 @@ type verdict =
   | Dropped of string  (** malformed / failed checksum: counted, freed *)
 
 val create :
-  ?obs:Obs.Ctx.t ->
+  obs:Obs.Ctx.t ->
   Sim.Engine.t ->
   Hw.Timing.t ->
   cpus:Hw.Cpu_set.t ->
   deqna:Hw.Deqna.t ->
   pool:Bufpool.t ->
   t
-(** With [?obs], the driver registers its [driver.*] counters, records
-    an [interrupt_latency_us] histogram (line assertion to handler
-    entry), and journals every interrupt and interprocessor
-    interrupt. *)
+(** The driver registers its [driver.*] counters in [obs], records an
+    [interrupt_latency_us] histogram (line assertion to handler entry),
+    and journals every interrupt and interprocessor interrupt.  Built
+    by {!Machine.create}. *)
 
 val set_fast_handler : t -> (ctx:Hw.Cpu_set.ctx -> frame:Stdlib.Bytes.t -> verdict) -> unit
 val set_datalink_handler : t -> (ctx:Hw.Cpu_set.ctx -> frame:Stdlib.Bytes.t -> unit) -> unit

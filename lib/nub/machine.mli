@@ -19,10 +19,11 @@ val create :
   unit ->
   t
 (** [pool_buffers] defaults to 64.  The driver takes 16 of them as
-    controller receive credits.  [obs] is the observability context the
-    machine's components publish into; omitted, the machine gets a
-    private one (reachable via {!obs}), so instrumentation is always on
-    but only shared when a world wires it so.
+    controller receive credits.  [obs] is the observability context
+    every part of the machine (CPUs, controller, driver, waiters, pool)
+    publishes into; a world or cluster passes one it shares.  Tests and
+    examples build bare machines without it, and each then gets a
+    private context (reachable via {!obs}).
     @raise Invalid_argument if the configuration fails validation. *)
 
 val name : t -> string

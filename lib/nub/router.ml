@@ -19,11 +19,11 @@ type t = {
   pa : port_state;
   pb : port_state;
   mutable routes : route list;
-  c_fwd : Sim.Stats.Counter.t;
-  c_no_route : Sim.Stats.Counter.t;
-  c_ttl : Sim.Stats.Counter.t;
-  c_no_arp : Sim.Stats.Counter.t;
-  c_not_ip : Sim.Stats.Counter.t;
+  mutable c_fwd : int;
+  mutable c_no_route : int;
+  mutable c_ttl : int;
+  mutable c_no_arp : int;
+  mutable c_not_ip : int;
 }
 
 let forward_cost = Time.us 300
@@ -60,22 +60,22 @@ let forward t ~call frame =
   let module R = Wire.Bytebuf.Reader in
   let r = R.of_bytes frame in
   match Net.Ethernet.decode r with
-  | Error _ -> Sim.Stats.Counter.incr t.c_not_ip
+  | Error _ -> t.c_not_ip <- t.c_not_ip + 1
   | Ok eth ->
     if eth.Net.Ethernet.ethertype <> Net.Ethernet.ethertype_ipv4 then
-      Sim.Stats.Counter.incr t.c_not_ip
+      t.c_not_ip <- t.c_not_ip + 1
     else begin
       match Net.Ipv4.decode r with
-      | Error _ -> Sim.Stats.Counter.incr t.c_not_ip
+      | Error _ -> t.c_not_ip <- t.c_not_ip + 1
       | Ok ip ->
-        if ip.Net.Ipv4.ttl <= 1 then Sim.Stats.Counter.incr t.c_ttl
+        if ip.Net.Ipv4.ttl <= 1 then t.c_ttl <- t.c_ttl + 1
         else begin
           match lookup_route t ip.Net.Ipv4.dst with
-          | None -> Sim.Stats.Counter.incr t.c_no_route
+          | None -> t.c_no_route <- t.c_no_route + 1
           | Some route -> (
             let out = port_state t route.via in
             match Hashtbl.find_opt out.arp ip.Net.Ipv4.dst with
-            | None -> Sim.Stats.Counter.incr t.c_no_arp
+            | None -> t.c_no_arp <- t.c_no_arp + 1
             | Some next_hop_mac ->
               let b = Bytes.copy frame in
               (* Ethernet: dst = next hop, src = our egress port. *)
@@ -87,7 +87,7 @@ let forward t ~call frame =
               Bytes.set_uint16_be b 24 0;
               let cks = Wire.Checksum.checksum b ~pos:14 ~len:Net.Ipv4.header_size in
               Bytes.set_uint16_be b 24 cks;
-              Sim.Stats.Counter.incr t.c_fwd;
+              t.c_fwd <- t.c_fwd + 1;
               Hw.Deqna.queue_tx ~call out.deqna b;
               Hw.Deqna.start_transmit out.deqna)
         end
@@ -114,23 +114,26 @@ let attach_port t which =
 
 let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b () =
   let timing = Hw.Timing.create config in
+  (* One private context for the CPU and both controllers: nothing
+     reads a router's metrics yet. *)
+  let obs = Obs.Ctx.create () in
   let mk link station site =
     let qbus = Sim.Resource.create eng in
-    Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station station) ~site ()
+    Hw.Deqna.create eng timing ~link ~qbus ~mac:(Net.Mac.of_station station) ~site ~obs ()
   in
   let t =
     {
       eng;
-      cpu = Cpu_set.create eng ~site:name ~cpus:1;
+      cpu = Cpu_set.create ~obs eng ~site:name ~cpus:1;
       pool = Bufpool.create ~capacity:32 ();
       pa = { deqna = mk link_a station_a (name ^ "-a"); p_ip = ip_a; arp = Hashtbl.create 8 };
       pb = { deqna = mk link_b station_b (name ^ "-b"); p_ip = ip_b; arp = Hashtbl.create 8 };
       routes = [];
-      c_fwd = Sim.Stats.Counter.create ();
-      c_no_route = Sim.Stats.Counter.create ();
-      c_ttl = Sim.Stats.Counter.create ();
-      c_no_arp = Sim.Stats.Counter.create ();
-      c_not_ip = Sim.Stats.Counter.create ();
+      c_fwd = 0;
+      c_no_route = 0;
+      c_ttl = 0;
+      c_no_arp = 0;
+      c_not_ip = 0;
     }
   in
   attach_port t A;
@@ -144,8 +147,8 @@ let create eng ~name ~config ~link_a ~station_a ~ip_a ~link_b ~station_b ~ip_b (
   Hw.Deqna.add_rx_credits t.pb.deqna credits;
   t
 
-let forwarded t = Sim.Stats.Counter.value t.c_fwd
-let dropped_no_route t = Sim.Stats.Counter.value t.c_no_route
-let dropped_ttl t = Sim.Stats.Counter.value t.c_ttl
-let dropped_no_arp t = Sim.Stats.Counter.value t.c_no_arp
-let dropped_not_ip t = Sim.Stats.Counter.value t.c_not_ip
+let forwarded t = t.c_fwd
+let dropped_no_route t = t.c_no_route
+let dropped_ttl t = t.c_ttl
+let dropped_no_arp t = t.c_no_arp
+let dropped_not_ip t = t.c_not_ip

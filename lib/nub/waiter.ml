@@ -9,8 +9,8 @@ type t = {
   cpus : Cpu_set.t;
   mutable pending : int;
   cv : unit Sim.Condvar.t;
-  obs : Obs.Ctx.t option;
-  wake_hist : Obs.Metrics.Histogram.t option;
+  obs : Obs.Ctx.t;
+  wake_hist : Obs.Metrics.Histogram.t;
   mutable notified_at : Time.t option;
   mutable w_call : int;
       (* trace call id carried from the last notify's waker to the woken
@@ -18,14 +18,7 @@ type t = {
          for; pure bookkeeping, Sim.Trace.no_call when unknown *)
 }
 
-let create ?obs eng timing ~cpus =
-  let wake_hist =
-    Option.map
-      (fun o ->
-        Obs.Metrics.Registry.histogram o.Obs.Ctx.metrics ~site:(Cpu_set.site cpus)
-          ~name:"wakeup_latency_us")
-      obs
-  in
+let create ~obs eng timing ~cpus =
   {
     eng;
     timing;
@@ -33,7 +26,9 @@ let create ?obs eng timing ~cpus =
     pending = 0;
     cv = Sim.Condvar.create eng;
     obs;
-    wake_hist;
+    wake_hist =
+      Obs.Metrics.Registry.histogram obs.Obs.Ctx.metrics ~site:(Cpu_set.site cpus)
+        ~name:"wakeup_latency_us";
     notified_at = None;
     w_call = Sim.Trace.no_call;
   }
@@ -47,9 +42,9 @@ let cat = "send+receive"
    leaves [notified_at] set would be charged to the next wakeup, which
    could look seconds long. *)
 let record_wakeup t =
-  (match (t.wake_hist, t.notified_at) with
-  | Some h, Some at0 -> Obs.Metrics.Histogram.observe_span h (Time.diff (Engine.now t.eng) at0)
-  | _ -> ());
+  (match t.notified_at with
+  | Some at0 -> Obs.Metrics.Histogram.observe_span t.wake_hist (Time.diff (Engine.now t.eng) at0)
+  | None -> ());
   t.notified_at <- None
 
 (* Adopt the waker's call id so the woken thread's subsequent charges
@@ -129,10 +124,7 @@ let wait t ctx =
 let wait_timeout t ctx ~timeout = wait_common t ctx ~timeout:(Some timeout)
 
 let notify t ~waker =
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Obs.Ctx.record o ~at:(Engine.now t.eng) ~site:(Cpu_set.site t.cpus) Obs.Journal.Thread_wakeup);
+  Obs.Ctx.record t.obs ~at:(Engine.now t.eng) ~site:(Cpu_set.site t.cpus) Obs.Journal.Thread_wakeup;
   if t.notified_at = None then t.notified_at <- Some (Engine.now t.eng);
   (let c = Cpu_set.trace_call waker in
    if c >= 0 then t.w_call <- c);

@@ -19,10 +19,10 @@
 
 type t
 
-val create : ?obs:Obs.Ctx.t -> Sim.Engine.t -> Hw.Timing.t -> cpus:Hw.Cpu_set.t -> t
-(** With [?obs], each notify→running handoff is journalled as a thread
+val create : obs:Obs.Ctx.t -> Sim.Engine.t -> Hw.Timing.t -> cpus:Hw.Cpu_set.t -> t
+(** Each notify→running handoff is journalled in [obs] as a thread
     wakeup and its latency recorded in a [wakeup_latency_us]
-    histogram. *)
+    histogram.  {!Machine.new_waiter} is the one way to build one. *)
 
 val wait : t -> Hw.Cpu_set.ctx -> unit
 

@@ -2,10 +2,12 @@
     registry plus one event journal.
 
     A {!Workload.World} creates a single context and hands it to both
-    machines and the link, so one snapshot sees the whole experiment;
-    components created without one get a private context, which keeps
-    every existing call site working and costs only the (cheap)
-    unobserved updates. *)
+    machines and the link, so one snapshot sees the whole experiment.
+    Every part of a machine takes the context it publishes to; a machine
+    built without one gets a private context that all its parts share.
+    An Ethernet link built without one publishes nothing (a switch's
+    per-port links), and an IP router keeps its counts in a private
+    context. *)
 
 type t = { metrics : Metrics.Registry.t; journal : Journal.t }
 

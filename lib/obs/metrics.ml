@@ -66,7 +66,6 @@ module Histogram = struct
 end
 
 type instrument =
-  | I_counter of Sim.Stats.Counter.t
   | I_counter_fn of (unit -> int)
   | I_level of Sim.Stats.Level.t
   | I_probe of (unit -> float)
@@ -91,7 +90,6 @@ module Registry = struct
       Hashtbl.replace t.tbl (site, name) (I_hist h);
       h
 
-  let register_counter t ~site ~name c = Hashtbl.replace t.tbl (site, name) (I_counter c)
   let register_counter_fn t ~site ~name f = Hashtbl.replace t.tbl (site, name) (I_counter_fn f)
   let register_level t ~site ~name l = Hashtbl.replace t.tbl (site, name) (I_level l)
   let register_probe t ~site ~name f = Hashtbl.replace t.tbl (site, name) (I_probe f)
@@ -108,7 +106,6 @@ module Snapshot = struct
   type t = { at : Sim.Time.t; rows : row list }
 
   let value_of_instrument ~at = function
-    | I_counter c -> Count (Sim.Stats.Counter.value c)
     | I_counter_fn f -> Count (f ())
     | I_probe f -> Gauge (f ())
     | I_level l ->

@@ -10,9 +10,8 @@
     registry after a run and renders or queries the rows.
 
     Four instrument shapes cover the codebase:
-    - {b counters} — monotone event counts: adopted
-      {!Sim.Stats.Counter}s or read-closures over counts that model
-      code already maintains;
+    - {b counters} — monotone event counts: read-closures over the
+      [mutable int] fields their owners keep;
     - {b gauges} — instantaneous values sampled at snapshot time
       (queue depths, utilizations);
     - {b levels} — adopted {!Sim.Stats.Level}s, reported with their
@@ -58,12 +57,14 @@ module Registry : sig
 
   (** {2 Adopted instruments}
 
-      Model code keeps its own counters and levels; registration makes
+      Model code keeps its own counts and levels; registration makes
       them visible to snapshots without changing how they are updated.
       Registering an existing key replaces the previous binding. *)
 
-  val register_counter : t -> site:string -> name:string -> Sim.Stats.Counter.t -> unit
   val register_counter_fn : t -> site:string -> name:string -> (unit -> int) -> unit
+  (** A counter read at snapshot time, typically [fun () -> t.count]
+      over a field its owner increments. *)
+
   val register_level : t -> site:string -> name:string -> Sim.Stats.Level.t -> unit
 
   val register_probe : t -> site:string -> name:string -> (unit -> float) -> unit

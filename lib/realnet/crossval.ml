@@ -14,6 +14,7 @@
 module Marshal = Rpc.Marshal
 module Idl = Rpc.Idl
 module Ti = Workload.Test_interface
+module Driver = Workload.Driver
 
 let test_impls = Ti.procedures
 
@@ -50,22 +51,23 @@ let table ?(calls = 200) ~sim_null_us ~sim_maxarg_us () =
         Fun.protect ~finally:(fun () -> Udp_socket.close c) @@ fun () ->
         let tmg = Udp_socket.timing () in
         let us span = Sim.Time.to_us span in
-        let arg1440 = Ti.pattern Ti.buffer_bytes in
-        let maxarg_args = [ Marshal.V_bytes arg1440 ] in
+        let null_idx = Driver.proc_idx Null and maxarg_idx = Driver.proc_idx Max_arg in
+        let null_args = Driver.args_of Null and maxarg_args = Driver.args_of Max_arg in
+        let maxarg = List.hd maxarg_args in
         for _ = 1 to 5 do
-          ignore (Udp_socket.call c ~proc_idx:Ti.null_idx ~args:[])
+          ignore (Udp_socket.call c ~proc_idx:null_idx ~args:null_args)
         done;
         let null_us =
           time_us ~iters:calls (fun () ->
-              ignore (Udp_socket.call c ~proc_idx:Ti.null_idx ~args:[]))
+              ignore (Udp_socket.call c ~proc_idx:null_idx ~args:null_args))
         in
         let maxarg_us =
           time_us ~iters:calls (fun () ->
-              ignore (Udp_socket.call c ~proc_idx:Ti.max_arg_idx ~args:maxarg_args))
+              ignore (Udp_socket.call c ~proc_idx:maxarg_idx ~args:maxarg_args))
         in
         (* Micro-timings of the shared encoders, outside the socket. *)
         let iters = 2000 in
-        let p_maxarg = intf.Idl.procs.(Ti.max_arg_idx) in
+        let p_maxarg = intf.Idl.procs.(maxarg_idx) in
         let encode () =
           let w = Wire.Bytebuf.Writer.create 2048 in
           Marshal.encode_args w Marshal.In_call_packet p_maxarg maxarg_args;
@@ -104,7 +106,7 @@ let table ?(calls = 200) ~sim_null_us ~sim_maxarg_us () =
             seq = 1;
             server_space = 1;
             interface_id = Idl.interface_id intf;
-            proc_idx = Ti.max_arg_idx;
+            proc_idx = maxarg_idx;
             frag_idx = 0;
             frag_count = 1;
             data_len = 0;
@@ -133,12 +135,12 @@ let table ?(calls = 200) ~sim_null_us ~sim_maxarg_us () =
               ~calibrated:
                 (us
                    (Marshal.cost tmg Marshal.Caller_side Marshal.In_call_packet
-                      (List.hd p_maxarg.Idl.args) (Marshal.V_bytes arg1440)));
+                      (List.hd p_maxarg.Idl.args) maxarg));
             row "unmarshal MaxArg argument (decode)" ~measured:dec_us
               ~calibrated:
                 (us
                    (Marshal.cost tmg Marshal.Server_side Marshal.In_call_packet
-                      (List.hd p_maxarg.Idl.args) (Marshal.V_bytes arg1440)));
+                      (List.hd p_maxarg.Idl.args) maxarg));
             row "UDP checksum, 74-byte frame" ~measured:ck74_us
               ~calibrated:(us (Hw.Timing.udp_checksum tmg ~bytes:74));
             row "UDP checksum, 1514-byte frame" ~measured:ck1514_us

@@ -1,15 +1,5 @@
-(** Lightweight measurement helpers: counters, exact percentiles and
+(** Lightweight measurement helpers: exact percentiles and
     time-weighted levels. *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val reset : t -> unit
-end
 
 val percentile : 'a array -> float -> 'a
 (** [percentile sorted p] is the nearest-rank [p]-quantile of the

@@ -170,7 +170,7 @@ let test_export_twice () =
 
 let test_topology_validation () =
   let eng = Sim.Engine.create ~seed:7 () in
-  let sw = Topology.create eng ~mbps:10. ~ports:2 () in
+  let sw = Topology.create ~obs:(Obs.Ctx.create ()) eng ~mbps:10. ~ports:2 () in
   let mac i = Net.Mac.of_string (Printf.sprintf "aa:00:04:00:%02x:10" i) in
   Topology.register_mac sw ~mac:(mac 1) ~port:0;
   (let raised =

@@ -7,7 +7,7 @@ let now_ns eng = Time.since_start_ns (Engine.now eng)
 
 let test_any_prefers_high_index () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:3 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:3 in
   let picked = ref [] in
   Engine.spawn eng (fun () ->
       Cpu_set.with_cpu set (fun a ->
@@ -22,7 +22,7 @@ let test_any_prefers_high_index () =
 
 let test_cpu0_affinity_waits () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:2 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:2 in
   let events = ref [] in
   (* A thread pinned to CPU 0 must wait for the CPU-0 holder even though
      CPU 1 is free. *)
@@ -41,7 +41,7 @@ let test_cpu0_affinity_waits () =
 
 let test_interrupt_priority_on_cpu0 () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:1 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:1 in
   let order = ref [] in
   Engine.spawn eng (fun () ->
       Cpu_set.with_cpu set (fun ctx -> Cpu_set.charge ctx ~cat:"t" ~label:"busy" (us 50)));
@@ -56,7 +56,7 @@ let test_interrupt_priority_on_cpu0 () =
 
 let test_uniprocessor_serializes () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:1 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:1 in
   for _ = 1 to 3 do
     Engine.spawn eng (fun () ->
         Cpu_set.with_cpu set (fun ctx -> Cpu_set.charge ctx ~cat:"t" ~label:"work" (us 10)))
@@ -66,7 +66,7 @@ let test_uniprocessor_serializes () =
 
 let test_yield_cpu () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:1 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:1 in
   let cv = Sim.Condvar.create eng in
   let got_cpu_while_blocked = ref false in
   Engine.spawn eng (fun () ->
@@ -87,7 +87,7 @@ let test_yield_cpu () =
 let test_charge_traces () =
   let eng = Engine.create () in
   Sim.Trace.set_enabled (Engine.trace eng) true;
-  let set = Cpu_set.create eng ~site:"caller" ~cpus:2 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"caller" ~cpus:2 in
   Engine.spawn eng (fun () ->
       Cpu_set.with_cpu set (fun ctx ->
           Cpu_set.charge ctx ~cat:"send+receive" ~label:"Calculate UDP checksum" (us 45);
@@ -103,7 +103,7 @@ let test_charge_traces () =
 
 let test_utilization () =
   let eng = Engine.create () in
-  let set = Cpu_set.create eng ~site:"m" ~cpus:2 in
+  let set = Cpu_set.create ~obs:(Obs.Ctx.create ()) eng ~site:"m" ~cpus:2 in
   Engine.spawn eng (fun () ->
       Cpu_set.with_cpu set (fun ctx -> Cpu_set.charge ctx ~cat:"t" ~label:"a" (us 100)));
   Engine.spawn eng (fun () ->

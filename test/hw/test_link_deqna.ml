@@ -121,9 +121,10 @@ let make_rig ?(config = Config.default) () =
   let eng = Engine.create () in
   let timing = Timing.create config in
   let link = Ether_link.create eng ~mbps:config.Config.ethernet_mbps in
+  let obs = Obs.Ctx.create () in
   let mk n =
     let qbus = Sim.Resource.create eng in
-    Deqna.create eng timing ~link ~qbus ~mac:(Mac.of_station n) ()
+    Deqna.create eng timing ~link ~qbus ~mac:(Mac.of_station n) ~obs ()
   in
   { eng; link; a = mk 1; b = mk 2 }
 
@@ -177,7 +178,10 @@ let test_deqna_overrun_drop () =
   (* Station 3 also transmits to b. *)
   let timing = Timing.create config in
   let qbus3 = Sim.Resource.create r.eng in
-  let c = Deqna.create r.eng timing ~link:r.link ~qbus:qbus3 ~mac:(Mac.of_station 3) () in
+  let c =
+    Deqna.create r.eng timing ~link:r.link ~qbus:qbus3 ~mac:(Mac.of_station 3)
+      ~obs:(Obs.Ctx.create ()) ()
+  in
   Deqna.set_interrupt_handler r.b (fun () ->
       let rec drain () =
         match Deqna.take_rx r.b with

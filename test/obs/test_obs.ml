@@ -79,15 +79,15 @@ let test_histogram_percentiles () =
 
 let test_registry_snapshot () =
   let reg = Metrics.Registry.create () in
-  let c = Sim.Stats.Counter.create () in
-  Metrics.Registry.register_counter reg ~site:"caller" ~name:"rpc.calls" c;
+  let c = ref 0 in
+  Metrics.Registry.register_counter_fn reg ~site:"caller" ~name:"rpc.calls" (fun () -> !c);
   let h = Metrics.Registry.histogram reg ~site:"caller" ~name:"rpc.latency_us" in
   let g = ref 7. in
   Metrics.Registry.register_probe reg ~site:"server" ~name:"queue.depth" (fun () -> !g);
-  Sim.Stats.Counter.add c 10;
+  c := !c + 10;
   Metrics.Histogram.observe h 100.;
   let s0 = Metrics.Snapshot.take reg ~at:(at 0) in
-  Sim.Stats.Counter.add c 5;
+  c := !c + 5;
   Metrics.Histogram.observe h 200.;
   g := 9.;
   let s1 = Metrics.Snapshot.take reg ~at:(at 1_000_000) in
@@ -121,9 +121,7 @@ let test_snapshot_rendering_deterministic () =
     let reg = Metrics.Registry.create () in
     List.iter
       (fun name ->
-        let c = Sim.Stats.Counter.create () in
-        Sim.Stats.Counter.add c 3;
-        Metrics.Registry.register_counter reg ~site:"m" ~name c)
+        Metrics.Registry.register_counter_fn reg ~site:"m" ~name (fun () -> 3))
       names;
     Metrics.Snapshot.take reg ~at:(at 42)
   in
@@ -134,6 +132,61 @@ let test_snapshot_rendering_deterministic () =
   Alcotest.(check string) "table render is order-independent"
     (Report.Table.render (Metrics.Snapshot.to_table s1))
     (Report.Table.render (Metrics.Snapshot.to_table s2))
+
+(* Two bare machines, built as the examples build them (no shared
+   context), make one Null() call.  Each machine's private context holds
+   the rows and journal entries of all its parts, so a part wired to a
+   context of its own shows up as a missing row or a short journal. *)
+let test_bare_machine_parts_publish_to_its_context () =
+  let eng = Sim.Engine.create () in
+  let link = Hw.Ether_link.create eng ~mbps:10. in
+  let machine name station =
+    Nub.Machine.create eng ~name ~config:Hw.Config.default ~link ~station
+      ~ip:(Net.Ipv4.Addr.of_string (Printf.sprintf "16.0.0.%d" station))
+      ()
+  in
+  let caller = machine "caller" 1 and server = machine "server" 2 in
+  let runtime m = Rpc.Runtime.create (Rpc.Node.create m) ~space:1 in
+  let caller_rt = runtime caller and server_rt = runtime server in
+  let binder = Rpc.Binder.create () in
+  let ti = Workload.Test_interface.interface in
+  Rpc.Binder.export binder server_rt ti ~impls:(Workload.Test_interface.impls ()) ~workers:2;
+  let binding = Rpc.Binder.import binder caller_rt ~name:"Test" ~version:1 () in
+  Nub.Machine.spawn_thread caller (fun () ->
+      Hw.Cpu_set.with_cpu (Nub.Machine.cpus caller) (fun ctx ->
+          let client = Rpc.Runtime.new_client caller_rt in
+          ignore
+            (Rpc.Runtime.call binding client ctx ~proc_idx:Workload.Test_interface.null_idx
+               ~args:[])));
+  Sim.Engine.run_until eng (Time.add Time.zero (Time.sec 1));
+  let names =
+    [ "bufpool.available"; "bufpool.exhaustions"; "bufpool.in_use"; "cpus.busy";
+      "cpus.cpu0_busy"; "deqna.queue_depth"; "deqna.rx_frames"; "deqna.rx_no_buffer";
+      "deqna.rx_overruns"; "deqna.tx_frames"; "driver.interrupts"; "driver.rx_dropped";
+      "driver.rx_frames"; "driver.rx_to_datalink"; "interrupt_latency_us"; "qbus.utilization";
+      "rpc.s1.busy_rejects"; "rpc.s1.calls"; "rpc.s1.duplicates"; "rpc.s1.retransmissions";
+      "rpc.s1.served"; "wakeup_latency_us" ]
+  in
+  List.iter
+    (fun (m, calls, served) ->
+      let site = Nub.Machine.name m in
+      let obs = Nub.Machine.obs m in
+      let snap = Metrics.Snapshot.take obs.Obs.Ctx.metrics ~at:(Sim.Engine.now eng) in
+      Alcotest.(check (list (pair string string)))
+        (site ^ ": every part's rows") (List.map (fun n -> (site, n)) names)
+        (List.map (fun (r : Metrics.Snapshot.row) -> (r.site, r.name)) snap.Metrics.Snapshot.rows);
+      let count name =
+        match Metrics.Snapshot.find snap ~site ~name with
+        | Some (Metrics.Snapshot.Count n) -> n
+        | Some (Metrics.Snapshot.Dist { count; _ }) -> count
+        | _ -> Alcotest.failf "%s: %s is not a count" site name
+      in
+      List.iter
+        (fun (name, expected) -> Alcotest.(check int) (site ^ ": " ^ name) expected (count name))
+        [ ("deqna.tx_frames", 1); ("deqna.rx_frames", 1); ("driver.interrupts", 1);
+          ("wakeup_latency_us", 1); ("rpc.s1.calls", calls); ("rpc.s1.served", served) ];
+      Alcotest.(check int) (site ^ ": journal entries") 5 (Journal.total obs.Obs.Ctx.journal))
+    [ (caller, 1, 0); (server, 0, 1) ]
 
 (* {1 Journal} *)
 
@@ -747,6 +800,8 @@ let () =
           Alcotest.test_case "registry snapshot" `Quick test_registry_snapshot;
           Alcotest.test_case "deterministic rendering" `Quick
             test_snapshot_rendering_deterministic;
+          Alcotest.test_case "a bare machine's parts publish to its context" `Quick
+            test_bare_machine_parts_publish_to_its_context;
         ] );
       ( "journal",
         [

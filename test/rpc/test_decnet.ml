@@ -42,6 +42,29 @@ let start_echo_server rig ~space =
           in
           loop ()))
 
+(* Drops the DECNet segments of type [code] (the byte after the Ethernet
+   header: 1 Connect_init, 4 Data_ack), the first [times] of them. *)
+let drop_segments ?(times = max_int) rig ~code =
+  let left = ref times in
+  Hw.Ether_link.set_fault_injector rig.w.World.link
+    (Some
+       (fun frame ->
+         if
+           !left > 0
+           && Bytes.length frame > 14
+           && Bytes.get_uint16_be frame 12 = Decnet.ethertype
+           && Bytes.get_uint8 frame 14 = code
+         then begin
+           decr left;
+           Hw.Ether_link.Drop
+         end
+         else Hw.Ether_link.Deliver))
+
+let call_failure f =
+  match f () with
+  | _ -> None
+  | exception Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Call_failed msg) -> Some msg
+
 let with_client rig f =
   let gate = Sim.Gate.create rig.w.World.eng in
   let out = ref None in
@@ -122,18 +145,59 @@ let test_retransmission_under_loss () =
     (Decnet.segments_retransmitted rig.client_ep + Decnet.segments_retransmitted rig.server_ep
     > 0)
 
+(* The first Connect_init is lost: connect resends it once, and the
+   server accepts the copy. *)
+let test_connect_init_resent () =
+  let rig = make_rig () in
+  start_echo_server rig ~space:1;
+  drop_segments rig ~code:1 ~times:1;
+  let reply =
+    with_client rig (fun ctx ->
+        let conn =
+          Decnet.connect rig.client_ep ctx ~peer:(Machine.mac rig.w.World.server) ~space:1 ()
+        in
+        Decnet.send_message conn ctx (Bytes.of_string "again");
+        match Decnet.recv_message conn ctx ~timeout:(Time.sec 5) with
+        | Some b -> Bytes.to_string b
+        | None -> "<timeout>")
+  in
+  Alcotest.(check string) "echoed" "niaga" reply;
+  Alcotest.(check int) "one resend" 1 (Decnet.segments_retransmitted rig.client_ep);
+  Alcotest.(check int) "one connection" 1 (Decnet.connections_accepted rig.server_ep)
+
+(* Every Data_ack is lost: the segment is resent [max_retries] times,
+   then the send gives up and closes the connection. *)
+let test_send_gives_up () =
+  let rig = make_rig () in
+  start_echo_server rig ~space:1;
+  let failure, still_open =
+    with_client rig (fun ctx ->
+        let conn =
+          Decnet.connect rig.client_ep ctx ~peer:(Machine.mac rig.w.World.server) ~space:1
+            ~retransmit_after:(Time.ms 20) ~max_retries:3 ()
+        in
+        drop_segments rig ~code:4;
+        let failure =
+          call_failure (fun () -> Decnet.send_message conn ctx (Bytes.of_string "lost"))
+        in
+        (failure, Decnet.is_open conn))
+  in
+  Alcotest.(check (option string)) "gives up" (Some "decnet: retransmission limit reached")
+    failure;
+  Alcotest.(check int) "three resends" 3 (Decnet.segments_retransmitted rig.client_ep);
+  Alcotest.(check bool) "connection closed" false still_open
+
 let test_connect_no_listener () =
   let rig = make_rig () in
-  let failed =
+  let failure =
     with_client rig (fun ctx ->
-        try
-          ignore
-            (Decnet.connect rig.client_ep ctx ~peer:(Machine.mac rig.w.World.server) ~space:9
-               ~retransmit_after:(Time.ms 20) ~max_retries:3 ());
-          false
-        with Rpc.Rpc_error.Rpc (Rpc.Rpc_error.Call_failed _) -> true)
+        call_failure (fun () ->
+            Decnet.connect rig.client_ep ctx ~peer:(Machine.mac rig.w.World.server) ~space:9
+              ~retransmit_after:(Time.ms 20) ~max_retries:3 ()))
   in
-  Alcotest.(check bool) "connect to missing listener fails" true failed
+  Alcotest.(check (option string)) "connect to missing listener fails"
+    (Some "decnet: no response to connect") failure;
+  Alcotest.(check int) "three resends" 3 (Decnet.segments_retransmitted rig.client_ep)
 
 let test_disconnect () =
   let rig = make_rig () in
@@ -344,6 +408,8 @@ let suite =
     Alcotest.test_case "large message segmentation" `Quick test_large_message_segmentation;
     Alcotest.test_case "retransmission under loss" `Quick test_retransmission_under_loss;
     Alcotest.test_case "connect without listener" `Quick test_connect_no_listener;
+    Alcotest.test_case "a lost connect is resent once" `Quick test_connect_init_resent;
+    Alcotest.test_case "a send gives up after max_retries resends" `Quick test_send_gives_up;
     Alcotest.test_case "disconnect propagation" `Quick test_disconnect;
     Alcotest.test_case "RPC over DECNet" `Quick test_rpc_over_decnet;
     Alcotest.test_case "an error reply keeps the session" `Quick test_error_reply_keeps_session;

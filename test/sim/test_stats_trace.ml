@@ -2,14 +2,6 @@ module Stats = Sim.Stats
 module Trace = Sim.Trace
 module Time = Sim.Time
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
-
 let test_percentile () =
   let sorted = [| 10; 20; 30; 40 |] in
   (* Rank ceil(4p), clamped to [1, 4]. *)
@@ -220,7 +212,6 @@ let test_trace_call_ids () =
 
 let suite =
   [
-    Alcotest.test_case "counter" `Quick test_counter;
     Alcotest.test_case "percentile nearest rank" `Quick test_percentile;
     Alcotest.test_case "level integral" `Quick test_level;
     Alcotest.test_case "level out-of-order timestamps" `Quick test_level_out_of_order;
