@@ -35,12 +35,16 @@ let server_endpoint =
 
 let close_quietly sock = try Unix.close sock with Unix.Unix_error _ -> ()
 
-(* A datagram socket bound to an ephemeral loopback port. *)
-let bound_socket () =
+(* A datagram socket bound to an ephemeral loopback port, and connected
+   to [peer] when one is given. *)
+let bound_socket ?peer () =
   match Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | sock -> (
-    match Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
+    match
+      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Option.iter (Unix.connect sock) peer
+    with
     | () -> Ok sock
     | exception Unix.Unix_error (e, _, _) ->
       close_quietly sock;
@@ -58,10 +62,11 @@ type impl = Marshal.value list -> Marshal.value list
 (* {1 The socket driver}
 
    [Rpc.Exchange] decides every packet; both halves below perform its
-   outputs: a [Send] becomes a [Frames.build] image in one [sendto], an
-   [Arm] an absolute wall-clock deadline, and waiting is a [select]
-   bounded by the time left to it — so a datagram that makes no progress
-   never postpones a retransmission. *)
+   outputs: a [Send] becomes a [Frames.build] image in one datagram, an
+   [Arm] an absolute wall-clock deadline, and waiting is one blocking
+   receive whose timeout is set, before every receive, to the time left
+   to the earliest deadline — so a datagram that makes no progress never
+   postpones a retransmission. *)
 
 let encode_payload p dir values =
   let w = W.create (max 16 (Idl.args_size_bound p)) in
@@ -78,21 +83,35 @@ let frame_bytes tmg ~src ~dst (f : Exchange.frame) =
 
 let send_to sock addr frame = ignore (Unix.sendto sock frame 0 (Bytes.length frame) [] addr)
 
-(* One datagram, copied out of [buf]: the core keeps views of received
-   fragments until they are reassembled.  A receive timeout set on the
-   socket reads as nothing arriving. *)
+(* A connected UDP socket reports an earlier datagram's ICMP
+   port-unreachable as ECONNREFUSED on its next send or receive; either
+   reads as a lost datagram, which retransmission covers. *)
+let send sock frame =
+  try ignore (Unix.send sock frame 0 (Bytes.length frame) [])
+  with Unix.Unix_error (ECONNREFUSED, _, _) -> ()
+
+(* Sets the socket's receive timeout to [left] seconds, rounded up to
+   whole milliseconds and at least 1: a zero SO_RCVTIMEO blocks forever,
+   and [Unix.setsockopt_float] truncates anything under 1 µs to zero.
+   [in_force] is the value set last, and the result the value now in
+   force; the system call runs only when they differ.  Linux keeps the
+   timeout in timer ticks, so a deadline fires up to one tick late. *)
+let set_timeout sock ~in_force left =
+  let ms = max 1 (Float.to_int (Float.ceil (left *. 1e3))) in
+  if ms <> in_force then Unix.setsockopt_float sock Unix.SO_RCVTIMEO (Float.of_int ms *. 1e-3);
+  ms
+
+(* One datagram and its sender, copied out of [buf]: the core keeps
+   views of received fragments until they are reassembled.  A receive
+   that times out, is interrupted or reports ECONNREFUSED reads as
+   nothing arriving, as does an empty datagram.  The client's socket is
+   connected, so it ignores the sender; [recv] would make the same
+   system call on Linux. *)
 let recv sock buf =
   match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
   | 0, _ -> None
   | n, addr -> Some (Bytes.sub buf 0 n, addr)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> None
-
-(* [recv], waiting at most [timeout] seconds. *)
-let recv_within sock buf timeout =
-  match Unix.select [ sock ] [] [] (Float.max 0. timeout) with
-  | [], _, _ -> None
-  | _ -> recv sock buf
-  | exception Unix.Unix_error (EINTR, _, _) -> None
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNREFUSED), _, _) -> None
 
 let received (p : Frames.parsed) = { Exchange.hdr = p.Frames.p_hdr; payload = p.Frames.p_payload }
 
@@ -118,7 +137,7 @@ let server_rejected s = Atomic.get s.s_rejected
 let server_options =
   { Exchange.retransmit_after = Sim.Time.ms 50; max_retries = 40; backoff = None }
 
-(* How often the receive loop looks at the stop flag: the socket's
+(* How often the receive loop looks at the stop flag: the longest
    receive timeout. *)
 let stop_poll = 0.02
 
@@ -144,9 +163,9 @@ let dispatch s (h : Proto.header) payload =
 
 (* One receive loop over every activity.  Calls execute inline; a
    transfer waiting on its caller (collecting fragments, or awaiting a
-   result fragment's ack) keeps a deadline in [waiting], and while any
-   does, a [select] keeps the loop from sleeping past the earliest one.
-   Otherwise each datagram costs one blocking [recvfrom]. *)
+   result fragment's ack) keeps a deadline in [waiting], and each
+   [recvfrom] waits no longer than the time left to the earliest one,
+   nor than [stop_poll]. *)
 let server_loop s =
   let core =
     Exchange.Server.create server_options
@@ -171,16 +190,17 @@ let server_loop s =
         perform tr (Exchange.Server.reply t (dispatch s hdr payload))
       | _ -> ())
   in
-  let buf = Bytes.create 4096 in
+  let buf = Bytes.create 4096 and timeout_ms = ref 0 in
   while not (Atomic.get s.s_stop) do
-    let datagram =
+    let left =
       match !waiting with
-      | [] -> recv s.s_sock buf
+      | [] -> stop_poll
       | w ->
-        let earliest = List.fold_left (fun acc (_, d) -> Float.min acc d) infinity w in
-        recv_within s.s_sock buf (earliest -. now ())
+        let t = now () in
+        List.fold_left (fun acc (_, d) -> Float.min acc (d -. t)) stop_poll w
     in
-    (match datagram with
+    timeout_ms := set_timeout s.s_sock ~in_force:!timeout_ms left;
+    (match recv s.s_sock buf with
     | None -> ()
     | Some (dat, addr) -> (
       match Frames.parse s.s_tmg dat with
@@ -207,10 +227,7 @@ let start_server ~intf ~impls () =
   match bound_socket () with
   | Error e -> Error e
   | Ok sock -> (
-    match
-      Unix.setsockopt_float sock Unix.SO_RCVTIMEO stop_poll;
-      Unix.getsockname sock
-    with
+    match Unix.getsockname sock with
     | exception Unix.Unix_error (e, _, _) ->
       close_quietly sock;
       Error (Unix.error_message e)
@@ -243,7 +260,7 @@ let stop_server s =
 
 type client = {
   c_sock : Unix.file_descr;
-  c_dst : Unix.sockaddr;
+  c_dst : Unix.sockaddr;  (* the socket's connected peer, and the core's name for it *)
   c_tmg : Hw.Timing.t;
   c_intf : Idl.interface;
   c_id : int32;
@@ -254,15 +271,17 @@ type client = {
   c_capture : (dir:[ `Tx | `Rx ] -> Bytes.t -> unit) option;
   c_send_filter : (Bytes.t -> bool) option;
   c_buf : Bytes.t;
+  mutable c_timeout_ms : int;  (* the socket's receive timeout; 0 until a wait sets it *)
 }
 
 let connect ?capture ?send_filter ?(retransmit_after = 0.05) ?(max_retries = 40)
     ?(thread = 1) ~port ~intf () =
+  let dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   Result.map
     (fun sock ->
       {
         c_sock = sock;
-        c_dst = Unix.ADDR_INET (Unix.inet_addr_loopback, port);
+        c_dst = dst;
         c_tmg = timing ();
         c_intf = intf;
         c_id = Idl.interface_id intf;
@@ -274,17 +293,18 @@ let connect ?capture ?send_filter ?(retransmit_after = 0.05) ?(max_retries = 40)
         c_capture = capture;
         c_send_filter = send_filter;
         c_buf = Bytes.create 4096;
+        c_timeout_ms = 0;
       })
-    (bound_socket ())
+    (bound_socket ~peer:dst ())
 
 let close c = close_quietly c.c_sock
 
-let client_send c addr frame =
+let client_send c frame =
   (match c.c_capture with Some f -> f ~dir:`Tx (Bytes.copy frame) | None -> ());
   let deliver = match c.c_send_filter with Some f -> f frame | None -> true in
-  if deliver then send_to c.c_sock addr frame
+  if deliver then send c.c_sock frame
 
-let send_raw c bytes = send_to c.c_sock c.c_dst bytes
+let send_raw c bytes = send c.c_sock bytes
 
 let call c ~proc_idx ~args =
   let intf = c.c_intf in
@@ -302,8 +322,8 @@ let call c ~proc_idx ~args =
   let deadline = ref 0. in
   let rec run = function
     | [] -> wait ()
-    | Exchange.Send (addr, f) :: rest ->
-      client_send c addr (frame_bytes c.c_tmg ~src:caller_endpoint ~dst:server_endpoint f);
+    | Exchange.Send (_, f) :: rest ->
+      client_send c (frame_bytes c.c_tmg ~src:caller_endpoint ~dst:server_endpoint f);
       run rest
     | Exchange.Arm span :: rest ->
       deadline := deadline_after span;
@@ -317,13 +337,15 @@ let call c ~proc_idx ~args =
   and wait () =
     let left = !deadline -. now () in
     if left <= 0. then run (Exchange.Caller.expire caller)
-    else
-      match recv_within c.c_sock c.c_buf left with
+    else begin
+      c.c_timeout_ms <- set_timeout c.c_sock ~in_force:c.c_timeout_ms left;
+      match recv c.c_sock c.c_buf with
       | None -> wait ()
       | Some (dat, _) -> (
         (match c.c_capture with Some f -> f ~dir:`Rx dat | None -> ());
         match Frames.parse c.c_tmg dat with
         | Error _ -> wait ()
         | Ok parsed -> run (Exchange.Caller.input caller (received parsed)))
+    end
   in
   run outputs

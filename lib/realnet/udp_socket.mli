@@ -7,8 +7,12 @@
     {!Rpc.Frames.parse}, software checksums included.
 
     The protocol is {!Rpc.Exchange}, the core the simulated transport
-    drives too; this module is its socket driver — [sendto] per frame,
-    [select] bounded by the absolute retransmission deadline.  The
+    drives too; this module is its socket driver — one datagram per
+    frame, and each wait one blocking receive under the socket's
+    receive timeout, set to the time left before the absolute
+    retransmission deadline.  A call that needs no retransmission costs
+    four system calls: the client's [send] and [recvfrom] on a socket
+    connected to the server, the server's [recvfrom] and [sendto].  The
     server is one receive loop over every activity, executing calls
     inline.  Everything runs in wall-clock time, outside the simulator;
     [Hw.Timing] is used only for frame-format constants. *)
@@ -70,13 +74,22 @@ val connect :
   intf:Rpc.Idl.interface ->
   unit ->
   (client, string) result
-(** [capture] observes every frame as sent ([`Tx], before [send_filter])
+(** A client whose socket is connected to the server on loopback
+    [port], so the kernel drops datagrams from any other address.  An
+    ICMP port-unreachable for an earlier datagram, which the connected
+    socket reports as ECONNREFUSED on its next send or receive, counts
+    as a lost datagram: a call to a port nobody serves ends in
+    [Call_failed] after its retries.
+
+    [capture] observes every frame as sent ([`Tx], before [send_filter])
     or received ([`Rx]) — the wire-byte-equality tests hang off it.
     [send_filter] returning [false] drops the frame without sending
     (fault injection); [retransmit_after] (seconds, default 0.05) and
     [max_retries] (default 40) bound the real-time retransmission loop.
-    [thread] (default 1) names the activity, making headers — and
-    therefore frames — reproducible. *)
+    The receive timeout is kept in whole milliseconds, and Linux keeps
+    it in timer ticks, so a retransmission goes out up to one tick after
+    its deadline.  [thread] (default 1) names the activity, making
+    headers — and therefore frames — reproducible. *)
 
 val call :
   client -> proc_idx:int -> args:Rpc.Marshal.value list -> Rpc.Marshal.value list

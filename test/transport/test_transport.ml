@@ -560,6 +560,85 @@ let test_socket_stalled_transfer_isolated () =
       Alcotest.(check int) "GetData executed exactly once" 1 (Atomic.get executions)
   end
 
+(* {1 Peers that never answer}
+
+   Both cases connect the client to a bare loopback socket instead of a
+   server. *)
+
+let bare_socket () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname sock with
+  | Unix.ADDR_INET (_, port) -> (sock, port)
+  | Unix.ADDR_UNIX _ -> Alcotest.fail "a loopback socket without a port"
+
+let call_unanswered ~retransmit_after ~max_retries port =
+  match Us.connect ~retransmit_after ~max_retries ~port ~intf:Ti.interface () with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok c -> (
+    Fun.protect ~finally:(fun () -> Us.close c) @@ fun () ->
+    match Us.call c ~proc_idx:Ti.null_idx ~args:[] with
+    | _ -> Alcotest.fail "a call nobody answered returned"
+    | exception Us.Call_failed msg -> msg)
+
+(* Nobody serves the port, so each call frame draws an ICMP
+   port-unreachable, which the connected client socket reports as
+   ECONNREFUSED on its next send or receive.  That is a lost datagram:
+   the call must end in the exchange's own give-up, not a [Unix_error]. *)
+let test_socket_unserved_port () =
+  if not (Us.available ()) then Alcotest.skip ()
+  else begin
+    let sock, port = bare_socket () in
+    Unix.close sock;
+    let t0 = Unix.gettimeofday () in
+    Alcotest.(check string) "the call gives up" "no response from server"
+      (call_unanswered ~retransmit_after:0.01 ~max_retries:3 port);
+    let took = Unix.gettimeofday () -. t0 in
+    if took >= 1. then Alcotest.failf "giving up took %.3f s" took
+  end
+
+(* A peer that never answers but sends the caller 20 junk bytes 80 ms
+   after each copy of the call.  Junk makes no progress, so it must
+   neither postpone nor hasten the next copy, due 100 ms after the
+   last. *)
+let test_socket_junk_keeps_deadline () =
+  if not (Us.available ()) then Alcotest.skip ()
+  else begin
+    let peer, port = bare_socket () in
+    Unix.setsockopt_float peer Unix.SO_RCVTIMEO 0.01;
+    let stop = Atomic.make false and arrivals = ref [] in
+    let serve () =
+      let buf = Bytes.create 4096 and junk = Bytes.make 20 'x' in
+      while not (Atomic.get stop) do
+        match Unix.recvfrom peer buf 0 (Bytes.length buf) [] with
+        | _, caller ->
+          arrivals := Unix.gettimeofday () :: !arrivals;
+          Thread.delay 0.08;
+          ignore (Unix.sendto peer junk 0 (Bytes.length junk) [] caller)
+        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      done
+    in
+    let server = Thread.create serve () in
+    let msg =
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Thread.join server;
+          Unix.close peer)
+        (fun () -> call_unanswered ~retransmit_after:0.1 ~max_retries:3 port)
+    in
+    Alcotest.(check string) "the call gives up" "no response from server" msg;
+    let arrivals = List.rev !arrivals in
+    Alcotest.(check int) "the call and three retransmissions" 4 (List.length arrivals);
+    let rec gaps = function a :: (b :: _ as rest) -> (b -. a) :: gaps rest | _ -> [] in
+    List.iter
+      (fun g ->
+        if g < 0.09 || g >= 0.15 then
+          Alcotest.failf "copies %.1f ms apart: the junk moved the 100 ms retransmission"
+            (g *. 1e3))
+      (gaps arrivals)
+  end
+
 let test_socket_wire_bytes () =
   (* The acceptance criterion: the first frame of a Null call on the
      loopback wire is byte-identical to what the simulated encoder
@@ -645,5 +724,8 @@ let () =
           Alcotest.test_case "socket call-fragment faults" `Quick test_socket_call_fragment_faults;
           Alcotest.test_case "socket stalled transfer isolated" `Quick
             test_socket_stalled_transfer_isolated;
+          Alcotest.test_case "socket unserved port fails cleanly" `Quick test_socket_unserved_port;
+          Alcotest.test_case "socket junk keeps the deadline" `Quick
+            test_socket_junk_keeps_deadline;
         ] );
     ]
