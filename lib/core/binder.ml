@@ -60,7 +60,7 @@ let bind t runtime ~server intf ?options ?auth ?(transport = `Auto) () =
       let options =
         match options with
         | Some o -> o
-        | None -> Runtime.default_options runtime
+        | None -> Runtime.default_options
       in
       Runtime.bind_ether ?auth ~dst ~server_space:(Runtime.space server) intf ~options
 

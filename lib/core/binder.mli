@@ -48,8 +48,8 @@ val bind :
     - [`Local] against a remote server raises [Unbound_interface];
     - [`Decnet] binds a DECNet session to a remote server ([auth] is
       unsupported — DECNet calls present no key).
-    [options] (default: the caller's {!Runtime.default_options}) is
-    the packet exchange's retransmission schedule.
+    [options] (default: {!Runtime.default_options}) is the packet
+    exchange's retransmission schedule.
     @raise Rpc_error.Rpc ([Unbound_interface]) if [server] does not
     export the interface. *)
 

@@ -65,14 +65,14 @@ type conn = {
   send_lock : Sim.Resource.t;
   mutable send_seq : int;
   mutable awaiting_ack : int option;
-  ack_waiter : Nub.Waiter.t;
+  ack_waiter : unit Nub.Waiter.t;
   retransmit_after : Time.span;
   max_retries : int;
   (* receiver *)
   mutable recv_seq : int;
   reassembly : Buffer.t;
   messages : Bytes.t Queue.t;
-  msg_waiter : Nub.Waiter.t;
+  msg_waiter : unit Nub.Waiter.t;
 }
 
 and endpoint = {
@@ -183,8 +183,8 @@ let send_reliably conn ctx seg ~settled ~give_up =
   let rec wait resends =
     if not (settled ()) then
       match Nub.Waiter.wait_timeout conn.ack_waiter ctx ~timeout:conn.retransmit_after with
-      | `Ok -> wait resends
-      | `Timeout ->
+      | Some () -> wait resends
+      | None ->
         if resends >= conn.max_retries then begin
           conn.state <- Closed;
           fail give_up
@@ -237,10 +237,10 @@ let recv_message conn ctx ~timeout =
       else begin
         let now = Engine.now (eng conn.ep) in
         if Time.(deadline <= now) then None
-        else
-          match Nub.Waiter.wait_timeout conn.msg_waiter ctx ~timeout:(Time.diff deadline now) with
-          | `Ok -> loop ()
-          | `Timeout -> loop ()
+        else begin
+          ignore (Nub.Waiter.wait_timeout conn.msg_waiter ctx ~timeout:(Time.diff deadline now));
+          loop ()
+        end
       end
   in
   loop ()
@@ -250,8 +250,8 @@ let close conn ctx =
     conn.state <- Closed;
     transmit conn.ep ctx ~dst:conn.peer
       (blank_seg ~s_type:Disconnect ~src_conn:conn.local_id ~dst_conn:conn.remote_id);
-    Nub.Waiter.notify conn.msg_waiter ~waker:ctx;
-    Nub.Waiter.notify conn.ack_waiter ~waker:ctx
+    Nub.Waiter.notify conn.msg_waiter ~waker:ctx ();
+    Nub.Waiter.notify conn.ack_waiter ~waker:ctx ()
   end
 
 let is_open conn = conn.state <> Closed
@@ -318,7 +318,7 @@ let handle_segment ep ctx (seg : segment) ~src_mac =
       | Connecting ->
         conn.remote_id <- seg.src_conn;
         conn.state <- Established;
-        Nub.Waiter.notify conn.ack_waiter ~waker:ctx
+        Nub.Waiter.notify conn.ack_waiter ~waker:ctx ()
       | Established | Closed -> ())
     | None -> ())
   | Data -> (
@@ -342,7 +342,7 @@ let handle_segment ep ctx (seg : segment) ~src_mac =
         if not seg.more then begin
           Queue.push (Buffer.to_bytes conn.reassembly) conn.messages;
           Buffer.clear conn.reassembly;
-          Nub.Waiter.notify conn.msg_waiter ~waker:ctx
+          Nub.Waiter.notify conn.msg_waiter ~waker:ctx ()
         end;
         ack_now ()
       end
@@ -356,15 +356,15 @@ let handle_segment ep ctx (seg : segment) ~src_mac =
       match conn.awaiting_ack with
       | Some pending when seg.ack >= pending ->
         conn.awaiting_ack <- None;
-        Nub.Waiter.notify conn.ack_waiter ~waker:ctx
+        Nub.Waiter.notify conn.ack_waiter ~waker:ctx ()
       | Some _ | None -> ()))
   | Disconnect -> (
     match find_conn () with
     | None -> ()
     | Some conn ->
       conn.state <- Closed;
-      Nub.Waiter.notify conn.msg_waiter ~waker:ctx;
-      Nub.Waiter.notify conn.ack_waiter ~waker:ctx)
+      Nub.Waiter.notify conn.msg_waiter ~waker:ctx ();
+      Nub.Waiter.notify conn.ack_waiter ~waker:ctx ())
 
 let install_handler ep =
   Node.set_ethertype_handler ep.node ~ethertype (fun ~ctx ~frame ->

@@ -13,24 +13,14 @@ type delivery = {
   d_call : int;
 }
 
-module Entry = struct
-  type t = { waiter : Nub.Waiter.t; inbox : delivery Queue.t }
-
-  let create machine = { waiter = Machine.new_waiter machine; inbox = Queue.create () }
-  let inbox_pop t = Queue.take_opt t.inbox
-
-  let deliver t ~waker d =
-    Queue.push d t.inbox;
-    Nub.Waiter.notify t.waiter ~waker
-end
+module Pool = Nub.Waiter.Pool
 
 type t = {
   mach : Machine.t;
   tmg : Timing.t;
-  callers : (Activity.t, Entry.t) Hashtbl.t;
-  frag_sinks : (Activity.t, Entry.t) Hashtbl.t;
-  worker_pools : (int, Entry.t Queue.t) Hashtbl.t;
-  slow_sinks : (int, delivery -> unit) Hashtbl.t;
+  callers : (Activity.t, delivery Nub.Waiter.t) Hashtbl.t;
+  frag_sinks : (Activity.t, delivery Nub.Waiter.t) Hashtbl.t;
+  pools : (int, delivery Pool.t) Hashtbl.t;
   alt_handlers : (int, ctx:Cpu_set.ctx -> frame:Bytes.t -> Driver.verdict) Hashtbl.t;
   mutable c_stale : int;
   mutable c_cks_reject : int;
@@ -41,43 +31,31 @@ type t = {
 let machine t = t.mach
 let timing t = t.tmg
 let endpoint t = { Frames.mac = Machine.mac t.mach; ip = Machine.ip t.mach }
-let new_entry t = Entry.create t.mach
 
-let register_caller t act entry =
+let register_caller t act w =
   if Hashtbl.mem t.callers act then
     invalid_arg
       (Format.asprintf "Node.register_caller: activity %a already has an outstanding call"
          Activity.pp act);
-  Hashtbl.replace t.callers act entry
+  Hashtbl.replace t.callers act w
 
 let unregister_caller t act = Hashtbl.remove t.callers act
-let register_fragment_sink t act entry = Hashtbl.replace t.frag_sinks act entry
+let register_fragment_sink t act w = Hashtbl.replace t.frag_sinks act w
 let unregister_fragment_sink t act = Hashtbl.remove t.frag_sinks act
 let fragment_sinks t = Hashtbl.length t.frag_sinks
 let outstanding_callers t = Hashtbl.length t.callers
 
-let worker_pool t space =
-  match Hashtbl.find_opt t.worker_pools space with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.replace t.worker_pools space q;
-    q
-
-let join_worker_pool t ~space entry = Queue.push entry (worker_pool t space)
-let space_taken t ~space = Hashtbl.mem t.slow_sinks space
-
-let set_slow_sink t ~space f =
-  if space_taken t ~space then
-    invalid_arg (Printf.sprintf "Node.set_slow_sink: space %d already taken" space);
-  Hashtbl.replace t.slow_sinks space f
+let serve_space t ~space =
+  if Hashtbl.mem t.pools space then
+    invalid_arg (Printf.sprintf "Node.serve_space: space %d already served" space);
+  let pool = Pool.create () in
+  Hashtbl.replace t.pools space pool;
+  pool
 
 let set_ethertype_handler t ~ethertype f = Hashtbl.replace t.alt_handlers ethertype f
 
 let frame_ethertype frame =
   if Bytes.length frame >= Net.Ethernet.header_size then Bytes.get_uint16_be frame 12 else -1
-let wait entry ctx = Nub.Waiter.wait entry.Entry.waiter ctx
-let wait_timeout entry ctx ~timeout = Nub.Waiter.wait_timeout entry.Entry.waiter ctx ~timeout
 
 (* {1 Receive: the interrupt-routine demultiplexer} *)
 
@@ -102,27 +80,29 @@ let delivery ctx (p : Frames.parsed) =
 let demux t ctx (p : Frames.parsed) =
   let hdr = p.Frames.p_hdr in
   let d = delivery ctx p in
-  let consume entry =
-    Entry.deliver entry ~waker:ctx d;
+  let consumed () =
     Nub.Bufpool.free (Machine.pool t.mach);
     Driver.Consumed
+  in
+  let consume w =
+    Nub.Waiter.notify w ~waker:ctx d;
+    consumed ()
   in
   match hdr.Proto.ptype with
   | Proto.Call -> (
     match Hashtbl.find_opt t.frag_sinks hdr.Proto.activity with
-    | Some entry -> consume entry
+    | Some w -> consume w
     | None -> (
-      let pool = worker_pool t hdr.Proto.server_space in
-      match Queue.take_opt pool with
-      | Some entry ->
+      match Hashtbl.find_opt t.pools hdr.Proto.server_space with
+      | Some pool when Pool.offer pool ~waker:ctx d ->
         t.c_fast <- t.c_fast + 1;
-        consume entry
-      | None ->
+        consumed ()
+      | Some _ | None ->
         t.c_slow <- t.c_slow + 1;
         Driver.To_datalink))
   | Proto.Result | Proto.Busy | Proto.Error_reply -> (
     match Hashtbl.find_opt t.callers hdr.Proto.activity with
-    | Some entry -> consume entry
+    | Some w -> consume w
     | None ->
       t.c_stale <- t.c_stale + 1;
       Driver.Dropped "no caller waiting")
@@ -131,10 +111,10 @@ let demux t ctx (p : Frames.parsed) =
        worker assembling or emitting fragments (the fragment sink) has
        priority over the caller entry. *)
     match Hashtbl.find_opt t.frag_sinks hdr.Proto.activity with
-    | Some entry -> consume entry
+    | Some w -> consume w
     | None -> (
       match Hashtbl.find_opt t.callers hdr.Proto.activity with
-      | Some entry -> consume entry
+      | Some w -> consume w
       | None ->
         t.c_stale <- t.c_stale + 1;
         Driver.Dropped "stale ack"))
@@ -178,8 +158,9 @@ let fast_handler t ~ctx ~frame =
 
 (* The datalink thread: in the default configuration it only sees
    packets the interrupt demultiplexer could not place (calls with no
-   waiting worker); in the traditional-demux ablation it sees every
-   packet and does the full demultiplex itself, on its own thread. *)
+   waiting worker), and queues each in its space's pool; in the
+   traditional-demux ablation it sees every packet and does the full
+   demultiplex itself, on its own thread. *)
 let datalink_handler t ~ctx ~frame =
   let free_buffer () = Nub.Bufpool.free (Machine.pool t.mach) in
   if traditional t then charge_receive t ctx ~label:"Handle received pkt (datalink)" frame;
@@ -196,8 +177,8 @@ let datalink_handler t ~ctx ~frame =
     | Driver.To_datalink -> (
       let hdr = parsed.Frames.p_hdr in
       free_buffer ();
-      match Hashtbl.find_opt t.slow_sinks hdr.Proto.server_space with
-      | Some sink -> sink (delivery ctx parsed)
+      match Hashtbl.find_opt t.pools hdr.Proto.server_space with
+      | Some pool -> Pool.queue pool (delivery ctx parsed)
       | None -> t.c_stale <- t.c_stale + 1))
 
 let create mach =
@@ -207,8 +188,7 @@ let create mach =
       tmg = Machine.timing mach;
       callers = Hashtbl.create 32;
       frag_sinks = Hashtbl.create 8;
-      worker_pools = Hashtbl.create 4;
-      slow_sinks = Hashtbl.create 4;
+      pools = Hashtbl.create 4;
       alt_handlers = Hashtbl.create 4;
       c_stale = 0;
       c_cks_reject = 0;

@@ -9,6 +9,14 @@
     match no table entry (a call for which no server thread is waiting,
     or any packet for an unknown activity) take the slow path.
 
+    Each address space a runtime serves has one {!Nub.Waiter.Pool.t}:
+    its idle server threads park there, the interrupt routine hands a
+    call to the longest-parked one with a single wakeup, and a call
+    that finds none parked goes to the datalink thread, which queues it
+    for the next server thread of the space to finish.  The runtime's
+    shared-memory transport serves same-machine calls from a pool of the
+    same kind.
+
     A node also provides the send primitive that charges the Table VI
     sending-side costs and hands the frame to the driver. *)
 
@@ -29,32 +37,25 @@ type delivery = {
           across the wire ({!Sim.Trace.no_call} when untraced) *)
 }
 
-(** A parked thread: the interrupt handler appends deliveries to its
-    inbox and wakes it. *)
-module Entry : sig
-  type t
-
-  val inbox_pop : t -> delivery option
-end
-
 val create : Nub.Machine.t -> t
 
 val machine : t -> Nub.Machine.t
 val timing : t -> Hw.Timing.t
 val endpoint : t -> Frames.endpoint
 
-val new_entry : t -> Entry.t
+(** {1 Call-table registration}
 
-(** {1 Call-table registration} *)
+    A registered thread waits on a {!Nub.Waiter.t}, and the interrupt
+    handler notifies it with each packet it routes there. *)
 
-val register_caller : t -> Proto.Activity.t -> Entry.t -> unit
+val register_caller : t -> Proto.Activity.t -> delivery Nub.Waiter.t -> unit
 (** Registers the outstanding call of an activity (Transporter step).
     @raise Invalid_argument if the activity already has one — an
     activity is a single thread and makes one call at a time. *)
 
 val unregister_caller : t -> Proto.Activity.t -> unit
 
-val register_fragment_sink : t -> Proto.Activity.t -> Entry.t -> unit
+val register_fragment_sink : t -> Proto.Activity.t -> delivery Nub.Waiter.t -> unit
 (** Routes subsequent call fragments and fragment acks of an activity
     to the server worker already assembling its call. *)
 
@@ -70,13 +71,11 @@ val outstanding_callers : t -> int
     quiescence means a caller thread is stuck or leaked its
     registration. *)
 
-val join_worker_pool : t -> space:int -> Entry.t -> unit
-(** Parks an idle server worker where the interrupt handler can find it
-    (FIFO per address space). *)
-
-val set_slow_sink : t -> space:int -> (delivery -> unit) -> unit
-(** Consumer for packets taking the traditional datalink path.
-    @raise Invalid_argument if the space already has a sink. *)
+val serve_space : t -> space:int -> delivery Nub.Waiter.Pool.t
+(** Claims [space] for one runtime's server threads and returns the
+    pool they take its calls from.  A call naming a space nobody serves
+    counts as stale.
+    @raise Invalid_argument if the space is already served. *)
 
 val set_ethertype_handler :
   t -> ethertype:int -> (ctx:Hw.Cpu_set.ctx -> frame:Stdlib.Bytes.t -> Nub.Driver.verdict) -> unit
@@ -85,10 +84,7 @@ val set_ethertype_handler :
     the interrupt routine and owns the frame's pool buffer on
     [Consumed]. *)
 
-(** {1 Waiting and sending} *)
-
-val wait : Entry.t -> Hw.Cpu_set.ctx -> unit
-val wait_timeout : Entry.t -> Hw.Cpu_set.ctx -> timeout:Sim.Time.span -> [ `Ok | `Timeout ]
+(** {1 Sending} *)
 
 val send : t -> ctx:Hw.Cpu_set.ctx -> dst:Frames.endpoint -> hdr:Proto.header ->
   payload:Stdlib.Bytes.t -> payload_pos:int -> payload_len:int -> unit

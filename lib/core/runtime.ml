@@ -16,24 +16,22 @@ type export_rec = {
   ex_auth : Secure.key option;
 }
 
+(* A same-machine call; the server thread notifies [lc_done] with the
+   outcome. *)
 type local_call = {
   lc_intf_id : int32;
   lc_proc : int;
   lc_payload : Bytes.t;
-  mutable lc_reply : (Bytes.t, string) result option;
-  lc_done : Nub.Waiter.t;
+  lc_done : (Bytes.t, string) result Nub.Waiter.t;
 }
-
-type local_worker = { lw_waiter : Nub.Waiter.t; lw_inbox : local_call Queue.t }
 
 type t = {
   rt_node : Node.t;
   rt_space : int;
   rt_exports : (int32, export_rec) Hashtbl.t;
   rt_server : Frames.endpoint Exchange.Server.t;
-  rt_pending_slow : Node.delivery Queue.t;
-  rt_local_pool : local_worker Queue.t;
-  rt_local_pending : local_call Queue.t;
+  rt_pool : Node.delivery Nub.Waiter.Pool.t;  (* the packet exchange's server threads *)
+  rt_local : local_call Nub.Waiter.Pool.t;  (* the shared-memory server threads *)
   (* Scratch buffer for marshalling payloads: stubs encode into this
      reusable buffer and copy out exactly the bytes written, instead of
      allocating a worst-case-bound buffer per call.  Safe without a
@@ -56,15 +54,12 @@ let timing t = Node.timing t.rt_node
 let engine t = Machine.engine (machine t)
 let retain_gc_after = Time.sec 5
 
-(* The paper's recovery (~600 ms from the machine configuration), 10
-   retries, no backoff: every server's schedule, and a binding's
-   default. *)
-let machine_options m =
-  {
-    Exchange.retransmit_after = (Machine.config m).Hw.Config.retransmit_after;
-    max_retries = 10;
-    backoff = None;
-  }
+(* Every server's schedule, and a binding's default: the first
+   retransmission after 600 ms (§5's lost packet cost "about 600
+   milliseconds waiting for a retransmission"), 10 retries, no
+   backoff. *)
+let default_options =
+  { Exchange.retransmit_after = Time.ms 600; max_retries = 10; backoff = None }
 
 let create nd ~space =
   let t =
@@ -74,12 +69,11 @@ let create nd ~space =
       rt_exports = Hashtbl.create 8;
       rt_server =
         (let m = Node.machine nd in
-         Exchange.Server.create (machine_options m)
+         Exchange.Server.create default_options
            ~max_payload:(Timing.max_payload_bytes (Machine.timing m))
            ~streaming:(Machine.config m).Hw.Config.streaming_results);
-      rt_pending_slow = Queue.create ();
-      rt_local_pool = Queue.create ();
-      rt_local_pending = Queue.create ();
+      rt_pool = Node.serve_space nd ~space;
+      rt_local = Nub.Waiter.Pool.create ();
       rt_scratch = Bytes.create 2048;
       rt_next_thread = 1;
       rt_exec_probe = None;
@@ -90,9 +84,6 @@ let create nd ~space =
       c_busy = 0;
     }
   in
-  (* Packets the datalink demultiplexer could not hand to a parked
-     worker queue here; a worker drains the backlog before re-parking. *)
-  Node.set_slow_sink nd ~space (fun delivery -> Queue.push delivery t.rt_pending_slow);
   let reg = (Machine.obs (machine t)).Obs.Ctx.metrics in
   let site = Machine.name (machine t) in
   let metric what = Printf.sprintf "rpc.s%d.%s" space what in
@@ -244,8 +235,6 @@ type call_options = Exchange.options = {
   backoff : backoff option;
 }
 
-let default_options t = machine_options (machine t)
-
 type ether_binding = {
   be_dst : Frames.endpoint;
   be_space : int;
@@ -370,15 +359,17 @@ let perform t ctx = function
 
 (* The one wait loop.  Perform [outputs] in order, calling [after] on
    each, until a terminal one, which is returned; in between, wait on
-   [entry] for a delivery or the armed deadline and feed it back
-   through [input] or [expire].  A delivery that makes no progress arms
+   [w] for a delivery or the armed deadline and feed it back through
+   [input] or [expire].  A delivery that makes no progress arms
    nothing, so it cannot push a retransmission out: a peer spamming
    unrelated packets would otherwise suppress ours forever — a livelock
    the protocol property tests caught. *)
-let exchange t ctx entry ?(after = ignore) ~input ~expire outputs =
+let exchange t ctx w ?(after = ignore) ~input ~expire outputs =
   let eng = engine t in
   let deadline = ref Time.zero in
-  let rec run = function
+  let rec deliver (d : Node.delivery) =
+    run (input { Exchange.hdr = d.Node.d_hdr; payload = d.Node.d_payload })
+  and run = function
     | [] -> wait ()
     | (Exchange.Deliver _ | Exchange.Execute _ | Exchange.Retain | Exchange.Give_up _) as o :: _ -> o
     | o :: rest ->
@@ -388,15 +379,15 @@ let exchange t ctx entry ?(after = ignore) ~input ~expire outputs =
       after o;
       run rest
   and wait () =
-    match Node.Entry.inbox_pop entry with
-    | Some d -> run (input { Exchange.hdr = d.Node.d_hdr; payload = d.Node.d_payload })
-    | None ->
+    match Nub.Waiter.poll w ctx with
+    | Some d -> deliver d
+    | None -> (
       let now = Engine.now eng in
-      if Time.(now < !deadline) then begin
-        ignore (Node.wait_timeout entry ctx ~timeout:(Time.diff !deadline now));
-        wait ()
-      end
-      else run (expire ())
+      if Time.(!deadline <= now) then run (expire ())
+      else
+        match Nub.Waiter.wait_timeout w ctx ~timeout:(Time.diff !deadline now) with
+        | Some d -> deliver d
+        | None -> wait ())
   in
   run outputs
 
@@ -421,8 +412,8 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
   in
   let frags = Exchange.fragment_count ~max_payload:(max_payload t) (Bytes.length payload) in
   let act = client.cl_act in
-  let entry = Node.new_entry t.rt_node in
-  Node.register_caller t.rt_node act entry;
+  let w = Machine.new_waiter (machine t) in
+  Node.register_caller t.rt_node act w;
   (* Every exit — result, clean failure, or an unexpected exception in
      the unmarshalling path — must unregister the call and return the
      packet buffers, or the activity wedges and the pool leaks. *)
@@ -451,7 +442,7 @@ let call_ether client ctx (b : ether_binding) ~proc_idx ~args =
     | _ -> ()
   in
   match
-    exchange t ctx entry ~after ~input:(Exchange.Caller.input caller)
+    exchange t ctx w ~after ~input:(Exchange.Caller.input caller)
       ~expire:(fun () -> Exchange.Caller.expire caller)
       outputs
   with
@@ -494,20 +485,20 @@ let schedule_retain_gc t tr =
    leaves — and always comes down.  Result buffers are held from
    [Transmit] until the transfer retains them; an exception in between
    returns them and stops the activity working. *)
-let serve t ctx entry ~act tr outputs =
+let serve t ctx w ~act tr outputs =
   let sink = ref false and held = ref 0 in
   let after o =
     (match o with Exchange.Note (Exchange.Transmit { frames; _ }) -> held := frames | _ -> ());
     match o with
     | (Exchange.Arm _ | Exchange.Note (Exchange.Transmit { acked = true; _ })) when not !sink ->
-      Node.register_fragment_sink t.rt_node act entry;
+      Node.register_fragment_sink t.rt_node act w;
       sink := true
     | _ -> ()
   in
   Fun.protect ~finally:(fun () -> if !sink then Node.unregister_fragment_sink t.rt_node act)
   @@ fun () ->
   match
-    exchange t ctx entry ~after ~input:(Exchange.Server.input tr)
+    exchange t ctx w ~after ~input:(Exchange.Server.input tr)
       ~expire:(fun () -> Exchange.Server.expire tr)
       outputs
   with
@@ -518,7 +509,7 @@ let serve t ctx entry ~act tr outputs =
     Exchange.Server.abort tr;
     Printexc.raise_with_backtrace e bt
 
-let handle_call t ctx entry (d : Node.delivery) =
+let handle_call t ctx w (d : Node.delivery) =
   let tmg = timing t in
   (* Take the call id from the delivered frame rather than trusting
      whatever wakeup last stamped this worker's context — backlog drains
@@ -532,7 +523,7 @@ let handle_call t ctx entry (d : Node.delivery) =
   | None, outputs -> List.iter (perform t ctx) outputs
   | Some tr, outputs -> (
     let act = d.Node.d_hdr.Proto.activity in
-    match serve t ctx entry ~act tr outputs with
+    match serve t ctx w ~act tr outputs with
     | Exchange.Execute { Exchange.hdr = h; payload } -> (
       (match t.rt_exec_probe with
       | Some probe -> probe h.Proto.activity h.Proto.seq
@@ -541,37 +532,32 @@ let handle_call t ctx entry (d : Node.delivery) =
         dispatch t ctx ~intf_id:h.Proto.interface_id ~proc_idx:h.Proto.proc_idx ~payload
           ~secured:h.Proto.secured ~seq:h.Proto.seq ~trusted:false
       in
-      match serve t ctx entry ~act tr (Exchange.Server.reply tr outcome) with
+      match serve t ctx w ~act tr (Exchange.Server.reply tr outcome) with
       | Exchange.Retain -> schedule_retain_gc t tr
       | _ -> () (* superseded by a newer call of the activity *))
     | _ -> () (* the caller went silent mid-call *))
 
-(* The server worker: drain backlog from the slow path first, then park
-   in the call table where the interrupt routine can hand us the next
-   call directly (§3.1.3's Receiver loop). *)
+(* The server worker (§3.1.3's Receiver loop): take the oldest call the
+   datalink thread queued, or else park in the space's pool, where the
+   interrupt routine hands the next call straight to this thread.  Each
+   call gets a fresh waiter, which becomes its fragment sink. *)
 let worker_loop t ctx =
   let rec loop () =
-    (match Queue.take_opt t.rt_pending_slow with
-    | Some d ->
-      let entry = Node.new_entry t.rt_node in
-      if d.Node.d_hdr.Proto.ptype = Proto.Call then handle_call t ctx entry d
-    | None -> (
-      let entry = Node.new_entry t.rt_node in
-      Node.join_worker_pool t.rt_node ~space:t.rt_space entry;
-      Node.wait entry ctx;
-      match Node.Entry.inbox_pop entry with
-      | Some d when d.Node.d_hdr.Proto.ptype = Proto.Call -> handle_call t ctx entry d
-      | Some _ | None -> ()));
+    let w = Machine.new_waiter (machine t) in
+    handle_call t ctx w (Nub.Waiter.Pool.next t.rt_pool w ctx);
     loop ()
   in
   loop ()
 
 (* {1 The local (same-machine, shared-memory) transport} *)
 
+(* The same-machine server thread: the oldest queued call, or else
+   park in the runtime's local pool until a caller hands one over. *)
 let local_worker_loop t ctx =
   let tmg = timing t in
-  let me = { lw_waiter = Machine.new_waiter (machine t); lw_inbox = Queue.create () } in
-  let handle (lc : local_call) =
+  let me = Machine.new_waiter (machine t) in
+  let rec loop () =
+    let lc = Nub.Waiter.Pool.next t.rt_local me ctx in
     charge_rt ctx ~label:"Receiver (local)" (Timing.local_receiver tmg);
     (* Shared memory on the same machine is inside the trust boundary:
        local calls bypass sealing even to keyed interfaces. *)
@@ -580,19 +566,8 @@ let local_worker_loop t ctx =
         (dispatch t ctx ~intf_id:lc.lc_intf_id ~proc_idx:lc.lc_proc
            ~payload:(V.of_bytes lc.lc_payload) ~secured:false ~seq:0 ~trusted:true)
     in
-    lc.lc_reply <- Some outcome;
     charge_rt ctx ~label:"Receiver send (local)" (Timing.local_receiver_send tmg);
-    Nub.Waiter.notify lc.lc_done ~waker:ctx
-  in
-  let rec loop () =
-    (match Queue.take_opt t.rt_local_pending with
-    | Some lc -> handle lc
-    | None -> (
-      Queue.push me t.rt_local_pool;
-      Nub.Waiter.wait me.lw_waiter ctx;
-      match Queue.take_opt me.lw_inbox with
-      | Some lc -> handle lc
-      | None -> ()));
+    Nub.Waiter.notify lc.lc_done ~waker:ctx outcome;
     loop ()
   in
   loop ()
@@ -613,20 +588,14 @@ let call_local client ctx (b : local_binding) ~proc_idx ~args =
       lc_intf_id = b.bl_id;
       lc_proc = proc_idx;
       lc_payload = payload;
-      lc_reply = None;
       lc_done = Machine.new_waiter (machine t);
     }
   in
-  (match Queue.take_opt server.rt_local_pool with
-  | Some lw ->
-    Queue.push lc lw.lw_inbox;
-    Nub.Waiter.notify lw.lw_waiter ~waker:ctx
-  | None ->
-    (* All local workers busy; they drain the pending queue first. *)
-    Queue.push lc server.rt_local_pending);
-  Nub.Waiter.wait lc.lc_done ctx;
+  (* A busy server thread takes queued calls before it parks again. *)
+  if not (Nub.Waiter.Pool.offer server.rt_local ~waker:ctx lc) then
+    Nub.Waiter.Pool.queue server.rt_local lc;
+  let outcome = Nub.Waiter.wait lc.lc_done ctx in
   charge_rt ctx ~label:"Transporter receive (local)" (Timing.local_transporter_recv tmg);
-  let outcome = Option.get lc.lc_reply in
   match outcome with
   | Error msg ->
     charge_rt ctx ~label:"Ender (local)" (Timing.local_ender tmg);

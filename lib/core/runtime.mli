@@ -69,9 +69,10 @@ type call_options = Exchange.options = {
 }
 (** A binding's retransmission schedule, run by {!Exchange.Caller}. *)
 
-val default_options : t -> call_options
-(** [retransmit_after] from the machine configuration (the paper's
-    recovery took ~600 ms), 10 retries, no backoff. *)
+val default_options : call_options
+(** The paper's schedule, which every server runs: a first
+    retransmission after 600 ms (§5's recovery took about that long),
+    10 retries, no backoff. *)
 
 type binding
 (** One of the three transports: the packet exchange, shared memory or

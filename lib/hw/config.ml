@@ -16,7 +16,6 @@ type t = {
   uniproc_fix : bool;
   streaming_results : bool;
   deqna_staging_frames : int;
-  retransmit_after : Sim.Time.span;
 }
 
 let default =
@@ -36,7 +35,6 @@ let default =
     uniproc_fix = false;
     streaming_results = false;
     deqna_staging_frames = 8;
-    retransmit_after = Sim.Time.ms 600;
   }
 
 let uniprocessor = { default with cpus = 1; uniproc_fix = true }
@@ -48,5 +46,4 @@ let validate t =
   else if not (Float.is_finite t.ethernet_mbps && t.ethernet_mbps > 0.) then
     Error "ethernet_mbps must be finite and positive"
   else if t.deqna_staging_frames < 1 then Error "deqna_staging_frames must be >= 1"
-  else if Sim.Time.span_is_negative t.retransmit_after then Error "retransmit_after must be >= 0"
   else Ok t

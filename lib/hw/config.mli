@@ -61,9 +61,6 @@ type t = {
           while the staging RAM is full is lost (receiver overrun).
           Sized so the paper's closed-loop RPC workload runs loss-free,
           as the real system did. *)
-  retransmit_after : Sim.Time.span;
-      (** first retransmission timeout; the paper's §5 bug cost "about
-          600 milliseconds waiting for a retransmission". *)
 }
 
 val default : t

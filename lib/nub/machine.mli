@@ -41,7 +41,7 @@ val obs : t -> Obs.Ctx.t
 (** The machine's observability context: its metrics registry and event
     journal.  Shared with other machines when the creator passed one. *)
 
-val new_waiter : t -> Waiter.t
+val new_waiter : t -> 'a Waiter.t
 
 val spawn_thread : t -> ?name:string -> (unit -> unit) -> unit
 (** Starts a thread on this machine.  The body is responsible for

@@ -3,12 +3,12 @@ module Time = Sim.Time
 module Cpu_set = Hw.Cpu_set
 module Timing = Hw.Timing
 
-type t = {
+type 'a t = {
   eng : Engine.t;
   timing : Timing.t;
   cpus : Cpu_set.t;
-  mutable pending : int;
-  cv : unit Sim.Condvar.t;
+  queued : 'a Queue.t;  (* notified while the thread was not blocked *)
+  cv : 'a Sim.Condvar.t;
   obs : Obs.Ctx.t;
   wake_hist : Obs.Metrics.Histogram.t;
   mutable notified_at : Time.t option;
@@ -23,7 +23,7 @@ let create ~obs eng timing ~cpus =
     eng;
     timing;
     cpus;
-    pending = 0;
+    queued = Queue.create ();
     cv = Sim.Condvar.create eng;
     obs;
     wake_hist =
@@ -57,19 +57,23 @@ let adopt_call t ctx =
 
 let clear_notified t = t.notified_at <- None
 
+(* A queued value: the thread never blocked for it, so no dispatch. *)
+let take t ctx =
+  let v = Queue.take t.queued in
+  adopt_call t ctx;
+  record_wakeup t;
+  v
+
+let poll t ctx = if Queue.is_empty t.queued then None else Some (take t ctx)
+
 let spin t ctx ~deadline =
   let rec loop () =
-    if t.pending > 0 then begin
-      t.pending <- t.pending - 1;
-      adopt_call t ctx;
-      record_wakeup t;
-      `Ok
-    end
+    if not (Queue.is_empty t.queued) then Some (take t ctx)
     else
       match deadline with
       | Some d when Time.compare (Engine.now t.eng) d >= 0 ->
         clear_notified t;
-        `Timeout
+        None
       | _ ->
         Cpu_set.charge ctx ~cat ~label:"Busy-wait poll" (Timing.busy_wait_poll t.timing);
         (* Release the CPU each iteration so interrupt work can run even
@@ -80,50 +84,35 @@ let spin t ctx ~deadline =
   in
   loop ()
 
-let wait_common t ctx ~timeout =
-  if busy_wait t then
-    let deadline = Option.map (fun d -> Time.add (Engine.now t.eng) d) timeout in
-    spin t ctx ~deadline
-  else if t.pending > 0 then begin
-    t.pending <- t.pending - 1;
-    adopt_call t ctx;
-    record_wakeup t;
-    `Ok
-  end
-  else begin
-    let outcome =
-      Cpu_set.yield_cpu ctx (fun () ->
-          match timeout with
-          | None ->
-            Sim.Condvar.await t.cv;
-            `Ok
-          | Some d -> (
-            match Sim.Condvar.await_timeout t.cv ~timeout:d with
-            | Some () -> `Ok
-            | None -> `Timeout))
-    in
-    (match outcome with
-    | `Ok ->
-      adopt_call t ctx;
-      (* The woken thread pays to be dispatched onto a processor. *)
-      Cpu_set.charge ctx ~cat ~label:"Dispatch woken thread" (Timing.dispatch t.timing);
-      record_wakeup t
-    | `Timeout ->
-      (* A notify may have raced the timeout (signal consumed or pending
-         incremented after the deadline fired); drop its mark either
-         way. *)
-      clear_notified t);
-    outcome
-  end
+(* The woken thread pays to be dispatched onto a processor. *)
+let woken t ctx =
+  adopt_call t ctx;
+  Cpu_set.charge ctx ~cat ~label:"Dispatch woken thread" (Timing.dispatch t.timing);
+  record_wakeup t
 
 let wait t ctx =
-  match wait_common t ctx ~timeout:None with
-  | `Ok -> ()
-  | `Timeout -> assert false
+  if busy_wait t then Option.get (spin t ctx ~deadline:None)
+  else if not (Queue.is_empty t.queued) then take t ctx
+  else
+    let v = Cpu_set.yield_cpu ctx (fun () -> Sim.Condvar.await t.cv) in
+    woken t ctx;
+    v
 
-let wait_timeout t ctx ~timeout = wait_common t ctx ~timeout:(Some timeout)
+let wait_timeout t ctx ~timeout =
+  if busy_wait t then spin t ctx ~deadline:(Some (Time.add (Engine.now t.eng) timeout))
+  else if not (Queue.is_empty t.queued) then Some (take t ctx)
+  else
+    match Cpu_set.yield_cpu ctx (fun () -> Sim.Condvar.await_timeout t.cv ~timeout) with
+    | Some _ as v ->
+      woken t ctx;
+      v
+    | None ->
+      (* A notify may have raced the timeout (its value queued after the
+         deadline fired); drop its mark either way. *)
+      clear_notified t;
+      None
 
-let notify t ~waker =
+let notify t ~waker v =
   Obs.Ctx.record t.obs ~at:(Engine.now t.eng) ~site:(Cpu_set.site t.cpus) Obs.Journal.Thread_wakeup;
   if t.notified_at = None then t.notified_at <- Some (Engine.now t.eng);
   (let c = Cpu_set.trace_call waker in
@@ -131,5 +120,27 @@ let notify t ~waker =
   Cpu_set.charge waker ~cat ~label:"Wakeup RPC thread" (Timing.wakeup t.timing);
   Cpu_set.charge waker ~cat ~label:"Uniprocessor wakeup path"
     (Timing.uniproc_wakeup_extra t.timing);
-  if busy_wait t then t.pending <- t.pending + 1
-  else if not (Sim.Condvar.signal t.cv ()) then t.pending <- t.pending + 1
+  if busy_wait t || not (Sim.Condvar.signal t.cv v) then Queue.push v t.queued
+
+module Pool = struct
+  type 'a waiter = 'a t
+  type 'a t = { idle : 'a waiter Queue.t; backlog : 'a Queue.t }
+
+  let create () = { idle = Queue.create (); backlog = Queue.create () }
+
+  let offer p ~waker v =
+    if Queue.is_empty p.idle then false
+    else begin
+      notify (Queue.take p.idle) ~waker v;
+      true
+    end
+
+  let queue p v = Queue.push v p.backlog
+
+  let next p w ctx =
+    if Queue.is_empty p.backlog then begin
+      Queue.push w p.idle;
+      wait w ctx
+    end
+    else Queue.take p.backlog
+end

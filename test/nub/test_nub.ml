@@ -109,53 +109,59 @@ let test_waiter_blocking_cost () =
   let w = make_world () in
   let m = w.a in
   let waiter = Machine.new_waiter m in
-  let woke_at = ref 0. in
+  let woke_at = ref 0. and got = ref 0 in
   Machine.spawn_thread m (fun () ->
       Cpu_set.with_cpu (Machine.cpus m) (fun ctx ->
-          Waiter.wait waiter ctx;
+          got := Waiter.wait waiter ctx;
           woke_at := Time.since_start_us (Engine.now w.eng)));
   Machine.spawn_thread m ~name:"waker" (fun () ->
       Engine.delay w.eng (us 100);
-      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx 42));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
+  Alcotest.(check int) "the notified value" 42 !got;
   (* 100 (delay) + 220 (wakeup charged on waker) + 15 (dispatch). *)
   Alcotest.(check (float 5.)) "wakeup + dispatch costs" 335. !woke_at
 
 let test_waiter_notify_before_wait () =
   let w = make_world () in
   let waiter = Machine.new_waiter w.a in
-  let ok = ref false in
+  let got = ref [] in
   Machine.spawn_thread w.a (fun () ->
       Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx ->
-          Waiter.notify waiter ~waker:ctx;
-          Waiter.wait waiter ctx;
-          ok := true));
+          Waiter.notify waiter ~waker:ctx "first";
+          Waiter.notify waiter ~waker:ctx "second";
+          let a = Waiter.wait waiter ctx in
+          let b = Waiter.poll waiter ctx in
+          let c = Waiter.poll waiter ctx in
+          got := [ Some a; b; c ]));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
-  Alcotest.(check bool) "pre-armed notification consumed" true !ok
+  Alcotest.(check (list (option string)))
+    "queued values taken in order, then none" [ Some "first"; Some "second"; None ] !got
 
 let test_waiter_timeout () =
   let w = make_world () in
   let waiter = Machine.new_waiter w.a in
-  let outcome = ref `Ok in
+  let outcome = ref (Some ()) in
   Machine.spawn_thread w.a (fun () ->
       Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx ->
           outcome := Waiter.wait_timeout waiter ctx ~timeout:(us 500)));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
-  Alcotest.(check bool) "timed out" true (!outcome = `Timeout)
+  Alcotest.(check bool) "timed out" true (!outcome = None)
 
 let test_waiter_busy_wait () =
   let config = { Config.default with busy_wait = true } in
   let w = make_world ~config () in
   let waiter = Machine.new_waiter w.a in
-  let woke_at = ref 0. in
+  let woke_at = ref 0. and got = ref 0 in
   Machine.spawn_thread w.a (fun () ->
       Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx ->
-          Waiter.wait waiter ctx;
+          got := Waiter.wait waiter ctx;
           woke_at := Time.since_start_us (Engine.now w.eng)));
   Machine.spawn_thread w.a ~name:"waker" (fun () ->
       Engine.delay w.eng (us 100);
-      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx 7));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
+  Alcotest.(check int) "the notified value" 7 !got;
   (* Spin detects the flag within one 5 us poll of the 10 us flag set. *)
   Alcotest.(check bool) "busy wait wakes fast" true (!woke_at < 130.);
   Alcotest.(check bool) "spin costs some cpu" true (!woke_at >= 100.)
@@ -171,7 +177,7 @@ let test_waiter_stale_mark_not_inflated () =
   let h = wake_hist m in
   (* A notification nobody is waiting for arms the waiter at t=0. *)
   Machine.spawn_thread m ~name:"early-waker" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx ()));
   Machine.spawn_thread m (fun () ->
       Engine.delay w.eng (us 1000);
       Cpu_set.with_cpu (Machine.cpus m) (fun ctx ->
@@ -184,7 +190,7 @@ let test_waiter_stale_mark_not_inflated () =
           Waiter.wait waiter ctx));
   Machine.spawn_thread m ~name:"late-waker" (fun () ->
       Engine.delay w.eng (us 3000);
-      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.notify waiter ~waker:ctx ()));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 10));
   Alcotest.(check int) "both wakeups sampled" 2 (Obs.Metrics.Histogram.count h);
   (* With the stale mark kept, the second sample would read ~3200 us
@@ -201,7 +207,7 @@ let test_waiter_spin_records_latency () =
       Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.wait waiter ctx));
   Machine.spawn_thread w.a ~name:"waker" (fun () ->
       Engine.delay w.eng (us 100);
-      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx ()));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
   (* The busy-wait path feeds the same histogram as the blocking path:
      one sample, bounded by the cheap spin wakeup plus one poll. *)
@@ -219,16 +225,55 @@ let test_waiter_timeout_leaves_no_mark () =
              notify/wake cycle: exactly one sample, measured from the
              notify. *)
           (match Waiter.wait_timeout waiter ctx ~timeout:(us 500) with
-          | `Timeout -> ()
-          | `Ok -> Alcotest.fail "unexpected wakeup");
+          | None -> ()
+          | Some () -> Alcotest.fail "unexpected wakeup");
           Waiter.wait waiter ctx));
   Machine.spawn_thread w.a ~name:"waker" (fun () ->
       Engine.delay w.eng (us 2000);
-      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx));
+      Cpu_set.with_cpu (Machine.cpus w.a) (fun ctx -> Waiter.notify waiter ~waker:ctx ()));
   Engine.run_until w.eng (Time.add Time.zero (Time.ms 10));
   Alcotest.(check int) "one wakeup sampled" 1 (Obs.Metrics.Histogram.count h);
   Alcotest.(check bool) "sample measured from the notify" true
     (Obs.Metrics.Histogram.max_value h < 1500.)
+
+let test_waiter_pool () =
+  (* Two server threads park in a pool; the first value offered goes to
+     the longest-parked one.  With both busy, an offer finds nobody and
+     the value waits in the backlog for whichever thread asks next. *)
+  let w = make_world () in
+  let m = w.a in
+  let pool = Waiter.Pool.create () in
+  let served = ref [] in
+  let server name =
+    Machine.spawn_thread m ~name (fun () ->
+        Cpu_set.with_cpu (Machine.cpus m) (fun ctx ->
+            let me = Machine.new_waiter m in
+            for _ = 1 to 2 do
+              let v = Waiter.Pool.next pool me ctx in
+              let r = (name, v) in
+              served := r :: !served;
+              Engine.delay w.eng (us 1000)
+            done))
+  in
+  server "s1";
+  server "s2";
+  let offers = ref [] in
+  Machine.spawn_thread m ~name:"client" (fun () ->
+      Engine.delay w.eng (us 100);
+      Cpu_set.with_cpu (Machine.cpus m) (fun ctx ->
+          List.iter
+            (fun v ->
+              let taken = Waiter.Pool.offer pool ~waker:ctx v in
+              if not taken then Waiter.Pool.queue pool v;
+              offers := taken :: !offers)
+            [ 1; 2; 3; 4 ]));
+  Engine.run_until w.eng (Time.add Time.zero (Time.ms 10));
+  Alcotest.(check (list bool)) "two parked threads, then none" [ true; true; false; false ]
+    (List.rev !offers);
+  Alcotest.(check (list (pair string int)))
+    "FIFO hand-off, then the backlog in order"
+    [ ("s1", 1); ("s2", 2); ("s1", 3); ("s2", 4) ]
+    (List.rev !served)
 
 let test_machine_validation () =
   let eng = Engine.create () in
@@ -262,6 +307,7 @@ let suite =
     Alcotest.test_case "waiter stale mark not inflated" `Quick test_waiter_stale_mark_not_inflated;
     Alcotest.test_case "waiter spin records latency" `Quick test_waiter_spin_records_latency;
     Alcotest.test_case "waiter timeout leaves no mark" `Quick test_waiter_timeout_leaves_no_mark;
+    Alcotest.test_case "waiter pool" `Quick test_waiter_pool;
     Alcotest.test_case "machine validation" `Quick test_machine_validation;
     Alcotest.test_case "idle load" `Quick test_idle_load;
   ]

@@ -397,28 +397,65 @@ let test_multiple_address_spaces () =
   Alcotest.(check int) "space 1 served 2" 2 (Runtime.calls_served w.World.server_rt);
   Alcotest.(check int) "space 2 served 1" 1 (Runtime.calls_served rt_space2)
 
+let test_one_runtime_per_space () =
+  (* A (node, space) pair has one runtime: it alone owns the space's
+     server threads and the calls the interrupt routine hands them. *)
+  let w = World.create ~export_test:false () in
+  let taken nd ~space =
+    match Runtime.create nd ~space with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "server's space 1 taken" true
+    (taken w.World.server_node ~space:(Runtime.space w.World.server_rt));
+  Alcotest.(check bool) "caller's space 1 taken" true
+    (taken w.World.caller_node ~space:(Runtime.space w.World.caller_rt));
+  Alcotest.(check bool) "a new space is free" false (taken w.World.server_node ~space:2);
+  Alcotest.(check bool) "and then taken" true (taken w.World.server_node ~space:2)
+
 let test_local_transport_semantics () =
   (* Export on the caller machine too: import resolves to the shared-
-     memory transport and the same calls produce the same answers. *)
+     memory transport and the same calls produce the same answers.
+     Three callers share the export's one local server thread, so two
+     of them wait in its backlog. *)
   let w = World.create () in
   Binder.export w.World.binder w.World.caller_rt echo_interface ~impls:echo_impls ~workers:2;
   let binding = Binder.import w.World.binder w.World.caller_rt ~name:"Echo" ~version:3 () in
   Alcotest.(check bool) "binding is local" true (Runtime.is_local binding);
   let gate = Sim.Gate.create w.World.eng in
+  let callers = 3 in
+  let finished = ref 0 in
   let out = ref [] in
-  Machine.spawn_thread w.World.caller ~name:"local-caller" (fun () ->
-      Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
-          let client = Runtime.new_client w.World.caller_rt in
-          out :=
-            [
-              Runtime.call_by_name binding client ctx ~proc:"add" ~args:[ v_int 2; v_int 3; v_int 0 ];
+  for i = 1 to callers do
+    Machine.spawn_thread w.World.caller ~name:(Printf.sprintf "local-caller%d" i) (fun () ->
+        Cpu_set.with_cpu (Machine.cpus w.World.caller) (fun ctx ->
+            let client = Runtime.new_client w.World.caller_rt in
+            let sum =
+              Runtime.call_by_name binding client ctx ~proc:"add"
+                ~args:[ v_int i; v_int (10 * i); v_int 0 ]
+            in
+            let reversed =
               Runtime.call_by_name binding client ctx ~proc:"reverse"
-                ~args:[ v_bytes "abc"; Marshal.V_bytes Bytes.empty ];
-            ]);
-      Sim.Gate.open_ gate);
+                ~args:[ v_bytes (Printf.sprintf "abc%d" i); Marshal.V_bytes Bytes.empty ]
+            in
+            (* Built before [!out] is read: the calls block, and the
+               other callers cons their results meanwhile. *)
+            let r = (i, sum, reversed) in
+            out := r :: !out);
+        incr finished;
+        if !finished = callers then Sim.Gate.open_ gate)
+  done;
   World.run_until_quiet w gate;
-  Alcotest.(check bool) "local add" true (List.nth !out 0 = [ v_int 5 ]);
-  Alcotest.(check bool) "local reverse" true (List.nth !out 1 = [ v_bytes "cba" ])
+  Alcotest.(check int) "every caller returned" callers (List.length !out);
+  for i = 1 to callers do
+    let _, sum, reversed = List.find (fun (j, _, _) -> j = i) !out in
+    Alcotest.(check bool) (Printf.sprintf "local add %d" i) true (sum = [ v_int (11 * i) ]);
+    Alcotest.(check bool)
+      (Printf.sprintf "local reverse %d" i)
+      true
+      (reversed = [ v_bytes (Printf.sprintf "%dcba" i) ])
+  done;
+  Alcotest.(check int) "calls served" (2 * callers) (Runtime.calls_served w.World.caller_rt)
 
 let test_local_null_latency () =
   (* §2.2 footnote: local RPC to Null() takes 937 us. *)
@@ -481,6 +518,7 @@ let suite =
     Alcotest.test_case "slow path when workers busy" `Quick test_slow_path_when_workers_busy;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients_interleave;
     Alcotest.test_case "multiple address spaces" `Quick test_multiple_address_spaces;
+    Alcotest.test_case "one runtime per space" `Quick test_one_runtime_per_space;
     Alcotest.test_case "local transport semantics" `Quick test_local_transport_semantics;
     Alcotest.test_case "local Null latency (937us)" `Quick test_local_null_latency;
     Alcotest.test_case "Null latency calibration" `Quick test_null_latency_calibration;

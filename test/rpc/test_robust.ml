@@ -322,16 +322,11 @@ let test_result_fragment_validation () =
   let rogue, rogue_node, _rogue_rt =
     World.add_machine w ~name:"rogue" ~config:Hw.Config.default ~station:3 ~ip:"16.0.0.3"
   in
-  let captured = ref None in
-  Rpc.Node.set_slow_sink rogue_node ~space:9 (fun d ->
-      if d.Rpc.Node.d_hdr.Rpc.Proto.ptype = Rpc.Proto.Call && !captured = None then
-        captured := Some d);
+  let pool = Rpc.Node.serve_space rogue_node ~space:9 in
   Machine.spawn_thread rogue ~name:"rogue-server" (fun () ->
       Cpu_set.with_cpu (Machine.cpus rogue) (fun ctx ->
-          while !captured = None do
-            pause w ctx 1
-          done;
-          let d = Option.get !captured in
+          (* Take the call from space 9's pool, as a server thread would. *)
+          let d = Nub.Waiter.Pool.next pool (Machine.new_waiter rogue) ctx in
           let h = d.Rpc.Node.d_hdr in
           let reply ~frag_idx ~frag_count =
             Rpc.Node.send rogue_node ~ctx ~dst:d.Rpc.Node.d_src
@@ -393,12 +388,10 @@ let test_retained_gc_races () =
       send 2 (* reclaims seq 1's result, executes, retains anew *);
       pause w ctx 400 (* the stale seq-1 timer fires in here: must be a no-op *);
       (* The duplicate's resent Result must actually come back. *)
-      let entry = Rpc.Node.new_entry w.World.caller_node in
-      Rpc.Node.register_caller w.World.caller_node act entry;
+      let waiter = Machine.new_waiter w.World.caller in
+      Rpc.Node.register_caller w.World.caller_node act waiter;
       send 2;
-      (match Rpc.Node.wait_timeout entry ctx ~timeout:(Time.ms 100) with
-      | `Ok | `Timeout -> ());
-      (match Rpc.Node.Entry.inbox_pop entry with
+      (match Nub.Waiter.wait_timeout waiter ctx ~timeout:(Time.ms 100) with
       | Some d -> got_reply := d.Rpc.Node.d_hdr.Rpc.Proto.ptype = Rpc.Proto.Result
       | None -> ());
       Rpc.Node.unregister_caller w.World.caller_node act);
