@@ -116,7 +116,7 @@ let build_frame ep ~dst seg =
       ~len:(header_size + Bytes.length seg.payload)
   in
   W.patch_u16 w ~pos:(start + 12) (if cks = 0 then 0xffff else cks);
-  W.contents w
+  W.to_bytes w
 
 let parse_frame frame =
   let r = R.of_bytes frame in

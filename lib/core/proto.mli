@@ -58,6 +58,13 @@ val size : int
 val magic : int
 
 val encode : Wire.Bytebuf.Writer.t -> header -> unit
+(** Writes the 32 bytes.  [seq] is stored modulo 2{^32}.
+    @raise Invalid_argument if a 16-bit field (caller space, thread,
+    server space, procedure, fragment index and count, data length,
+    checksum) is out of range; nothing is written then. *)
+
 val decode : Wire.Bytebuf.Reader.t -> (header, string) result
+(** Consumes 32 bytes when at least that many remain, and checks
+    magic, version, packet type and fragment numbering, in that order. *)
 
 val pp : Format.formatter -> header -> unit

@@ -617,7 +617,7 @@ let encode_dn_request ~intf_id ~proc_idx ~call_id payload =
   W.u16 w proc_idx;
   W.u32 w (Int32.of_int call_id);
   W.bytes w payload;
-  W.contents w
+  W.to_bytes w
 
 let decode_dn_request msg =
   try
@@ -633,7 +633,7 @@ let encode_dn_reply ~call_id ~ok payload =
   W.u32 w (Int32.of_int call_id);
   W.u8 w (if ok then 0 else 1);
   W.bytes w payload;
-  W.contents w
+  W.to_bytes w
 
 let decode_dn_reply msg =
   try

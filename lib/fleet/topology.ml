@@ -54,7 +54,7 @@ let enqueue_egress t dst_port ~src ~call frame =
   end
 
 let ingress t ~src ~frame ~call ~wire =
-  let dst = Net.Mac.read (Wire.Bytebuf.Reader.of_bytes frame) in
+  let dst = Net.Mac.get frame 0 in
   match Hashtbl.find_opt t.macs dst with
   | None -> t.c_unknown <- t.c_unknown + 1
   | Some dst_port ->

@@ -104,7 +104,7 @@ let corrupt_copy t frame ~lo =
 let reorder_backstop = Time.ms 1
 
 let deliver t ~src frame ~call ~wire =
-  let dst = Net.Mac.read (Wire.Bytebuf.Reader.of_bytes frame) in
+  let dst = Net.Mac.get frame 0 in
   let notify st = if not (Net.Mac.equal st.st_mac src) then st.on_frame_start ~frame ~call ~wire in
   if Net.Mac.is_broadcast dst then Hashtbl.iter (fun _ st -> notify st) t.stations
   else

@@ -24,6 +24,8 @@ val max_frame_size : int
 (** 1514 bytes excluding FCS — the maximum the paper's packets hit. *)
 
 val encode : Wire.Bytebuf.Writer.t -> header -> unit
+(** @raise Invalid_argument if [ethertype] does not fit 16 bits;
+    nothing is written then. *)
 
 val decode : Wire.Bytebuf.Reader.t -> (header, string) result
 (** Consumes 14 bytes; the payload remains in the reader. *)

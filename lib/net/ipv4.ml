@@ -41,54 +41,66 @@ type header = {
 let protocol_udp = 17
 let header_size = 20
 
+(* The header in one claimed window, each field at its RFC 791 offset:
+   version/IHL 0, TOS 1, total length 2, ident 4, flags/fragment
+   offset 6, TTL 8, protocol 9, checksum 10, source 12, destination
+   16.  Fields are range-checked, in header order, before any byte is
+   written. *)
 let encode w h =
-  let start = W.length w in
-  W.u8 w 0x45 (* version 4, IHL 5 *);
-  W.u8 w 0 (* TOS *);
-  W.u16 w (header_size + h.payload_len);
-  W.u16 w h.ident;
-  W.u16 w 0 (* flags/fragment offset *);
-  W.u8 w h.ttl;
-  W.u8 w h.protocol;
-  W.u16 w 0 (* checksum placeholder *);
-  W.u32 w (Addr.to_int32 h.src);
-  W.u32 w (Addr.to_int32 h.dst);
-  let cks =
-    Wire.Checksum.checksum (W.unsafe_buffer w) ~pos:(W.absolute_pos w start) ~len:header_size
-  in
-  W.patch_u16 w ~pos:(start + 10) cks
+  let total_len = header_size + h.payload_len in
+  if (total_len lor h.ident) land lnot 0xffff <> 0 then
+    invalid_arg "Bytebuf.Writer.u16: out of range";
+  if (h.ttl lor h.protocol) land lnot 0xff <> 0 then invalid_arg "Bytebuf.Writer.u8: out of range";
+  let o = W.claim w header_size in
+  let b = W.unsafe_buffer w in
+  Bytes.set_uint16_be b o 0x4500 (* version 4, IHL 5; TOS 0 *);
+  Bytes.set_uint16_be b (o + 2) total_len;
+  Bytes.set_uint16_be b (o + 4) h.ident;
+  Bytes.set_uint16_be b (o + 6) 0 (* flags/fragment offset *);
+  Bytes.set_uint8 b (o + 8) h.ttl;
+  Bytes.set_uint8 b (o + 9) h.protocol;
+  Bytes.set_uint16_be b (o + 10) 0 (* checksum, summed as zero *);
+  Bytes.set_int32_be b (o + 12) (Addr.to_int32 h.src);
+  Bytes.set_int32_be b (o + 16) (Addr.to_int32 h.dst);
+  Bytes.set_uint16_be b (o + 10) (Wire.Checksum.checksum b ~pos:o ~len:header_size)
 
 let decode r =
   if R.remaining r < header_size then Error "ipv4: truncated header"
   else begin
-    (* Verify the checksum over the raw header bytes before parsing. *)
-    let raw = R.bytes r header_size in
-    if not (Wire.Checksum.verify raw ~pos:0 ~len:header_size) then Error "ipv4: bad header checksum"
+    (* Verify the checksum over the header in place before parsing. *)
+    let o = R.claim r header_size in
+    let b = R.unsafe_buffer r in
+    if not (Wire.Checksum.verify b ~pos:o ~len:header_size) then Error "ipv4: bad header checksum"
     else
-      let hr = R.of_bytes raw in
-      let vihl = R.u8 hr in
+      let vihl = Bytes.get_uint8 b o in
       if vihl <> 0x45 then Error (Printf.sprintf "ipv4: unsupported version/IHL 0x%02x" vihl)
       else begin
-        R.skip hr 1 (* TOS *);
-        let total_len = R.u16 hr in
-        let ident = R.u16 hr in
-        let frag = R.u16 hr in
-        let ttl = R.u8 hr in
-        let protocol = R.u8 hr in
-        R.skip hr 2 (* checksum, already verified *);
-        let src = Addr.of_int32 (R.u32 hr) in
-        let dst = Addr.of_int32 (R.u32 hr) in
-        if frag land 0x3fff <> 0 then Error "ipv4: fragmented packet unsupported"
+        let total_len = Bytes.get_uint16_be b (o + 2) in
+        if Bytes.get_uint16_be b (o + 6) land 0x3fff <> 0 then
+          Error "ipv4: fragmented packet unsupported"
         else if total_len < header_size then Error "ipv4: bad total length"
-        else Ok { src; dst; protocol; ttl; ident; payload_len = total_len - header_size }
+        else
+          Ok
+            {
+              src = Addr.of_int32 (Bytes.get_int32_be b (o + 12));
+              dst = Addr.of_int32 (Bytes.get_int32_be b (o + 16));
+              protocol = Bytes.get_uint8 b (o + 9);
+              ttl = Bytes.get_uint8 b (o + 8);
+              ident = Bytes.get_uint16_be b (o + 4);
+              payload_len = total_len - header_size;
+            }
       end
   end
 
+(* The pseudo-header's six 16-bit words (source, destination, zero and
+   protocol, length), summed without a buffer.  A field wider than its
+   8 or 16 bits is truncated to them, as writing it into the 12 bytes
+   would; the sum is under 2^19, so two folds bring it to 16 bits. *)
 let pseudo_header_sum ~src ~dst ~protocol ~len =
-  let b = Bytes.create 12 in
-  Bytes.set_int32_be b 0 (Addr.to_int32 src);
-  Bytes.set_int32_be b 4 (Addr.to_int32 dst);
-  Bytes.set_uint8 b 8 0;
-  Bytes.set_uint8 b 9 protocol;
-  Bytes.set_uint16_be b 10 len;
-  Wire.Checksum.sum b ~pos:0 ~len:12
+  let s = Int32.to_int (Addr.to_int32 src) and d = Int32.to_int (Addr.to_int32 dst) in
+  let sum =
+    ((s lsr 16) land 0xffff) + (s land 0xffff) + ((d lsr 16) land 0xffff) + (d land 0xffff)
+    + (protocol land 0xff) + (len land 0xffff)
+  in
+  let sum = (sum land 0xffff) + (sum lsr 16) in
+  (sum land 0xffff) + (sum lsr 16)

@@ -30,11 +30,16 @@ val protocol_udp : int
 val header_size : int  (** 20 bytes *)
 
 val encode : Wire.Bytebuf.Writer.t -> header -> unit
-(** Writes the header including its computed checksum. *)
+(** Writes the header including its computed checksum.
+    @raise Invalid_argument if the total length or [ident] does not fit
+    16 bits, or [ttl] or [protocol] 8 bits; nothing is written then. *)
 
 val decode : Wire.Bytebuf.Reader.t -> (header, string) result
-(** Verifies version, IHL and the header checksum; consumes 20 bytes. *)
+(** Verifies the header checksum (in place), then version and IHL;
+    consumes 20 bytes. *)
 
 val pseudo_header_sum : src:Addr.t -> dst:Addr.t -> protocol:int -> len:int -> int
 (** Ones-complement sum of the UDP/TCP pseudo-header, for use as the
-    [init] of a payload checksum. *)
+    [init] of a payload checksum: equal to [Wire.Checksum.sum] over its
+    12 bytes, with [protocol] and [len] truncated to the 8 and 16 bits
+    they occupy there.  Allocates nothing. *)

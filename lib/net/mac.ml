@@ -31,5 +31,7 @@ let compare = String.compare
 let hash = Hashtbl.hash
 let is_broadcast t = equal t broadcast
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let write w t = Wire.Bytebuf.Writer.string w t
-let read r = Wire.Bytebuf.Reader.string r size
+let get b pos = Bytes.sub_string b pos size
+let set b pos t = Bytes.blit_string t 0 b pos size
+
+let read r = get (Wire.Bytebuf.Reader.unsafe_buffer r) (Wire.Bytebuf.Reader.claim r size)

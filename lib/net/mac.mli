@@ -23,5 +23,14 @@ val pp : Format.formatter -> t -> unit
 val size : int
 (** Encoded size in bytes (6). *)
 
-val write : Wire.Bytebuf.Writer.t -> t -> unit
+val get : Stdlib.Bytes.t -> int -> t
+(** [get b pos] is the address in the 6 bytes of [b] at [pos] — how a
+    link reads a frame's destination in place.
+    @raise Invalid_argument if they are not inside [b]. *)
+
+val set : Stdlib.Bytes.t -> int -> t -> unit
+(** [set b pos m] writes [m] into the 6 bytes of [b] at [pos].
+    @raise Invalid_argument if they are not inside [b]. *)
+
 val read : Wire.Bytebuf.Reader.t -> t
+(** Consumes 6 bytes. *)

@@ -13,22 +13,27 @@ let header_size = 8
    rediscover the resulting exception; never set outside that test. *)
 let canary_skip_length_check = ref false
 
+(* The header in one claimed window: source port (0), destination port
+   (2), length (4) and checksum (6), the last two filled in once the
+   payload is written. *)
 let encode w ~src ~dst ~src_port ~dst_port ?(checksum = true) ~payload () =
+  if (src_port lor dst_port) land lnot 0xffff <> 0 then
+    invalid_arg "Bytebuf.Writer.u16: out of range";
   let start = W.length w in
-  W.u16 w src_port;
-  W.u16 w dst_port;
-  W.u16 w 0 (* length placeholder *);
-  W.u16 w 0 (* checksum placeholder *);
+  let o = W.claim w header_size in
+  let b = W.unsafe_buffer w in
+  Bytes.set_uint16_be b o src_port;
+  Bytes.set_uint16_be b (o + 2) dst_port;
+  Bytes.set_int32_be b (o + 4) 0l (* length and checksum placeholders *);
   payload w;
   let len = W.length w - start in
-  W.patch_u16 w ~pos:(start + 4) len;
+  if len > 0xffff then invalid_arg "Bytebuf.Writer.patch_u16: out of range";
+  Bytes.set_uint16_be b (o + 4) len;
   if checksum then begin
     let init = Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~len in
-    let cks =
-      Wire.Checksum.checksum ~init (W.unsafe_buffer w) ~pos:(W.absolute_pos w start) ~len
-    in
+    let cks = Wire.Checksum.checksum ~init b ~pos:o ~len in
     (* An all-zero computed checksum is transmitted as 0xffff (RFC 768). *)
-    W.patch_u16 w ~pos:(start + 6) (if cks = 0 then 0xffff else cks)
+    Bytes.set_uint16_be b (o + 6) (if cks = 0 then 0xffff else cks)
   end
 
 let decode r ~src ~dst =
@@ -39,11 +44,9 @@ let decode r ~src ~dst =
        returned payload window all alias the frame — no copies on the
        receive path. *)
     let raw = R.view r datagram_len in
-    let hr = R.of_view raw in
-    let src_port = R.u16 hr in
-    let dst_port = R.u16 hr in
-    let length = R.u16 hr in
-    let checksum = R.u16 hr in
+    let b = V.buffer raw and o = V.offset raw in
+    let length = Bytes.get_uint16_be b (o + 4) in
+    let checksum = Bytes.get_uint16_be b (o + 6) in
     if length < header_size || (length > datagram_len && not !canary_skip_length_check) then
       Error "udp: bad length"
     else if
@@ -52,7 +55,11 @@ let decode r ~src ~dst =
            (let init =
               Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~len:length
             in
-            Wire.Checksum.verify ~init (V.buffer raw) ~pos:(V.offset raw) ~len:length)
+            Wire.Checksum.verify ~init b ~pos:o ~len:length)
     then Error "udp: bad checksum"
-    else Ok ({ src_port; dst_port; length; checksum }, V.sub raw ~pos:header_size ~len:(length - header_size))
+    else
+      Ok
+        ( { src_port = Bytes.get_uint16_be b o; dst_port = Bytes.get_uint16_be b (o + 2); length;
+            checksum },
+          V.sub raw ~pos:header_size ~len:(length - header_size) )
   end

@@ -21,7 +21,10 @@ val encode :
   unit
 (** [encode w ~src ~dst ~src_port ~dst_port ~payload ()] writes the UDP
     header, runs [payload] to append the datagram body, then patches
-    length and (unless [checksum:false]) the pseudo-header checksum. *)
+    length and (unless [checksum:false]) the pseudo-header checksum.
+    @raise Invalid_argument if a port does not fit 16 bits (before
+    anything is written) or the datagram is longer than 65,535 bytes
+    (after [payload] has run). *)
 
 val decode :
   Wire.Bytebuf.Reader.t ->

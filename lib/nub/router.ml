@@ -79,9 +79,8 @@ let forward t ~call frame =
             | Some next_hop_mac ->
               let b = Bytes.copy frame in
               (* Ethernet: dst = next hop, src = our egress port. *)
-              let w = Wire.Bytebuf.Writer.over b ~pos:0 in
-              Net.Mac.write w next_hop_mac;
-              Net.Mac.write w (Hw.Deqna.mac out.deqna);
+              Net.Mac.set b 0 next_hop_mac;
+              Net.Mac.set b 6 (Hw.Deqna.mac out.deqna);
               (* TTL at offset 14+8; checksum at 14+10. *)
               Bytes.set_uint8 b 22 (ip.Net.Ipv4.ttl - 1);
               Bytes.set_uint16_be b 24 0;

@@ -17,11 +17,17 @@ module Writer = struct
   let length t = t.cursor - t.origin
   let capacity t = Bytes.length t.buf - t.origin
 
-  let ensure t n ctx =
-    if t.cursor + n > Bytes.length t.buf then
-      raise
-        (Overflow
-           (Printf.sprintf "write %s: %d + %d > %d" ctx (length t) n (capacity t)))
+  let overflow t n ctx =
+    raise (Overflow (Printf.sprintf "write %s: %d + %d > %d" ctx (length t) n (capacity t)))
+
+  let[@inline] ensure t n ctx = if t.cursor + n > Bytes.length t.buf then overflow t n ctx
+
+  let claim t n =
+    if n < 0 then invalid_arg "Bytebuf.Writer.claim: negative length";
+    let o = t.cursor in
+    ensure t n "claim";
+    t.cursor <- o + n;
+    o
 
   let u8 t v =
     if v < 0 || v > 0xff then invalid_arg "Bytebuf.Writer.u8: out of range";
@@ -132,9 +138,19 @@ module Reader = struct
   let remaining t = t.limit - t.pos
   let position t = t.pos - t.start
 
-  let need t n ctx =
-    if t.pos + n > t.limit then
-      raise (Overflow (Printf.sprintf "read %s: %d bytes needed, %d left" ctx n (remaining t)))
+  let short t n ctx =
+    raise (Overflow (Printf.sprintf "read %s: %d bytes needed, %d left" ctx n (remaining t)))
+
+  let[@inline] need t n ctx = if t.pos + n > t.limit then short t n ctx
+
+  let unsafe_buffer t = t.data
+
+  let claim t n =
+    if n < 0 then invalid_arg "Bytebuf.Reader.claim: negative length";
+    let o = t.pos in
+    need t n "claim";
+    t.pos <- o + n;
+    o
 
   let u8 t =
     need t 1 "u8";

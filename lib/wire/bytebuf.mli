@@ -5,6 +5,11 @@
     All multi-byte integers are big-endian, matching the IP/UDP headers
     the RPC transport really encodes.
 
+    Header codecs work in windows: {!Writer.claim} and {!Reader.claim}
+    take a whole fixed-size header in one bounds check and return its
+    absolute offset, and the codec then writes or reads each field at a
+    constant offset from it in the underlying buffer.
+
     {!View} is a non-copying window over a buffer: the receive hot path
     hands payload views (rather than [Bytes.sub] copies) from the frame
     parser up through fragment reassembly to argument unmarshalling.
@@ -34,6 +39,17 @@ module Writer : sig
   (** Bytes written so far. *)
 
   val capacity : t -> int
+
+  val claim : t -> int -> int
+  (** [claim w n] appends an [n]-byte window and returns its absolute
+      offset in {!unsafe_buffer}: one bounds check for the whole window,
+      after which the caller fills bytes [o .. o + n - 1] itself (their
+      contents are unspecified until it does).  Header encoders claim
+      their fixed size once and write every field at a constant offset
+      from [o].
+      @raise Overflow if fewer than [n] bytes of capacity remain, as the
+      single-field writes do; the writer is then unchanged.
+      @raise Invalid_argument if [n] is negative. *)
 
   val u8 : t -> int -> unit
   (** [u8 w v] appends one byte; [v] must be in [0, 255]. *)
@@ -66,8 +82,9 @@ module Writer : sig
       be written to again after [to_bytes] returns its buffer. *)
 
   val unsafe_buffer : t -> Stdlib.Bytes.t
-  (** The underlying buffer, unscoped by {!length}; for checksumming in
-      place without a copy.  Offsets into it are absolute — convert
+  (** The underlying buffer, unscoped by {!length}; for filling a
+      {!claim}ed window and checksumming in place without a copy.
+      Offsets into it are absolute, as {!claim} returns them — convert
       writer-relative positions with {!absolute_pos}. *)
 
   val absolute_pos : t -> int -> int
@@ -120,6 +137,21 @@ module Reader : sig
 
   val remaining : t -> int
   val position : t -> int
+
+  val claim : t -> int -> int
+  (** [claim r n] consumes the next [n] bytes and returns their absolute
+      offset in {!unsafe_buffer}: one bounds check for the whole window,
+      after which the caller reads bytes [o .. o + n - 1] of the buffer
+      directly.  Header decoders claim their fixed size once and read
+      every field at a constant offset from [o].
+      @raise Overflow if fewer than [n] bytes remain, as the single-field
+      reads do; the reader is then unchanged.
+      @raise Invalid_argument if [n] is negative. *)
+
+  val unsafe_buffer : t -> Stdlib.Bytes.t
+  (** The underlying buffer (shared, not a copy), unscoped by the
+      reader's window: index it only with offsets {!claim} returned, and
+      treat it as read-only. *)
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int32

@@ -1,4 +1,4 @@
-(* 16-bit ones-complement sum (RFC 1071), 16 bytes per step.
+(* 16-bit ones-complement sum (RFC 1071), 32 bytes per step.
 
    The definition is pairwise: [init] plus every big-endian 16-bit word
    of the range, an odd last byte as the high octet of a zero-padded
@@ -6,11 +6,12 @@
    the properties RFC 1071 §2(A)-(C) lists:
 
    (A) Commutative and associative.  The words may be added in any
-       order and grouping, so two independent accumulators take
-       alternate 8-byte loads, and carries are deferred: nothing is
-       folded until the loop ends.  Each step adds less than 2^33 to
-       each accumulator, so their total stays below 2^62 (no 63-bit
-       overflow) for any range under 4 GB, far past any frame.
+       order and grouping, so four independent accumulators take the
+       four 8-byte loads of each 32-byte step, and carries are deferred:
+       nothing is folded until the loop ends.  Each load adds less than
+       2^33 to its accumulator, so the four stay below 2^62 together
+       (no 63-bit overflow) for any range under 4 GB, far past any
+       frame.
    (B) Byte order independence.  The sum of the byte-swapped words is
        the byte swap of the sum, so the loop adds little-endian words
        (what [Bytes.get_int64_le] loads without a swap on the usual
@@ -19,11 +20,12 @@
        its two 32-bit halves keeps the sum congruent mod 0xffff, since
        2^16 = 1 (mod 0xffff).
 
-   A tail of 16-bit words and an odd last byte (the low octet of a
-   little-endian word) finish the range.  The folded byte sum is zero
-   only when every byte is, as in the pairwise definition, so adding
-   [init] and folding again gives the same value, including which
-   ones-complement zero (0x0000 or 0xffff) comes out. *)
+   A tail of 8-byte loads, then 16-bit words and an odd last byte (the
+   low octet of a little-endian word), finish the range.  Every load
+   stays bounds-checked.  The folded byte sum is zero only when every
+   byte is, as in the pairwise definition, so adding [init] and folding
+   again gives the same value, including which ones-complement zero
+   (0x0000 or 0xffff) comes out. *)
 
 let fold s =
   let rec go s = if s > 0xffff then go ((s land 0xffff) + (s lsr 16)) else s in
@@ -37,13 +39,19 @@ let sum ?(init = 0) b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Checksum.sum: bad range";
   let stop = pos + len in
   let i = ref pos in
-  let a = ref 0 and c = ref 0 in
-  while !i + 16 <= stop do
+  let a = ref 0 and c = ref 0 and d = ref 0 and e = ref 0 in
+  while !i + 32 <= stop do
     a := !a + halves (Bytes.get_int64_le b !i);
     c := !c + halves (Bytes.get_int64_le b (!i + 8));
-    i := !i + 16
+    d := !d + halves (Bytes.get_int64_le b (!i + 16));
+    e := !e + halves (Bytes.get_int64_le b (!i + 24));
+    i := !i + 32
   done;
-  let s = ref (!a + !c) in
+  let s = ref (!a + !c + !d + !e) in
+  while !i + 8 <= stop do
+    s := !s + halves (Bytes.get_int64_le b !i);
+    i := !i + 8
+  done;
   while !i + 2 <= stop do
     s := !s + Bytes.get_uint16_le b !i;
     i := !i + 2

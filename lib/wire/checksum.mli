@@ -7,13 +7,15 @@
     the {e time} it costs the simulated CPUs is charged separately by
     the calibrated timing model.
 
-    The host loop takes 16 bytes per step, as RFC 1071 §2 suggests: two
-    64-bit loads into two accumulators whose carries are folded only at
-    the end (§2(A), any order and grouping), little-endian words and one
-    byte swap of the result (§2(B)), and each load's two 32-bit halves
-    added as one parallel sum (§2(C)).  Every result equals the pairwise
-    definition below, including which ones-complement zero (0x0000 or
-    0xffff) comes out. *)
+    The host loop takes 32 bytes per step, as RFC 1071 §2 suggests: four
+    64-bit loads into four accumulators whose carries are folded only
+    at the end (§2(A), any order and grouping), little-endian words and
+    one byte swap of the result (§2(B)), and each load's two 32-bit
+    halves added as one parallel sum (§2(C)).  A tail of 8-byte loads,
+    16-bit words and an odd byte finishes the range, and every load is
+    bounds-checked.  Every result equals the pairwise definition below,
+    including which ones-complement zero (0x0000 or 0xffff) comes
+    out. *)
 
 val sum : ?init:int -> Stdlib.Bytes.t -> pos:int -> len:int -> int
 (** [sum b ~pos ~len] is the running ones-complement sum (not yet

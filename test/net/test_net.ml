@@ -29,10 +29,17 @@ let test_mac_station_distinct () =
   Alcotest.(check string) "encoding" "02:00:00:00:00:01" (Mac.to_string a)
 
 let test_mac_wire () =
-  let w = W.create 8 in
-  Mac.write w (Mac.of_station 0x123456);
-  let m = Mac.read (R.of_bytes (W.contents w)) in
-  Alcotest.(check string) "wire roundtrip" "02:00:00:12:34:56" (Mac.to_string m)
+  let m = Mac.of_station 0x123456 in
+  let b = Bytes.make 10 '\x00' in
+  Mac.set b 3 m;
+  Alcotest.(check string) "set writes the wire bytes" "\x00\x00\x00\x02\x00\x00\x12\x34\x56\x00"
+    (Bytes.to_string b);
+  Alcotest.(check bool) "get reads them back" true (Mac.equal m (Mac.get b 3));
+  let r = R.of_bytes ~pos:3 b in
+  Alcotest.(check string) "read consumes them" "02:00:00:12:34:56" (Mac.to_string (Mac.read r));
+  Alcotest.(check int) "six bytes" 1 (R.remaining r);
+  Alcotest.(check bool) "get past the end" true
+    (match Mac.get b 5 with _ -> false | exception Invalid_argument _ -> true)
 
 (* {1 Ethernet} *)
 
@@ -330,6 +337,101 @@ let prop_udp_roundtrip =
       | Ok (_, p) -> Wire.Bytebuf.View.to_string p = payload
       | Error _ -> false)
 
+(* {1 Encoders refuse out-of-range fields}
+
+   With the writer's own messages, before any byte of the header is
+   written; UDP's length, known only once the payload is in, keeps the
+   message of the patch that stores it. *)
+
+let refuses label msg encode =
+  let w = W.create 2048 in
+  Alcotest.check_raises label (Invalid_argument msg) (fun () -> encode w);
+  W.length w
+
+let u8_range = "Bytebuf.Writer.u8: out of range"
+let u16_range = "Bytebuf.Writer.u16: out of range"
+
+let test_encode_range () =
+  let eth ethertype = { Ethernet.dst = Mac.of_station 2; src = Mac.of_station 1; ethertype } in
+  List.iter
+    (fun (label, msg, encode) ->
+      Alcotest.(check int) (label ^ ": nothing written") 0 (refuses label msg encode))
+    [
+      ("ethertype", u16_range, fun w -> Ethernet.encode w (eth 0x10000));
+      ("ipv4 total length", u16_range, fun w -> Ipv4.encode w (ipv4_header 0xffec));
+      ("ipv4 ident", u16_range, fun w -> Ipv4.encode w { (ipv4_header 8) with Ipv4.ident = -1 });
+      ("ipv4 ttl", u8_range, fun w -> Ipv4.encode w { (ipv4_header 8) with Ipv4.ttl = 256 });
+      ("ipv4 protocol", u8_range, fun w -> Ipv4.encode w { (ipv4_header 8) with Ipv4.protocol = -1 });
+      ( "udp port",
+        u16_range,
+        fun w ->
+          Udp.encode w ~src:(ip "16.0.0.1") ~dst:(ip "16.0.0.2") ~src_port:1 ~dst_port:0x10000
+            ~payload:(fun _ -> ())
+            () );
+    ];
+  (* Total length is checked before TTL, as the fields lie. *)
+  ignore
+    (refuses "ipv4 length before ttl" u16_range (fun w ->
+         Ipv4.encode w { (ipv4_header 0x10000) with Ipv4.ttl = 256 }));
+  let w = W.create 0x10010 in
+  Alcotest.check_raises "udp length" (Invalid_argument "Bytebuf.Writer.patch_u16: out of range")
+    (fun () ->
+      Udp.encode w ~src:(ip "16.0.0.1") ~dst:(ip "16.0.0.2") ~src_port:1 ~dst_port:2
+        ~payload:(fun w -> W.zeros w 0xfff8)
+        ())
+
+(* {1 The pseudo-header}
+
+   [Ipv4.pseudo_header_sum] adds the six 16-bit words directly; it must
+   equal the checksum of the 12 bytes written out, protocol and length
+   truncated to their 8 and 16 bits as the byte writes truncate them. *)
+
+let pseudo_header_bytes ~src ~dst ~protocol ~len =
+  let b = Bytes.create 12 in
+  Bytes.set_int32_be b 0 (Ipv4.Addr.to_int32 src);
+  Bytes.set_int32_be b 4 (Ipv4.Addr.to_int32 dst);
+  Bytes.set_uint8 b 8 0;
+  Bytes.set_uint8 b 9 protocol;
+  Bytes.set_uint16_be b 10 len;
+  b
+
+let prop_pseudo_header_sum =
+  QCheck.Test.make ~name:"pseudo-header sum equals the checksum of its bytes" ~count:1000
+    QCheck.(
+      quad int32 int32
+        (oneof [ int_bound 0xff; int_range (-0x1000) 0x1000; int ])
+        (oneof [ int_bound 0xffff; int_range (-0x100000) 0x100000; int ]))
+    (fun (s, d, protocol, len) ->
+      let src = Ipv4.Addr.of_int32 s and dst = Ipv4.Addr.of_int32 d in
+      Ipv4.pseudo_header_sum ~src ~dst ~protocol ~len
+      = Wire.Checksum.sum (pseudo_header_bytes ~src ~dst ~protocol ~len) ~pos:0 ~len:12)
+
+let test_pseudo_header_edges () =
+  List.iter
+    (fun (s, d, protocol, len) ->
+      let src = Ipv4.Addr.of_int32 s and dst = Ipv4.Addr.of_int32 d in
+      Alcotest.(check int)
+        (Printf.sprintf "%ld %ld %d %d" s d protocol len)
+        (Wire.Checksum.sum (pseudo_header_bytes ~src ~dst ~protocol ~len) ~pos:0 ~len:12)
+        (Ipv4.pseudo_header_sum ~src ~dst ~protocol ~len))
+    [
+      (0l, 0l, 0, 0);
+      (-1l, -1l, 0xff, 0xffff);
+      (-1l, -1l, -1, -1);
+      (Int32.min_int, Int32.max_int, 0x1ff, 0x1ffff);
+      (0l, 0l, 0x100, 0x10000);
+      (0xffffl, 0l, 0, 0);
+      (0l, 0l, 0, 0xffff);
+    ]
+
+let test_pseudo_header_allocates_nothing () =
+  let src = ip "16.0.0.1" and dst = ip "16.0.0.2" in
+  let minor0 = Gc.minor_words () in
+  for len = 1 to 1000 do
+    ignore (Sys.opaque_identity (Ipv4.pseudo_header_sum ~src ~dst ~protocol:Ipv4.protocol_udp ~len))
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. minor0)
+
 (* {1 Full frame} *)
 
 let test_full_frame_sizes () =
@@ -383,6 +485,11 @@ let suite =
     Alcotest.test_case "udp zero-checksum convention (RFC 768)" `Quick
       test_udp_zero_checksum_convention;
     QCheck_alcotest.to_alcotest prop_udp_roundtrip;
+    Alcotest.test_case "encoders refuse out-of-range fields" `Quick test_encode_range;
+    QCheck_alcotest.to_alcotest prop_pseudo_header_sum;
+    Alcotest.test_case "pseudo-header sum at the edges" `Quick test_pseudo_header_edges;
+    Alcotest.test_case "pseudo-header sum allocates nothing" `Quick
+      test_pseudo_header_allocates_nothing;
     Alcotest.test_case "paper frame sizes (74/1514)" `Quick test_full_frame_sizes;
   ]
 

@@ -230,12 +230,13 @@ let prop_header_roundtrip =
 
 (* {1 Known-answer frames}
 
-   Whole call frames of the Test interface, byte for byte: their
-   checksum fields and MD5s were recorded with the pairwise checksum
-   and the per-byte definition of the test pattern.  A checksum or a
-   pattern that changed the same way at both ends would still
-   round-trip and leave every table and digest as it was; these pins
-   would not. *)
+   Whole frames of the Test interface, byte for byte: their checksum
+   fields and MD5s were recorded with the pairwise checksum, the
+   field-at-a-time header writers and the per-byte definition of the
+   test pattern.  A checksum, a header layout or a pattern that changed
+   the same way at both ends would still round-trip and leave every
+   table and digest as it was; these pins would not.  Every packet
+   type is pinned, in both regimes. *)
 
 module Ti = Workload.Test_interface
 
@@ -249,24 +250,56 @@ let call_frame t ~proc_idx args =
   in
   Frames.build t ~src ~dst ~hdr ~payload ~payload_pos:0 ~payload_len:(Bytes.length payload)
 
+let get_data_hdr ptype ~frag_idx ~frag_count =
+  {
+    (hdr ~ptype ()) with
+    Proto.seq = 1;
+    interface_id = Rpc.Idl.interface_id Ti.interface;
+    proc_idx = Ti.get_data_idx;
+    frag_idx;
+    frag_count;
+  }
+
+(* Fragment 2 (counting from 0) of GetData(6000)'s five-fragment
+   result, as a retransmitting server sends it: please-ack set, and
+   the third full-size slice of the marshalled result as payload. *)
+let result_fragment t =
+  let p = Ti.interface.Rpc.Idl.procs.(Ti.get_data_idx) in
+  let w = Wire.Bytebuf.Writer.create 8192 in
+  Rpc.Marshal.encode_args w Rpc.Marshal.In_result_packet p
+    [ Rpc.Marshal.V_int 6000l; Rpc.Marshal.V_bytes (Ti.pattern 6000) ];
+  let payload = Wire.Bytebuf.Writer.contents w in
+  let m = Timing.max_payload_bytes t in
+  Alcotest.(check int) "GetData(6000) result fragments" 5
+    (Rpc.Exchange.fragment_count ~max_payload:m (Bytes.length payload));
+  let hdr = { (get_data_hdr Proto.Result ~frag_idx:2 ~frag_count:5) with Proto.please_ack = true } in
+  Frames.build t ~src ~dst ~hdr ~payload ~payload_pos:(2 * m) ~payload_len:m
+
+let reply_frame t ptype ?(payload = Bytes.empty) ~frag_idx ~frag_count () =
+  Frames.build t ~src:dst ~dst:src ~hdr:(get_data_hdr ptype ~frag_idx ~frag_count) ~payload
+    ~payload_pos:0 ~payload_len:(Bytes.length payload)
+
+let check_known (label, frame, size, fields, md5) =
+  Alcotest.(check int) (label ^ " size") size (Bytes.length frame);
+  List.iter
+    (fun (at, v) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s checksum field at %d" label at)
+        v (Bytes.get_uint16_be frame at))
+    fields;
+  Alcotest.(check string) (label ^ " md5") md5 (Digest.to_hex (Digest.bytes frame))
+
+let raw = Timing.create { Config.default with raw_ethernet = true }
+
+(* The checksum fields: IPv4 header (offset 24) and UDP (40) in the
+   default regime; the RPC header's end-to-end field (44) in raw
+   Ethernet mode. *)
 let test_known_answer_frames () =
-  let raw = Timing.create { Config.default with raw_ethernet = true } in
   let null = (Ti.null_idx, []) in
   let max_arg = (Ti.max_arg_idx, [ Rpc.Marshal.V_bytes (Ti.pattern Ti.buffer_bytes) ]) in
-  (* The checksum fields: IPv4 header (offset 24) and UDP (40) in the
-     default regime; the RPC header's end-to-end field (44) in raw
-     Ethernet mode. *)
   List.iter
     (fun (label, t, (proc_idx, args), size, fields, md5) ->
-      let frame = call_frame t ~proc_idx args in
-      Alcotest.(check int) (label ^ " size") size (Bytes.length frame);
-      List.iter
-        (fun (at, v) ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s checksum field at %d" label at)
-            v (Bytes.get_uint16_be frame at))
-        fields;
-      Alcotest.(check string) (label ^ " md5") md5 (Digest.to_hex (Digest.bytes frame)))
+      check_known (label, call_frame t ~proc_idx args, size, fields, md5))
     [
       ("udp Null()", timing, null, 74, [ (24, 0x7caf); (40, 0x5e8a) ],
        "19dd71005cccdca0f9adfbbdff5f706d");
@@ -276,6 +309,75 @@ let test_known_answer_frames () =
       ("raw MaxArg(1440)", raw, max_arg, 1486, [ (44, 0xc60b) ],
        "e86eaf75ef9005cfc7d2940046aedea1");
     ]
+
+(* Results, acks, busy and error replies, and a call sent with
+   checksums off (both checksum fields then stay zero). *)
+let test_known_answer_other_frames () =
+  let nocks = Timing.create { Config.default with udp_checksums = false } in
+  let raw_nocks = Timing.create { Config.default with raw_ethernet = true; udp_checksums = false } in
+  let error = Bytes.of_string "marshalling failure: GetData: length out of range" in
+  let replies t =
+    [
+      result_fragment t;
+      reply_frame t Proto.Ack ~frag_idx:2 ~frag_count:5 ();
+      reply_frame t Proto.Busy ~frag_idx:0 ~frag_count:1 ();
+      reply_frame t Proto.Error_reply ~payload:error ~frag_idx:0 ~frag_count:1 ();
+    ]
+  in
+  List.iter check_known
+    (List.map2
+       (fun frame (label, size, fields, md5) -> (label, frame, size, fields, md5))
+       (replies timing @ replies raw
+       @ [ call_frame nocks ~proc_idx:Ti.null_idx []; call_frame raw_nocks ~proc_idx:Ti.null_idx [] ]
+       )
+       [
+         ("udp GetData(6000) result 2/5", 1514, [ (24, 0x770f); (40, 0x9238) ],
+          "991f77aa07937e6ed35ac4c1e966eea0");
+         ("udp Ack 2/5", 74, [ (24, 0x7caf); (40, 0x5c81) ], "0598a987c7e537dfee0d5fc5664747dd");
+         ("udp Busy", 74, [ (24, 0x7caf); (40, 0x5b87) ], "34920a40b33016787525396fab4b2ce7");
+         ("udp Error_reply", 123, [ (24, 0x7c7e); (40, 0x0038) ],
+          "f48f2569eea89f57ade08ac7c998e37b");
+         ("raw GetData(6000) result 2/5", 1514, [ (44, 0x12d3) ],
+          "e5a1182b4d6bca3dea3fdc1cc1069d9a");
+         ("raw Ack 2/5", 46, [ (44, 0x8109) ], "89331b33207ad0d7c8633a30a6ed6ca1");
+         ("raw Busy", 46, [ (44, 0x800f) ], "b5d2a32ed4b9b1ffdd393d521b4229be");
+         ("raw Error_reply", 95, [ (44, 0x2522) ], "f45163d9e37c34bc667fbbd78a57fbb3");
+         ("udp no-checksum Null()", 74, [ (24, 0x7caf); (40, 0x0000) ],
+          "aac6fceda9d6d1f97c0b3d858d8e39be");
+         ("raw no-checksum Null()", 46, [ (44, 0x0000) ], "681e442c1a2bcf77844c4bae946ebbd8");
+       ])
+
+(* The wire kernels' allocation, 1,000 runs each over the 74-byte Null()
+   call frame: building it takes the frame, its writer, the header
+   records and the UDP payload closure (49 words); parsing it takes the
+   views, readers, decoded records and results (108 words).  A copy or
+   a fresh reader put back on either path fails here. *)
+let test_kernels_allocation () =
+  let frame = call_frame timing ~proc_idx:Ti.null_idx [] in
+  let hdr =
+    match Frames.parse timing frame with
+    | Ok p -> p.Frames.p_hdr
+    | Error e -> Alcotest.fail e
+  in
+  let words f =
+    let minor0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    (Gc.minor_words () -. minor0) /. 1000.
+  in
+  let build () =
+    ignore
+      (Sys.opaque_identity
+         (Frames.build timing ~src ~dst ~hdr ~payload:Bytes.empty ~payload_pos:0 ~payload_len:0))
+  in
+  let parse () = ignore (Sys.opaque_identity (Frames.parse timing frame)) in
+  let at_most label limit f =
+    let w = words f in
+    if w > limit then Alcotest.failf "%s: %.1f minor words per frame, over %.0f" label w limit
+  in
+  at_most "Frames.build" 49. build;
+  at_most "Frames.parse" 108. parse
 
 let test_pattern_definition () =
   List.iter
@@ -329,6 +431,9 @@ let suite =
     Alcotest.test_case "parse_view matches parse" `Quick test_parse_view_matches_parse;
     QCheck_alcotest.to_alcotest prop_header_roundtrip;
     Alcotest.test_case "known-answer call frames" `Quick test_known_answer_frames;
+    Alcotest.test_case "known-answer reply and unchecksummed frames" `Quick
+      test_known_answer_other_frames;
+    Alcotest.test_case "frame build and parse allocation" `Quick test_kernels_allocation;
     Alcotest.test_case "test pattern matches its definition" `Quick test_pattern_definition;
     Alcotest.test_case "MaxArg checks the pattern in place" `Quick test_max_arg_check;
   ]

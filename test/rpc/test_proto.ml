@@ -57,31 +57,53 @@ let test_all_ptypes () =
       Alcotest.(check bool) "ptype preserved" true (h.Proto.ptype = pt))
     [ Proto.Call; Proto.Result; Proto.Ack; Proto.Busy; Proto.Error_reply ]
 
-let expect_error what bytes =
+let expect_error expected bytes =
   match Proto.decode (R.of_bytes bytes) with
-  | Ok _ -> Alcotest.fail ("accepted " ^ what)
-  | Error _ -> ()
+  | Ok _ -> Alcotest.fail ("accepted: " ^ expected)
+  | Error e -> Alcotest.(check string) "error message" expected e
 
 let test_rejects () =
   let w = W.create Proto.size in
   Proto.encode w (header ());
   let good = W.contents w in
-  expect_error "truncated" (Bytes.sub good 0 10);
+  expect_error "rpc: truncated header" (Bytes.sub good 0 10);
   let bad_magic = Bytes.copy good in
   Bytes.set bad_magic 0 'X';
-  expect_error "bad magic" bad_magic;
+  expect_error "rpc: bad magic" bad_magic;
   let bad_version = Bytes.copy good in
   Bytes.set bad_version 1 '\x7f';
-  expect_error "bad version" bad_version;
+  expect_error "rpc: bad version" bad_version;
   let bad_ptype = Bytes.copy good in
   Bytes.set bad_ptype 2 '\x63';
-  expect_error "bad ptype" bad_ptype;
+  expect_error "rpc: unknown packet type 99" bad_ptype;
   (* frag_idx >= frag_count *)
   let w = W.create Proto.size in
   Proto.encode w (header ~frag_idx:0 ~frag_count:1 ());
   let b = W.contents w in
   Bytes.set_uint16_be b 24 3 (* frag_idx field *);
-  expect_error "bad fragment numbering" b
+  expect_error "rpc: bad fragment numbering" b
+
+(* Each 16-bit field out of range is refused with the writer's u16
+   message, and the checks come before the header's window is taken. *)
+let test_encode_range () =
+  let h = header () in
+  let a = h.Proto.activity in
+  List.iter
+    (fun (field, h) ->
+      let w = W.create Proto.size in
+      Alcotest.check_raises field (Invalid_argument "Bytebuf.Writer.u16: out of range") (fun () ->
+          Proto.encode w h);
+      Alcotest.(check int) (field ^ ": nothing written") 0 (W.length w))
+    [
+      ("caller space", { h with Proto.activity = { a with Proto.Activity.caller_space = 0x10000 } });
+      ("thread", { h with Proto.activity = { a with Proto.Activity.thread = -1 } });
+      ("server space", { h with Proto.server_space = 0x10000 });
+      ("procedure", { h with Proto.proc_idx = -1 });
+      ("fragment index", { h with Proto.frag_idx = 0x10000 });
+      ("fragment count", { h with Proto.frag_count = 0x1_0000 });
+      ("data length", { h with Proto.data_len = 70_000 });
+      ("checksum", { h with Proto.checksum = -2 });
+    ]
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"proto header roundtrip" ~count:300
@@ -118,5 +140,6 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "all packet types" `Quick test_all_ptypes;
     Alcotest.test_case "malformed rejected" `Quick test_rejects;
+    Alcotest.test_case "out-of-range fields refused" `Quick test_encode_range;
     QCheck_alcotest.to_alcotest prop_roundtrip;
   ]

@@ -85,6 +85,40 @@ let test_sub_and_skip () =
   R.skip r 2;
   Alcotest.(check string) "sub + skip" "yload" (R.string r 5)
 
+(* A claimed window is an absolute offset into the shared buffer, for a
+   writer laid over a buffer at an offset and a reader over a window of
+   a larger one; a claim that does not fit raises and moves nothing. *)
+let test_claim () =
+  let buf = Bytes.make 12 '.' in
+  let w = W.over buf ~pos:3 in
+  W.u8 w 0x41;
+  let o = W.claim w 4 in
+  Alcotest.(check int) "writer offset is absolute" 4 o;
+  Alcotest.(check bool) "writer buffer is shared" true (W.unsafe_buffer w == buf);
+  Bytes.blit_string "BCDE" 0 buf o 4;
+  Alcotest.(check int) "writer length" 5 (W.length w);
+  W.u8 w 0x46;
+  Alcotest.(check string) "window in place" "...ABCDEF..." (Bytes.to_string buf);
+  Alcotest.(check bool) "writer overflow" true
+    (match W.claim w 4 with _ -> false | exception Wire.Bytebuf.Overflow _ -> true);
+  Alcotest.(check int) "writer unchanged" 6 (W.length w);
+  Alcotest.(check int) "empty claim" 9 (W.claim w 0);
+  Alcotest.check_raises "writer negative" (Invalid_argument "Bytebuf.Writer.claim: negative length")
+    (fun () -> ignore (W.claim w (-1)));
+  let r = R.of_view (Wire.Bytebuf.View.of_bytes buf ~pos:2 ~len:8) in
+  ignore (R.u8 r);
+  let o = R.claim r 5 in
+  Alcotest.(check int) "reader offset is absolute" 3 o;
+  Alcotest.(check string) "reader window" "ABCDE" (Bytes.sub_string (R.unsafe_buffer r) o 5);
+  Alcotest.(check int) "reader position" 6 (R.position r);
+  Alcotest.(check bool) "reader overflow" true
+    (match R.claim r 3 with _ -> false | exception Wire.Bytebuf.Overflow _ -> true);
+  Alcotest.(check int) "reader unchanged" 2 (R.remaining r);
+  Alcotest.(check int) "reader takes the rest" 8 (R.claim r 2);
+  R.expect_end r;
+  Alcotest.check_raises "reader negative" (Invalid_argument "Bytebuf.Reader.claim: negative length")
+    (fun () -> ignore (R.claim r (-1)))
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"u16 roundtrip" ~count:500
     QCheck.(int_bound 0xffff)
@@ -275,6 +309,7 @@ let suite =
     Alcotest.test_case "range validation" `Quick test_ranges;
     Alcotest.test_case "reader window" `Quick test_reader_window;
     Alcotest.test_case "sub and skip" `Quick test_sub_and_skip;
+    Alcotest.test_case "claimed windows" `Quick test_claim;
     Alcotest.test_case "view basics" `Quick test_view_basics;
     Alcotest.test_case "view is zero-copy" `Quick test_view_is_zero_copy;
     Alcotest.test_case "view sub-window" `Quick test_view_sub;

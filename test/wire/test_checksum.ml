@@ -1,7 +1,7 @@
 module C = Wire.Checksum
 
 (* The pairwise definition, one big-endian word per step: the
-   reference the 16-bytes-per-step [Wire.Checksum.sum] must equal for
+   reference the 32-bytes-per-step [Wire.Checksum.sum] must equal for
    every input. *)
 let reference_sum ?(init = 0) b ~pos ~len =
   let fold s =
@@ -133,8 +133,9 @@ let prop_incremental_equals_full =
 
 (* Buffers of 0-1600 bytes (a 1514-byte frame and more), summed from
    any offset, odd ones included, over any length, with an [init] up to
-   four times a folded sum: every path through the 16-byte loop, its
-   16-bit tail and the odd last byte, against the pairwise definition. *)
+   four times a folded sum: every path through the 32-byte loop, its
+   8-byte and 16-bit tails and the odd last byte, against the pairwise
+   definition. *)
 let gen_range =
   QCheck.Gen.(
     let* s = string_size ~gen:char (int_range 0 1600) in
@@ -157,14 +158,15 @@ let prop_equals_pairwise =
 
 (* The two ones-complement zeros: an all-0x00 range sums to 0x0000 and
    an even-length all-0xff one to 0xffff (an odd one leaves its last
-   byte's 0xff00), at every length and alignment the loop's phases can
-   meet. *)
+   byte's 0xff00), at every alignment of an 8-byte load and at lengths
+   up to 100, so every tail a 32-byte step can leave is met at least
+   twice. *)
 let test_uniform_buffers () =
   List.iter
     (fun byte ->
-      for n = 0 to 40 do
-        let b = Bytes.make (n + 3) byte in
-        for pos = 0 to 3 - 1 do
+      for n = 0 to 100 do
+        let b = Bytes.make (n + 8) byte in
+        for pos = 0 to 7 do
           List.iter
             (fun init ->
               Alcotest.(check int)
