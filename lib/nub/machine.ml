@@ -16,6 +16,9 @@ type t = {
   link : Hw.Ether_link.t;
   m_ip : Net.Ipv4.Addr.t;
   m_obs : Obs.Ctx.t;
+  wake_hist : Obs.Metrics.Histogram.t Lazy.t;
+      (* every waiter's wakeup latencies; registered by the first
+         waiter, so a machine that never waits shows no row *)
   mutable idle_started : bool;
   mutable attached : bool;
 }
@@ -62,6 +65,8 @@ let create ?obs eng ~name ~config ~link ~station ~ip ?(pool_buffers = 64) () =
     link;
     m_ip = ip;
     m_obs;
+    wake_hist =
+      lazy (Obs.Metrics.Registry.histogram reg ~site:name ~name:"wakeup_latency_us");
     idle_started = false;
     attached = true;
   }
@@ -77,7 +82,8 @@ let mac t = Hw.Deqna.mac t.deqna
 let ip t = t.m_ip
 let link t = t.link
 let obs t = t.m_obs
-let new_waiter t = Waiter.create ~obs:t.m_obs t.eng t.tmg ~cpus:t.m_cpus
+let new_waiter t =
+  Waiter.create ~obs:t.m_obs ~wake_hist:(Lazy.force t.wake_hist) t.eng t.tmg ~cpus:t.m_cpus
 
 let spawn_thread t ?name fn =
   let name = Option.value name ~default:(t.m_name ^ "-thread") in

@@ -18,7 +18,7 @@ type 'a t = {
          for; pure bookkeeping, Sim.Trace.no_call when unknown *)
 }
 
-let create ~obs eng timing ~cpus =
+let create ~obs ~wake_hist eng timing ~cpus =
   {
     eng;
     timing;
@@ -26,9 +26,7 @@ let create ~obs eng timing ~cpus =
     queued = Queue.create ();
     cv = Sim.Condvar.create eng;
     obs;
-    wake_hist =
-      Obs.Metrics.Registry.histogram obs.Obs.Ctx.metrics ~site:(Cpu_set.site cpus)
-        ~name:"wakeup_latency_us";
+    wake_hist;
     notified_at = None;
     w_call = Sim.Trace.no_call;
   }

@@ -22,10 +22,18 @@
 
 type 'a t
 
-val create : obs:Obs.Ctx.t -> Sim.Engine.t -> Hw.Timing.t -> cpus:Hw.Cpu_set.t -> 'a t
+val create :
+  obs:Obs.Ctx.t ->
+  wake_hist:Obs.Metrics.Histogram.t ->
+  Sim.Engine.t ->
+  Hw.Timing.t ->
+  cpus:Hw.Cpu_set.t ->
+  'a t
 (** Each notify→running handoff is journalled in [obs] as a thread
-    wakeup and its latency recorded in a [wakeup_latency_us]
-    histogram.  {!Machine.new_waiter} is the one way to build one. *)
+    wakeup and its latency recorded in [wake_hist], the machine's
+    [wakeup_latency_us] histogram, which the machine looks up once for
+    all its waiters.  {!Machine.new_waiter} is the one way to build
+    one. *)
 
 val wait : 'a t -> Hw.Cpu_set.ctx -> 'a
 (** The oldest queued value, or else the next one notified. *)

@@ -16,16 +16,22 @@
    and when it reaches the head of the queue [dispatch] recycles it
    without touching the clock or the event count.
 
-   Most events resume a {!delay}, and a third of those (on perfbench's
-   pair-bulk) resume the very process that just yielded, because its
-   wake-up sorts before everything queued.  Such a delay resumes in
+   Most events resume a {!delay}, and most delays never reach the
+   queue.  One whose wake-up sorts before everything queued resumes in
    place: [delay] advances the clock, draws the key and counts the event
    exactly as the run loop's next pop and dispatch would, and returns —
-   no effect, no node, no queue round trip.  The test for "would be
-   next" reads what the innermost run loop publishes ([loop_limit],
-   [loop_stop], [loop_pred]), whether a process of this engine is what
-   is running ([in_process]), and one probe of the queue's heads
-   ([q_all_after]). *)
+   no effect, no node, no queue round trip.  On a heap engine, one whose
+   wake-up comes after some queued events waits nested: it runs the run
+   loop's own dispatch on the delaying process's stack for every event
+   that orders before its key, then resumes in place the same way.  The
+   nested waits form a stack, each due strictly before the one below it
+   ([inner_time]), so the innermost always resumes first.  A delay that
+   can do neither, or a nested wait whose loop must stop or whose
+   dispatch raised, is queued under its key through the engine's one
+   preallocated [Delay] effect.  Which way a delay waits depends on what
+   the innermost run loop publishes ([loop_limit], [loop_stop],
+   [loop_pred]), the innermost nested wait's due time, and the queue's
+   heads ([q_all_after], [Eventq.head_before]). *)
 
 type queue = Heap of Eventq.t | Cal of Calendar.t
 
@@ -38,23 +44,31 @@ type t = {
   pool : Evnode.pool;
   mutable handlers : (int -> int -> Obj.t -> Obj.t -> unit) array;
   mutable nhandlers : int;
-  mutable pending_span : Time.span;
-      (* argument drop-box for [on_delay]: [delay] stashes the span here
-         and performs the one preallocated [delay_eff], whose handler arm
-         returns the one preallocated [on_delay], instead of allocating
-         an effect, a closure and an option per [delay] — the busiest
-         effect in every model (cpu charges, wire times) *)
+  (* Argument drop-box for [on_delay]: a delay that queues stashes its
+     key here (and, for a nested wait that ends in an exception, what to
+     raise once it is queued) and performs the one preallocated
+     [delay_eff], whose handler arm returns the one preallocated
+     [on_delay], instead of allocating an effect, a closure and an
+     option per [delay] — the busiest effect in every model. *)
+  mutable pending_time : Time.t;
+  mutable pending_tie : int;
+  mutable pending_seq : int;
+  mutable pending_exn : (exn * Printexc.raw_backtrace) option;
   delay_eff : unit Effect.t;
   on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
   (* A process of this engine is running: set when one starts or is
      resumed, cleared when it yields or ends, and cleared (then put
-     back) by a run loop entered from inside a process. *)
+     back) by a run loop entered from inside a process and while a
+     nested wait dispatches. *)
   mutable in_process : bool;
   (* The innermost active run loop's [max_events], [run_until] stop and
      [run_while] predicate; meaningful only while [in_process]. *)
   mutable loop_limit : int;
   mutable loop_stop : Time.t;
   mutable loop_pred : unit -> bool;
+  (* Due time of the innermost delay waiting nested, [forever] when
+     none does. *)
+  mutable inner_time : Time.t;
   engine_rng : Rng.t;
   (* [None] = FIFO ties (the historical order); [Some rng] draws a
      random tie key per event, so same-instant events interleave in a
@@ -164,7 +178,8 @@ let register_handler t f =
    in the payload so a single global handler installation per process
    suffices; the handler checks it owns the effect and re-performs
    otherwise (supporting nested engines).  Each engine preallocates its
-   one [Delay] value ([delay_eff]); the span travels in [pending_span]. *)
+   one [Delay] value ([delay_eff]); the key travels in the drop-box
+   ([pending_time], [pending_tie], [pending_seq]). *)
 type _ Effect.t +=
   | Delay : t -> unit Effect.t
   | Suspend : t * ('a waker -> unit) -> 'a Effect.t
@@ -211,19 +226,30 @@ let create ?(seed = 42) ?(tie_break = `Fifo) ?(queue = `Heap) () =
       pool;
       handlers = Array.make 8 unregistered;
       nhandlers = nbuiltin;
-      pending_span = Time.zero_span;
+      pending_time = Time.zero;
+      pending_tie = 0;
+      pending_seq = 0;
+      pending_exn = None;
       delay_eff = Delay t;
       on_delay =
         Some
           (fun k ->
-            let n = alloc_keyed t (Time.add t.clock t.pending_span) in
+            let n =
+              Evnode.alloc t.pool ~time:t.pending_time ~tie:t.pending_tie ~seq:t.pending_seq
+            in
             n.Evnode.fn <- fn_delay;
             n.Evnode.o0 <- Obj.repr k;
-            q_insert t n);
+            q_insert t n;
+            match t.pending_exn with
+            | None -> ()
+            | Some (e, bt) ->
+              t.pending_exn <- None;
+              Printexc.raise_with_backtrace e bt);
       in_process = false;
       loop_limit = 0;
       loop_stop = Time.zero;
       loop_pred = always;
+      inner_time = forever;
       engine_rng = Rng.create ~seed;
       tie_rng =
         (match tie_break with
@@ -271,8 +297,8 @@ let run_process t ?(name = "process") fn =
              (((a, unit) continuation -> unit) option) ->
           match eff with
           | Delay t' when t' == t ->
-            (* [on_delay] reads the span [delay] left in [pending_span];
-               it runs synchronously as soon as this returns, so nothing
+            (* [on_delay] reads the key [delay] left in the drop-box; it
+               runs synchronously as soon as this returns, so nothing
                can overwrite the drop-box in between. *)
             t.in_process <- false;
             t.on_delay
@@ -294,50 +320,6 @@ let run_process t ?(name = "process") fn =
 
 let spawn t ?(after = Time.zero_span) ?name fn =
   schedule t ~after (fun () -> run_process t ?name fn)
-
-(* A delay resumes in place when its wake-up would be the run loop's
-   very next dispatch: a process of [t] is running (so a stray [delay]
-   from a scheduled closure still raises [Not_in_process]), the loop
-   would go on (guard, stop instant and predicate, checked at the clock
-   and state the loop would check them at), and nothing queued is due
-   at or before the wake-up.  An equal instant takes the queue: under
-   FIFO ties a new key never precedes a queued one, and under random
-   ties only strictly earlier instants qualify, so the tie never decides
-   eligibility.  A dead timeout counts as queued.  The key is still
-   drawn, so the (tie, seq) stream stays what the queue path draws. *)
-let delay t span =
-  if Time.span_is_negative span then invalid_arg "Engine.delay: negative span";
-  let at = Time.add t.clock span in
-  if
-    t.in_process
-    && t.executed < t.loop_limit
-    && Time.(at <= t.loop_stop)
-    && q_all_after t at
-    && t.loop_pred ()
-  then begin
-    ignore (draw_tie t : int);
-    t.clock <- at;
-    t.executed <- t.executed + 1;
-    q_advance t at
-  end
-  else begin
-    t.pending_span <- span;
-    try Effect.perform t.delay_eff with Effect.Unhandled _ -> raise Not_in_process
-  end
-
-let suspend t register =
-  try Effect.perform (Suspend (t, register)) with Effect.Unhandled _ -> raise Not_in_process
-
-let suspend_timeout t ~timeout register =
-  if Time.span_is_negative timeout then
-    invalid_arg "Engine.suspend_timeout: negative timeout";
-  suspend t (fun w ->
-      register { cell = w.cell; fire = (fun v -> w.fire (Some v)); owner = t };
-      let n = alloc_keyed t (Time.add t.clock timeout) in
-      n.Evnode.fn <- fn_timeout;
-      n.Evnode.o0 <- Obj.repr w;
-      w.cell.timer <- n;
-      q_insert_timer t n)
 
 (* Copy out and recycle before dispatch: the handler may schedule,
    immediately reusing this node.  Branch on the payload style first so
@@ -361,6 +343,96 @@ let[@inline] dispatch t (n : Evnode.t) =
       run ()
     end
   end
+
+(* The event that would wake a delay at [at], run in place: what the
+   loop's pop and [dispatch] of it would do to the clock, the count and
+   the queue. *)
+let[@inline] resume_in_place t at =
+  t.clock <- at;
+  t.executed <- t.executed + 1;
+  q_advance t at
+
+(* A queued delay: file the key [delay] drew, with the continuation, and
+   once it is queued raise [exn] (a nested wait's failure) in the
+   parent, the loop that resumed this process. *)
+let queue_delay t at tie seq exn =
+  t.pending_time <- at;
+  t.pending_tie <- tie;
+  t.pending_seq <- seq;
+  t.pending_exn <- exn;
+  Effect.perform t.delay_eff
+
+(* Whether a nested wait for key (at, tie, seq) resumes: dispatch
+   every queued event that orders before it while the run loop would
+   go on.  [false] when the guard or the predicate stops the loop
+   first, so the wait must queue for an enclosing loop to stop on.  The
+   stop instant needs no check: a wait nests only when it is due by the
+   stop, and so is every event that orders before it. *)
+let rec nested_loop t q at tie seq =
+  if t.executed >= t.loop_limit || not (t.loop_pred ()) then false
+  else if Eventq.head_before q at tie seq then begin
+    dispatch t (Eventq.pop q);
+    nested_loop t q at tie seq
+  end
+  else true
+
+let wait_nested t q at tie seq =
+  let outer = t.inner_time in
+  t.inner_time <- at;
+  t.in_process <- false;
+  match nested_loop t q at tie seq with
+  | true ->
+    t.inner_time <- outer;
+    t.in_process <- true;
+    resume_in_place t at
+  | false ->
+    t.inner_time <- outer;
+    queue_delay t at tie seq None
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.inner_time <- outer;
+    queue_delay t at tie seq (Some (e, bt))
+
+(* A delay draws its key first, as the queue path always has, so the
+   (tie, seq) stream is the same whichever way it waits.  It resumes in
+   place when its wake-up would be the run loop's very next dispatch:
+   the loop would go on (guard, stop instant and predicate, checked at
+   the clock and state the loop would check them at), and nothing
+   queued, nor any nested wait, is due at or before the wake-up.  An
+   equal instant never qualifies: under FIFO ties a new key never
+   precedes a queued one, and under random ties only strictly earlier
+   instants qualify, so the tie never decides whether a delay resumes
+   in place or nests.  A dead timeout counts as queued.  When queued
+   events come first, a heap engine's delay waits nested instead. *)
+let delay t span =
+  if Time.span_is_negative span then invalid_arg "Engine.delay: negative span";
+  if not t.in_process then raise Not_in_process;
+  let at = Time.add t.clock span in
+  let tie = draw_tie t in
+  let seq = t.seq in
+  if t.executed < t.loop_limit && Time.(at <= t.loop_stop) && Time.(at < t.inner_time) then
+    if q_all_after t at then
+      if t.loop_pred () then resume_in_place t at else queue_delay t at tie seq None
+    else
+      match t.queue with
+      | Heap q -> wait_nested t q at tie seq
+      | Cal _ -> queue_delay t at tie seq None
+  else queue_delay t at tie seq None
+
+let suspend t register =
+  if not t.in_process then raise Not_in_process;
+  Effect.perform (Suspend (t, register))
+
+let suspend_timeout t ~timeout register =
+  if Time.span_is_negative timeout then
+    invalid_arg "Engine.suspend_timeout: negative timeout";
+  suspend t (fun w ->
+      register { cell = w.cell; fire = (fun v -> w.fire (Some v)); owner = t };
+      let n = alloc_keyed t (Time.add t.clock timeout) in
+      n.Evnode.fn <- fn_timeout;
+      n.Evnode.o0 <- Obj.repr w;
+      w.cell.timer <- n;
+      q_insert_timer t n)
 
 let guard_failed t =
   failwith (Printf.sprintf "Engine.run: exceeded %d events (runaway model?)" t.executed)
@@ -425,8 +497,12 @@ let set_loop t ~limit ~stop ~pred ~in_process =
 
 (* Publish this loop's bounds for [delay], and put the enclosing loop's
    back (with its [in_process]) however this one ends.  Allocates
-   nothing: [body] is one of the top-level drains above. *)
+   nothing: [body] is one of the top-level drains above.  No loop starts
+   inside a nested wait: it would run the events queued after the
+   waiter's key before the waiter. *)
 let in_loop t ?max_events ~stop ~pred body =
+  if Time.(t.inner_time < forever) then
+    invalid_arg "Engine.run: a run loop cannot start while a delay waits nested";
   let limit = match max_events with None -> max_int | Some n -> n in
   let limit0 = t.loop_limit and stop0 = t.loop_stop and pred0 = t.loop_pred in
   let in_process0 = t.in_process in

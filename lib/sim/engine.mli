@@ -16,7 +16,9 @@
 
     {!delay} and {!suspend} may only be called from inside a process
     (i.e. from a function started with {!spawn} or from a callback run by
-    such a process); calling them elsewhere raises [Not_in_process]. *)
+    such a process); calling them elsewhere raises [Not_in_process].
+    A scheduled closure or a {!register_handler} handler is not a
+    process, even when it runs while a process waits. *)
 
 type t
 
@@ -26,7 +28,11 @@ type 'a waker
     a value of type ['a] exactly once. *)
 
 exception Not_in_process
-(** Raised when {!delay} or {!suspend} is performed outside a process. *)
+(** Raised by {!delay}, {!suspend} and {!suspend_timeout} when no
+    process of the engine is running: called from outside the engine's
+    run loops, from a scheduled closure or from a flat handler.  They
+    check this themselves, since a closure dispatched inside a nested
+    wait (see {!delay}) runs on the waiting process's stack. *)
 
 val create :
   ?seed:int -> ?tie_break:[ `Fifo | `Random ] -> ?queue:[ `Heap | `Calendar ] -> unit -> t
@@ -39,7 +45,9 @@ val create :
     {!Eventq} 4-ary heaps or the {!Calendar} bucketed queue; both pop
     in exactly the same [(time, tie, seq)] order, so the choice is a
     pure performance knob and the simulation output is byte-identical
-    either way. *)
+    either way.  Only a heap engine's delays wait nested (see
+    {!delay}), so a calendar engine is the flat reference the tests
+    compare it with. *)
 
 val now : t -> Time.t
 (** [now t] is the current virtual instant.  Callable from anywhere. *)
@@ -91,21 +99,39 @@ val schedule_fn : t -> after:Time.span -> fn:int -> a:int -> b:int -> unit
 val delay : t -> Time.span -> unit
 (** [delay t d] suspends the calling process for [d] of virtual time.
     [delay t Time.zero_span] yields to other events at the same instant.
-    When the wake-up would be the running loop's very next event —
-    nothing queued is due at or before [now t + d], and the loop's
-    [max_events], [run_until] stop and [run_while] predicate would let
-    it run — the process resumes in place, without leaving the call:
-    the clock, the event count and the same-instant tie draw move
-    exactly as if the wake-up had been queued and popped, so no output
-    can tell the difference, and nothing is allocated.
-    @raise Invalid_argument if [d] is negative. *)
+    However it waits, the clock, the event count and the same-instant
+    tie draw move exactly as if the wake-up had been queued and popped,
+    so no output can tell the ways apart.  Let [at = now t + d], and say
+    the loop would go on when the running loop's [max_events],
+    [run_until] stop and [run_while] predicate would let it dispatch an
+    event due at [at]:
+    - When nothing queued is due at or before [at], no wait is nested
+      (below) due at or before [at], and the loop would go on, the
+      process resumes in place, without leaving the call and without
+      allocating.
+    - Otherwise, on a [`Heap] engine, when the loop would go on and [at]
+      is strictly before every nested wait's wake-up, the delay waits
+      nested: it dispatches every queued event that orders before its
+      wake-up on the calling process's stack, as the loop would, then
+      resumes in place without allocating.  Processes resumed there may
+      nest in turn.  If the guard trips or the predicate turns false
+      first, or a dispatched event raises, the wake-up is queued under
+      the key it drew, the enclosing loop stops as it would have
+      (guard, predicate) or the exception propagates from it, and a
+      later run resumes the process at that key.
+    - Otherwise (and always on a [`Calendar] engine) the wake-up is
+      queued, and the process's continuation is the one allocation.
+    @raise Invalid_argument if [d] is negative.
+    @raise Not_in_process if no process of [t] is running. *)
 
 val suspend : t -> ('a waker -> unit) -> 'a
 (** [suspend t register] suspends the calling process and hands a waker
     for it to [register]; the process resumes when somebody calls
     {!wake} on it, returning the value passed to {!wake}.  Models do not
     call this directly: every blocked process waits in a {!Condvar},
-    which is built on it, {!suspend_timeout} and {!wake}. *)
+    which is built on it, {!suspend_timeout} and {!wake}.  A suspension
+    always leaves the process; it never waits nested.
+    @raise Not_in_process if no process of [t] is running. *)
 
 val suspend_timeout : t -> timeout:Time.span -> ('a waker -> unit) -> 'a option
 (** Like {!suspend} but resumes with [None] after [timeout] if the waker
@@ -123,8 +149,13 @@ val wake : 'a waker -> 'a -> bool
 
 val run : ?max_events:int -> t -> unit
 (** [run t] executes events until the queue is empty.  [max_events]
-    guards against runaway models (default: unlimited);
-    @raise Failure if the guard trips. *)
+    guards against runaway models (default: unlimited).  A run loop may
+    be entered from inside a process, but not while a delay waits
+    nested (see {!delay}): it would run events due after the waiting
+    process's wake-up before it.  The same holds for {!run_until} and
+    {!run_while}.
+    @raise Failure if the guard trips.
+    @raise Invalid_argument if a delay waits nested. *)
 
 val run_until : ?max_events:int -> t -> Time.t -> unit
 (** [run_until t stop] executes events with time <= [stop], then sets
@@ -139,9 +170,10 @@ val run_while : ?max_events:int -> t -> (unit -> bool) -> unit
     non-empty.  The predicate is evaluated before each event — use with
     a completion {!Gate} to run a workload to its finish amid daemon
     processes.  [p] should only read the model: before an in-place
-    {!delay} it runs inside the delaying process, and when it turns
-    false there it is evaluated again, at the same clock and state, by
-    the loop. *)
+    {!delay} it runs inside the delaying process, and before each event
+    a nested wait dispatches, inside the waiting process.  When it turns
+    false there, it is evaluated again, at the same clock and state, by
+    each enclosing nested wait and then by the loop. *)
 
 val suspended_count : t -> int
 (** Number of currently suspended processes (waiting on a waker). *)

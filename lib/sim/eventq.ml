@@ -229,6 +229,14 @@ let all_after t time =
   let time = Time.since_start_ns time in
   (t.near.len = 0 || t.near.keys.(0) > time) && (t.lead < 0 || t.lead_time > time)
 
+let head_before t time tie seq =
+  let time = Time.since_start_ns time in
+  (t.near.len > 0 && before t.near.keys 0 time tie seq)
+  || t.lead >= 0
+     && (t.lead_time < time
+        || t.lead_time = time
+           && (t.lead_tie < tie || (t.lead_tie = tie && t.lead_seq < seq)))
+
 (* Remove and return the minimum node.  The caller dispatches its
    payload and recycles it (the engine copies the payload to locals,
    recycles, then dispatches, so the handler is free to schedule new

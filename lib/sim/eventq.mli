@@ -57,6 +57,11 @@ val all_after : t -> Time.t -> bool
     after [time]: true when [t] is empty.  One probe of the heads,
     where {!is_empty} then {!min_time} would find the minimum twice. *)
 
+val head_before : t -> Time.t -> int -> int -> bool
+(** [head_before t time tie seq] is whether the queue's minimum orders
+    before the key [(time, tie, seq)]: false when [t] is empty.  A delay
+    that waits nested dispatches events while it holds for its key. *)
+
 val pop : t -> Evnode.t
 (** Removes and returns the minimum node; the caller dispatches its
     payload and recycles it through the pool.

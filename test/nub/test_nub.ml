@@ -170,6 +170,34 @@ let wake_hist m =
   Obs.Metrics.Registry.histogram (Machine.obs m).Obs.Ctx.metrics ~site:"caller"
     ~name:"wakeup_latency_us"
 
+(* The machine looks its histogram up once, on its first waiter, so a
+   machine that never waits publishes no wakeup row. *)
+let test_waiter_shared_histogram () =
+  let w = make_world () in
+  let m = w.a in
+  let rows () =
+    let snap = Obs.Metrics.Snapshot.take (Machine.obs m).Obs.Ctx.metrics ~at:(Engine.now w.eng) in
+    List.length
+      (List.filter
+         (fun (r : Obs.Metrics.Snapshot.row) -> r.site = "caller" && r.name = "wakeup_latency_us")
+         snap.Obs.Metrics.Snapshot.rows)
+  in
+  Alcotest.(check int) "no row before the first waiter" 0 (rows ());
+  let waiters = [ Machine.new_waiter m; Machine.new_waiter m ] in
+  Alcotest.(check int) "one row for all the machine's waiters" 1 (rows ());
+  List.iter
+    (fun waiter ->
+      Machine.spawn_thread m (fun () ->
+          Cpu_set.with_cpu (Machine.cpus m) (fun ctx -> Waiter.wait waiter ctx)))
+    waiters;
+  Machine.spawn_thread m ~name:"waker" (fun () ->
+      Engine.delay w.eng (us 100);
+      Cpu_set.with_cpu (Machine.cpus m) (fun ctx ->
+          List.iter (fun waiter -> Waiter.notify waiter ~waker:ctx ()) waiters));
+  Engine.run_until w.eng (Time.add Time.zero (Time.ms 5));
+  Alcotest.(check int) "both wakeups in the one histogram" 2
+    (Obs.Metrics.Histogram.count (wake_hist m))
+
 let test_waiter_stale_mark_not_inflated () =
   let w = make_world () in
   let m = w.a in
@@ -304,6 +332,7 @@ let suite =
     Alcotest.test_case "waiter notify before wait" `Quick test_waiter_notify_before_wait;
     Alcotest.test_case "waiter timeout" `Quick test_waiter_timeout;
     Alcotest.test_case "waiter busy wait" `Quick test_waiter_busy_wait;
+    Alcotest.test_case "waiters share one wakeup histogram" `Quick test_waiter_shared_histogram;
     Alcotest.test_case "waiter stale mark not inflated" `Quick test_waiter_stale_mark_not_inflated;
     Alcotest.test_case "waiter spin records latency" `Quick test_waiter_spin_records_latency;
     Alcotest.test_case "waiter timeout leaves no mark" `Quick test_waiter_timeout_leaves_no_mark;

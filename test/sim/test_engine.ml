@@ -313,6 +313,38 @@ let test_in_place_zero_alloc () =
   Alcotest.(check int) "events" 1_101 (Engine.events_executed eng);
   Alcotest.(check (float 0.)) "minor words" 0. !minor
 
+(* Two processes whose delays interleave: each of [nester]'s wake-ups
+   comes after one of [queuer]'s, so every delay of [nester] waits
+   nested, and each of [queuer]'s comes after [nester]'s, so every delay
+   of [queuer] queues.  [nester]'s measured window holds 1,000 delays
+   of each.  A calendar engine, which never nests, queues both, so
+   there the window allocates twice what it does on the heap engine,
+   where only [queuer]'s continuations are allocated. *)
+let interleaved_words queue =
+  let eng = Engine.create ~queue () in
+  let minor = ref nan in
+  Engine.spawn eng ~name:"nester" (fun () ->
+      for _ = 1 to 100 do
+        Engine.delay eng (us 2)
+      done;
+      let minor0 = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        Engine.delay eng (us 2)
+      done;
+      minor := Gc.minor_words () -. minor0);
+  Engine.spawn eng ~after:(us 1) ~name:"queuer" (fun () ->
+      for _ = 1 to 1_101 do
+        Engine.delay eng (us 2)
+      done);
+  Engine.run eng;
+  Alcotest.(check int) "events" 2_203 (Engine.events_executed eng);
+  !minor
+
+let test_nested_zero_alloc () =
+  let heap = interleaved_words `Heap and cal = interleaved_words `Calendar in
+  Alcotest.(check bool) "queued delays allocate their continuation" true (heap >= 1_000.);
+  Alcotest.(check (float 0.)) "nested delays allocate nothing" (cal /. 2.) heap
+
 (* Three processes whose delays both tie and interleave, under random
    ties: the (process, step, time in us) order was recorded before
    delays could resume in place, so it checks that an in-place
@@ -363,5 +395,6 @@ let suite =
     Alcotest.test_case "process exception escapes" `Quick test_exception_escapes;
     Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
     Alcotest.test_case "in-place delay allocates nothing" `Quick test_in_place_zero_alloc;
+    Alcotest.test_case "nested delay allocates nothing" `Quick test_nested_zero_alloc;
     Alcotest.test_case "random-tie schedule known answer" `Quick test_in_place_random_ties;
   ]
